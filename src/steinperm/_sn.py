@@ -8,6 +8,9 @@ all aggregates remain exact integers.
 Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
 the exact value scaled by L.
+
+Every exact enumeration goes through :func:`sweep`, which refuses an
+oversized n or oversized entries before it returns.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import AntisymmetricMatrix
+from .perm_core import AntisymmetricMatrix, check_enum_limit
 
 CHUNK = 150_000
+
+_TOO_LARGE = "matrix entries too large for exact vectorized enumeration"
 
 
 def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
@@ -29,13 +34,11 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
     for row in m.entries:
         for e in row:
             scale = scale * e.denominator // math.gcd(scale, e.denominator)
-    n = m.n
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            e = m.entries[i][j]
-            out[i, j] = int(e.numerator * (scale // e.denominator))
-    return out, scale
+    rows = [[int(e.numerator * (scale // e.denominator)) for e in row] for row in m.entries]
+    # such entries would fail checked_chunk_size; refuse them before int64 overflows
+    if any(abs(e) >= 1 << 62 for row in rows for e in row):
+        raise ValueError(_TOO_LARGE)
+    return np.array(rows, dtype=np.int64).reshape(m.n, m.n), scale
 
 
 def checked_chunk_size(n: int, mint: np.ndarray) -> int:
@@ -49,8 +52,22 @@ def checked_chunk_size(n: int, mint: np.ndarray) -> int:
     per_perm = max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2, 1)
     cap = (1 << 62) // per_perm
     if cap < 1:
-        raise ValueError("matrix entries too large for exact vectorized enumeration")
+        raise ValueError(_TOO_LARGE)
     return min(CHUNK, cap)
+
+
+def sweep(
+    m: AntisymmetricMatrix, limit: int | None = None
+) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """(L * M, L, chunks of (perms, inner)) for one lexicographic sweep of S_n.
+
+    The enumeration limit and the overflow guard both run before this
+    returns, so a refused sweep allocates nothing.
+    """
+    n = check_enum_limit(m.n, limit)
+    mint, scale = integer_matrix(m)
+    size = checked_chunk_size(n, mint)
+    return mint, scale, inner_sum_chunks(n, mint, size)
 
 
 def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
@@ -78,10 +95,11 @@ def inner_sums(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
     return inner
 
 
-def inner_sum_chunks(n: int, mint: np.ndarray) -> Iterator[np.ndarray]:
-    size = checked_chunk_size(n, mint)
-    for perms in chunks(n, size):
-        yield inner_sums(perms, mint)
+def inner_sum_chunks(
+    n: int, mint: np.ndarray, chunk_size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    for perms in chunks(n, chunk_size):
+        yield perms, inner_sums(perms, mint)
 
 
 def descent_counts(perms: np.ndarray) -> np.ndarray:

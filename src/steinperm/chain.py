@@ -21,9 +21,8 @@ from . import _sn
 from .perm_core import (
     Permutation,
     StatisticSpec,
-    check_enum_limit,
+    descents_matrix,
     descents_spec,
-    variance_formula,
     x_stat,
 )
 
@@ -72,12 +71,8 @@ def x_delta(spec: StatisticSpec, p: Permutation, i: int) -> Fraction:
         raise ValueError(f"position {i} out of range 1..{n}")
     if spec.n != n:
         raise ValueError(f"statistic is for n={spec.n}, permutation has n={n}")
-    entries = spec.matrix.entries
-    vi = p.image[i - 1] - 1
-    total = Fraction(0)
-    for j in range(i, n):
-        total += entries[vi][p.image[j] - 1]
-    return -2 * total
+    row = spec.matrix.entries[p.image[i - 1] - 1]
+    return -2 * sum((row[v - 1] for v in p.image[i:]), Fraction(0))
 
 
 def conditional_drift(spec: StatisticSpec, p: Permutation) -> Fraction:
@@ -90,12 +85,8 @@ def conditional_drift(spec: StatisticSpec, p: Permutation) -> Fraction:
     >>> conditional_drift(inversions_spec(7), Permutation((6, 4, 1, 5, 3, 2, 7)))
     Fraction(-2, 7)
     """
-    n = p.n
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += x_delta(spec, p, i)
     # identity checked exhaustively in tests: the sum is -2 X(pi)
-    return total / n
+    return sum((x_delta(spec, p, i) for i in range(1, p.n + 1)), Fraction(0)) / p.n
 
 
 def cond_exp_sq(spec: StatisticSpec, p: Permutation) -> Fraction:
@@ -107,11 +98,7 @@ def cond_exp_sq(spec: StatisticSpec, p: Permutation) -> Fraction:
     >>> cond_exp_sq(inversions_spec(3), Permutation((1, 2, 3)))
     Fraction(20, 3)
     """
-    n = p.n
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += x_delta(spec, p, i) ** 2
-    return total / n
+    return sum((x_delta(spec, p, i) ** 2 for i in range(1, p.n + 1)), Fraction(0)) / p.n
 
 
 def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
@@ -121,10 +108,7 @@ def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
     the position is uniform on 1..n, so the draw is fully determined by
     the generator state.
     """
-    var = variance_formula(spec.matrix).variance
-    if var <= 0:
-        raise ValueError("statistic has zero variance; W is undefined")
-    sigma = math.sqrt(var)
+    sigma = math.sqrt(spec.variance)
     n = spec.n
     p = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
     i = int(rng.integers(1, n + 1))
@@ -134,12 +118,13 @@ def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
 
 
 def unit_step_check(n: int, limit: int | None = None) -> bool:
-    """Exhaustively confirm a chain step changes the descent count by at most 1."""
-    check_enum_limit(n, limit)
-    for perms in _sn.chunks(n):
-        base = _sn.descent_counts(perms)
-        for i in range(n):
-            step = _sn.descent_counts(_sn.moved(perms, i)) - base
-            if np.abs(step).max() > 1:
-                return False
-    return True
+    """Exhaustively confirm a chain step changes des(pi^-1) by at most 1.
+
+    That is |X' - X| <= 2 for the descent statistic, i.e. every suffix
+    sum of ``descents_matrix(n)`` along every permutation is -1, 0 or 1.
+
+    >>> unit_step_check(5)
+    True
+    """
+    _, _, sweep = _sn.sweep(descents_matrix(n), limit)
+    return all(int(np.abs(inner).max()) <= 1 for _, inner in sweep)

@@ -2,7 +2,9 @@
 
 Subcommands:
 
-* ``verify``  -- run the exact identity suite for one statistic at one n
+* ``verify``  -- run the exact identity suite for one statistic at one n,
+  every check fed by one pass over S_n; for descents, ``descent_unit_step``
+  checks that the statistic's step changes des(pi^-1) by at most 1
 * ``example`` -- reproduce the built-in worked example (n = 7, position 3)
 * ``dist``    -- exact integer distribution of a statistic
 * ``rate``    -- normal-approximation rate table over a list of n
@@ -26,27 +28,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import _sn, analysis, exact_dist, exchangeability, stein_bounds
-from .chain import move_to_end, sample_pair, unit_step_check
-from .exchangeability import (
-    builtin_phi,
-    check_conditions,
-    is_exchangeable,
-    lambda_map,
-    theta,
-)
+from .chain import move_to_end, sample_pair
+from .exchangeability import builtin_phi, check_conditions, lambda_map, theta
 from .perm_core import (
     DEFAULT_ENUM_LIMIT,
-    EnumerationLimitError,
-    MatrixFormatError,
     Permutation,
     StatisticKind,
     StatisticSpec,
     custom_spec,
-    descent_count,
     format_rational,
     load_matrix_file,
     spec_for,
-    variance_formula,
     x_stat,
 )
 
@@ -102,76 +94,66 @@ def _enum_limit(args) -> int | None:
 # ---------------------------------------------------------------- verify
 
 def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]]:
-    """The exact identity suite behind ``verify``."""
+    """The exact identity suite behind ``verify``, in one sweep of S_n.
+
+    Each chunk of the sweep feeds the exact bound sums, the (X, X') pair
+    tally, X recomputed on every moved row and, for the built-in
+    statistics, X on every relabeled row; the checks read those.
+    """
     m = spec.matrix
     n = spec.n
-    var = variance_formula(m).variance
-    if var <= 0:
-        raise UsageError("statistic has zero variance; nothing to verify on the W scale")
-    mint, scale = _sn.integer_matrix(m)
+    var = spec.variance
+    mint, scale, sweep = _sn.sweep(m, limit)
+    builtin = spec.kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS)
+    table = exchangeability.relabel_table(spec) if builtin else None
 
-    ok_delta = True
-    ok_drift = True
-    sum_x = 0
-    sum_x2 = 0
-    sum_d2 = 0
-    for perms in _sn.chunks(n, _sn.checked_chunk_size(n, mint)):
-        inner = _sn.inner_sums(perms, mint)
+    def x_of(rows):
+        return _sn.inner_sums(rows, mint).sum(axis=1)
+
+    sums = stein_bounds.ExactSums()
+    pairs = exchangeability.PairTally()
+    ok_delta = ok_drift = ok_lambda = True
+    for perms, inner in sweep:
+        sums.add(inner)
+        pairs.add(inner)
         x = inner.sum(axis=1)
-        d = -2 * inner
+        drift = np.zeros_like(x)
         for i in range(n):
-            xm = _sn.inner_sums(_sn.moved(perms, i), mint).sum(axis=1)
-            if not np.array_equal(xm, x + d[:, i]):
-                ok_delta = False
-        if not np.array_equal(d.sum(axis=1), -2 * x):
-            ok_drift = False
-        sum_x += int(x.sum())
-        sum_x2 += int((x * x).sum())
-        sum_d2 += int((d * d).sum())
+            xm = x_of(_sn.moved(perms, i))
+            ok_delta &= np.array_equal(xm, x - 2 * inner[:, i])
+            drift += xm - x
+            if table is not None:
+                lam = exchangeability.relabel(table, perms, i)
+                ok_lambda &= np.array_equal(x_of(lam), xm)
+                ok_lambda &= np.array_equal(x_of(_sn.moved(lam, i)), x)
+        ok_drift &= np.array_equal(drift, -2 * x)
     nfact = math.factorial(n)
-    mean = Fraction(sum_x, nfact * scale)
-    bf_var = Fraction(sum_x2, nfact * scale**2) - mean * mean
+    mean = Fraction(sums.sum_x, nfact * scale)
+    bf_var = Fraction(sums.sum_x2, nfact * scale**2) - mean * mean
+    ing = sums.ingredients(spec, scale)
 
     checks = [
         ("statistic_delta_consistency", ok_delta),
         ("drift_identity", ok_drift),
         ("variance_formula_vs_enumeration", mean == 0 and bf_var == var),
-        ("pair_second_moment_identity", Fraction(sum_d2, scale**2) == 4 * nfact * var),
-        ("pair_exchangeable", is_exchangeable(m, n, limit)),
+        ("pair_second_moment_identity", Fraction(sums.sum_q, scale**2) == 4 * nfact * var),
+        ("pair_exchangeable", pairs.distribution(scale).swap_symmetric()),
+        ("normalized_second_moment_is_4_over_n", ing.e_diff_sq_w == Fraction(4, n)),
+        ("conditional_variance_order", ing.var_cond_w_w <= ing.var_cond_pi_w),
+        ("third_moment_jensen_floor", ing.e_abs_diff_cubed_x**2 * n**3 >= 64 * var**3),
     ]
-
-    ing = stein_bounds.ingredients_exact(spec, limit)
-    checks.append(("normalized_second_moment_is_4_over_n", ing.e_diff_sq_w == Fraction(4, n)))
-    checks.append(("conditional_variance_order", ing.var_cond_w_w <= ing.var_cond_pi_w))
-    checks.append(
-        ("third_moment_jensen_floor", ing.e_abs_diff_cubed_x**2 * n**3 >= 64 * var**3)
-    )
-
-    if spec.kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS):
-        ok_theta = True
-        universe = range(1, n + 1)
-        for mask in range(1, 1 << n):
-            s = tuple(v for v in universe if mask >> (v - 1) & 1)
-            th = theta(spec, s)
-            if not check_conditions(m, s, th, phis=lambda i, s=s: builtin_phi(spec, s, i)):
-                ok_theta = False
+    if builtin:
+        values = range(1, n + 1)
+        subsets = (tuple(v for v in values if mask >> (v - 1) & 1) for mask in range(1, 1 << n))
+        ok_theta = all(
+            check_conditions(m, s, theta(spec, s), phis=lambda i, s=s: builtin_phi(spec, s, i))
+            for s in subsets
+        )
         checks.append(("flip_bijection_conditions", ok_theta))
-
-        ok_lambda = True
-        for perms in _sn.chunks(n):
-            for row in perms.tolist():
-                p = Permutation(tuple(v + 1 for v in row))
-                xp_val = x_stat(spec, p)
-                for i in range(1, n + 1):
-                    lam_p = lambda_map(spec, p, i)
-                    if x_stat(spec, lam_p) != x_stat(spec, move_to_end(p, i)):
-                        ok_lambda = False
-                    if x_stat(spec, move_to_end(lam_p, i)) != xp_val:
-                        ok_lambda = False
         checks.append(("relabeling_swaps_pair_values", ok_lambda))
-
     if spec.kind is StatisticKind.DESCENTS:
-        checks.append(("descent_unit_step", unit_step_check(n, limit)))
+        # the statistic's step is X' - X = -2 inner, a change of des(pi^-1)
+        checks.append(("descent_unit_step", sums.max_inner <= 1))
     return checks
 
 
@@ -313,30 +295,20 @@ def cmd_sample(args) -> int:
     spec = _selected_spec(args)
     if args.seed is None:
         raise UsageError("sample needs --seed")
+    if args.trials < 0:
+        raise UsageError("--trials must not be negative")
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    samples = [sample_pair(spec, rng) for _ in range(args.trials)]
+    rows = []
+    for _ in range(args.trials):
+        s = sample_pair(spec, rng)
+        rows.append({"x": format_rational(s.x), "x_prime": format_rational(s.x_prime),
+                     "w": s.w, "w_prime": s.w_prime, "position": s.position})
     if args.format == "csv":
         lines = ["x,x_prime,w,w_prime,position"]
-        for s in samples:
-            lines.append(
-                f"{format_rational(s.x)},{format_rational(s.x_prime)},"
-                f"{s.w!r},{s.w_prime!r},{s.position}"
-            )
+        lines += [f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit_json(
-            [
-                {
-                    "x": format_rational(s.x),
-                    "x_prime": format_rational(s.x_prime),
-                    "w": s.w,
-                    "w_prime": s.w_prime,
-                    "position": s.position,
-                }
-                for s in samples
-            ],
-            args.out,
-        )
+        _emit_json(rows, args.out)
     return 0
 
 
@@ -424,13 +396,8 @@ def main(argv=None) -> int:
     try:
         _check_seed(getattr(args, "seed", None))
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (MatrixFormatError, EnumerationLimitError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # MatrixFormatError and EnumerationLimitError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

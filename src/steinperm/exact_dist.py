@@ -12,13 +12,14 @@ permutations with value min_value + k.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _sn
-from .perm_core import AntisymmetricMatrix, check_enum_limit
+from .perm_core import AntisymmetricMatrix
 
 EULERIAN_CAP = 200
 MAHONIAN_CAP = 150
@@ -116,20 +117,15 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
 
 def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> IntegerDistribution:
     """Exact counts of the statistic over S_n for an integer matrix."""
-    for row in m.entries:
-        for e in row:
-            if e.denominator != 1:
-                raise ValueError("exact counting requires integer matrix entries")
+    if any(e.denominator != 1 for row in m.entries for e in row):
+        raise ValueError("exact counting requires integer matrix entries")
     n = m.n
-    check_enum_limit(n, limit)
-    mint, _ = _sn.integer_matrix(m)
-    tally: dict[int, int] = {}
-    for inner in _sn.inner_sum_chunks(n, mint):
+    _, _, sweep = _sn.sweep(m, limit)
+    tally: Counter[int] = Counter()
+    for _, inner in sweep:
         vals, cnt = np.unique(inner.sum(axis=1), return_counts=True)
-        for v, c in zip(vals.tolist(), cnt.tolist()):
-            tally[int(v)] = tally.get(int(v), 0) + int(c)
-    lo = min(tally)
-    hi = max(tally)
+        tally.update(dict(zip(vals.tolist(), cnt.tolist())))
+    lo, hi = min(tally), max(tally)
     counts = tuple(tally.get(v, 0) for v in range(lo, hi + 1))
     return IntegerDistribution(n=n, min_value=lo, counts=counts, total=math.factorial(n))
 

@@ -12,6 +12,7 @@ exchangeability itself by exact enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from .perm_core import (
     Permutation,
     StatisticKind,
     StatisticSpec,
-    check_enum_limit,
 )
 
 
@@ -275,6 +275,33 @@ def lambda_map(spec: StatisticSpec, p: Permutation, i: int) -> Permutation:
     return Permutation(tuple(out))
 
 
+def relabel_table(spec: StatisticSpec) -> np.ndarray:
+    """:func:`lambda_map` for a built-in statistic as a lookup table.
+
+    On 0-indexed values: when the values from position i on form the
+    set with bitmask ``mask`` and position i holds v, a value u there
+    becomes ``table[mask, v, u]``, Theta(v) for u = v and Phi(u) else.
+    """
+    n = spec.n
+    table = np.zeros((1 << n, n, n), dtype=np.int64)
+    for mask in range(1, 1 << n):
+        s = tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+        th = theta(spec, s)
+        for v in s:
+            for u, w in builtin_phi(spec, s, v).pairs + ((v, th(v)),):
+                table[mask, v - 1, u - 1] = w - 1
+    return table
+
+
+def relabel(table: np.ndarray, perms: np.ndarray, i: int) -> np.ndarray:
+    """Rows of 0-indexed permutations mapped by lambda_map at 0-indexed position i."""
+    suffix = perms[:, i:]
+    mask = (1 << suffix).sum(axis=1)
+    out = perms.copy()
+    out[:, i:] = table[mask[:, None], suffix[:, :1], suffix]
+    return out
+
+
 @dataclass(frozen=True)
 class PairDistribution:
     """Exact joint counts of (X, X') over all (permutation, position)."""
@@ -285,34 +312,47 @@ class PairDistribution:
     def probability(self, x: Fraction, x_prime: Fraction) -> Fraction:
         return Fraction(self.counts.get((x, x_prime), 0), self.total)
 
+    def swap_symmetric(self) -> bool:
+        """Whether (X, X') and (X', X) have the same law."""
+        return all(self.counts.get((xb, xa), 0) == c for (xa, xb), c in self.counts.items())
+
+
+class PairTally:
+    """Joint counts of the scaled pair (X, X') over S_n x {1..n}, fed chunk
+    by chunk with the suffix-sum arrays of a sweep."""
+
+    def __init__(self) -> None:
+        self.raw: Counter[tuple[int, int]] = Counter()
+
+    def add(self, inner: np.ndarray) -> None:
+        x = inner.sum(axis=1)
+        xa = np.repeat(x, inner.shape[1])
+        xb = (x[:, None] - 2 * inner).ravel()
+        # one int64 key per pair: the sweep's overflow guard keeps |X| below
+        # sqrt(n) * 2^13.5, so span^2 stays far below 2^63
+        lo = int(min(xa.min(), xb.min()))
+        span = int(max(xa.max(), xb.max())) - lo + 1
+        keys, cnt = np.unique((xa - lo) * span + (xb - lo), return_counts=True)
+        for k, c in zip(keys.tolist(), cnt.tolist()):
+            a, b = divmod(k, span)
+            self.raw[a + lo, b + lo] += c
+
+    def distribution(self, scale: int) -> PairDistribution:
+        counts = {(Fraction(a, scale), Fraction(b, scale)): c for (a, b), c in self.raw.items()}
+        return PairDistribution(counts=counts, total=sum(counts.values()))
+
 
 def joint_distribution(m: AntisymmetricMatrix, n: int, limit: int | None = None) -> PairDistribution:
     """Enumerate S_n x {1..n} and tally the unnormalized pair values."""
     if m.n != n:
         raise ValueError(f"matrix is {m.n}x{m.n}, expected {n}x{n}")
-    check_enum_limit(n, limit)
-    mint, scale = _sn.integer_matrix(m)
-    raw: dict[tuple[int, int], int] = {}
-    for perms in _sn.chunks(n, _sn.checked_chunk_size(n, mint)):
-        inner = _sn.inner_sums(perms, mint)
-        x = inner.sum(axis=1)
-        for i in range(n):
-            xp = x - 2 * inner[:, i]
-            pairs, cnt = np.unique(np.stack([x, xp], axis=1), axis=0, return_counts=True)
-            for (xa, xb), c in zip(pairs.tolist(), cnt.tolist()):
-                key = (int(xa), int(xb))
-                raw[key] = raw.get(key, 0) + int(c)
-    counts = {
-        (Fraction(xa, scale), Fraction(xb, scale)): c for (xa, xb), c in raw.items()
-    }
-    total = sum(counts.values())
-    return PairDistribution(counts=counts, total=total)
+    _, scale, sweep = _sn.sweep(m, limit)
+    tally = PairTally()
+    for _, inner in sweep:
+        tally.add(inner)
+    return tally.distribution(scale)
 
 
 def is_exchangeable(m: AntisymmetricMatrix, n: int, limit: int | None = None) -> bool:
     """Exact swap-symmetry of the joint (X, X') counts."""
-    dist = joint_distribution(m, n, limit)
-    for (xa, xb), c in dist.counts.items():
-        if dist.counts.get((xb, xa), 0) != c:
-            return False
-    return True
+    return joint_distribution(m, n, limit).swap_symmetric()

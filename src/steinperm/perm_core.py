@@ -24,7 +24,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 DEFAULT_ENUM_LIMIT = 10
 
@@ -198,6 +199,18 @@ class StatisticSpec:
     def n(self) -> int:
         return self.matrix.n
 
+    @cached_property
+    def variance(self) -> Fraction:
+        """Exact Var(X), computed once; a zero variance leaves W undefined.
+
+        >>> descents_spec(7).variance
+        Fraction(8, 3)
+        """
+        var = variance_formula(self.matrix).variance
+        if var <= 0:
+            raise ValueError("statistic has zero variance; W is undefined")
+        return var
+
 
 def descents_spec(n: int) -> StatisticSpec:
     return StatisticSpec(StatisticKind.DESCENTS, descents_matrix(n))
@@ -298,15 +311,14 @@ def brute_force_moments(
     """
     from . import _sn
 
-    n = check_enum_limit(m.n, limit)
-    mint, scale = _sn.integer_matrix(m)
+    _, scale, sweep = _sn.sweep(m, limit)
     sum_x = 0
     sum_x2 = 0
-    for inner in _sn.inner_sum_chunks(n, mint):
+    for _, inner in sweep:
         x = inner.sum(axis=1)
         sum_x += int(x.sum())
         sum_x2 += int((x * x).sum())
-    nfact = math.factorial(n)
+    nfact = math.factorial(m.n)
     mean = Fraction(sum_x, nfact * scale)
     second = Fraction(sum_x2, nfact * scale * scale)
     return mean, second - mean * mean
@@ -350,7 +362,7 @@ def matrix_from_json_dict(data: dict) -> AntisymmetricMatrix:
         raise MatrixFormatError('matrix JSON needs keys "n" and "entries"')
     n = data["n"]
     entries = data["entries"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MatrixFormatError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(entries, list) or len(entries) != n:
         raise MatrixFormatError(f'"entries" must be a list of {n} rows')

@@ -22,20 +22,14 @@ variance of the conditional expectation, so the bound stays valid.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _sn
-from .perm_core import (
-    StatisticKind,
-    StatisticSpec,
-    check_enum_limit,
-    format_rational,
-    spec_for,
-    variance_formula,
-)
+from .perm_core import StatisticKind, StatisticSpec, format_rational, spec_for
 
 MODE_EXACT = "exact"
 MODE_MC = "mc"
@@ -102,12 +96,11 @@ def a_max(spec: StatisticSpec, mode: str = A_MAX_ANALYTIC, limit: int | None = N
     True
     >>> a_max(inversions_spec(7)) == 12 / math.sqrt(133 / 3)
     True
+    >>> a_max(descents_spec(5), "exact") == a_max(descents_spec(5))
+    True
     """
-    var = variance_formula(spec.matrix).variance
-    if var <= 0:
-        raise ValueError("statistic has zero variance; W is undefined")
-    sigma = math.sqrt(var)
     if mode == A_MAX_ANALYTIC:
+        sigma = math.sqrt(spec.variance)
         worst = Fraction(0)
         for row in spec.matrix.entries:
             pos = sum((e for e in row if e > 0), Fraction(0))
@@ -115,13 +108,78 @@ def a_max(spec: StatisticSpec, mode: str = A_MAX_ANALYTIC, limit: int | None = N
             worst = max(worst, pos, neg)
         return 2 * float(worst) / sigma
     if mode == A_MAX_EXACT:
-        n = check_enum_limit(spec.n, limit)
-        mint, scale = _sn.integer_matrix(spec.matrix)
-        biggest = 0
-        for inner in _sn.inner_sum_chunks(n, mint):
-            biggest = max(biggest, int(np.abs(inner).max()))
-        return 2 * biggest / (scale * sigma)
+        return ingredients_exact(spec, limit).a_max
     raise ValueError(f"unknown a_max mode {mode!r}")
+
+
+class ExactSums:
+    """Exact integer sums over a sweep of S_n x {1..n}, fed chunk by chunk.
+
+    Values are on the scaled integer matrix L * M: ``inner`` is the
+    suffix-sum array of a chunk, X = inner.sum(axis=1), X' - X = -2 inner
+    and q_pi = sum_i (X' - X)^2.  The W-conditioned variance needs the
+    level sets of X, kept sparse as counts and sums of q_pi by value.
+    """
+
+    def __init__(self) -> None:
+        self.sum_x = self.sum_x2 = self.sum_q = self.sum_q2 = self.sum_abs_d3 = self.max_inner = 0
+        self.level_count: Counter[int] = Counter()
+        self.level_q: Counter[int] = Counter()
+
+    def add(self, inner: np.ndarray) -> None:
+        x = inner.sum(axis=1)
+        a = np.abs(inner)
+        q = 4 * (inner * inner).sum(axis=1)
+        self.sum_x += int(x.sum())
+        self.sum_x2 += int((x * x).sum())
+        self.sum_q += int(q.sum())
+        self.sum_q2 += int((q * q).sum())
+        self.sum_abs_d3 += 8 * int((a * a * a).sum())
+        self.max_inner = max(self.max_inner, int(a.max()))
+        vals, where, cnt = np.unique(x, return_inverse=True, return_counts=True)
+        qsum = np.zeros(len(vals), dtype=np.int64)
+        np.add.at(qsum, where, q)
+        self.level_count.update(dict(zip(vals.tolist(), cnt.tolist())))
+        self.level_q.update(dict(zip(vals.tolist(), qsum.tolist())))
+
+    def ingredients(self, spec: StatisticSpec, scale: int) -> BoundIngredients:
+        """The exact bound ingredients once the whole of S_n has been added."""
+        n = spec.n
+        var = spec.variance
+        nfact = math.factorial(n)
+        e_diff_sq_x = Fraction(self.sum_q, nfact * n * scale**2)
+        e_diff_sq_w = e_diff_sq_x / var
+        e_abs3_x = Fraction(self.sum_abs_d3, nfact * n * scale**3)
+        # E|W'-W|^3 = E|X'-X|^3 / Var(X)^{3/2}, rounded once
+        e_abs3_w = math.sqrt(float(e_abs3_x**2 / var**3))
+
+        # c_pi = E[(W'-W)^2 | pi] = q_pi / (n scale^2 Var(X))
+        denom = n * scale**2 * var
+        mean_c = Fraction(self.sum_q, nfact) / denom
+        mean_c2 = Fraction(self.sum_q2, nfact) / denom**2
+        var_cond_pi_w = mean_c2 - mean_c * mean_c
+
+        level_sq = Fraction(0)
+        for v, c in self.level_count.items():
+            mean_here = Fraction(self.level_q[v], c) / denom
+            level_sq += c * mean_here * mean_here
+        var_cond_w_w = level_sq / nfact - mean_c * mean_c
+
+        return BoundIngredients(
+            n=n,
+            lam=Fraction(2, n),
+            a_max=2 * self.max_inner / (scale * math.sqrt(var)),
+            e_diff_sq=float(e_diff_sq_w),
+            e_abs_diff_cubed=e_abs3_w,
+            var_cond_pi=float(var_cond_pi_w),
+            var_cond_w=float(var_cond_w_w),
+            mode=MODE_EXACT,
+            e_diff_sq_x=e_diff_sq_x,
+            e_diff_sq_w=e_diff_sq_w,
+            e_abs_diff_cubed_x=e_abs3_x,
+            var_cond_pi_w=var_cond_pi_w,
+            var_cond_w_w=var_cond_w_w,
+        )
 
 
 def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIngredients:
@@ -131,73 +189,12 @@ def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIng
     the exact rational statistic value and averages the pi-conditioned
     second moment within each group.
     """
-    var = variance_formula(spec.matrix).variance
-    if var <= 0:
-        raise ValueError("statistic has zero variance; W is undefined")
-    n = check_enum_limit(spec.n, limit)
-    mint, scale = _sn.integer_matrix(spec.matrix)
-    xbound = int(np.abs(mint).sum()) // 2
-
-    sum_d2 = 0
-    sum_abs_d3 = 0
-    sum_q = 0
-    sum_q2 = 0
-    biggest = 0
-    count_at = [0] * (2 * xbound + 1)
-    sum_q_at = [0] * (2 * xbound + 1)
-    for inner in _sn.inner_sum_chunks(n, mint):
-        d = -2 * inner
-        d2 = d * d
-        q = d2.sum(axis=1)
-        x = inner.sum(axis=1)
-        sum_d2 += int(q.sum())
-        sum_abs_d3 += int((np.abs(d) * d2).sum())
-        sum_q += int(q.sum())
-        sum_q2 += int((q * q).sum())
-        biggest = max(biggest, int(np.abs(d).max()))
-        cnt = np.bincount(x + xbound, minlength=2 * xbound + 1)
-        qsum = np.zeros(2 * xbound + 1, dtype=np.int64)
-        np.add.at(qsum, x + xbound, q)
-        for k, (c, s) in enumerate(zip(cnt.tolist(), qsum.tolist())):
-            if c:
-                count_at[k] += c
-                sum_q_at[k] += s
-
-    nfact = math.factorial(n)
-    e_diff_sq_x = Fraction(sum_d2, nfact * n * scale**2)
-    e_diff_sq_w = e_diff_sq_x / var
-    e_abs3_x = Fraction(sum_abs_d3, nfact * n * scale**3)
-    # E|W'-W|^3 = E|X'-X|^3 / Var(X)^{3/2}, rounded once
-    e_abs3_w = math.sqrt(float(e_abs3_x**2 / var**3))
-
-    # c_pi = E[(W'-W)^2 | pi] = q_pi / (n scale^2 Var(X))
-    denom = n * scale**2 * var
-    mean_c = Fraction(sum_q, nfact) / denom
-    mean_c2 = Fraction(sum_q2, nfact) / denom**2
-    var_cond_pi_w = mean_c2 - mean_c * mean_c
-
-    level_sq = Fraction(0)
-    for c, s in zip(count_at, sum_q_at):
-        if c:
-            mean_here = Fraction(s, c) / denom
-            level_sq += c * mean_here * mean_here
-    var_cond_w_w = level_sq / nfact - mean_c * mean_c
-
-    return BoundIngredients(
-        n=n,
-        lam=Fraction(2, n),
-        a_max=biggest / (scale * math.sqrt(var)),
-        e_diff_sq=float(e_diff_sq_w),
-        e_abs_diff_cubed=e_abs3_w,
-        var_cond_pi=float(var_cond_pi_w),
-        var_cond_w=float(var_cond_w_w),
-        mode=MODE_EXACT,
-        e_diff_sq_x=e_diff_sq_x,
-        e_diff_sq_w=e_diff_sq_w,
-        e_abs_diff_cubed_x=e_abs3_x,
-        var_cond_pi_w=var_cond_pi_w,
-        var_cond_w_w=var_cond_w_w,
-    )
+    spec.variance  # refuse a zero-variance statistic before sweeping
+    _, scale, sweep = _sn.sweep(spec.matrix, limit)
+    sums = ExactSums()
+    for _, inner in sweep:
+        sums.add(inner)
+    return sums.ingredients(spec, scale)
 
 
 def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredients:
@@ -212,22 +209,14 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    var = variance_formula(spec.matrix).variance
-    if var <= 0:
-        raise ValueError("statistic has zero variance; W is undefined")
     n = spec.n
     mint, scale = _sn.integer_matrix(spec.matrix)
-    sigma_x = math.sqrt(var) * scale
+    sigma_x = math.sqrt(spec.variance) * scale
     c_center = 4.0 / n  # exact mean of c_pi, used to stabilize moments
 
     n_blocks = (trials + _MC_BLOCK - 1) // _MC_BLOCK
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    s_abs3: list[float] = []
-    s_abs6: list[float] = []
-    s_u: list[float] = []
-    s_u2: list[float] = []
-    s_u3: list[float] = []
-    s_u4: list[float] = []
+    block_sums: list[list[float]] = []
     base = np.tile(np.arange(n, dtype=np.int64), (_MC_BLOCK, 1))
     for b in range(n_blocks):
         m = min(_MC_BLOCK, trials - b * _MC_BLOCK)
@@ -239,20 +228,11 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
         abs3 = np.abs(d_w) ** 3
         c = 4.0 / n * (inner.astype(np.float64) / sigma_x**2 * inner).sum(axis=1)
         u = c - c_center
-        s_abs3.append(float(abs3.sum()))
-        s_abs6.append(float((abs3 * abs3).sum()))
-        s_u.append(float(u.sum()))
-        s_u2.append(float((u * u).sum()))
-        s_u3.append(float((u * u * u).sum()))
-        s_u4.append(float((u * u * u * u).sum()))
+        powers = (abs3, abs3 * abs3, u, u * u, u * u * u, u * u * u * u)
+        block_sums.append([float(v.sum()) for v in powers])
 
     nt = float(trials)
-    m_abs3 = math.fsum(s_abs3) / nt
-    m_abs6 = math.fsum(s_abs6) / nt
-    mu = math.fsum(s_u) / nt
-    mu2 = math.fsum(s_u2) / nt
-    mu3 = math.fsum(s_u3) / nt
-    mu4 = math.fsum(s_u4) / nt
+    m_abs3, m_abs6, mu, mu2, mu3, mu4 = (math.fsum(col) / nt for col in zip(*block_sums))
     # central moments of c from moments about the fixed center
     c2 = mu2 - mu * mu
     c4 = mu4 - 4 * mu * mu3 + 6 * mu * mu * mu2 - 3 * mu**4

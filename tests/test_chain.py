@@ -151,6 +151,18 @@ class TestSamplePair:
         assert deltas <= {0, 2}
         assert 2 in deltas
 
+    def test_variance_computed_once_per_spec(self, monkeypatch):
+        from steinperm import perm_core
+
+        calls = []
+        original = perm_core.variance_formula
+        monkeypatch.setattr(perm_core, "variance_formula", lambda m: calls.append(m) or original(m))
+        spec = inversions_spec(6)
+        rng = np.random.Generator(np.random.PCG64(8))
+        for _ in range(20):
+            sample_pair(spec, rng)
+        assert len(calls) == 1
+
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             sample_pair(custom_spec(zero_matrix(5)), np.random.Generator(np.random.PCG64(0)))

@@ -243,6 +243,94 @@ class TestSample:
         assert exc.value.code == 2
 
 
+def _write_rows(tmp_path, name, rows):
+    path = tmp_path / name
+    path.write_text(json.dumps({"n": len(rows), "entries": [[str(e) for e in r] for r in rows]}))
+    return str(path)
+
+
+def _antisymmetric(upper):
+    """Rows of the antisymmetric matrix with the given strictly upper entries."""
+    n = len(upper) + 1
+    rows = [["0"] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j, e in enumerate(row, start=i + 1):
+            rows[i][j] = e
+            rows[j][i] = e[1:] if e.startswith("-") else "-" + e
+    return rows
+
+
+# an entry of 9e12, and denominators whose lcm is about 1e18 (the scaled
+# entries fit int64) or 1e36 (they do not): each is refused before any sweep
+# allocates
+_LARGE_ENTRY = _antisymmetric([["9000000000000", "1", "-2"], ["3", "1"], ["2"]])
+_LARGE_LCM = _antisymmetric([["1/999983", "1/999979", "1"], ["1/999961", "2"], ["-1"]])
+_HUGE_LCM = _antisymmetric(
+    [["1/1000003", "1/1000033", "1/1000037"], ["1/1000039", "1/1000081"], ["1/1000099"]]
+)
+
+
+class TestRefusedInput:
+    # dist --matrix takes integer entries only, so it sees just the first
+    @pytest.mark.parametrize("command, rows", [
+        ("bounds", _LARGE_ENTRY),
+        ("bounds", _LARGE_LCM),
+        ("bounds", _HUGE_LCM),
+        ("verify", _LARGE_ENTRY),
+        ("verify", _HUGE_LCM),
+        ("dist", _LARGE_ENTRY),
+    ], ids=["bounds-entry", "bounds-lcm-1e18", "bounds-lcm-1e36", "verify-entry",
+            "verify-lcm-1e36", "dist-entry"])
+    def test_large_matrix_refused(self, capsys, tmp_path, command, rows):
+        code, out, err = run(capsys, command, "--matrix", _write_rows(tmp_path, "big.json", rows))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "too large" in err
+
+    def test_boolean_n_refused(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"n": True, "entries": [["0"]]}))
+        code, out, err = run(capsys, "dist", "--matrix", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert '"n"' in err
+
+    def test_negative_trials_refused(self, capsys):
+        code, out, err = run(capsys, "sample", "--stat", "descents", "--n", "5",
+                             "--seed", "1", "--trials", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--trials" in err
+
+
+class TestSingleSweep:
+    """verify enumerates S_n exactly once, whatever the statistic."""
+
+    @pytest.mark.parametrize("selector", ["descents", "inversions", "custom"])
+    def test_verify_rows_equal_n_factorial(self, capsys, monkeypatch, matrix_file, selector):
+        from steinperm import _sn
+
+        rows = []
+        original = _sn.chunks
+
+        def counting_chunks(*args, **kwargs):
+            for block in original(*args, **kwargs):
+                rows.append(block.shape[0])
+                yield block
+
+        monkeypatch.setattr(_sn, "chunks", counting_chunks)
+        if selector == "custom":
+            argv = ["verify", "--matrix", matrix_file]
+        else:
+            argv = ["verify", "--stat", selector, "--n", "5"]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert sum(rows) == math.factorial(5)
+
+
 class TestUsage:
     def test_stat_and_matrix_conflict(self, capsys, matrix_file):
         with pytest.raises(SystemExit) as exc:

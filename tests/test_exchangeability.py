@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from conftest import random_matrices
@@ -24,7 +25,7 @@ from steinperm import (
     x_stat,
     zero_matrix,
 )
-from steinperm.exchangeability import CosetContext
+from steinperm.exchangeability import CosetContext, relabel, relabel_table
 from steinperm.perm_core import EnumerationLimitError, custom_spec
 
 WORKED = Permutation((6, 4, 1, 5, 3, 2, 7))
@@ -251,6 +252,20 @@ class TestLambdaMap:
     def test_position_range(self):
         with pytest.raises(ValueError):
             lambda_map(descents_spec(7), WORKED, 8)
+
+
+class TestRelabelTable:
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_matches_lambda_map(self, n):
+        perms = np.array(list(permutations(range(n))), dtype=np.int64)
+        for spec in (descents_spec(n), inversions_spec(n)):
+            table = relabel_table(spec)
+            for i in range(n):
+                expected = [
+                    [v - 1 for v in lambda_map(spec, Permutation(tuple(v + 1 for v in row)), i + 1).image]
+                    for row in perms.tolist()
+                ]
+                assert relabel(table, perms, i).tolist() == expected
 
 
 class TestJointDistribution:
