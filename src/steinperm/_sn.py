@@ -5,6 +5,17 @@ arrays holding 0-indexed values, a few hundred thousand at a time, so
 that exhaustive sweeps up to n = 10 (3.6M permutations) stay fast while
 all aggregates remain exact integers.
 
+A lexicographic block is a run of (n - k)-prefixes, each followed by
+the k values it leaves in every order of S_k, k the largest with k! no
+more than the chunk size: S_k is built once and every block is the
+prefixes times ``remaining[S_k]``.
+
+The suffix sums inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] depend only
+on p_t(i) and the set of values at or before position i, so sweeps read
+them from an n x 2^n table of partial row sums (:func:`suffix_table`),
+n gathers per row.  :func:`inner_sums` is the general gather for rows
+too wide for such a table.
+
 Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
 the exact value scaled by L.
@@ -16,7 +27,6 @@ oversized n or oversized entries before it returns.
 from __future__ import annotations
 
 import math
-from itertools import islice, permutations
 from typing import Iterator
 
 import numpy as np
@@ -25,18 +35,22 @@ from .perm_core import AntisymmetricMatrix, check_enum_limit
 
 CHUNK = 150_000
 
-_TOO_LARGE = "matrix entries too large for exact vectorized enumeration"
+_TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
 
 
 def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
-    """(L * M) as an int64 array together with the denominator lcm L."""
+    """(L * M) as an int64 array together with the denominator lcm L.
+
+    Refuses a matrix with a row whose absolute sum reaches 2^62, so that
+    every partial row sum, and with it every suffix sum ``inner`` that
+    the exact sweep and the Monte Carlo draws compute, fits in int64.
+    """
     scale = 1
     for row in m.entries:
         for e in row:
             scale = scale * e.denominator // math.gcd(scale, e.denominator)
     rows = [[int(e.numerator * (scale // e.denominator)) for e in row] for row in m.entries]
-    # such entries would fail checked_chunk_size; refuse them before int64 overflows
-    if any(abs(e) >= 1 << 62 for row in rows for e in row):
+    if any(sum(map(abs, row)) >= 1 << 62 for row in rows):
         raise ValueError(_TOO_LARGE)
     return np.array(rows, dtype=np.int64).reshape(m.n, m.n), scale
 
@@ -46,7 +60,9 @@ def checked_chunk_size(n: int, mint: np.ndarray) -> int:
 
     The largest per-permutation aggregate handled anywhere is
     (sum_i delta_i^2)^2 <= (4n * (n * K)^2)^2 with K = max |entry| and
-    delta_i = 2 * inner_i.
+    delta_i = 2 * inner_i.  The entries of :func:`suffix_table` are
+    partial row sums, at most (n - 1) * K in absolute value, so they
+    stay inside the same bound.
     """
     k = int(np.abs(mint).max()) if mint.size else 0
     per_perm = max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2, 1)
@@ -70,14 +86,67 @@ def sweep(
     return mint, scale, inner_sum_chunks(n, mint, size)
 
 
+def _lex_heads(rank: np.ndarray, rest: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``depth`` values of the arrangement of lexicographic rank
+    ``rank[t]`` among the depth-arrangements of the sorted row ``rest[t]``,
+    and the values each leaves, still sorted."""
+    m = len(rank)
+    heads = np.empty((m, depth), dtype=np.int64)
+    rows = np.arange(m)
+    for j in range(depth):
+        r = rest.shape[1]
+        digit, rank = np.divmod(rank, math.perm(r - 1, depth - j - 1))
+        heads[:, j] = rest[rows, digit]
+        rest = rest[np.arange(r) != digit[:, None]].reshape(m, r - 1)
+    return heads, rest
+
+
 def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
-    """Yield (m, n) int64 arrays of 0-indexed permutations, lex order."""
-    it = permutations(range(n))
-    while True:
-        block = list(islice(it, chunk_size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+    """Yield (m, n) int64 arrays of 0-indexed permutations, lex order.
+
+    No block holds more than ``chunk_size`` rows.
+    """
+    k = n
+    while math.factorial(k) > chunk_size:
+        k -= 1
+    kfact = math.factorial(k)
+    tail, _ = _lex_heads(np.arange(kfact), np.tile(np.arange(k), (kfact, 1)), k)
+    # fewer than k + 1 prefixes per block, since (k + 1)! > chunk_size
+    group = chunk_size // kfact
+    n_prefixes = math.perm(n, n - k)
+    for start in range(0, n_prefixes, group):
+        rank = np.arange(start, min(start + group, n_prefixes))
+        heads, rest = _lex_heads(rank, np.tile(np.arange(n), (len(rank), 1)), n - k)
+        block = np.empty((len(rank), kfact, n), dtype=np.int64)
+        block[:, :, : n - k] = heads[:, None, :]
+        for g, values in enumerate(rest):
+            block[g, :, n - k :] = values[tail]
+        yield block.reshape(len(rank) * kfact, n)
+
+
+def suffix_table(mint: np.ndarray) -> np.ndarray:
+    """table[v, seen] = sum of M[v][u] over the values u outside the bitmask ``seen``.
+
+    With ``seen`` the values at or before position i of a permutation p,
+    table[p(i), seen] is the suffix sum inner[i]; see :func:`table_inner`.
+    """
+    n = mint.shape[0]
+    # inside[v, mask] = sum_{u in mask} M[v][u], one value bit at a time
+    inside = np.zeros((n, 1), dtype=np.int64)
+    for u in range(n):
+        inside = np.concatenate([inside, inside + mint[:, u : u + 1]], axis=1)
+    # the complement of mask is 2^n - 1 - mask
+    return np.ascontiguousarray(inside[:, ::-1])
+
+
+def table_inner(perms: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """:func:`inner_sums` of rows of 0-indexed permutations, read from
+    ``table = suffix_table(mint)``."""
+    seen = np.left_shift(1, perms)
+    np.cumsum(seen, axis=1, out=seen)
+    # the flat index of table[p(i), seen] is p(i) * 2^n + seen
+    seen |= perms << perms.shape[1]
+    return np.take(table, seen)
 
 
 def inner_sums(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
@@ -98,8 +167,9 @@ def inner_sums(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
 def inner_sum_chunks(
     n: int, mint: np.ndarray, chunk_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    table = suffix_table(mint)
     for perms in chunks(n, chunk_size):
-        yield perms, inner_sums(perms, mint)
+        yield perms, table_inner(perms, table)
 
 
 def descent_counts(perms: np.ndarray) -> np.ndarray:

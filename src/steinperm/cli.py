@@ -106,9 +106,10 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     mint, scale, sweep = _sn.sweep(m, limit)
     builtin = spec.kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS)
     table = exchangeability.relabel_table(spec) if builtin else None
+    suffix = _sn.suffix_table(mint)
 
     def x_of(rows):
-        return _sn.inner_sums(rows, mint).sum(axis=1)
+        return _sn.table_inner(rows, suffix).sum(axis=1)
 
     sums = stein_bounds.ExactSums()
     pairs = exchangeability.PairTally()
@@ -329,6 +330,16 @@ def _check_seed(seed: int | None) -> None:
         raise UsageError("seed must fit in 64 bits")
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_selector(sub, need_n: bool = True) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--stat", choices=["descents", "inversions"])
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the exact identity suite")
     _add_selector(sub)
-    sub.add_argument("--enum-limit", type=int)
+    sub.add_argument("--enum-limit", type=_non_negative_int)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_verify)
 
@@ -359,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("dist", help="exact distribution of a statistic")
     _add_selector(sub)
     sub.add_argument("--cap", type=int, help="override the recurrence size cap")
-    sub.add_argument("--enum-limit", type=int)
+    sub.add_argument("--enum-limit", type=_non_negative_int)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_dist)
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=["exact", "mc"], default="exact")
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--enum-limit", type=int)
+    sub.add_argument("--enum-limit", type=_non_negative_int)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_bounds)
 

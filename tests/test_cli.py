@@ -288,6 +288,27 @@ class TestRefusedInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "too large" in err
 
+    # every partial row sum of such a matrix overflows int64, which the Monte
+    # Carlo draws used to do silently
+    def test_mc_row_sum_overflow_refused(self, capsys, tmp_path):
+        big = str((1 << 62) - 1)
+        rows = _antisymmetric([[big, big, big], [big, big], [big]])
+        code, out, err = run(capsys, "bounds", "--matrix", _write_rows(tmp_path, "big.json", rows),
+                             "--mode", "mc", "--trials", "1000", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "too large" in err
+
+    @pytest.mark.parametrize("command", ["verify", "dist", "bounds"])
+    def test_negative_enum_limit_refused(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--stat", "descents", "--n", "4", "--enum-limit", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--enum-limit" in captured.err and "negative" in captured.err
+
     def test_boolean_n_refused(self, capsys, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"n": True, "entries": [["0"]]}))

@@ -1,11 +1,19 @@
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from steinperm import AntisymmetricMatrix, descents_matrix, inversions_matrix
-from steinperm import _sn
+from steinperm import (
+    AntisymmetricMatrix,
+    custom_spec,
+    descents_matrix,
+    descents_spec,
+    ingredients_mc,
+    inversions_matrix,
+)
+from steinperm import _sn, exchangeability
 from steinperm.perm_core import EnumerationLimitError
 
 
@@ -39,3 +47,112 @@ class TestSweep:
         m = AntisymmetricMatrix.from_rows([["0", entry, "1"], [neg, "0", "1"], ["-1", "-1", "0"]])
         with pytest.raises(ValueError, match="too large"):
             _sn.sweep(m)
+
+
+def _largest_guarded_entry(n):
+    """The largest K for which the sweep's overflow guard accepts entries of size K."""
+    def accepted(k):
+        try:
+            _sn.checked_chunk_size(n, np.array([[k]], dtype=np.int64))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 1, 2
+    while accepted(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return lo
+
+
+def _near_limit_matrix(n):
+    # negative upper entries within 2 of the largest size the guard accepts,
+    # the first one at it
+    k = _largest_guarded_entry(n)
+    rng = np.random.default_rng(11)
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = k - (int(rng.integers(0, 3)) if j > 1 else 0)
+            rows[i][j], rows[j][i] = str(-e), str(e)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("size", [1, 5, 6, 7, 23, 24, 25, 150_000])
+    def test_lex_order_and_block_size(self, n, size):
+        blocks = list(_sn.chunks(n, size))
+        assert all(b.dtype == np.int64 and 0 < len(b) <= size for b in blocks)
+        rows = np.concatenate(blocks)
+        assert rows.tolist() == [list(p) for p in permutations(range(n))]
+
+
+class TestSuffixTable:
+    """table_inner, the sweep's kernel, against the general gather inner_sums."""
+
+    N = 6
+
+    @pytest.fixture(params=["descents", "inversions", "rational", "near-limit"])
+    def matrix(self, request):
+        n = self.N
+        return {
+            "descents": lambda: descents_matrix(n),
+            "inversions": lambda: inversions_matrix(n),
+            "rational": lambda: AntisymmetricMatrix.from_rows(
+                [[str(Fraction(j - i, 2 + (i + j) % 3)) for j in range(n)] for i in range(n)]
+            ),
+            "near-limit": lambda: _near_limit_matrix(n),
+        }[request.param]()
+
+    def test_random_moved_and_relabeled_rows(self, matrix):
+        n = self.N
+        mint, _, _ = _sn.sweep(matrix)
+        table = _sn.suffix_table(mint)
+        assert table.shape == (n, 1 << n)
+        rng = np.random.default_rng(5)
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (500, 1)), axis=1)
+        relabeling = exchangeability.relabel_table(descents_spec(n))
+        batches = [perms]
+        for i in range(n):
+            batches.append(_sn.moved(perms, i))
+            batches.append(exchangeability.relabel(relabeling, perms, i))
+        for rows in batches:
+            assert np.array_equal(_sn.table_inner(rows, table), _sn.inner_sums(rows, mint))
+
+    def test_sweep_inner_is_the_gather(self, matrix):
+        mint, _, sweep = _sn.sweep(matrix)
+        total = 0
+        for perms, inner in sweep:
+            assert np.array_equal(inner, _sn.inner_sums(perms, mint))
+            total += len(perms)
+        assert total == math.factorial(self.N)
+
+    def test_near_limit_is_at_the_limit(self):
+        mint, _ = _sn.integer_matrix(_near_limit_matrix(self.N))
+        k = _largest_guarded_entry(self.N)
+        assert mint[0, 1] == -k and np.abs(mint).max() == k
+        with pytest.raises(ValueError, match="too large"):
+            _sn.checked_chunk_size(self.N, np.array([[k + 1]], dtype=np.int64))
+
+
+class TestRowSumGuard:
+    """integer_matrix, shared by the exact sweep and the Monte Carlo draws,
+    refuses a matrix whose partial row sums could leave int64."""
+
+    @staticmethod
+    def _matrix(a, b):
+        return AntisymmetricMatrix.from_rows([["0", str(a), str(b)], [str(-a), "0", "1"], [str(-b), "-1", "0"]])
+
+    def test_row_sum_at_2_62_refused(self):
+        m = self._matrix(1 << 61, 1 << 61)
+        with pytest.raises(ValueError, match="too large"):
+            _sn.integer_matrix(m)
+        with pytest.raises(ValueError, match="too large"):
+            ingredients_mc(custom_spec(m), 10, 1)
+
+    def test_row_sum_below_2_62_accepted(self):
+        mint, _ = _sn.integer_matrix(self._matrix(1 << 61, (1 << 61) - 1))
+        assert int(mint[0].sum()) == (1 << 62) - 1
