@@ -21,7 +21,8 @@ entry denominators, every statistic computed from the integer matrix is
 the exact value scaled by L.
 
 Every exact enumeration goes through :func:`sweep`, which refuses an
-oversized n or oversized entries before it returns.
+oversized n or oversized entries before it returns; every Monte Carlo
+draw goes through :func:`draws`, which refuses oversized entries.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .perm_core import AntisymmetricMatrix, check_enum_limit
 
 CHUNK = 150_000
+DRAW_BLOCK = 1 << 16
 
 _TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
 
@@ -84,6 +86,32 @@ def sweep(
     mint, scale = integer_matrix(m)
     size = checked_chunk_size(n, mint)
     return mint, scale, inner_sum_chunks(n, mint, size)
+
+
+def draws(
+    m: AntisymmetricMatrix, trials: int, seed: int
+) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """(L * M, L, blocks of :func:`draw`) for ``trials`` draws of (pi, I):
+    block b holds at most ``DRAW_BLOCK`` draws from the b-th child of
+    ``SeedSequence(seed)``.  The overflow guard runs before this returns."""
+    mint, scale = integer_matrix(m)
+    root = np.random.SeedSequence(seed)  # spawn(1) k times gives the children of spawn(k)
+    blocks = (
+        draw(mint, min(DRAW_BLOCK, trials - start), np.random.Generator(np.random.PCG64(*root.spawn(1))))
+        for start in range(0, trials, DRAW_BLOCK)
+    )
+    return mint, scale, blocks
+
+
+def draw(
+    mint: np.ndarray, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perms, pos, inner) for m draws of a uniform permutation and a
+    uniform 0-indexed position, with ``inner = inner_sums(perms, mint)``."""
+    n = mint.shape[0]
+    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (m, 1)), axis=1)
+    inner = inner_sums(perms, mint)
+    return perms, rng.integers(0, n, size=m), inner
 
 
 def _lex_heads(rank: np.ndarray, rest: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:

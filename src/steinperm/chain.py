@@ -6,7 +6,8 @@ permutation pi this yields a pair (X(pi), X(pi')) whose normalized form
 (W, W') is exchangeable, with the exact linear regression property
 E[W' | pi] = (1 - 2/n) W.
 
-Everything except sampling is exact rational arithmetic.
+Everything except sampling is exact rational arithmetic.  Samples come
+in integer blocks from ``_sn.draw``, the kernel of ``bounds --mode mc``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .perm_core import (
     StatisticSpec,
     descents_matrix,
     descents_spec,
-    x_stat,
 )
 
 
@@ -101,20 +102,25 @@ def cond_exp_sq(spec: StatisticSpec, p: Permutation) -> Fraction:
     return sum((x_delta(spec, p, i) ** 2 for i in range(1, p.n + 1)), Fraction(0)) / p.n
 
 
-def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
-    """Draw pi uniform on S_n and one chain step from it.
+def pair_samples(
+    sigma: float, scale: int, pos: np.ndarray, inner: np.ndarray
+) -> Iterator[PairSample]:
+    """The pairs of a block of ``_sn.draw`` on L * M, L = ``scale``, with
+    X = sum_i inner[i] / L and X' = X - 2 inner[I] / L."""
+    x = inner.sum(axis=1)
+    x_prime = x - 2 * inner[np.arange(len(pos)), pos]
+    for a, b, i in zip(x.tolist(), x_prime.tolist(), pos.tolist()):
+        fa, fb = Fraction(a, scale), Fraction(b, scale)
+        yield PairSample(fa, fb, float(fa) / sigma, float(fb) / sigma, i + 1)
 
-    The permutation comes from the generator's Fisher-Yates shuffle and
-    the position is uniform on 1..n, so the draw is fully determined by
-    the generator state.
-    """
+
+def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
+    """Draw pi uniform on S_n and one chain step from it: one row of
+    ``_sn.draw``, fully determined by the generator state."""
     sigma = math.sqrt(spec.variance)
-    n = spec.n
-    p = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
-    i = int(rng.integers(1, n + 1))
-    x = x_stat(spec, p)
-    xp = x + x_delta(spec, p, i)
-    return PairSample(x=x, x_prime=xp, w=float(x) / sigma, w_prime=float(xp) / sigma, position=i)
+    mint, scale = _sn.integer_matrix(spec.matrix)
+    _, pos, inner = _sn.draw(mint, 1, rng)
+    return next(pair_samples(sigma, scale, pos, inner))
 
 
 def unit_step_check(n: int, limit: int | None = None) -> bool:

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _sn, analysis, exact_dist, exchangeability, stein_bounds
-from .chain import move_to_end, sample_pair
+from .chain import move_to_end, pair_samples
 from .exchangeability import builtin_phi, check_conditions, lambda_map, theta
 from .perm_core import (
     DEFAULT_ENUM_LIMIT,
@@ -67,16 +67,16 @@ def _warn(text: str) -> None:
 
 # ------------------------------------------------------------- selection
 
-def _selected_spec(args, need_n: bool = True) -> StatisticSpec:
+def _selected_spec(args) -> StatisticSpec:
     """Build the statistic from --stat/--n or from --matrix."""
     if args.matrix is not None:
         matrix = load_matrix_file(args.matrix)
-        if getattr(args, "n", None) is not None and args.n != matrix.n:
+        if args.n is not None and args.n != matrix.n:
             raise UsageError(f"--n {args.n} disagrees with the {matrix.n}x{matrix.n} matrix")
         return custom_spec(matrix)
     if args.stat is None:
         raise UsageError("select a statistic with --stat or --matrix")
-    if need_n and getattr(args, "n", None) is None:
+    if args.n is None:
         raise UsageError("--stat needs --n")
     return spec_for(args.stat, args.n)
 
@@ -235,15 +235,13 @@ def cmd_dist(args) -> int:
     else:
         if args.stat is None or args.n is None:
             raise UsageError("dist needs --stat with --n, or --matrix")
-        cap = args.cap
         if args.stat == "descents":
-            default_cap = exact_dist.EULERIAN_CAP
-            dist = exact_dist.eulerian_distribution(args.n, cap or default_cap)
+            recurrence, default_cap = exact_dist.eulerian_distribution, exact_dist.EULERIAN_CAP
         else:
-            default_cap = exact_dist.MAHONIAN_CAP
-            dist = exact_dist.mahonian_distribution(args.n, cap or default_cap)
-        if cap is not None and cap > default_cap:
-            _warn(f"cap raised to {cap}; large n may take minutes and much memory")
+            recurrence, default_cap = exact_dist.mahonian_distribution, exact_dist.MAHONIAN_CAP
+        dist = recurrence(args.n, args.cap or default_cap)
+        if args.cap is not None and args.cap > default_cap:
+            _warn(f"cap raised to {args.cap}; large n may take minutes and much memory")
     if args.format == "csv":
         lines = ["value,count"]
         lines += [f"{v},{c}" for v, c in dist.support()]
@@ -294,16 +292,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _selected_spec(args)
-    if args.seed is None:
-        raise UsageError("sample needs --seed")
     if args.trials < 0:
         raise UsageError("--trials must not be negative")
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    rows = []
-    for _ in range(args.trials):
-        s = sample_pair(spec, rng)
-        rows.append({"x": format_rational(s.x), "x_prime": format_rational(s.x_prime),
-                     "w": s.w, "w_prime": s.w_prime, "position": s.position})
+    sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
+    _, scale, blocks = _sn.draws(spec.matrix, args.trials, args.seed)
+    samples = [s for _, pos, inner in blocks for s in pair_samples(sigma, scale, pos, inner)]
+    rows = [dict(vars(s), x=format_rational(s.x), x_prime=format_rational(s.x_prime)) for s in samples]
     if args.format == "csv":
         lines = ["x,x_prime,w,w_prime,position"]
         lines += [f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows]
@@ -330,22 +324,27 @@ def _check_seed(seed: int | None) -> None:
         raise UsageError("seed must fit in 64 bits")
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return value
+def _int_at_least(lowest: int, rule: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"{rule}: {value}")
+        return value
+    return parse
 
 
-def _add_selector(sub, need_n: bool = True) -> None:
+_non_negative_int = _int_at_least(0, "must not be negative")
+_positive_int = _int_at_least(1, "must be positive")
+
+
+def _add_selector(sub) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--stat", choices=["descents", "inversions"])
     group.add_argument("--matrix", metavar="PATH", help="JSON file with an antisymmetric matrix")
-    if need_n:
-        sub.add_argument("--n", type=int)
+    sub.add_argument("--n", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("dist", help="exact distribution of a statistic")
     _add_selector(sub)
-    sub.add_argument("--cap", type=int, help="override the recurrence size cap")
+    sub.add_argument("--cap", type=_positive_int, help="override the recurrence size cap")
     sub.add_argument("--enum-limit", type=_non_negative_int)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out")

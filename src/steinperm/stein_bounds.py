@@ -34,11 +34,6 @@ from .perm_core import StatisticKind, StatisticSpec, format_rational, spec_for
 MODE_EXACT = "exact"
 MODE_MC = "mc"
 
-A_MAX_ANALYTIC = "analytic"
-A_MAX_EXACT = "exact"
-
-_MC_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class BoundIngredients:
@@ -81,14 +76,14 @@ class BoundReport:
     surrogate_used: bool
 
 
-def a_max(spec: StatisticSpec, mode: str = A_MAX_ANALYTIC, limit: int | None = None) -> float:
+def a_max(spec: StatisticSpec) -> float:
     """An almost-sure bound on |W' - W|.
 
     A chain step flips the orientation of the pairs between one value v
-    and an arbitrary subset of the others, so the worst case for the
-    analytic mode is twice the larger of the positive and the negative
-    part of v's matrix row, over v.  The exact mode enumerates instead,
-    and can only be smaller.
+    and an arbitrary subset of the others, so the worst case is twice
+    the larger of the positive and the negative part of v's matrix row,
+    over v.  The exact maximum, ``ingredients_exact(spec).a_max``, can
+    only be smaller.
 
     >>> from .perm_core import descents_spec, inversions_spec
     >>> import math
@@ -96,20 +91,16 @@ def a_max(spec: StatisticSpec, mode: str = A_MAX_ANALYTIC, limit: int | None = N
     True
     >>> a_max(inversions_spec(7)) == 12 / math.sqrt(133 / 3)
     True
-    >>> a_max(descents_spec(5), "exact") == a_max(descents_spec(5))
+    >>> ingredients_exact(descents_spec(5)).a_max == a_max(descents_spec(5))
     True
     """
-    if mode == A_MAX_ANALYTIC:
-        sigma = math.sqrt(spec.variance)
-        worst = Fraction(0)
-        for row in spec.matrix.entries:
-            pos = sum((e for e in row if e > 0), Fraction(0))
-            neg = -sum((e for e in row if e < 0), Fraction(0))
-            worst = max(worst, pos, neg)
-        return 2 * float(worst) / sigma
-    if mode == A_MAX_EXACT:
-        return ingredients_exact(spec, limit).a_max
-    raise ValueError(f"unknown a_max mode {mode!r}")
+    sigma = math.sqrt(spec.variance)
+    worst = Fraction(0)
+    for row in spec.matrix.entries:
+        pos = sum((e for e in row if e > 0), Fraction(0))
+        neg = -sum((e for e in row if e < 0), Fraction(0))
+        worst = max(worst, pos, neg)
+    return 2 * float(worst) / sigma
 
 
 class ExactSums:
@@ -200,31 +191,22 @@ def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIng
 def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredients:
     """Monte Carlo ingredients from ``trials`` independent (pi, I) draws.
 
-    Work is split into fixed-size blocks with one child stream each, so
-    the result depends only on (trials, seed), not on how blocks are
-    scheduled.  E[(W'-W)^2] is estimated by the mean of the exact
-    per-permutation conditional second moment (which has smaller
-    variance than the raw squared increments); the third moment uses
-    the sampled position.
+    The draws come in blocks from :func:`_sn.draws`, so the result
+    depends only on (trials, seed).  E[(W'-W)^2] is estimated by the
+    mean of the exact per-permutation conditional second moment (which
+    has smaller variance than the raw squared increments); the third
+    moment uses the sampled position.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     n = spec.n
-    mint, scale = _sn.integer_matrix(spec.matrix)
+    _, scale, blocks = _sn.draws(spec.matrix, trials, seed)
     sigma_x = math.sqrt(spec.variance) * scale
     c_center = 4.0 / n  # exact mean of c_pi, used to stabilize moments
 
-    n_blocks = (trials + _MC_BLOCK - 1) // _MC_BLOCK
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
     block_sums: list[list[float]] = []
-    base = np.tile(np.arange(n, dtype=np.int64), (_MC_BLOCK, 1))
-    for b in range(n_blocks):
-        m = min(_MC_BLOCK, trials - b * _MC_BLOCK)
-        rng = np.random.Generator(np.random.PCG64(streams[b]))
-        perms = rng.permuted(base[:m], axis=1)
-        inner = _sn.inner_sums(perms, mint)
-        pos = rng.integers(0, n, size=m)
-        d_w = -2.0 * inner[np.arange(m), pos] / sigma_x
+    for _, pos, inner in blocks:
+        d_w = -2.0 * inner[np.arange(len(pos)), pos] / sigma_x
         abs3 = np.abs(d_w) ** 3
         c = 4.0 / n * (inner.astype(np.float64) / sigma_x**2 * inner).sum(axis=1)
         u = c - c_center
@@ -241,7 +223,7 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
     return BoundIngredients(
         n=n,
         lam=Fraction(2, n),
-        a_max=a_max(spec, A_MAX_ANALYTIC),
+        a_max=a_max(spec),
         e_diff_sq=c_center + mu,
         e_abs_diff_cubed=m_abs3,
         var_cond_pi=var_c,

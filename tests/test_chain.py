@@ -167,6 +167,19 @@ class TestSamplePair:
         with pytest.raises(ValueError):
             sample_pair(custom_spec(zero_matrix(5)), np.random.Generator(np.random.PCG64(0)))
 
+    def test_no_fraction_oracle_calls(self, monkeypatch):
+        from steinperm import chain, perm_core
+
+        def refuse(*args):
+            raise AssertionError("per-draw Fraction evaluation")
+
+        monkeypatch.setattr(perm_core, "x_stat", refuse)
+        monkeypatch.setattr(chain, "x_delta", refuse)
+        spec = inversions_spec(6)
+        rng = np.random.Generator(np.random.PCG64(8))
+        samples = [sample_pair(spec, rng) for _ in range(20)]
+        assert all(abs(s.x_prime - s.x) <= 2 * (spec.n - 1) for s in samples)
+
 
 class TestUnitStep:
     @pytest.mark.parametrize("n", [2, 5, 7])

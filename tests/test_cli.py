@@ -242,6 +242,41 @@ class TestSample:
             main(["sample", "--stat", "descents", "--n", "5"])
         assert exc.value.code == 2
 
+    def test_no_fraction_oracle_calls(self, capsys, monkeypatch):
+        from steinperm import chain, cli, perm_core
+
+        def refuse(*args):
+            raise AssertionError("per-draw Fraction evaluation")
+
+        for module, name in ((perm_core, "x_stat"), (cli, "x_stat"), (chain, "x_delta")):
+            monkeypatch.setattr(module, name, refuse)
+        code, out, _ = run(capsys, "sample", "--stat", "inversions", "--n", "6",
+                           "--seed", "4", "--trials", "50")
+        assert code == 0
+        assert len(json.loads(out)) == 50
+
+    # sample draws the (pi, I) pairs of bounds --mode mc with the same seed
+    # and trial count; 65540 trials span two blocks
+    def test_same_draws_as_bounds_mc(self, capsys):
+        common = ("--stat", "inversions", "--n", "4", "--seed", "21", "--trials", "65540")
+        code, out, _ = run(capsys, "sample", *common, "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 65540
+        mean_abs3 = math.fsum(abs(float(r[3]) - float(r[2])) ** 3 for r in rows) / len(rows)
+        code, out, _ = run(capsys, "bounds", *common, "--mode", "mc")
+        assert code == 0
+        want = json.loads(out)["ingredients"]["e_abs_diff_cubed"]
+        assert mean_abs3 == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("trials", ["0", "1", "3"])
+    def test_zero_variance_refused_for_every_trial_count(self, capsys, trials):
+        code, out, err = run(capsys, "sample", "--stat", "descents", "--n", "1",
+                             "--seed", "1", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "zero variance" in err
+
 
 def _write_rows(tmp_path, name, rows):
     path = tmp_path / name
@@ -292,13 +327,13 @@ class TestRefusedInput:
     # Carlo draws used to do silently
     def test_mc_row_sum_overflow_refused(self, capsys, tmp_path):
         big = str((1 << 62) - 1)
-        rows = _antisymmetric([[big, big, big], [big, big], [big]])
-        code, out, err = run(capsys, "bounds", "--matrix", _write_rows(tmp_path, "big.json", rows),
-                             "--mode", "mc", "--trials", "1000", "--seed", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "too large" in err
+        path = _write_rows(tmp_path, "big.json", _antisymmetric([[big, big, big], [big, big], [big]]))
+        for command in (("bounds", "--mode", "mc"), ("sample",)):
+            code, out, err = run(capsys, *command, "--matrix", path, "--trials", "1000", "--seed", "1")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "too large" in err
 
     @pytest.mark.parametrize("command", ["verify", "dist", "bounds"])
     def test_negative_enum_limit_refused(self, capsys, command):
@@ -308,6 +343,15 @@ class TestRefusedInput:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "--enum-limit" in captured.err and "negative" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_cap_refused(self, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--stat", "descents", "--n", "5", "--cap", cap])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--cap" in captured.err and "positive" in captured.err
 
     def test_boolean_n_refused(self, capsys, tmp_path):
         path = tmp_path / "bool.json"

@@ -156,3 +156,37 @@ class TestRowSumGuard:
     def test_row_sum_below_2_62_accepted(self):
         mint, _ = _sn.integer_matrix(self._matrix(1 << 61, (1 << 61) - 1))
         assert int(mint[0].sum()) == (1 << 62) - 1
+
+
+class TestDraws:
+    """draws, the Monte Carlo kernel behind bounds --mode mc and sample."""
+
+    @pytest.mark.parametrize("trials", [0, 1, 1 << 16, (1 << 17) + 5])
+    def test_blocks(self, trials):
+        n = 4
+        mint, scale, blocks = _sn.draws(inversions_matrix(n), trials, 3)
+        assert scale == 1
+        sizes = []
+        for perms, pos, inner in blocks:
+            sizes.append(len(perms))
+            assert perms.shape == inner.shape == (len(pos), n)
+            assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (len(perms), 1)))
+            assert pos.min() >= 0 and pos.max() < n
+            assert np.array_equal(inner, _sn.inner_sums(perms, mint))
+        assert len(sizes) == -(-trials // _sn.DRAW_BLOCK)
+        assert sum(sizes) == trials and all(s <= _sn.DRAW_BLOCK for s in sizes)
+
+    def test_block_streams_are_the_spawned_children(self):
+        n, trials, seed = 5, 2 * _sn.DRAW_BLOCK + 7, 12
+        mint, _, blocks = _sn.draws(descents_matrix(n), trials, seed)
+        children = np.random.SeedSequence(seed).spawn(3)
+        for (perms, pos, inner), child, m in zip(blocks, children, (1 << 16, 1 << 16, 7), strict=True):
+            rng = np.random.Generator(np.random.PCG64(child))
+            want = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (m, 1)), axis=1)
+            assert np.array_equal(perms, want)
+            assert np.array_equal(pos, rng.integers(0, n, size=m))
+
+    def test_large_entries_refused_before_return(self):
+        m = AntisymmetricMatrix.from_rows([["0", str(1 << 62), "1"], [str(-(1 << 62)), "0", "1"], ["-1", "-1", "0"]])
+        with pytest.raises(ValueError, match="too large"):
+            _sn.draws(m, 10, 1)

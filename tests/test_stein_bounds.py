@@ -62,22 +62,18 @@ class TestAMax:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_exact_descents_equals_analytic(self, n):
         spec = descents_spec(n)
-        assert a_max(spec, "exact") == a_max(spec, "analytic")
+        assert ingredients_exact(spec).a_max == a_max(spec)
 
     def test_exact_never_exceeds_analytic(self):
         for m in random_matrices(6, count=4):
             if variance_formula(m).variance == 0:
                 continue
             spec = custom_spec(m)
-            assert a_max(spec, "exact") <= a_max(spec, "analytic") + 1e-15
+            assert ingredients_exact(spec).a_max <= a_max(spec) + 1e-15
 
     def test_exact_requires_small_n(self):
         with pytest.raises(EnumerationLimitError):
-            a_max(descents_spec(12), "exact")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            a_max(descents_spec(5), "guess")
+            ingredients_exact(descents_spec(12)).a_max
 
 
 class TestIngredientsExact:
