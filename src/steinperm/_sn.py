@@ -13,8 +13,9 @@ prefixes times ``remaining[S_k]``.
 The suffix sums inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] depend only
 on p_t(i) and the set of values at or before position i, so sweeps read
 them from an n x 2^n table of partial row sums (:func:`suffix_table`),
-n gathers per row.  :func:`inner_sums` is the general gather for rows
-too wide for such a table.
+n gathers per row.  Rows too wide for such a table, the Monte Carlo
+draws, go through :func:`inner_sums`, a running remainder of row sums
+over sub-blocks of rows small enough to stay in cache.
 
 Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
@@ -36,6 +37,7 @@ from .perm_core import AntisymmetricMatrix, check_enum_limit
 
 CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
+ROW_BLOCK_CELLS = 1 << 15  # int64 cells (256 KiB) of one inner_sums sub-block
 
 _TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
 
@@ -47,11 +49,7 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
     every partial row sum, and with it every suffix sum ``inner`` that
     the exact sweep and the Monte Carlo draws compute, fits in int64.
     """
-    scale = 1
-    for row in m.entries:
-        for e in row:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-    rows = [[int(e.numerator * (scale // e.denominator)) for e in row] for row in m.entries]
+    rows, scale = m.cleared
     if any(sum(map(abs, row)) >= 1 << 62 for row in rows):
         raise ValueError(_TOO_LARGE)
     return np.array(rows, dtype=np.int64).reshape(m.n, m.n), scale
@@ -183,12 +181,23 @@ def inner_sums(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
     This is the suffix row sum behind every statistic here: the total
     X equals inner.sum(axis=1) and a move of position i changes X by
     -2 * inner[t, i].
+
+    Each sub-block of rows carries rest[t, u] = sum of M[u][w] over the
+    values w not yet passed: the full row sums less column p_t(i) at each
+    position i, where rest[t, p_t(i)] is inner[t, i].  Every value of rest
+    is a partial row sum, which :func:`integer_matrix` keeps inside int64.
     """
     m, n = perms.shape
-    inner = np.zeros((m, n), dtype=np.int64)
-    for i in range(n - 1):
-        rows = mint[perms[:, i]]
-        inner[:, i] = np.take_along_axis(rows, perms[:, i + 1 :], axis=1).sum(axis=1)
+    inner = np.empty((m, n), dtype=np.int64)
+    cols = np.ascontiguousarray(mint.T)
+    height = max(1, ROW_BLOCK_CELLS // max(n, 1))
+    for start in range(0, m, height):
+        block = perms[start : start + height]
+        rest = np.tile(mint.sum(axis=1), (len(block), 1))
+        flat = np.arange(len(block)) * n
+        for i in range(n):
+            rest -= cols[block[:, i]]
+            inner[start : start + len(block), i] = rest.ravel().take(flat + block[:, i])
     return inner
 
 
@@ -198,10 +207,6 @@ def inner_sum_chunks(
     table = suffix_table(mint)
     for perms in chunks(n, chunk_size):
         yield perms, table_inner(perms, table)
-
-
-def descent_counts(perms: np.ndarray) -> np.ndarray:
-    return (perms[:, :-1] > perms[:, 1:]).sum(axis=1)
 
 
 def moved(perms: np.ndarray, i: int) -> np.ndarray:

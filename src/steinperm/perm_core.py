@@ -128,6 +128,12 @@ class AntisymmetricMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i - 1][j - 1]
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(L * M as rows of Python ints, L), L the lcm of the entry denominators."""
+        scale = math.lcm(*(e.denominator for row in self.entries for e in row))
+        return tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in self.entries), scale
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "AntisymmetricMatrix":
         n = len(rows)
@@ -277,28 +283,19 @@ def variance_formula(m: AntisymmetricMatrix) -> VarianceBreakdown:
     >>> variance_formula(inversions_matrix(3)).variance
     Fraction(11, 3)
     """
-    n = m.n
-    entries = m.entries
-    sum_sq = _ZERO
-    a = []
-    b = [_ZERO] * n
-    for i in range(n):
-        row = entries[i]
-        ai = _ZERO
-        for j in range(i + 1, n):
-            e = row[j]
-            if e:
-                sum_sq += e * e
-                ai += e
-                b[j] += e
-        a.append(ai)
-    row_balance = _ZERO
-    for i in range(n):
-        d = a[i] - b[i]
-        if d:
-            row_balance += d * d
-    variance = (sum_sq + row_balance) / 3
-    return VarianceBreakdown(sum_sq, row_balance, tuple(a), tuple(b), variance)
+    rows, scale = m.cleared
+    # A_i - B_i is the row sum (antisymmetry); each pair i < j is squared twice
+    row_sums = [sum(row) for row in rows]
+    a = [sum(row[i + 1 :]) for i, row in enumerate(rows)]
+    half_sq = sum(e * e for row in rows for e in row) // 2
+    balance = sum(r * r for r in row_sums)
+    return VarianceBreakdown(
+        Fraction(half_sq, scale**2),
+        Fraction(balance, scale**2),
+        tuple(Fraction(ai, scale) for ai in a),
+        tuple(Fraction(ai - r, scale) for ai, r in zip(a, row_sums)),
+        Fraction(half_sq + balance, 3 * scale**2),
+    )
 
 
 def brute_force_moments(

@@ -95,12 +95,10 @@ def a_max(spec: StatisticSpec) -> float:
     True
     """
     sigma = math.sqrt(spec.variance)
-    worst = Fraction(0)
-    for row in spec.matrix.entries:
-        pos = sum((e for e in row if e > 0), Fraction(0))
-        neg = -sum((e for e in row if e < 0), Fraction(0))
-        worst = max(worst, pos, neg)
-    return 2 * float(worst) / sigma
+    rows, scale = spec.matrix.cleared
+    # the larger part of a row is half its absolute sum plus half |row sum|
+    worst = max(sum(map(abs, row)) + abs(sum(row)) for row in rows)
+    return 2 * float(Fraction(worst, 2 * scale)) / sigma
 
 
 class ExactSums:

@@ -1,8 +1,10 @@
 """Independent numerical oracles used only by the tests.
 
 These deliberately avoid the code paths they check: the normal CDF
-oracle is a Taylor series in 60-digit arithmetic rather than erfc, and
-the distance oracle is a brute scan rather than the closed form.
+oracle is a Taylor series in 60-digit arithmetic rather than erfc, the
+distance oracle is a brute scan rather than the closed form, and the
+suffix sums are gathered position by position rather than read from a
+table or a running remainder.
 """
 
 import mpmath as mp
@@ -47,3 +49,19 @@ def kolmogorov_scan(atoms, probs) -> float:
     for x, f in zip(grid, f_grid):
         best = max(best, abs(f - normal_cdf(float(x))))
     return best
+
+
+def inner_sums_gather(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
+    """inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)], one gather of the
+    later values' entries per position."""
+    m, n = perms.shape
+    inner = np.zeros((m, n), dtype=np.int64)
+    for i in range(n - 1):
+        rows = mint[perms[:, i]]
+        inner[:, i] = np.take_along_axis(rows, perms[:, i + 1 :], axis=1).sum(axis=1)
+    return inner
+
+
+def descent_counts(perms: np.ndarray) -> np.ndarray:
+    """Number of positions i with p(i) > p(i + 1), for each row."""
+    return (perms[:, :-1] > perms[:, 1:]).sum(axis=1)

@@ -46,7 +46,7 @@ from steinperm.chain import move_to_end, x_delta
 from steinperm.cli import main
 
 from conftest import random_matrices
-from _oracles import kolmogorov_scan, phi_taylor
+from _oracles import descent_counts, kolmogorov_scan, phi_taylor
 
 
 def _report(num, ok, detail):
@@ -243,7 +243,7 @@ def test_criterion_07_distribution_recurrences():
         desc_hist = [0] * n
         inv_hist = [0] * (n * (n - 1) // 2 + 1)
         for perms in _sn.chunks(n, 200_000):
-            for k, c in enumerate(np.bincount(_sn.descent_counts(perms), minlength=n)):
+            for k, c in enumerate(np.bincount(descent_counts(perms), minlength=n)):
                 desc_hist[k] += int(c)
             inv = np.zeros(len(perms), dtype=np.int64)
             for i in range(n - 1):

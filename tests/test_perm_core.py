@@ -173,6 +173,20 @@ class TestVarianceFormula:
         assert br.variance == (br.sum_sq + br.row_balance) / 3
         assert len(br.a) == len(br.b) == 4
 
+    def test_breakdown_fields_by_definition(self):
+        rational = AntisymmetricMatrix.from_rows(
+            [[Fraction(j - i, 2 + (i * j) % 5) for j in range(6)] for i in range(6)]
+        )
+        for m in [rational, descents_matrix(6), inversions_matrix(5), *random_matrices(6, count=3)]:
+            n, e = m.n, m.entries
+            a = [sum(e[i][i + 1 :], Fraction(0)) for i in range(n)]
+            b = [sum((e[h][i] for h in range(i)), Fraction(0)) for i in range(n)]
+            br = variance_formula(m)
+            assert br.a == tuple(a) and br.b == tuple(b)
+            assert br.sum_sq == sum(e[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
+            assert br.row_balance == sum((x - y) ** 2 for x, y in zip(a, b))
+            assert all(type(v) is Fraction for v in (br.sum_sq, br.row_balance, br.variance, *br.a, *br.b))
+
     def test_matches_brute_force_on_random_matrices(self):
         for n in (3, 4, 5):
             for m in random_matrices(n, count=3):

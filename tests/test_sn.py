@@ -16,6 +16,8 @@ from steinperm import (
 from steinperm import _sn, exchangeability
 from steinperm.perm_core import EnumerationLimitError
 
+from _oracles import inner_sums_gather
+
 
 class TestSweep:
     def test_rows_and_inner_sums(self):
@@ -24,7 +26,7 @@ class TestSweep:
         assert scale == 1
         rows = []
         for perms, inner in sweep:
-            assert np.array_equal(inner, _sn.inner_sums(perms, mint))
+            assert np.array_equal(inner, inner_sums_gather(perms, mint))
             rows += perms.tolist()
         assert rows == [list(p) for p in permutations(range(5))]
 
@@ -91,21 +93,13 @@ class TestChunks:
 
 
 class TestSuffixTable:
-    """table_inner, the sweep's kernel, against the general gather inner_sums."""
+    """table_inner, the sweep's kernel, against the per-position gather."""
 
     N = 6
 
     @pytest.fixture(params=["descents", "inversions", "rational", "near-limit"])
     def matrix(self, request):
-        n = self.N
-        return {
-            "descents": lambda: descents_matrix(n),
-            "inversions": lambda: inversions_matrix(n),
-            "rational": lambda: AntisymmetricMatrix.from_rows(
-                [[str(Fraction(j - i, 2 + (i + j) % 3)) for j in range(n)] for i in range(n)]
-            ),
-            "near-limit": lambda: _near_limit_matrix(n),
-        }[request.param]()
+        return _kernel_matrix(request.param, self.N)
 
     def test_random_moved_and_relabeled_rows(self, matrix):
         n = self.N
@@ -120,13 +114,13 @@ class TestSuffixTable:
             batches.append(_sn.moved(perms, i))
             batches.append(exchangeability.relabel(relabeling, perms, i))
         for rows in batches:
-            assert np.array_equal(_sn.table_inner(rows, table), _sn.inner_sums(rows, mint))
+            assert np.array_equal(_sn.table_inner(rows, table), inner_sums_gather(rows, mint))
 
     def test_sweep_inner_is_the_gather(self, matrix):
         mint, _, sweep = _sn.sweep(matrix)
         total = 0
         for perms, inner in sweep:
-            assert np.array_equal(inner, _sn.inner_sums(perms, mint))
+            assert np.array_equal(inner, inner_sums_gather(perms, mint))
             total += len(perms)
         assert total == math.factorial(self.N)
 
@@ -136,6 +130,67 @@ class TestSuffixTable:
         assert mint[0, 1] == -k and np.abs(mint).max() == k
         with pytest.raises(ValueError, match="too large"):
             _sn.checked_chunk_size(self.N, np.array([[k + 1]], dtype=np.int64))
+
+
+def _row_sum_limit_matrix(n):
+    # negative upper entries; row 0 has absolute sum 2^62 - 1, the largest
+    # integer_matrix accepts, and the other rows small entries besides
+    limit = (1 << 62) - 1
+    rng = np.random.default_rng(13)
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = (limit // (n - 1) + (limit % (n - 1) if j == 1 else 0)) if i == 0 else int(rng.integers(0, 4))
+            rows[i][j], rows[j][i] = str(-e), str(e)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
+def _kernel_matrix(kind, n):
+    return {
+        "descents": lambda: descents_matrix(n),
+        "inversions": lambda: inversions_matrix(n),
+        "rational": lambda: AntisymmetricMatrix.from_rows(
+            [[str(Fraction(j - i, 2 + (i + j) % 3)) for j in range(n)] for i in range(n)]
+        ),
+        "near-limit": lambda: _near_limit_matrix(n),
+        "row-sum-limit": lambda: _row_sum_limit_matrix(n),
+    }[kind]()
+
+
+class TestInnerSums:
+    """inner_sums, the running-remainder kernel of the Monte Carlo draws,
+    against the per-position gather, across its row sub-block edges."""
+
+    KINDS = ["descents", "inversions", "rational", "row-sum-limit"]
+
+    @staticmethod
+    def _check(matrix, rows):
+        mint, _ = _sn.integer_matrix(matrix)
+        n = matrix.n
+        perms = np.random.default_rng(rows).permuted(np.tile(np.arange(n, dtype=np.int64), (rows, 1)), axis=1)
+        inner = _sn.inner_sums(perms, mint)
+        assert inner.dtype == np.int64 and inner.shape == (rows, n)
+        assert np.array_equal(inner, inner_sums_gather(perms, mint))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("offset", ["0", "1", "B-1", "B", "B+1", "2B+3"])
+    def test_row_counts_around_the_block_height(self, kind, n, offset):
+        b = _sn.ROW_BLOCK_CELLS // n
+        rows = {"0": 0, "1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[offset]
+        self._check(_kernel_matrix(kind, n), rows)
+
+    def test_row_sum_limit_is_at_the_limit(self):
+        mint, _ = _sn.integer_matrix(_row_sum_limit_matrix(7))
+        assert int(np.abs(mint).sum(axis=1).max()) == (1 << 62) - 1
+        assert int(mint[0].sum()) == -((1 << 62) - 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ingredients_mc_equal_with_the_gather(self, kind, monkeypatch):
+        spec = custom_spec(_kernel_matrix(kind, 9))
+        want = ingredients_mc(spec, 3000, 17)
+        monkeypatch.setattr(_sn, "inner_sums", inner_sums_gather)
+        assert ingredients_mc(spec, 3000, 17) == want
 
 
 class TestRowSumGuard:
@@ -172,7 +227,7 @@ class TestDraws:
             assert perms.shape == inner.shape == (len(pos), n)
             assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (len(perms), 1)))
             assert pos.min() >= 0 and pos.max() < n
-            assert np.array_equal(inner, _sn.inner_sums(perms, mint))
+            assert np.array_equal(inner, inner_sums_gather(perms, mint))
         assert len(sizes) == -(-trials // _sn.DRAW_BLOCK)
         assert sum(sizes) == trials and all(s <= _sn.DRAW_BLOCK for s in sizes)
 
