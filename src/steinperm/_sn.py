@@ -21,23 +21,34 @@ Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
 the exact value scaled by L.
 
-Every exact enumeration goes through :func:`sweep`, which refuses an
-oversized n or oversized entries before it returns; every Monte Carlo
-draw goes through :func:`draws`, which refuses oversized entries.
+The same observation lets :func:`exact_sums`, behind exact ``bounds``,
+``dist --matrix`` and the enumerated moments, skip the n! rows: a sum
+over S_n of terms in inner_i factors through the 2^n prefix sets, taken
+in popcount layers, with the running statistic as a second coordinate
+(:func:`prefix_set_sums`).  It falls back to the sweep when that state
+would be too wide or its sums could leave int64.
+
+Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
+which refuse an oversized n or oversized entries before they return or
+allocate; every Monte Carlo draw goes through :func:`draws`, which
+refuses oversized entries.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .perm_core import AntisymmetricMatrix, check_enum_limit
 
 CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
 ROW_BLOCK_CELLS = 1 << 15  # int64 cells (256 KiB) of one inner_sums sub-block
+PREFIX_DP_CELLS = 1 << 20  # (prefix set, X value) slots of one prefix_set_sums layer
 
 _TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
 
@@ -84,6 +95,140 @@ def sweep(
     mint, scale = integer_matrix(m)
     size = checked_chunk_size(n, mint)
     return mint, scale, inner_sum_chunks(n, mint, size)
+
+
+class ExactSums:
+    """Exact integer sums over S_n x {1..n}, as a full sweep gives them
+    when each chunk's ``inner`` goes to :meth:`add`.
+
+    Values are on the scaled integer matrix L * M: X = inner.sum(axis=1),
+    X' - X = -2 inner and q_pi = sum_i (X' - X)^2.  The W-conditioned
+    variance needs the level sets of X, kept sparse as counts and sums of
+    q_pi by value.
+    """
+
+    def __init__(self) -> None:
+        self.sum_x = self.sum_x2 = self.sum_q = self.sum_q2 = self.sum_abs_d3 = self.max_inner = 0
+        self.level_count: Counter[int] = Counter()
+        self.level_q: Counter[int] = Counter()
+
+    def add(self, inner: np.ndarray) -> None:
+        x = inner.sum(axis=1)
+        a = np.abs(inner)
+        q = 4 * (inner * inner).sum(axis=1)
+        self.sum_x += int(x.sum())
+        self.sum_x2 += int((x * x).sum())
+        self.sum_q += int(q.sum())
+        self.sum_q2 += int((q * q).sum())
+        self.sum_abs_d3 += 8 * int((a * a * a).sum())
+        self.max_inner = max(self.max_inner, int(a.max()))
+        vals, where, cnt = np.unique(x, return_inverse=True, return_counts=True)
+        qsum = np.zeros(len(vals), dtype=np.int64)
+        np.add.at(qsum, where, q)
+        self.level_count.update(dict(zip(vals.tolist(), cnt.tolist())))
+        self.level_q.update(dict(zip(vals.tolist(), qsum.tolist())))
+
+
+def exact_sums(
+    m: AntisymmetricMatrix, limit: int | None, sums: ExactSums
+) -> tuple[int, ExactSums]:
+    """(L, sums) with the fresh ``sums`` filled as a full sweep of S_n fills it.
+
+    :func:`sweep` runs its guards first.  :func:`prefix_set_sums` then
+    does the work when max_k C(n, k) (2B + 1), B the sum of |L M_ij| over
+    i < j, is at most ``PREFIX_DP_CELLS``, so that no layer has more slots,
+    and n! q_max < 2^62, q_max a bound on q_pi, so that every int64 count
+    and sum of q it keeps fits.  Otherwise the sweep feeds ``sums``.
+    """
+    n = m.n
+    mint, scale, swept = sweep(m, limit)
+    # |inner| at value v is at most v's absolute row sum, and |X| at most
+    # the sum of |L M_ij| over i < j, half the sum of all absolute rows
+    row_abs = [sum(map(abs, row)) for row in m.cleared[0]]
+    bound = sum(row_abs) // 2
+    q_max = 4 * sum(a * a for a in row_abs)
+    if (
+        math.comb(n, n // 2) * (2 * bound + 1) <= PREFIX_DP_CELLS
+        and math.factorial(n) * max(q_max, 1) < 1 << 62
+    ):
+        prefix_set_sums(mint, sums)
+    else:
+        for _, inner in swept:
+            sums.add(inner)
+    return scale, sums
+
+
+def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
+    """Add to ``sums`` the sums over S_n, by a dynamic program over prefix sets.
+
+    A state is (S, y): S the set of values placed first and y the
+    statistic within S, the sum of M[w][u] over w placed before u, both in
+    S.  Appending v moves y by sum_{w in S} M[w][v] and contributes
+    inner = table[v, S | {v}], both functions of (S, v) alone.  Layer k
+    holds, for each k-set S and each y, the number of orderings of S with
+    that y and the sum of their partial q = 4 sum inner^2; on the one set
+    of the last layer y is X, and the layer holds the level sets.  The y
+    range of layer k is +-b_k, the largest sum of |M_wu| over pairs inside
+    a k-set.  n! times the largest q_pi must be below 2^62.
+
+    The other sums need no y and run over (S, v) in Python ints: each
+    term in inner is shared by the |S|! orderings of S and the
+    (n - |S| - 1)! of the values after v, and the sum over orderings of S
+    of the partial q^2 is carried per S.
+    """
+    n = mint.shape[0]
+    inside = subset_sums(mint)
+    table = inside[:, ::-1]  # suffix_table(mint)
+    masks = np.arange(1 << n)
+    members = masks >> np.arange(n)[:, None] & 1
+    within = (subset_sums(np.abs(mint)) * members).sum(axis=0) // 2
+    layers = [masks[np.bitwise_count(masks) == k] for k in range(n + 1)]
+    bounds = [int(within[layer].max()) for layer in layers]
+    rank = np.empty(1 << n, dtype=np.int64)
+    for layer in layers:
+        rank[layer] = np.arange(len(layer))
+    pad = int(np.abs(inside).max())
+    # f[row, 0, b_k + y] counts orderings and f[row, 1, b_k + y] sums their q
+    f = np.zeros((1, 2, 1), dtype=np.int64)
+    f[0, 0, 0] = 1
+    q2 = np.zeros(1, dtype=object)
+    for k in range(n):
+        source, width = layers[k], 2 * bounds[k + 1] + 1
+        # f padded so that windows[row, :, pad - shift][j] is the source
+        # slot of y = j - b_{k+1} - shift, zero where that is out of range;
+        # shift = sum_{w in S} M[w][v] = -inside[v, S]
+        offset = bounds[k + 1] - bounds[k] + pad
+        padded = np.zeros((len(source), 2, width + 2 * pad), dtype=np.int64)
+        padded[:, :, offset : offset + f.shape[2]] = f
+        windows = sliding_window_view(padded, width, axis=2)
+        nxt = np.zeros((len(layers[k + 1]), 2, width), dtype=np.int64)
+        q2_next = np.zeros(len(layers[k + 1]), dtype=object)
+        q = f[:, 1].sum(axis=1).astype(object)
+        orderings, after = math.factorial(k), math.factorial(n - k - 1)
+        for v in range(n):
+            rows = np.flatnonzero(members[v, source] == 0)
+            target = source[rows] | 1 << v
+            inner = table[v, target]
+            t = 4 * inner * inner
+            moved = windows[rows, :, pad + inside[v, source[rows]]]
+            moved[:, 1] += t[:, None] * moved[:, 0]
+            dst = rank[target]
+            nxt[dst] += moved
+            t = t.astype(object)
+            q2_next[dst] += q2[rows] + t * (2 * q[rows] + orderings * t)
+            a = np.abs(inner)
+            sums.sum_abs_d3 += orderings * after * 8 * sum((a * a * a).tolist())
+            sums.max_inner = max(sums.max_inner, int(a.max()))
+        f, q2 = nxt, q2_next
+    count, qsum = f[0]
+    ys = np.flatnonzero(count)
+    xs, cs, qs = (ys - bounds[n]).tolist(), count[ys].tolist(), qsum[ys].tolist()
+    sums.sum_x += sum(x * c for x, c in zip(xs, cs))
+    sums.sum_x2 += sum(x * x * c for x, c in zip(xs, cs))
+    sums.sum_q += sum(qs)
+    sums.sum_q2 += q2[0]
+    sums.level_count.update(dict(zip(xs, cs)))
+    sums.level_q.update(dict(zip(xs, qs)))
 
 
 def draws(
@@ -150,19 +295,23 @@ def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
         yield block.reshape(len(rank) * kfact, n)
 
 
+def subset_sums(mint: np.ndarray) -> np.ndarray:
+    """inside[v, mask] = sum of M[v][u] over the values u in the bitmask ``mask``."""
+    n = mint.shape[0]
+    inside = np.zeros((n, 1), dtype=mint.dtype)
+    for u in range(n):
+        inside = np.concatenate([inside, inside + mint[:, u : u + 1]], axis=1)
+    return inside
+
+
 def suffix_table(mint: np.ndarray) -> np.ndarray:
     """table[v, seen] = sum of M[v][u] over the values u outside the bitmask ``seen``.
 
     With ``seen`` the values at or before position i of a permutation p,
     table[p(i), seen] is the suffix sum inner[i]; see :func:`table_inner`.
     """
-    n = mint.shape[0]
-    # inside[v, mask] = sum_{u in mask} M[v][u], one value bit at a time
-    inside = np.zeros((n, 1), dtype=np.int64)
-    for u in range(n):
-        inside = np.concatenate([inside, inside + mint[:, u : u + 1]], axis=1)
     # the complement of mask is 2^n - 1 - mask
-    return np.ascontiguousarray(inside[:, ::-1])
+    return np.ascontiguousarray(subset_sums(mint)[:, ::-1])
 
 
 def table_inner(perms: np.ndarray, table: np.ndarray) -> np.ndarray:

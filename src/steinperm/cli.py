@@ -12,9 +12,9 @@ Subcommands:
 * ``sample``  -- draw reproducible samples of the exchangeable pair
 
 Exit codes: 0 on success (and all checks passing), 1 when a check
-fails, 2 on usage or input errors.  Output is JSON by default (CSV
-where tabular), deterministic for a fixed configuration including the
-seed.
+fails, 2 on usage or input errors, 3 on an internal error.  Output is
+JSON by default (CSV where tabular), deterministic for a fixed
+configuration including the seed.
 """
 
 from __future__ import annotations
@@ -410,6 +410,9 @@ def main(argv=None) -> int:
         # MatrixFormatError and EnumerationLimitError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault of the program, MemoryError included
+        sys.stderr.write(f"error: internal: {exc!r}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Descent counts follow the classical triangle recurrence and inversion
 counts the product of uniform blocks, both in arbitrary-precision
 integer arithmetic so the counts are exact for every n up to the caps.
-A brute-force enumeration path covers arbitrary integer matrices.
+Arbitrary integer matrices are counted over S_n by :func:`_sn.exact_sums`.
 
 Counts index the exact statistic value: counts[k] is the number of
 permutations with value min_value + k.
@@ -12,11 +12,8 @@ permutations with value min_value + k.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import _sn
 from .perm_core import AntisymmetricMatrix
@@ -119,15 +116,11 @@ def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> In
     """Exact counts of the statistic over S_n for an integer matrix."""
     if any(e.denominator != 1 for row in m.entries for e in row):
         raise ValueError("exact counting requires integer matrix entries")
-    n = m.n
-    _, _, sweep = _sn.sweep(m, limit)
-    tally: Counter[int] = Counter()
-    for _, inner in sweep:
-        vals, cnt = np.unique(inner.sum(axis=1), return_counts=True)
-        tally.update(dict(zip(vals.tolist(), cnt.tolist())))
+    _, sums = _sn.exact_sums(m, limit, _sn.ExactSums())
+    tally = sums.level_count
     lo, hi = min(tally), max(tally)
     counts = tuple(tally.get(v, 0) for v in range(lo, hi + 1))
-    return IntegerDistribution(n=n, min_value=lo, counts=counts, total=math.factorial(n))
+    return IntegerDistribution(n=m.n, min_value=lo, counts=counts, total=math.factorial(m.n))
 
 
 def exact_moments(d: IntegerDistribution) -> tuple[Fraction, Fraction]:
@@ -165,15 +158,3 @@ def dist_to_json_dict(d: IntegerDistribution) -> dict:
         "min_value": d.min_value,
         "counts": [str(c) for c in d.counts],
     }
-
-
-def dist_from_json_dict(obj: dict) -> IntegerDistribution:
-    if not isinstance(obj, dict) or set(obj) != {"n", "min_value", "counts"}:
-        raise ValueError('expected keys "n", "min_value", "counts"')
-    counts = tuple(int(s) for s in obj["counts"])
-    return IntegerDistribution(
-        n=int(obj["n"]),
-        min_value=int(obj["min_value"]),
-        counts=counts,
-        total=sum(counts),
-    )

@@ -301,23 +301,17 @@ def variance_formula(m: AntisymmetricMatrix) -> VarianceBreakdown:
 def brute_force_moments(
     m: AntisymmetricMatrix, limit: int | None = None
 ) -> tuple[Fraction, Fraction]:
-    """Exact (mean, variance) of X over all of S_n by enumeration.
+    """Exact (mean, variance) of X over all of S_n, from :func:`_sn.exact_sums`.
 
     >>> brute_force_moments(descents_matrix(5))
     (Fraction(0, 1), Fraction(2, 1))
     """
     from . import _sn
 
-    _, scale, sweep = _sn.sweep(m, limit)
-    sum_x = 0
-    sum_x2 = 0
-    for _, inner in sweep:
-        x = inner.sum(axis=1)
-        sum_x += int(x.sum())
-        sum_x2 += int((x * x).sum())
+    scale, sums = _sn.exact_sums(m, limit, _sn.ExactSums())
     nfact = math.factorial(m.n)
-    mean = Fraction(sum_x, nfact * scale)
-    second = Fraction(sum_x2, nfact * scale * scale)
+    mean = Fraction(sums.sum_x, nfact * scale)
+    second = Fraction(sums.sum_x2, nfact * scale * scale)
     return mean, second - mean * mean
 
 

@@ -22,7 +22,6 @@ variance of the conditional expectation, so the bound stays valid.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,35 +100,9 @@ def a_max(spec: StatisticSpec) -> float:
     return 2 * float(Fraction(worst, 2 * scale)) / sigma
 
 
-class ExactSums:
-    """Exact integer sums over a sweep of S_n x {1..n}, fed chunk by chunk.
-
-    Values are on the scaled integer matrix L * M: ``inner`` is the
-    suffix-sum array of a chunk, X = inner.sum(axis=1), X' - X = -2 inner
-    and q_pi = sum_i (X' - X)^2.  The W-conditioned variance needs the
-    level sets of X, kept sparse as counts and sums of q_pi by value.
-    """
-
-    def __init__(self) -> None:
-        self.sum_x = self.sum_x2 = self.sum_q = self.sum_q2 = self.sum_abs_d3 = self.max_inner = 0
-        self.level_count: Counter[int] = Counter()
-        self.level_q: Counter[int] = Counter()
-
-    def add(self, inner: np.ndarray) -> None:
-        x = inner.sum(axis=1)
-        a = np.abs(inner)
-        q = 4 * (inner * inner).sum(axis=1)
-        self.sum_x += int(x.sum())
-        self.sum_x2 += int((x * x).sum())
-        self.sum_q += int(q.sum())
-        self.sum_q2 += int((q * q).sum())
-        self.sum_abs_d3 += 8 * int((a * a * a).sum())
-        self.max_inner = max(self.max_inner, int(a.max()))
-        vals, where, cnt = np.unique(x, return_inverse=True, return_counts=True)
-        qsum = np.zeros(len(vals), dtype=np.int64)
-        np.add.at(qsum, where, q)
-        self.level_count.update(dict(zip(vals.tolist(), cnt.tolist())))
-        self.level_q.update(dict(zip(vals.tolist(), qsum.tolist())))
+class ExactSums(_sn.ExactSums):
+    """:class:`_sn.ExactSums`, the exact sums over S_n, with the bound
+    ingredients they determine."""
 
     def ingredients(self, spec: StatisticSpec, scale: int) -> BoundIngredients:
         """The exact bound ingredients once the whole of S_n has been added."""
@@ -172,17 +145,14 @@ class ExactSums:
 
 
 def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIngredients:
-    """All ingredients by full enumeration of S_n, exactly.
+    """All ingredients over the whole of S_n, exactly, from :func:`_sn.exact_sums`.
 
     The W-conditioned variance groups permutations into level sets of
     the exact rational statistic value and averages the pi-conditioned
     second moment within each group.
     """
-    spec.variance  # refuse a zero-variance statistic before sweeping
-    _, scale, sweep = _sn.sweep(spec.matrix, limit)
-    sums = ExactSums()
-    for _, inner in sweep:
-        sums.add(inner)
+    spec.variance  # refuse a zero-variance statistic before any work
+    scale, sums = _sn.exact_sums(spec.matrix, limit, ExactSums())
     return sums.ingredients(spec, scale)
 
 
@@ -203,10 +173,15 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
     c_center = 4.0 / n  # exact mean of c_pi, used to stabilize moments
 
     block_sums: list[list[float]] = []
-    for _, pos, inner in blocks:
+    for perms, pos, inner in blocks:
+        del perms  # unused: free it before the float work and the next draw
         d_w = -2.0 * inner[np.arange(len(pos)), pos] / sigma_x
         abs3 = np.abs(d_w) ** 3
-        c = 4.0 / n * (inner.astype(np.float64) / sigma_x**2 * inner).sum(axis=1)
+        f = inner.astype(np.float64)
+        f /= sigma_x**2
+        f *= inner
+        c = 4.0 / n * f.sum(axis=1)
+        del f, inner  # nor keep them through the next draw
         u = c - c_center
         powers = (abs3, abs3 * abs3, u, u * u, u * u * u, u * u * u * u)
         block_sums.append([float(v.sum()) for v in powers])

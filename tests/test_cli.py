@@ -396,6 +396,64 @@ class TestSingleSweep:
         assert sum(rows) == math.factorial(5)
 
 
+class TestNoSweep:
+    """Exact bounds and dist --matrix read S_n through the prefix-set
+    dynamic program and pull no rows from the sweep."""
+
+    @pytest.mark.parametrize(
+        "command, selector",
+        [("bounds", "descents"), ("bounds", "inversions"), ("bounds", "integer"),
+         ("bounds", "rational"), ("dist", "integer")],
+    )
+    def test_no_rows_at_n_6(self, capsys, monkeypatch, tmp_path, command, selector):
+        from steinperm import _sn
+
+        rows = []
+        original = _sn.chunks
+
+        def counting_chunks(*args, **kwargs):
+            for block in original(*args, **kwargs):
+                rows.append(block.shape[0])
+                yield block
+
+        monkeypatch.setattr(_sn, "chunks", counting_chunks)
+        if selector in ("descents", "inversions"):
+            argv = [command, "--stat", selector, "--n", "6"]
+        else:
+            m = random_antisymmetric_matrix(6, np.random.Generator(np.random.PCG64(6)))
+            if selector == "rational":
+                m = AntisymmetricMatrix(tuple(tuple(e / 6 for e in row) for row in m.entries))
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(matrix_to_json_dict(m)))
+            argv = [command, "--matrix", str(path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert sum(rows) == 0
+
+
+class TestInternalError:
+    """An exception that is not a usage or input error exits 3 with one line."""
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (RuntimeError("boom"), "error: internal: RuntimeError('boom')\n"),
+            (MemoryError(), "error: internal: MemoryError()\n"),
+        ],
+    )
+    def test_exit_3(self, capsys, monkeypatch, exc, line):
+        from steinperm import cli
+
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_bounds", broken)
+        code, out, err = run(capsys, "bounds", "--stat", "descents", "--n", "4")
+        assert code == 3
+        assert out == ""
+        assert err == line
+
+
 class TestUsage:
     def test_stat_and_matrix_conflict(self, capsys, matrix_file):
         with pytest.raises(SystemExit) as exc:

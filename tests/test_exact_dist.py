@@ -19,7 +19,7 @@ from steinperm import (
     standardize,
     zero_matrix,
 )
-from steinperm.exact_dist import dist_from_json_dict, dist_to_json_dict
+from steinperm.exact_dist import dist_to_json_dict
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError
 
 
@@ -190,17 +190,7 @@ class TestDistributionType:
 
 
 class TestJson:
-    def test_round_trip(self):
-        for d in (eulerian_distribution(25), mahonian_distribution(12), generic_distribution(inversions_matrix(4))):
-            assert dist_from_json_dict(dist_to_json_dict(d)) == d
-
     def test_counts_are_decimal_strings(self):
         obj = dist_to_json_dict(eulerian_distribution(30))
         assert all(isinstance(c, str) for c in obj["counts"])
         assert obj["n"] == 30 and obj["min_value"] == 0
-
-    def test_bad_keys_rejected(self):
-        with pytest.raises(ValueError):
-            dist_from_json_dict({"n": 1, "counts": ["1"]})
-        with pytest.raises(ValueError):
-            dist_from_json_dict({"n": 1, "min_value": 0, "counts": ["1"], "extra": 1})

@@ -4,16 +4,20 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steinperm import (
     AntisymmetricMatrix,
     custom_spec,
     descents_matrix,
     descents_spec,
+    generic_distribution,
+    ingredients_exact,
     ingredients_mc,
     inversions_matrix,
 )
-from steinperm import _sn, exchangeability
+from steinperm import _sn, exchangeability, stein_bounds
 from steinperm.perm_core import EnumerationLimitError
 
 from _oracles import inner_sums_gather
@@ -245,3 +249,125 @@ class TestDraws:
         m = AntisymmetricMatrix.from_rows([["0", str(1 << 62), "1"], [str(-(1 << 62)), "0", "1"], ["-1", "-1", "0"]])
         with pytest.raises(ValueError, match="too large"):
             _sn.draws(m, 10, 1)
+
+
+def _swept(m, sums):
+    """The oracle: ``sums.add`` over every chunk of the sweep; (L, sums)."""
+    _, scale, sweep = _sn.sweep(m)
+    for _, inner in sweep:
+        sums.add(inner)
+    return scale, sums
+
+
+def _fields(sums):
+    return (
+        sums.sum_x, sums.sum_x2, sums.sum_q, sums.sum_q2, sums.sum_abs_d3, sums.max_inner,
+        dict(sums.level_count), dict(sums.level_q),
+    )
+
+
+_ENTRIES = {
+    "integer": st.integers(-6, 6).map(Fraction),
+    "rational": st.fractions(-8, 8, max_denominator=6),
+    "negative": st.integers(-60, 0).map(Fraction),
+}
+
+
+@st.composite
+def _small_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(entry)
+            rows[i][j], rows[j][i] = str(e), str(-e)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
+def _pair_matrix(n, entry):
+    # one nonzero pair, M[0][1] = entry: X = +-entry, q_pi = 4 entry^2
+    rows = [["0"] * n for _ in range(n)]
+    rows[0][1], rows[1][0] = str(entry), str(-entry)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
+class TestExactSums:
+    """exact_sums, the prefix-set dynamic program behind exact bounds and
+    dist --matrix, against ExactSums.add over the sweep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=_small_matrices())
+    @example(m=_near_limit_matrix(6))  # the overflow guard's largest entries, on the DP side
+    def test_equals_the_sweep(self, m):
+        scale, want = _swept(m, _sn.ExactSums())
+        mint, _ = _sn.integer_matrix(m)
+        dp = _sn.ExactSums()
+        _sn.prefix_set_sums(mint, dp)
+        assert _fields(dp) == _fields(want)
+        got = _sn.ExactSums()
+        assert _sn.exact_sums(m, None, got) == (scale, got)
+        assert _fields(got) == _fields(want)
+
+    @pytest.mark.parametrize("kind", ["descents", "inversions", "rational", "near-limit"])
+    def test_no_rows_swept(self, kind, monkeypatch):
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(_sn, "chunks", no_chunks)
+        _sn.exact_sums(_kernel_matrix(kind, 6), None, _sn.ExactSums())
+
+    def test_row_sum_limit_refused_like_the_sweep(self):
+        m = _row_sum_limit_matrix(5)
+        with pytest.raises(ValueError, match="too large"):
+            _sn.sweep(m)
+        with pytest.raises(ValueError, match="too large"):
+            _sn.exact_sums(m, None, _sn.ExactSums())
+
+    def test_limit_checked_first(self):
+        with pytest.raises(EnumerationLimitError):
+            _sn.exact_sums(descents_matrix(11), None, _sn.ExactSums())
+        with pytest.raises(EnumerationLimitError):
+            _sn.exact_sums(descents_matrix(5), 4, _sn.ExactSums())
+
+    def test_wide_matrix_takes_the_sweep(self, monkeypatch):
+        # entries +-1200 at n = 7: C(7, 3) (2B + 1) = 35 * 50401 > PREFIX_DP_CELLS
+        rng = np.random.default_rng(8)
+        n = 7
+        rows = [["0"] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                e = 1200 * int(rng.choice([-1, 1]))
+                rows[i][j], rows[j][i] = str(e), str(-e)
+        m = AntisymmetricMatrix.from_rows(rows)
+        scale, want = _swept(m, stein_bounds.ExactSums())
+        rows_swept = []
+        original = _sn.chunks
+
+        def counting_chunks(*args, **kwargs):
+            for block in original(*args, **kwargs):
+                rows_swept.append(len(block))
+                yield block
+
+        monkeypatch.setattr(_sn, "chunks", counting_chunks)
+        spec = custom_spec(m)
+        assert ingredients_exact(spec) == want.ingredients(spec, scale)
+        dist = generic_distribution(m)
+        assert dict(dist.support()) == dict(want.level_count)
+        assert sum(rows_swept) == 2 * math.factorial(n)
+
+    def test_q_guard_at_n_18(self, monkeypatch):
+        # C(18, 9) (2B + 1) fits PREFIX_DP_CELLS for B <= 10, but with
+        # M[0][1] = 10 the per-level sums of q could reach 18! * 800 > 2^62
+        n, f = 18, math.factorial(18)
+        _, sums = _sn.exact_sums(_pair_matrix(n, 9), n, _sn.ExactSums())
+        assert dict(sums.level_count) == {-9: f // 2, 9: f // 2}
+        assert sums.sum_q == 324 * f and sums.sum_q2 == 324**2 * f
+        assert sums.sum_abs_d3 == 8 * 9**3 * f and sums.max_inner == 9
+
+        def sweep_instead(*args, **kwargs):
+            raise LookupError("sweep")
+
+        monkeypatch.setattr(_sn, "chunks", sweep_instead)
+        with pytest.raises(LookupError, match="sweep"):
+            _sn.exact_sums(_pair_matrix(n, 10), n, _sn.ExactSums())
