@@ -69,18 +69,21 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
 def checked_chunk_size(n: int, mint: np.ndarray) -> int:
     """Chunk size small enough that int64 per-chunk aggregates cannot overflow.
 
-    The largest per-permutation aggregate handled anywhere is
-    (sum_i delta_i^2)^2 <= (4n * (n * K)^2)^2 with K = max |entry| and
-    delta_i = 2 * inner_i.  The entries of :func:`suffix_table` are
-    partial row sums, at most (n - 1) * K in absolute value, so they
-    stay inside the same bound.
+    With K = max |entry|, every suffix sum and every entry of
+    :func:`suffix_table` is a partial row sum, |inner_i| <= (n - 1) K <= nK.
+    So per permutation q_pi = 4 sum_i inner_i^2 <= 4n^3 K^2 and, for
+    integer K >= 1, |X| <= n^2 K and X^2 <= n^4 K^2 are at most
+    sum_i |inner_i|^3 <= n^4 K^3.  The entries refused are those with
+    n (2nK)^3 or (4n (nK)^2)^2 above 2^62, so that every per-permutation
+    q_pi^2 fits int64; :meth:`ExactSums.add` sums those in Python ints.
+    A chunk then holds at most 2^62 / max(4n^3 K^2, n^4 K^3) rows, so that
+    the sums it keeps in int64 (X, X^2, q, the level sums of q and
+    |inner|^3) fit: at least 8 rows once the entries are accepted.
     """
     k = int(np.abs(mint).max()) if mint.size else 0
-    per_perm = max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2, 1)
-    cap = (1 << 62) // per_perm
-    if cap < 1:
+    if max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2) > 1 << 62:
         raise ValueError(_TOO_LARGE)
-    return min(CHUNK, cap)
+    return min(CHUNK, (1 << 62) // max(4 * n**3 * k**2, n**4 * k**3, 1))
 
 
 def sweep(
@@ -119,7 +122,7 @@ class ExactSums:
         self.sum_x += int(x.sum())
         self.sum_x2 += int((x * x).sum())
         self.sum_q += int(q.sum())
-        self.sum_q2 += int((q * q).sum())
+        self.sum_q2 += sum((q * q).tolist())  # q^2 fits int64, a chunk's sum need not
         self.sum_abs_d3 += 8 * int((a * a * a).sum())
         self.max_inner = max(self.max_inner, int(a.max()))
         vals, where, cnt = np.unique(x, return_inverse=True, return_counts=True)

@@ -71,16 +71,19 @@ class RateRow:
 
 
 def _standardized_law(statistic: StatisticKind, n: int) -> StandardizedDistribution:
+    if statistic not in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS):
+        raise ValueError("rate tables exist only for the built-in statistics")
+    if n == 1:
+        # one permutation; the descents sd sqrt((n + 1) / 12) holds only from n = 2
+        raise ValueError(f"{statistic.value} is constant at n = 1; the rate table needs n >= 2")
     if statistic == StatisticKind.DESCENTS:
         dist = eulerian_distribution(n)
         mean = Fraction(n - 1, 2)
         sd = math.sqrt((n + 1) / 12.0)
-    elif statistic == StatisticKind.INVERSIONS:
+    else:
         dist = mahonian_distribution(n)
         mean = Fraction(n * (n - 1), 4)
         sd = math.sqrt(n * (n - 1) * (2 * n + 5) / 72.0)
-    else:
-        raise ValueError("rate tables exist only for the built-in statistics")
     return standardize(dist, mean, sd)
 
 

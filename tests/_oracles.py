@@ -2,10 +2,14 @@
 
 These deliberately avoid the code paths they check: the normal CDF
 oracle is a Taylor series in 60-digit arithmetic rather than erfc, the
-distance oracle is a brute scan rather than the closed form, and the
+distance oracle is a brute scan rather than the closed form, the
 suffix sums are gathered position by position rather than read from a
-table or a running remainder.
+table or a running remainder, and the exact laws are the full-row
+recurrences and Fraction standardization that the half-row versions
+replaced.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -65,3 +69,44 @@ def inner_sums_gather(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
 def descent_counts(perms: np.ndarray) -> np.ndarray:
     """Number of positions i with p(i) > p(i + 1), for each row."""
     return (perms[:, :-1] > perms[:, 1:]).sum(axis=1)
+
+
+def eulerian_full_rows(n: int) -> tuple[int, ...]:
+    """Descent counts of S_n, every entry of every triangle row computed."""
+    row = [1]
+    for m in range(2, n + 1):
+        # entry m-1 of the new row reduces to the last entry of the old one
+        row = [
+            (k + 1) * row[k] + (m - k) * (row[k - 1] if k >= 1 else 0)
+            for k in range(len(row))
+        ] + [row[-1]]
+    return tuple(row)
+
+
+def mahonian_sliding_window(n: int) -> tuple[int, ...]:
+    """Inversion counts of S_n, convolving with each uniform block
+    {0..i-1} by a window sum kept entry by entry."""
+    counts = [1]
+    for i in range(2, n + 1):
+        old = counts
+        counts = []
+        window = 0
+        for k in range(len(old) + i - 1):
+            if k < len(old):
+                window += old[k]
+            if k - i >= 0:
+                window -= old[k - i]
+            counts.append(window)
+    return tuple(counts)
+
+
+def standardize_fraction(min_value: int, counts, mean: Fraction, stddev: float):
+    """(atoms, probs) of (value - mean) / stddev over the nonzero counts,
+    each atom shifted and each probability formed as an exact Fraction."""
+    total = sum(counts)
+    atoms, probs = [], []
+    for k, c in enumerate(counts):
+        if c:
+            atoms.append(float(min_value + k - mean) / stddev)
+            probs.append(float(Fraction(c, total)))
+    return tuple(atoms), tuple(probs)

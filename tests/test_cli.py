@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -173,6 +174,14 @@ class TestRate:
         code, _, err = run(capsys, "rate", "--stat", "descents", "--n-list", "5,x")
         assert code == 2
         assert "--n-list" in err
+
+    @pytest.mark.parametrize("stat", ["descents", "inversions"])
+    def test_n_1_is_constant(self, capsys, stat):
+        # one permutation of 1 has no descent and no inversion: no spread to standardize
+        code, out, err = run(capsys, "rate", "--stat", stat, "--n-list", "5,1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {stat} is constant at n = 1; the rate table needs n >= 2\n"
 
 
 class TestBounds:
@@ -452,6 +461,34 @@ class TestInternalError:
         assert code == 3
         assert out == ""
         assert err == line
+
+
+class TestGoldenStdout:
+    """The exact laws at the caps and their rate tables, byte for byte: the
+    sha256 of stdout as the full-row recurrences and Fraction standardize
+    printed it."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("dist", "--stat", "inversions", "--n", "150"),
+             "7a065c8b2f70dce68ae051c983fb8d42e815970049dfbd2d6b52715a59395152"),
+            (("dist", "--stat", "descents", "--n", "200", "--format", "csv"),
+             "9fcb19e210abf31c1e15f3003eafccee3cf5bbc1e27f7f3e0220fcc1e1026791"),
+            (("rate", "--stat", "descents", "--n-list", "2,10,37,200"),
+             "75eb2bc2d21d57765bd3993444187d110eb934ada0e12ec76f029747606f780d"),
+            (("rate", "--stat", "descents", "--n-list", "2,10,37,200", "--format", "csv"),
+             "9d09bdd3fda17c9db8573a6d199127b2c605f48adc97fe10f2083c810a07fc5c"),
+            (("rate", "--stat", "inversions", "--n-list", "2,10,37,150"),
+             "9f70df93d0b225579f86fa0b2deb1436902f478d4b8d3ee50e856eeae9386bf0"),
+            (("rate", "--stat", "inversions", "--n-list", "2,10,37,150", "--format", "csv"),
+             "360401d6eda822a243e80ae4d4dfc434c9f88ad97255fef9ad691ee66a830090"),
+        ],
+    )
+    def test_sha256(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsage:

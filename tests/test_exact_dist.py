@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import eulerian_full_rows, mahonian_sliding_window, standardize_fraction
 from steinperm import (
     IntegerDistribution,
     Permutation,
@@ -19,7 +22,7 @@ from steinperm import (
     standardize,
     zero_matrix,
 )
-from steinperm.exact_dist import dist_to_json_dict
+from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, dist_to_json_dict
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError
 
 
@@ -167,6 +170,56 @@ class TestStandardize:
                 math.sqrt(n * (n - 1) * (2 * n + 5) / 72),
             )
             assert abs(math.fsum(s.probs) - 1.0) < 1e-14
+
+
+ORACLE_NS = list(range(1, 61))
+
+
+def _closed_form_law(kind, n):
+    """(law, mean, sd) of descents or inversions of S_n, as rate tables use them."""
+    if kind == "descents":
+        return eulerian_distribution(n), Fraction(n - 1, 2), math.sqrt((n + 1) / 12.0)
+    return mahonian_distribution(n), Fraction(n * (n - 1), 4), math.sqrt(n * (n - 1) * (2 * n + 5) / 72.0)
+
+
+class TestOracles:
+    """The half-row recurrences and the Fraction-free standardize against
+    the full-row loops and Fraction arithmetic they replaced."""
+
+    @pytest.mark.parametrize("n", ORACLE_NS + [EULERIAN_CAP])
+    def test_eulerian_counts(self, n):
+        assert eulerian_distribution(n).counts == eulerian_full_rows(n)
+
+    @pytest.mark.parametrize("n", ORACLE_NS + [MAHONIAN_CAP])
+    def test_mahonian_counts(self, n):
+        assert mahonian_distribution(n).counts == mahonian_sliding_window(n)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("descents", n) for n in ORACLE_NS + [EULERIAN_CAP]]
+        # inversions of S_1 have sd 0, which standardize refuses
+        + [("inversions", n) for n in ORACLE_NS[1:] + [MAHONIAN_CAP]],
+    )
+    def test_standardized_builtins_float_equal(self, kind, n):
+        law, mean, sd = _closed_form_law(kind, n)
+        s = standardize(law, mean, sd)
+        atoms, probs = standardize_fraction(law.min_value, law.counts, mean, sd)
+        assert s.atoms == atoms
+        assert s.probs == probs
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1 << 1200) | st.integers(0, 3), min_size=1, max_size=30).filter(any),
+        st.integers(-10**6, 10**6),
+        st.integers(-10**9, 10**9),
+        st.integers(1, 12),
+        st.floats(1e-3, 1e6),
+    )
+    def test_random_means_and_large_totals(self, counts, min_value, p, q, sd):
+        d = IntegerDistribution(n=1, min_value=min_value, counts=tuple(counts), total=sum(counts))
+        mean = Fraction(p, q)
+        s = standardize(d, mean, sd)
+        assert (s.atoms, s.probs) == standardize_fraction(min_value, counts, mean, sd)
 
 
 class TestDistributionType:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -134,6 +135,36 @@ class TestSuffixTable:
         assert mint[0, 1] == -k and np.abs(mint).max() == k
         with pytest.raises(ValueError, match="too large"):
             _sn.checked_chunk_size(self.N, np.array([[k + 1]], dtype=np.int64))
+
+
+class TestChunkSize:
+    """checked_chunk_size refuses entries whose q_pi^2 could leave int64 and
+    sizes chunks by the sums a chunk keeps in int64."""
+
+    def test_near_limit_sweeps_in_one_chunk(self):
+        n = 8
+        _, _, sweep = _sn.sweep(_near_limit_matrix(n))
+        assert [len(perms) for perms, _ in sweep] == [math.factorial(n)]
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_near_limit_sums_in_python_ints(self, n):
+        m = _near_limit_matrix(n)
+        mint, _ = _sn.integer_matrix(m)
+        inner = inner_sums_gather(np.array(list(permutations(range(n))), dtype=np.int64), mint)
+        inner = inner.astype(object)
+        x = inner.sum(axis=1)
+        q = 4 * (inner * inner).sum(axis=1)
+        level_count, level_q = Counter(), Counter()
+        for v, qv in zip(x.tolist(), q.tolist()):
+            level_count[v] += 1
+            level_q[v] += qv
+        want = (
+            x.sum(), (x * x).sum(), q.sum(), (q * q).sum(), 8 * (abs(inner) ** 3).sum(), abs(inner).max(),
+            dict(level_count), dict(level_q),
+        )
+        assert (q * q).sum() > 1 << 63  # one int64 sum over all of S_n would wrap
+        _, got = _swept(m, _sn.ExactSums())
+        assert _fields(got) == want
 
 
 def _row_sum_limit_matrix(n):
