@@ -269,6 +269,13 @@ def cmd_rate(args) -> int:
 # ---------------------------------------------------------------- bounds
 
 def cmd_bounds(args) -> int:
+    if args.mode == "exact":
+        unused = {"--trials": args.trials, "--seed": args.seed}
+    else:
+        unused = {"--enum-limit": args.enum_limit}
+    for flag, value in unused.items():
+        if value is not None:
+            raise UsageError(f"{flag} does nothing in --mode {args.mode}")
     spec = _selected_spec(args)
     if args.mode == "exact":
         ing = stein_bounds.ingredients_exact(spec, _enum_limit(args))
@@ -344,7 +351,7 @@ def _add_selector(sub) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--stat", choices=["descents", "inversions"])
     group.add_argument("--matrix", metavar="PATH", help="JSON file with an antisymmetric matrix")
-    sub.add_argument("--n", type=int)
+    sub.add_argument("--n", type=_positive_int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -371,6 +371,30 @@ class TestRefusedInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert '"n"' in err
 
+    # flags that the chosen mode would silently ignore
+    @pytest.mark.parametrize("extra, flag", [
+        (("--trials", "10", "--seed", "3"), "--trials"),
+        (("--mode", "exact", "--trials", "10"), "--trials"),
+        (("--mode", "exact", "--seed", "3"), "--seed"),
+        (("--mode", "mc", "--trials", "10", "--seed", "3", "--enum-limit", "5"), "--enum-limit"),
+    ], ids=["exact-trials-and-seed", "exact-trials", "exact-seed", "mc-enum-limit"])
+    def test_bounds_flag_unused_by_mode_refused(self, capsys, extra, flag):
+        code, out, err = run(capsys, "bounds", "--stat", "descents", "--n", "5", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["verify", "bounds", "sample", "dist"])
+    def test_non_positive_n_refused(self, capsys, command, n):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--stat", "descents", "--n", n] + (["--seed", "1"] if command == "sample" else []))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--n" in captured.err and "positive" in captured.err
+
     def test_negative_trials_refused(self, capsys):
         code, out, err = run(capsys, "sample", "--stat", "descents", "--n", "5",
                              "--seed", "1", "--trials", "-3")

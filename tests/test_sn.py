@@ -17,6 +17,7 @@ from steinperm import (
     ingredients_exact,
     ingredients_mc,
     inversions_matrix,
+    zero_matrix,
 )
 from steinperm import _sn, exchangeability, stein_bounds
 from steinperm.perm_core import EnumerationLimitError
@@ -180,10 +181,32 @@ def _row_sum_limit_matrix(n):
     return AntisymmetricMatrix.from_rows(rows)
 
 
+def _banded_matrix(n):
+    # random integer entries, some zero, on the two diagonals above the main one
+    rng = np.random.default_rng(19)
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, min(i + 3, n)):
+            e = int(rng.integers(-5, 6))
+            rows[i][j], rows[j][i] = str(e), str(-e)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
+def _corner_matrix(n):
+    # the only nonzero diagonal is d = n - 1: M[0][n - 1] = 3 = -M[n - 1][0]
+    rows = [["0"] * n for _ in range(n)]
+    if n > 1:
+        rows[0][n - 1], rows[n - 1][0] = "3", "-3"
+    return AntisymmetricMatrix.from_rows(rows)
+
+
 def _kernel_matrix(kind, n):
     return {
         "descents": lambda: descents_matrix(n),
         "inversions": lambda: inversions_matrix(n),
+        "banded": lambda: _banded_matrix(n),
+        "corner": lambda: _corner_matrix(n),
+        "zero": lambda: zero_matrix(n),
         "rational": lambda: AntisymmetricMatrix.from_rows(
             [[str(Fraction(j - i, 2 + (i + j) % 3)) for j in range(n)] for i in range(n)]
         ),
@@ -192,20 +215,33 @@ def _kernel_matrix(kind, n):
     }[kind]()
 
 
+def _nonzero_offsets(mint):
+    rows, cols = np.nonzero(np.triu(mint, 1))
+    return sorted(set((cols - rows).tolist()))
+
+
 class TestInnerSums:
-    """inner_sums, the running-remainder kernel of the Monte Carlo draws,
-    against the per-position gather, across its row sub-block edges."""
+    """inner_sums and both of its kernels, the running remainder and the
+    value-space diagonal steps, against the per-position gather, across
+    their row sub-block edges."""
 
-    KINDS = ["descents", "inversions", "rational", "row-sum-limit"]
+    KINDS = ["descents", "inversions", "banded", "corner", "zero", "rational", "row-sum-limit"]
+    KERNELS = (
+        _sn.inner_sums,
+        _sn.remainder_sums,
+        lambda perms, mint: _sn.diagonal_sums(perms, mint, _nonzero_offsets(mint)),
+    )
 
-    @staticmethod
-    def _check(matrix, rows):
+    @classmethod
+    def _check(cls, matrix, rows):
         mint, _ = _sn.integer_matrix(matrix)
         n = matrix.n
         perms = np.random.default_rng(rows).permuted(np.tile(np.arange(n, dtype=np.int64), (rows, 1)), axis=1)
-        inner = _sn.inner_sums(perms, mint)
-        assert inner.dtype == np.int64 and inner.shape == (rows, n)
-        assert np.array_equal(inner, inner_sums_gather(perms, mint))
+        want = inner_sums_gather(perms, mint)
+        for kernel in cls.KERNELS:
+            inner = kernel(perms, mint)
+            assert inner.dtype == np.int64 and inner.shape == (rows, n)
+            assert np.array_equal(inner, want)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 2, 7])
@@ -215,12 +251,33 @@ class TestInnerSums:
         rows = {"0": 0, "1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[offset]
         self._check(_kernel_matrix(kind, n), rows)
 
+    @pytest.mark.parametrize("kind, n, offsets", [
+        ("descents", 50, [1]),
+        ("descents", 200, [1]),
+        ("banded", 7, [1, 2]),
+        ("corner", 7, [6]),
+        ("zero", 7, []),
+        ("inversions", 7, None),
+        ("inversions", 200, None),
+        ("rational", 7, None),
+        ("row-sum-limit", 7, None),
+    ])
+    def test_selection(self, kind, n, offsets, monkeypatch):
+        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, n))
+        assert _sn.banded_offsets(mint) == offsets
+        ran = []
+        for name in ("remainder_sums", "diagonal_sums"):
+            kernel = getattr(_sn, name)
+            monkeypatch.setattr(_sn, name, lambda *args, name=name, kernel=kernel: ran.append(name) or kernel(*args))
+        _sn.inner_sums(np.tile(np.arange(n, dtype=np.int64), (3, 1)), mint)
+        assert ran == ["remainder_sums" if offsets is None else "diagonal_sums"]
+
     def test_row_sum_limit_is_at_the_limit(self):
         mint, _ = _sn.integer_matrix(_row_sum_limit_matrix(7))
         assert int(np.abs(mint).sum(axis=1).max()) == (1 << 62) - 1
         assert int(mint[0].sum()) == -((1 << 62) - 1)
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", ["descents", "inversions", "banded", "rational", "row-sum-limit"])
     def test_ingredients_mc_equal_with_the_gather(self, kind, monkeypatch):
         spec = custom_spec(_kernel_matrix(kind, 9))
         want = ingredients_mc(spec, 3000, 17)
