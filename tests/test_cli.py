@@ -488,8 +488,9 @@ class TestInternalError:
 
 
 class TestGoldenStdout:
-    """The exact laws at the caps and their rate tables, byte for byte: the
-    sha256 of stdout as the full-row recurrences and Fraction standardize
+    """The exact laws at the caps, their rate tables and the verify report,
+    byte for byte: the sha256 of stdout as the full-row recurrences, the
+    Fraction standardize and the per-subset Fraction bijection check
     printed it."""
 
     @pytest.mark.parametrize(
@@ -507,6 +508,10 @@ class TestGoldenStdout:
              "9f70df93d0b225579f86fa0b2deb1436902f478d4b8d3ee50e856eeae9386bf0"),
             (("rate", "--stat", "inversions", "--n-list", "2,10,37,150", "--format", "csv"),
              "360401d6eda822a243e80ae4d4dfc434c9f88ad97255fef9ad691ee66a830090"),
+            (("verify", "--stat", "descents", "--n", "7"),
+             "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
+            (("verify", "--stat", "inversions", "--n", "7"),
+             "151584cdfacaaf3b2173852ee082b77ca21d466481a0887e8a882ace7e725044"),
         ],
     )
     def test_sha256(self, capsys, argv, digest):
