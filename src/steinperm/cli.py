@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _sn, analysis, exact_dist, exchangeability, stein_bounds
 from .chain import move_to_end, pair_samples
-from .exchangeability import builtin_phi, check_conditions, lambda_map, theta
+from .exchangeability import lambda_map
 from .perm_core import (
     DEFAULT_ENUM_LIMIT,
     Permutation,
@@ -98,12 +98,13 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
 
     Each chunk of the sweep feeds the exact bound sums, the (X, X') pair
     tally, X recomputed on every moved row and, for the built-in
-    statistics, X on every relabeled row; the checks read those.
+    statistics, X on every relabeled row; the checks read those.  The
+    Theta/Phi conditions of the built-ins are checked on every value
+    subset in one array pass over the relabeling table.
     """
-    m = spec.matrix
     n = spec.n
     var = spec.variance
-    mint, scale, sweep = _sn.sweep(m, limit)
+    mint, scale, sweep = _sn.sweep(spec.matrix, limit)
     builtin = spec.kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS)
     table = exchangeability.relabel_table(spec) if builtin else None
     suffix = _sn.suffix_table(mint)
@@ -144,12 +145,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
         ("third_moment_jensen_floor", ing.e_abs_diff_cubed_x**2 * n**3 >= 64 * var**3),
     ]
     if builtin:
-        values = range(1, n + 1)
-        subsets = (tuple(v for v in values if mask >> (v - 1) & 1) for mask in range(1, 1 << n))
-        ok_theta = all(
-            check_conditions(m, s, theta(spec, s), phis=lambda i, s=s: builtin_phi(spec, s, i))
-            for s in subsets
-        )
+        ok_theta = bool(exchangeability.flip_conditions(mint, table).all())
         checks.append(("flip_bijection_conditions", ok_theta))
         checks.append(("relabeling_swaps_pair_values", ok_lambda))
     if spec.kind is StatisticKind.DESCENTS:
@@ -230,11 +226,15 @@ def cmd_example(args) -> int:
 
 def cmd_dist(args) -> int:
     if args.matrix is not None:
+        if args.cap is not None:
+            raise UsageError("--cap does nothing with --matrix")
         spec = _selected_spec(args)
         dist = exact_dist.generic_distribution(spec.matrix, _enum_limit(args))
     else:
         if args.stat is None or args.n is None:
             raise UsageError("dist needs --stat with --n, or --matrix")
+        if args.enum_limit is not None:
+            raise UsageError("--enum-limit does nothing with --stat: the recurrences never enumerate")
         if args.stat == "descents":
             recurrence, default_cap = exact_dist.eulerian_distribution, exact_dist.EULERIAN_CAP
         else:

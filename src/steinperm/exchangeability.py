@@ -5,8 +5,9 @@ values, a bijection Theta of S exists that flips the drift contribution
 of each value (condition 1) and admits companion bijections Phi_i that
 leave the matrix invariant on S minus a point (condition 2).  This
 module builds the known Theta/Phi families for the two built-in
-statistics, checks the two conditions for arbitrary matrices, applies
-the resulting relabeling map to permutations, and verifies
+statistics, checks the two conditions for arbitrary matrices (one
+subset at a time, or on every subset at once from a relabeling table),
+applies the resulting relabeling map to permutations, and verifies
 exchangeability itself by exact enumeration.
 """
 
@@ -221,7 +222,9 @@ def check_conditions(
     Condition 1: a - b flips sign along Theta at every point.
     Condition 2: each Phi_i maps S - {i} to S - {Theta(i)} leaving the
     matrix entries invariant.  ``phis`` maps each i to its bijection;
-    by default the order-preserving pairing is tried.
+    by default the order-preserving pairing is tried.  This is the
+    scalar Fraction reference for :func:`flip_conditions`, the array
+    check over all subsets that ``verify`` runs.
 
     >>> from .perm_core import descents_matrix
     >>> check_conditions(descents_matrix(2), {1, 2}, SetBijection.from_mapping({1: 1, 2: 2}))
@@ -275,22 +278,86 @@ def lambda_map(spec: StatisticSpec, p: Permutation, i: int) -> Permutation:
     return Permutation(tuple(out))
 
 
+def _member_ranks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every bitmask of 0-indexed values: membership bits, the rank of
+    each value among the members below it, and the members in ascending
+    order (``select[mask, r]`` is the member of rank r)."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    rank = np.cumsum(bits, axis=1) - bits
+    select = np.zeros_like(bits)
+    rows, values = np.nonzero(bits)
+    select[rows, rank[rows, values]] = values
+    return bits.astype(bool), rank, select
+
+
 def relabel_table(spec: StatisticSpec) -> np.ndarray:
     """:func:`lambda_map` for a built-in statistic as a lookup table.
 
     On 0-indexed values: when the values from position i on form the
     set with bitmask ``mask`` and position i holds v, a value u there
-    becomes ``table[mask, v, u]``, Theta(v) for u = v and Phi(u) else.
+    becomes ``table[mask, v, u]``, Theta(v) for u = v and Phi(u) else;
+    entries with u or v outside the mask are 0.  Built for all masks at
+    once from the member ranks (inversions) or run bounds (descents).
     """
     n = spec.n
-    table = np.zeros((1 << n, n, n), dtype=np.int64)
-    for mask in range(1, 1 << n):
-        s = tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
-        th = theta(spec, s)
-        for v in s:
-            for u, w in builtin_phi(spec, s, v).pairs + ((v, th(v)),):
-                table[mask, v - 1, u - 1] = w - 1
-    return table
+    bits, rank, select = _member_ranks(n)
+    values = np.arange(n)
+    v = values[None, :, None]
+    u = values[None, None, :]
+    if spec.kind == StatisticKind.INVERSIONS:
+        # Theta reverses the ranks; Phi pairs S - {v} with S - {Theta(v)} in order
+        flipped = (bits.sum(axis=1, keepdims=True) - 1 - rank)[:, :, None]
+        r = rank[:, None, :] - (u > v)
+        r = np.where(u == v, flipped, r + (r >= flipped))
+        # out of [0, n) only where u or v is no member
+        table = np.take_along_axis(select[:, None, :], r.clip(0, n - 1), axis=2)
+    elif spec.kind == StatisticKind.DESCENTS:
+        # lo and hi bound the run of consecutive members through each value
+        starts = bits & ~np.pad(bits, ((0, 0), (1, 0)))[:, :-1]
+        ends = bits & ~np.pad(bits, ((0, 0), (0, 1)))[:, 1:]
+        lo = np.maximum.accumulate(np.where(starts, values, 0), axis=1)
+        hi = np.minimum.accumulate(np.where(ends, values, n)[:, ::-1], axis=1)[:, ::-1]
+        lo_v, hi_v = lo[:, :, None], hi[:, :, None]
+        same_run = lo[:, None, :] == lo_v
+        table = np.where(same_run & (u < v), u + hi_v - v + 1, u)
+        table = np.where(same_run & (u > v), u - (v - lo_v + 1), table)
+        table = np.where(u == v, lo_v + hi_v - v, table)
+    else:
+        raise ValueError("no general value-flip recipe for a custom matrix; supply your own")
+    inside = bits[:, :, None] & bits[:, None, :]
+    return np.where(inside, table, 0).astype(np.int64, copy=False)
+
+
+def flip_conditions(mint: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """:func:`check_conditions` on every value subset at once, one verdict per mask.
+
+    ``mint`` is the cleared matrix L * M (L > 0) and ``table`` a
+    :func:`relabel_table`: Theta_S(v) = ``table[S, v, v]`` and Phi_v the
+    rest of row ``table[S, v]``.  As M is antisymmetric, a_v - b_v is
+    the row sum of M over S, so condition 1 reads
+    inside[v, S] == -inside[Theta_S(v), S].  Condition 2 asks Phi_v to
+    map S - {v} onto S - {Theta_S(v)} and keep every entry of M between
+    its points.  A Theta that is no bijection of S fails its mask.
+    """
+    n = mint.shape[0]
+    bits = _member_ranks(n)[0]
+    masks = np.arange(1 << n)
+    diag = np.arange(n)
+    # an entry outside [0, n) fails its row, and is read as 0 after that
+    in_range = (table >= 0) & (table < n)
+    ok_v = np.all(in_range | ~bits[:, None, :], axis=2)
+    f = np.where(in_range, table, 0)
+    th = f[:, diag, diag]
+    inside = _sn.subset_sums(mint).T
+    ok_v &= inside == -inside[masks[:, None], th]
+    # Phi_v on S - {v}: onto S - {Theta(v)}, keeping every entry of M
+    dom = bits[:, None, :] & bits[:, :, None] & (diag[:, None] != diag)
+    image = np.bitwise_or.reduce(np.where(dom, 1 << f, 0), axis=2)
+    ok_v &= image == (masks[:, None] & ~(1 << th))
+    pairs = dom[:, :, :, None] & dom[:, :, None, :]
+    ok_v &= np.all((mint[f[:, :, :, None], f[:, :, None, :]] == mint) | ~pairs, axis=(2, 3))
+    th_image = np.bitwise_or.reduce(np.where(bits, 1 << th, 0), axis=1)
+    return np.all(ok_v | ~bits, axis=1) & (th_image == masks)
 
 
 def relabel(table: np.ndarray, perms: np.ndarray, i: int) -> np.ndarray:

@@ -385,6 +385,22 @@ class TestRefusedInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert flag in err
 
+    # flags that dist would silently ignore with this selector
+    @pytest.mark.parametrize("selector, extra, flag", [
+        (("--stat", "descents", "--n", "5"), ("--enum-limit", "3"), "--enum-limit"),
+        (("--stat", "inversions", "--n", "5"), ("--enum-limit", "100"), "--enum-limit"),
+        (("--matrix",), ("--cap", "10"), "--cap"),
+        (("--matrix",), ("--cap", "10", "--enum-limit", "10"), "--cap"),
+    ], ids=["descents-enum-limit", "inversions-enum-limit", "matrix-cap", "matrix-cap-and-enum-limit"])
+    def test_dist_flag_unused_by_selector_refused(self, capsys, matrix_file, selector, extra, flag):
+        if selector == ("--matrix",):
+            selector += (matrix_file,)
+        code, out, err = run(capsys, "dist", *selector, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     @pytest.mark.parametrize("command", ["verify", "bounds", "sample", "dist"])
     def test_non_positive_n_refused(self, capsys, command, n):

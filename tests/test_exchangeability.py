@@ -25,8 +25,9 @@ from steinperm import (
     x_stat,
     zero_matrix,
 )
-from steinperm.exchangeability import CosetContext, relabel, relabel_table
-from steinperm.perm_core import EnumerationLimitError, custom_spec
+from steinperm._sn import integer_matrix
+from steinperm.exchangeability import CosetContext, flip_conditions, relabel, relabel_table
+from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError, custom_spec
 
 WORKED = Permutation((6, 4, 1, 5, 3, 2, 7))
 S_EXAMPLE = (1, 2, 3, 5, 7)
@@ -36,6 +37,32 @@ def all_subsets(n):
     values = range(1, n + 1)
     for size in range(1, n + 1):
         yield from combinations(values, size)
+
+
+def members(mask, n):
+    """The 1-indexed values in a bitmask of 0-indexed values."""
+    return tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+
+
+def builtin_verdict(m, spec, mask):
+    """check_conditions with the built-in Theta and Phi of ``spec`` on one mask."""
+    s = members(mask, spec.n)
+    return check_conditions(m, s, theta(spec, s), phis=lambda i: builtin_phi(spec, s, i))
+
+
+def table_verdict(m, table, mask):
+    """check_conditions with Theta and Phi read from one mask of a table;
+    a row that is no bijection, or that check_conditions refuses, fails."""
+    s = members(mask, m.n)
+    try:
+        th = SetBijection.from_mapping({v: int(table[mask, v - 1, v - 1]) + 1 for v in s})
+        phis = {
+            v: SetBijection.from_mapping({u: int(table[mask, v - 1, u - 1]) + 1 for u in s if u != v})
+            for v in s
+        }
+        return check_conditions(m, s, th, phis=phis.__getitem__)
+    except ValueError:
+        return False
 
 
 class TestSetBijection:
@@ -266,6 +293,125 @@ class TestRelabelTable:
                     for row in perms.tolist()
                 ]
                 assert relabel(table, perms, i).tolist() == expected
+
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
+    def test_equals_theta_and_builtin_phi(self, make, n):
+        spec = make(n)
+        table = relabel_table(spec)
+        assert table.dtype == np.int64 and table.shape == (1 << n, n, n)
+        assert table.flags.c_contiguous
+        for mask in range(1 << n):
+            s = members(mask, n)
+            expected = np.zeros((n, n), dtype=np.int64)
+            if s:
+                th = theta(spec, s)
+                for v in s:
+                    expected[v - 1, v - 1] = th(v) - 1
+                    for u, w in builtin_phi(spec, s, v).pairs:
+                        expected[v - 1, u - 1] = w - 1
+            assert np.array_equal(table[mask], expected), (mask, s)
+
+    def test_custom_kind_refused(self):
+        with pytest.raises(ValueError):
+            relabel_table(custom_spec(inversions_matrix(3)))
+
+
+def _corrupt_theta(row):
+    row[0, 0], row[1, 1] = row[1, 1], row[0, 0]
+
+
+def _corrupt_phi_not_injective(row):
+    row[0, 2] = row[0, 1]
+
+
+def _corrupt_phi_not_invariant(row):
+    row[0, 1], row[0, 2] = row[0, 2], row[0, 1]
+
+
+class TestFlipConditions:
+    """The array check over all masks against the per-subset Fraction one."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
+    def test_equals_check_conditions(self, make, n):
+        spec = make(n)
+        verdict = flip_conditions(integer_matrix(spec.matrix)[0], relabel_table(spec))
+        assert verdict.dtype == bool and verdict.shape == (1 << n,)
+        assert verdict[0]
+        assert [bool(verdict[mask]) for mask in range(1, 1 << n)] == [
+            builtin_verdict(spec.matrix, spec, mask) for mask in range(1, 1 << n)
+        ]
+        assert verdict.all()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_descents_table_on_inversions_matrix(self, n):
+        m = inversions_matrix(n)
+        spec = descents_spec(n)
+        verdict = flip_conditions(integer_matrix(m)[0], relabel_table(spec))
+        failing = [mask for mask in range(1, 1 << n) if not builtin_verdict(m, spec, mask)]
+        assert np.flatnonzero(~verdict).tolist() == failing
+        assert (len(failing) > 0) == (n >= 3)
+
+    @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
+    def test_other_matrices(self, make):
+        # random integer entries and a rational matrix, so that condition 1
+        # compares sums other than 0 and +-1, scaled by L > 1
+        n = 5
+        spec = make(n)
+        table = relabel_table(spec)
+        halves = [[Fraction(j - i, 2 * (i + j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        for m in random_matrices(n) + [AntisymmetricMatrix.from_rows(halves)]:
+            verdict = flip_conditions(integer_matrix(m)[0], table)
+            for mask in range(1, 1 << n):
+                assert verdict[mask] == builtin_verdict(m, spec, mask), mask
+
+    @pytest.mark.parametrize("corrupt", [
+        _corrupt_theta, _corrupt_phi_not_injective, _corrupt_phi_not_invariant,
+    ], ids=["theta-swapped", "phi-not-injective", "phi-not-invariant"])
+    @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
+    def test_corrupted_table_fails_its_mask(self, make, corrupt):
+        n = 5
+        spec = make(n)
+        mint = integer_matrix(spec.matrix)[0]
+        table = relabel_table(spec)
+        full = (1 << n) - 1
+        corrupt(table[full])
+        if corrupt is _corrupt_phi_not_invariant:
+            # still a bijection onto S - {Theta(v)}, so only invariance can fail
+            assert sorted(table[full, 0, 1:].tolist()) == sorted(set(range(n)) - {table[full, 0, 0]})
+        verdict = flip_conditions(mint, table)
+        assert not verdict[full]
+        assert not table_verdict(spec.matrix, table, full)
+        assert verdict[:full].all()
+
+
+    # On the zero matrix both conditions reduce to the bijection checks.  In
+    # the built-in tables on the full set of 5, Theta(0) = 4, Theta(1) = 3,
+    # Theta(4) = 0, Phi_0(1) = 0 and Phi_0(4) = 3.
+    @pytest.mark.parametrize("corrupt", [
+        # Theta(0) = Theta(1) = 3, with Phi_0 onto S - {3} to match
+        lambda row: row.__setitem__((0, [0, 4]), [3, 4]),
+        lambda row: row.__setitem__((4, 4), 5),
+        _corrupt_phi_not_injective,
+        lambda row: row.__setitem__((0, 1), 5),
+        lambda row: row.__setitem__((0, 1), row[0, 0]),
+    ], ids=["theta-not-injective", "theta-out-of-range", "phi-not-injective",
+            "phi-out-of-range", "phi-onto-theta"])
+    @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
+    def test_bijection_checks_on_the_zero_matrix(self, make, corrupt):
+        n = 5
+        table = relabel_table(make(n))
+        mint = integer_matrix(zero_matrix(n))[0]
+        assert flip_conditions(mint, table).all()
+        full = (1 << n) - 1
+        assert table[full, [0, 1, 4, 0, 0], [0, 1, 4, 1, 4]].tolist() == [4, 3, 0, 0, 3]
+        corrupt(table[full])
+        verdict = flip_conditions(mint, table)
+        assert not verdict[full]
+        assert not table_verdict(zero_matrix(n), table, full)
+        assert verdict[:full].all()
 
 
 class TestJointDistribution:
