@@ -278,16 +278,9 @@ def lambda_map(spec: StatisticSpec, p: Permutation, i: int) -> Permutation:
     return Permutation(tuple(out))
 
 
-def _member_ranks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every bitmask of 0-indexed values: membership bits, the rank of
-    each value among the members below it, and the members in ascending
-    order (``select[mask, r]`` is the member of rank r)."""
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    rank = np.cumsum(bits, axis=1) - bits
-    select = np.zeros_like(bits)
-    rows, values = np.nonzero(bits)
-    select[rows, rank[rows, values]] = values
-    return bits.astype(bool), rank, select
+def _member_bits(n: int) -> np.ndarray:
+    """bits[mask, v]: whether the 0-indexed value v is in the bitmask."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
 
 
 def relabel_table(spec: StatisticSpec) -> np.ndarray:
@@ -300,11 +293,16 @@ def relabel_table(spec: StatisticSpec) -> np.ndarray:
     once from the member ranks (inversions) or run bounds (descents).
     """
     n = spec.n
-    bits, rank, select = _member_ranks(n)
+    bits = _member_bits(n)
     values = np.arange(n)
     v = values[None, :, None]
     u = values[None, None, :]
     if spec.kind == StatisticKind.INVERSIONS:
+        # rank[mask, u]: members below u; select[mask, r]: the member of rank r
+        rank = np.cumsum(bits, axis=1) - bits
+        select = np.zeros_like(rank)
+        rows, members = np.nonzero(bits)
+        select[rows, rank[rows, members]] = members
         # Theta reverses the ranks; Phi pairs S - {v} with S - {Theta(v)} in order
         flipped = (bits.sum(axis=1, keepdims=True) - 1 - rank)[:, :, None]
         r = rank[:, None, :] - (u > v)
@@ -340,7 +338,7 @@ def flip_conditions(mint: np.ndarray, table: np.ndarray) -> np.ndarray:
     its points.  A Theta that is no bijection of S fails its mask.
     """
     n = mint.shape[0]
-    bits = _member_ranks(n)[0]
+    bits = _member_bits(n)
     masks = np.arange(1 << n)
     diag = np.arange(n)
     # an entry outside [0, n) fails its row, and is read as 0 after that
