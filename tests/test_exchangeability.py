@@ -294,7 +294,6 @@ class TestRelabelTable:
                 ]
                 assert relabel(table, perms, i).tolist() == expected
 
-
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
     def test_equals_theta_and_builtin_phi(self, make, n):
