@@ -39,18 +39,42 @@ Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
 allocate; every Monte Carlo draw goes through :func:`draws`, which
 refuses oversized entries.
+
+numpy is loaded on the first array operation, not on import (see
+:func:`_lazy_numpy`); the other modules bind ``np`` from here, so the
+recurrences, ``--help`` and every refusal of input run without it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections import Counter
 from typing import Iterator
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .perm_core import AntisymmetricMatrix, check_enum_limit
+
+
+def _lazy_numpy():
+    """numpy as it is in ``sys.modules``, or else a module that
+    ``importlib.util.LazyLoader`` executes on its first attribute access.
+    A missing numpy raises ImportError here, on import of the package."""
+    if "numpy" in sys.modules:
+        import numpy
+
+        return numpy
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
@@ -78,10 +102,11 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64).reshape(m.n, m.n), scale
 
 
-def checked_chunk_size(n: int, mint: np.ndarray) -> int:
+def checked_chunk_size(n: int, rows) -> int:
     """Chunk size small enough that int64 per-chunk aggregates cannot overflow.
 
-    With K = max |entry|, every suffix sum and every entry of
+    ``rows`` is L * M, as an array or as rows of Python ints.  With
+    K = max |entry|, every suffix sum and every entry of
     :func:`suffix_table` is a partial row sum, |inner_i| <= (n - 1) K <= nK.
     So per permutation q_pi = 4 sum_i inner_i^2 <= 4n^3 K^2 and, for
     integer K >= 1, |X| <= n^2 K and X^2 <= n^4 K^2 are at most
@@ -92,7 +117,7 @@ def checked_chunk_size(n: int, mint: np.ndarray) -> int:
     the sums it keeps in int64 (X, X^2, q, the level sums of q and
     |inner|^3) fit: at least 8 rows once the entries are accepted.
     """
-    k = int(np.abs(mint).max()) if mint.size else 0
+    k = max((abs(int(e)) for row in rows for e in row), default=0)
     if max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2) > 1 << 62:
         raise ValueError(_TOO_LARGE)
     return min(CHUNK, (1 << 62) // max(4 * n**3 * k**2, n**4 * k**3, 1))
@@ -103,12 +128,13 @@ def sweep(
 ) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """(L * M, L, chunks of (perms, inner)) for one lexicographic sweep of S_n.
 
-    The enumeration limit and the overflow guard both run before this
-    returns, so a refused sweep allocates nothing.
+    The enumeration limit and the overflow guards all run before this
+    returns, on Python ints, so a refused sweep allocates nothing and
+    loads no numpy.
     """
     n = check_enum_limit(m.n, limit)
+    size = checked_chunk_size(n, m.cleared[0])
     mint, scale = integer_matrix(m)
-    size = checked_chunk_size(n, mint)
     return mint, scale, inner_sum_chunks(n, mint, size)
 
 
@@ -215,7 +241,7 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
         offset = bounds[k + 1] - bounds[k] + pad
         padded = np.zeros((len(source), 2, width + 2 * pad), dtype=np.int64)
         padded[:, :, offset : offset + f.shape[2]] = f
-        windows = sliding_window_view(padded, width, axis=2)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=2)
         nxt = np.zeros((len(layers[k + 1]), 2, width), dtype=np.int64)
         q2_next = np.zeros(len(layers[k + 1]), dtype=object)
         q = f[:, 1].sum(axis=1).astype(object)

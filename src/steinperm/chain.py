@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from . import _sn
+from ._sn import np
 from .perm_core import (
     Permutation,
     StatisticSpec,

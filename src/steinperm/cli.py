@@ -25,9 +25,8 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import _sn, analysis, exact_dist, exchangeability, stein_bounds
+from ._sn import np
 from .chain import move_to_end, pair_samples
 from .exchangeability import lambda_map
 from .perm_core import (
@@ -318,7 +317,7 @@ def cmd_sample(args) -> int:
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        out = [int(part) for part in text.split(",") if part.strip()]
+        out = [int(part) for part in text.split(",")] if text.strip() else []
     except ValueError as exc:
         raise UsageError(f"bad --n-list {text!r}: {exc}") from exc
     if not out or any(n < 1 for n in out):

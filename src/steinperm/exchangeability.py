@@ -17,9 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _sn
+from ._sn import np
 from .perm_core import (
     AntisymmetricMatrix,
     Permutation,

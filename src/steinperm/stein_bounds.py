@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _sn
+from ._sn import np
 from .perm_core import StatisticKind, StatisticSpec, format_rational, spec_for
 
 MODE_EXACT = "exact"

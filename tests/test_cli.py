@@ -1,13 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import steinperm
 from steinperm import (
     AntisymmetricMatrix,
+    _sn,
     inversions_matrix,
     matrix_to_json_dict,
     random_antisymmetric_matrix,
@@ -16,6 +20,8 @@ from steinperm import (
 from steinperm.cli import main
 
 import numpy as np
+
+SRC = Path(steinperm.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -174,6 +180,23 @@ class TestRate:
         code, _, err = run(capsys, "rate", "--stat", "descents", "--n-list", "5,x")
         assert code == 2
         assert "--n-list" in err
+
+    @pytest.mark.parametrize("text", ["5,,6", ",5", "5,", ",", "5, ,6"])
+    def test_empty_element_refused(self, capsys, text):
+        code, out, err = run(capsys, "rate", "--stat", "descents", "--n-list", text)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad --n-list {text!r}: invalid literal for int()")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_empty_list_refused(self, capsys, text):
+        code, out, err = run(capsys, "rate", "--stat", "descents", "--n-list", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --n-list {text!r}: need positive integers\n"
+
+    def test_spaces_around_numbers(self, capsys):
+        assert run(capsys, "rate", "--stat", "descents", "--n-list", " 5 , 6")[:2] == \
+            run(capsys, "rate", "--stat", "descents", "--n-list", "5,6")[:2]
 
     @pytest.mark.parametrize("stat", ["descents", "inversions"])
     def test_n_1_is_constant(self, capsys, stat):
@@ -503,6 +526,39 @@ class TestInternalError:
         assert err == line
 
 
+# the child prints whether numpy was loaded as the last line of stderr
+_MAIN = """\
+import sys
+from steinperm.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    sys.stderr.write(f"numpy loaded: {'numpy._core' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+def run_fresh(code, *argv):
+    """Run ``code`` with ``argv`` in a new interpreter that imports steinperm from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=300)
+
+
+# pinned both in this process, where numpy was imported before steinperm,
+# and in a new interpreter, where steinperm loads it lazily
+_ARRAY_GOLDENS = [
+    (("verify", "--stat", "descents", "--n", "7"),
+     "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
+    (("bounds", "--stat", "inversions", "--n", "6"),
+     "2ea572c1dab22785b205be2f3fbc7e224b20a1f2493400c5bc4aaeb64221751a"),
+    (("bounds", "--stat", "descents", "--n", "30", "--mode", "mc", "--trials", "2000", "--seed", "11"),
+     "8bb823fe03cca829b00991a12bf9ad8346012310bf49805de433877ee75b6ee6"),
+    (("sample", "--stat", "inversions", "--n", "8", "--seed", "5", "--trials", "20"),
+     "04fce7d149454eca8edcad11eec2ba9d7ec956e05a8d6139133a823bdb8c2fd6"),
+]
+
+
 class TestGoldenStdout:
     """The exact laws at the caps, their rate tables and the verify report,
     byte for byte: the sha256 of stdout as the full-row recurrences, the
@@ -528,12 +584,94 @@ class TestGoldenStdout:
              "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
             (("verify", "--stat", "inversions", "--n", "7"),
              "151584cdfacaaf3b2173852ee082b77ca21d466481a0887e8a882ace7e725044"),
+            *_ARRAY_GOLDENS[1:],
         ],
     )
     def test_sha256(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", _ARRAY_GOLDENS)
+    def test_sha256_fresh_interpreter(self, argv, digest):
+        # numpy is loaded lazily here, on the first array operation
+        proc = run_fresh(_MAIN, *argv)
+        assert (proc.returncode, proc.stderr) == (0, "numpy loaded: True\n")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+_FAULT = [[0, 9_000_000_000_000, 1, -2], [-9_000_000_000_000, 0, 3, 1], [-1, -3, 0, 2], [2, -1, -2, 0]]
+
+
+class TestLazyNumpy:
+    """What loads numpy, each case in a new interpreter: the recurrences,
+    --help and refused input never do; an array operation does."""
+
+    @pytest.mark.parametrize("module", ["steinperm", "steinperm.cli"])
+    def test_import(self, module):
+        proc = run_fresh(f"import sys, {module}; print('numpy._core' in sys.modules)")
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--stat", "inversions", "--n", "20"),
+        ("dist", "--stat", "descents", "--n", "20", "--format", "csv"),
+        ("rate", "--stat", "descents", "--n-list", "5,10,20"),
+        ("rate", "--stat", "inversions", "--n-list", "5,10,20"),
+        ("example",),
+        ("--help",),
+    ], ids=["dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help"])
+    def test_no_array_work(self, argv):
+        proc = run_fresh(_MAIN, *argv)
+        assert (proc.returncode, proc.stderr) == (0, "numpy loaded: False\n")
+        assert proc.stdout
+
+    @pytest.mark.parametrize("command", ["bounds", "dist"])
+    def test_fault_matrix_refused_first(self, tmp_path, command):
+        path = _write_rows(tmp_path, "fault.json", _FAULT)
+        proc = run_fresh(_MAIN, command, "--matrix", path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {_sn._TOO_LARGE}\nnumpy loaded: False\n"
+
+    def test_exact_bounds_loads_numpy(self):
+        proc = run_fresh(_MAIN, "bounds", "--stat", "descents", "--n", "5")
+        assert (proc.returncode, proc.stderr) == (0, "numpy loaded: True\n")
+
+    def test_numpy_imported_first_is_kept(self):
+        code = (
+            "import sys, types, numpy\n"
+            "from steinperm import _sn, chain, cli, exchangeability, stein_bounds\n"
+            "mods = (_sn, chain, cli, exchangeability, stein_bounds)\n"
+            "print(all(m.np is numpy for m in mods), sys.modules['numpy'] is numpy, type(numpy) is types.ModuleType)\n"
+        )
+        proc = run_fresh(code)
+        assert (proc.returncode, proc.stdout) == (0, "True True True\n")
+
+    def test_lazy_module_is_the_one_in_sys_modules(self):
+        code = (
+            "import sys\n"
+            "from steinperm import _sn, cli\n"
+            "lazy = _sn.np\n"
+            "lazy.int64\n"  # loads it in place
+            "import numpy\n"
+            "print(cli.np is lazy is numpy is sys.modules['numpy'], 'numpy._core' in sys.modules)\n"
+        )
+        proc = run_fresh(code)
+        assert (proc.returncode, proc.stdout) == (0, "True True\n")
+
+    @pytest.mark.parametrize("hide", [
+        "sys.modules['numpy'] = None",
+        "sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p, 'numpy'))]",
+    ], ids=["none-in-sys-modules", "not-on-path"])
+    def test_missing_numpy_fails_on_import(self, hide):
+        code = (
+            f"import os, sys\n{hide}\n"
+            "try:\n"
+            "    import steinperm\n"
+            "except ImportError as exc:\n"
+            "    print(type(exc).__name__, exc.name)\n"
+        )
+        proc = run_fresh(code)
+        assert (proc.returncode, proc.stdout) == (0, "ModuleNotFoundError numpy\n")
 
 
 class TestUsage:
