@@ -167,8 +167,9 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
     if trials < 2:
         raise ValueError("need at least 2 trials")
     n = spec.n
+    sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
     _, scale, blocks = _sn.draws(spec.matrix, trials, seed)
-    sigma_x = math.sqrt(spec.variance) * scale
+    sigma_x = sigma * scale
     c_center = 4.0 / n  # exact mean of c_pi, used to stabilize moments
 
     block_sums: list[list[float]] = []

@@ -605,7 +605,8 @@ _FAULT = [[0, 9_000_000_000_000, 1, -2], [-9_000_000_000_000, 0, 3, 1], [-1, -3,
 
 class TestLazyNumpy:
     """What loads numpy, each case in a new interpreter: the recurrences,
-    --help and refused input never do; an array operation does."""
+    --help and refused input never do.  That an array operation does is
+    checked with the stdout of TestGoldenStdout.test_sha256_fresh_interpreter."""
 
     @pytest.mark.parametrize("module", ["steinperm", "steinperm.cli"])
     def test_import(self, module):
@@ -625,16 +626,20 @@ class TestLazyNumpy:
         assert (proc.returncode, proc.stderr) == (0, "numpy loaded: False\n")
         assert proc.stdout
 
-    @pytest.mark.parametrize("command", ["bounds", "dist"])
-    def test_fault_matrix_refused_first(self, tmp_path, command):
-        path = _write_rows(tmp_path, "fault.json", _FAULT)
-        proc = run_fresh(_MAIN, command, "--matrix", path)
+    @pytest.mark.parametrize("argv, error", [
+        (("bounds", "--matrix", "fault.json"), _sn._TOO_LARGE),
+        (("dist", "--matrix", "fault.json"), _sn._TOO_LARGE),
+        (("bounds", "--matrix", "zero.json", "--mode", "mc", "--trials", "10", "--seed", "1"),
+         "statistic has zero variance; W is undefined"),
+        (("verify", "--stat", "descents", "--n", "11"),
+         "full enumeration of S_11 exceeds the limit 10; raise the limit explicitly to proceed"),
+    ], ids=["bounds-fault", "dist-fault", "mc-zero-variance", "verify-enum-limit"])
+    def test_refused_first(self, tmp_path, argv, error):
+        _write_rows(tmp_path, "fault.json", _FAULT)
+        _write_rows(tmp_path, "zero.json", [[0] * 3] * 3)
+        proc = run_fresh(_MAIN, *(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: {_sn._TOO_LARGE}\nnumpy loaded: False\n"
-
-    def test_exact_bounds_loads_numpy(self):
-        proc = run_fresh(_MAIN, "bounds", "--stat", "descents", "--n", "5")
-        assert (proc.returncode, proc.stderr) == (0, "numpy loaded: True\n")
+        assert proc.stderr == f"error: {error}\nnumpy loaded: False\n"
 
     def test_numpy_imported_first_is_kept(self):
         code = (
