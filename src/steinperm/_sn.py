@@ -14,15 +14,18 @@ The suffix sums inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] depend only
 on p_t(i) and the set of values at or before position i, so sweeps read
 them from an n x 2^n table of partial row sums (:func:`suffix_table`),
 n gathers per row.  Rows too wide for such a table, the Monte Carlo
-draws, go through :func:`inner_sums`, over sub-blocks of rows small
-enough to stay in cache, by one of two kernels.  A running remainder of
-row sums (:func:`remainder_sums`) makes n^2 cell updates per row.  A
-value-space kernel (:func:`diagonal_sums`) makes n - d per nonzero
-diagonal d of M, and :func:`banded_offsets` picks it when
-``DIAGONAL_CELL_COST`` sum(n - d) <= n^2: descents and other banded
+draws, are shuffled in sub-tiles of rows small enough to stay in cache
+(:func:`draw`), and each sub-tile goes through :func:`inner_sums` by one
+of two kernels, set up once per matrix (:class:`InnerKernel`).  A
+running remainder of row sums (:func:`remainder_sums`) makes n^2 cell
+updates per row.  A value-space kernel (:func:`diagonal_sums`) makes
+n - d per nonzero diagonal d of M, and :func:`banded_offsets` picks it
+when ``DIAGONAL_CELL_COST`` sum(n - d) <= n^2: descents and other banded
 matrices take it, inversions and other dense matrices the remainder.
 Every value either kernel keeps is a sum of distinct entries of one
-row, so the row-sum guard of :func:`integer_matrix` keeps it in int64.
+row, so the row-sum guard of :func:`integer_matrix` keeps it in int64;
+a draw keeps it in the narrowest signed type that holds the largest
+absolute row sum, and callers widen it before integer arithmetic.
 
 Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
@@ -38,7 +41,7 @@ would be too wide or its sums could leave int64.
 Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
 allocate; every Monte Carlo draw goes through :func:`draws`, which
-refuses oversized entries.
+refuses oversized entries and yields (pos, inner) blocks.
 
 numpy is loaded on the first array operation, not on import (see
 :func:`_lazy_numpy`); the other modules bind ``np`` from here, so the
@@ -47,6 +50,7 @@ recurrences, ``--help`` and every refusal of input run without it.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import sys
@@ -78,7 +82,7 @@ np = _lazy_numpy()
 
 CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
-ROW_BLOCK_CELLS = 1 << 15  # int64 cells (256 KiB) of one inner_sums sub-block
+ROW_BLOCK_CELLS = 1 << 15  # int64 cells (256 KiB) of one draw sub-tile
 # One diagonal_sums cell costs 2-3 remainder_sums cells: both kernels on
 # the dense inversions matrix took 2.5 against 1.2 ns per cell at n = 50
 # and 2.2 against 0.8 ns at n = 200 (numpy 2.4, 2-core x86-64 VM).  4
@@ -274,28 +278,47 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
 
 def draws(
     m: AntisymmetricMatrix, trials: int, seed: int
-) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """(L * M, L, blocks of :func:`draw`) for ``trials`` draws of (pi, I):
     block b holds at most ``DRAW_BLOCK`` draws from the b-th child of
-    ``SeedSequence(seed)``.  The overflow guard runs before this returns."""
+    ``SeedSequence(seed)``.  The overflow guard runs before this returns,
+    and the :class:`InnerKernel` set-up once for every block."""
     mint, scale = integer_matrix(m)
+    kernel = InnerKernel(mint)
     root = np.random.SeedSequence(seed)  # spawn(1) k times gives the children of spawn(k)
     blocks = (
-        draw(mint, min(DRAW_BLOCK, trials - start), np.random.Generator(np.random.PCG64(*root.spawn(1))))
+        draw(kernel, min(DRAW_BLOCK, trials - start), np.random.Generator(np.random.PCG64(*root.spawn(1))))
         for start in range(0, trials, DRAW_BLOCK)
     )
     return mint, scale, blocks
 
 
-def draw(
-    mint: np.ndarray, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(perms, pos, inner) for m draws of a uniform permutation and a
-    uniform 0-indexed position, with ``inner = inner_sums(perms, mint)``."""
-    n = mint.shape[0]
-    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (m, 1)), axis=1)
-    inner = inner_sums(perms, mint)
-    return perms, rng.integers(0, n, size=m), inner
+def tile_height(n: int) -> int:
+    """Rows of n values in one sub-tile of ``ROW_BLOCK_CELLS`` cells."""
+    return max(1, ROW_BLOCK_CELLS // n)
+
+
+def draw(kernel: InnerKernel, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, inner) for m draws of a uniform permutation and a uniform
+    0-indexed position, with ``inner = inner_sums(perms, kernel)``.
+
+    The permutations are shuffled in sub-tiles of :func:`tile_height`
+    rows, each a copy of one int64 identity tile (``permuted`` on uint8
+    rows is slower), and go through :func:`inner_sums` while in cache;
+    only their ``inner`` rows are kept, in ``kernel.dtype``.  ``pos`` is
+    drawn after the last sub-tile: ``permuted`` shuffles row by row, so
+    the rows and ``pos`` are those of one whole-tile shuffle.
+    """
+    n = kernel.n
+    height = tile_height(n)
+    identity = np.tile(np.arange(n, dtype=np.int64), (min(m, height), 1))
+    tile = np.empty_like(identity)
+    inner = np.empty((m, n), dtype=kernel.dtype)
+    for start in range(0, m, height):
+        h = min(height, m - start)
+        rng.permuted(identity[:h], axis=1, out=tile[:h])
+        inner_sums(tile[:h], kernel, inner[start : start + h])
+    return rng.integers(0, n, size=m), inner
 
 
 def _lex_heads(rank: np.ndarray, rest: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,8 +388,36 @@ def table_inner(perms: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.take(table, seen)
 
 
-def inner_sums(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
-    """inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] for each row p_t.
+class InnerKernel:
+    """The per-matrix set-up of :func:`inner_sums` on ``mint`` = L * M,
+    made once and shared by every block of rows: ``fill(perms, out)``,
+    the kernel that :func:`banded_offsets` picks bound to the arrays it
+    reads, and ``dtype``, the narrowest signed integer type that holds
+    the largest absolute row sum, so every suffix sum (int8 for descents,
+    int16 for inversions at n = 200)."""
+
+    def __init__(self, mint: np.ndarray) -> None:
+        self.mint = mint
+        self.n = n = mint.shape[0]
+        bound = int(np.abs(mint).sum(axis=1).max())
+        self.dtype = next(np.dtype(f"int{bits}") for bits in (8, 16, 32, 64) if bound < 1 << (bits - 1))
+        offsets = banded_offsets(mint)
+        if offsets is None:
+            self.fill = functools.partial(
+                remainder_sums, cols=np.ascontiguousarray(mint.T), totals=mint.sum(axis=1)
+            )
+        else:
+            self.fill = functools.partial(
+                diagonal_sums,
+                below=np.tril(mint).sum(axis=1)[:, None],
+                diagonals=[(d, np.diagonal(mint, d)[:, None]) for d in offsets],
+                positions=np.arange(n, dtype=np.min_scalar_type(n)),
+            )
+
+
+def inner_sums(perms: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = None) -> np.ndarray:
+    """inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] for each row p_t, with
+    ``kernel = InnerKernel(mint)``, written to ``out`` (int64 if None).
 
     This is the suffix row sum behind every statistic here: the total
     X equals inner.sum(axis=1) and a move of position i changes X by
@@ -380,12 +431,14 @@ def inner_sums(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
     first, inversions and other dense matrices the second.  Both give the
     same integers, and every value either keeps is a sum of distinct
     entries of one row, each taken 0 or 1 times, which the row-sum guard
-    of :func:`integer_matrix` keeps inside int64.
+    of :func:`integer_matrix` keeps inside int64, and ``kernel.dtype``
+    holds.  Their work arrays are (rows, n) int64: :func:`draw` passes
+    sub-tiles small enough to stay in cache.
     """
-    offsets = banded_offsets(mint)
-    if offsets is None:
-        return remainder_sums(perms, mint)
-    return diagonal_sums(perms, mint, offsets)
+    if out is None:
+        out = np.empty(perms.shape, dtype=np.int64)
+    kernel.fill(perms, out)
+    return out
 
 
 def banded_offsets(mint: np.ndarray) -> list[int] | None:
@@ -397,64 +450,56 @@ def banded_offsets(mint: np.ndarray) -> list[int] | None:
     return offsets if DIAGONAL_CELL_COST * sum(n - d for d in offsets) <= n * n else None
 
 
-def remainder_sums(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
-    """:func:`inner_sums` by a running remainder, n^2 cell updates per row.
+def remainder_sums(perms: np.ndarray, out: np.ndarray, cols: np.ndarray, totals: np.ndarray) -> None:
+    """:func:`inner_sums` by a running remainder, n^2 cell updates per row,
+    with ``cols`` the columns of M as rows and ``totals`` its row sums.
 
-    Each sub-block of rows carries rest[t, u] = sum of M[u][w] over the
-    values w not yet passed: the full row sums less column p_t(i) at each
-    position i, where rest[t, p_t(i)] is inner[t, i].  Every value of rest
-    is a partial row sum, which :func:`integer_matrix` keeps inside int64.
+    The rows carry rest[t, u] = sum of M[u][w] over the values w not yet
+    passed: the full row sums less column p_t(i) at each position i,
+    where rest[t, p_t(i)] is inner[t, i].  Every value of rest is a
+    partial row sum, which :func:`integer_matrix` keeps inside int64.
     """
     m, n = perms.shape
-    inner = np.empty((m, n), dtype=np.int64)
-    cols = np.ascontiguousarray(mint.T)
-    height = max(1, ROW_BLOCK_CELLS // max(n, 1))
-    for start in range(0, m, height):
-        block = perms[start : start + height]
-        rest = np.tile(mint.sum(axis=1), (len(block), 1))
-        flat = np.arange(len(block)) * n
-        for i in range(n):
-            rest -= cols[block[:, i]]
-            inner[start : start + len(block), i] = rest.ravel().take(flat + block[:, i])
-    return inner
+    rest = np.tile(totals, (m, 1))
+    flat = np.arange(m) * n
+    for i in range(n):
+        rest -= cols[perms[:, i]]
+        out[:, i] = rest.ravel().take(flat + perms[:, i])
 
 
-def diagonal_sums(perms: np.ndarray, mint: np.ndarray, offsets: list[int]) -> np.ndarray:
+def diagonal_sums(
+    perms: np.ndarray,
+    out: np.ndarray,
+    below: np.ndarray,
+    diagonals: list[tuple[int, np.ndarray]],
+    positions: np.ndarray,
+) -> None:
     """:func:`inner_sums` in value space, sum(n - d) cell updates per row
-    over the diagonal offsets d that hold every nonzero entry of M above
-    the main diagonal.
+    over the pairs (d, M[u][u + d] as a column) in ``diagonals``, whose
+    offsets d hold every nonzero entry of M above the main diagonal;
+    ``below[w]`` is sum_{u < w} M[w][u] and ``positions`` is 0..n-1.
 
     With sigma = p^-1, inner at value w is sum_u M[w][u] [sigma(u) > sigma(w)].
-    Each sub-block of rows, laid out value-major as (n, h) arrays so that
-    every step below reads contiguous slices, starts val[w] at
-    sum_{u < w} M[w][u]; each diagonal d then takes
-    term = [sigma(u + d) > sigma(u)] M[u][u + d] and adds it to val[u] and
-    to val[u + d], where it turns M[u + d][u] = -M[u][u + d] into
-    [sigma(u) > sigma(u + d)] M[u + d][u].  inner[t, i] is val[p_t(i)].
-    At every step val[w] is a sum of distinct entries of row w, each
-    taken 0 or 1 times, so it is bounded by the absolute row sum that
-    :func:`integer_matrix` keeps below 2^62.
+    The rows, laid out value-major as (n, m) arrays so that every step
+    below reads contiguous slices, start val[w] at ``below[w]``; each
+    diagonal d then takes term = [sigma(u + d) > sigma(u)] M[u][u + d]
+    and adds it to val[u] and to val[u + d], where it turns
+    M[u + d][u] = -M[u][u + d] into [sigma(u) > sigma(u + d)] M[u + d][u].
+    inner[t, i] is val[p_t(i)].  At every step val[w] is a sum of distinct
+    entries of row w, each taken 0 or 1 times, so it is bounded by the
+    absolute row sum that :func:`integer_matrix` keeps below 2^62.
     """
     m, n = perms.shape
-    inner = np.empty((m, n), dtype=np.int64)
-    below = np.tril(mint).sum(axis=1)[:, None]
-    diagonals = [(d, np.diagonal(mint, d)[:, None]) for d in offsets]
-    positions = np.arange(n, dtype=np.min_scalar_type(n))
-    height = max(1, ROW_BLOCK_CELLS // max(n, 1))
-    for start in range(0, m, height):
-        block = perms[start : start + height]
-        h = len(block)
-        # the flat index of cell (p_t(i), t) of a value-major (n, h) array
-        where = block * h + np.arange(h)[:, None]
-        sigma = np.empty((n, h), dtype=positions.dtype)
-        sigma.reshape(-1)[where] = positions
-        val = np.repeat(below, h, axis=1)
-        for d, diagonal in diagonals:
-            term = (sigma[d:] > sigma[:-d]) * diagonal
-            val[:-d] += term
-            val[d:] += term
-        inner[start : start + h] = val.reshape(-1).take(where)
-    return inner
+    # the flat index of cell (p_t(i), t) of a value-major (n, m) array
+    where = perms * m + np.arange(m)[:, None]
+    sigma = np.empty((n, m), dtype=positions.dtype)
+    sigma.reshape(-1)[where] = positions
+    val = np.repeat(below, m, axis=1)
+    for d, diagonal in diagonals:
+        term = (sigma[d:] > sigma[:-d]) * diagonal
+        val[:-d] += term
+        val[d:] += term
+    out[:] = val.reshape(-1).take(where)
 
 
 def inner_sum_chunks(

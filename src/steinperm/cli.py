@@ -302,7 +302,7 @@ def cmd_sample(args) -> int:
         raise UsageError("--trials must not be negative")
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
     _, scale, blocks = _sn.draws(spec.matrix, args.trials, args.seed)
-    samples = [s for _, pos, inner in blocks for s in pair_samples(sigma, scale, pos, inner)]
+    samples = [s for pos, inner in blocks for s in pair_samples(sigma, scale, pos, inner)]
     rows = [dict(vars(s), x=format_rational(s.x), x_prime=format_rational(s.x_prime)) for s in samples]
     if args.format == "csv":
         lines = ["x,x_prime,w,w_prime,position"]

@@ -173,15 +173,19 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
     c_center = 4.0 / n  # exact mean of c_pi, used to stabilize moments
 
     block_sums: list[list[float]] = []
-    for perms, pos, inner in blocks:
-        del perms  # unused: free it before the float work and the next draw
+    height = _sn.tile_height(n)
+    for pos, inner in blocks:
         d_w = -2.0 * inner[np.arange(len(pos)), pos] / sigma_x
         abs3 = np.abs(d_w) ** 3
-        f = inner.astype(np.float64)
-        f /= sigma_x**2
-        f *= inner
-        c = 4.0 / n * f.sum(axis=1)
-        del f, inner  # nor keep them through the next draw
+        # c by sub-tiles of rows, never a float copy of the whole block:
+        # a row sum is the same float however the rows are sliced
+        c = np.empty(len(pos))
+        for start in range(0, len(pos), height):
+            f = inner[start : start + height].astype(np.float64)
+            f /= sigma_x**2
+            f *= inner[start : start + height]
+            c[start : start + height] = 4.0 / n * f.sum(axis=1)
+        del inner  # free it before the next draw
         u = c - c_center
         powers = (abs3, abs3 * abs3, u, u * u, u * u * u, u * u * u * u)
         block_sums.append([float(v.sum()) for v in powers])

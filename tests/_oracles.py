@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the normal CDF
 oracle is a Taylor series in 60-digit arithmetic rather than erfc, the
 distance oracle is a brute scan rather than the closed form, the
 suffix sums are gathered position by position rather than read from a
-table or a running remainder, and the exact laws are the full-row
+table or a running remainder, the Monte Carlo draw shuffles one whole
+tile rather than cache-sized sub-tiles, and the exact laws are the full-row
 recurrences and Fraction standardization that the half-row versions
 replaced.
 """
@@ -64,6 +65,16 @@ def inner_sums_gather(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
         rows = mint[perms[:, i]]
         inner[:, i] = np.take_along_axis(rows, perms[:, i + 1 :], axis=1).sum(axis=1)
     return inner
+
+
+def draw_whole_tile(mint: np.ndarray, m: int, rng: np.random.Generator):
+    """(perms, pos, inner) for m draws of (pi, I) from ``rng``, as the Monte
+    Carlo draw made them before it worked in sub-tiles: one int64 tile of m
+    identity rows shuffled at once, the positions drawn after it, and every
+    suffix sum by the per-position gather, in int64."""
+    n = mint.shape[0]
+    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (m, 1)), axis=1)
+    return perms, rng.integers(0, n, size=m), inner_sums_gather(perms, mint)
 
 
 def descent_counts(perms: np.ndarray) -> np.ndarray:

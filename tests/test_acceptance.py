@@ -206,7 +206,7 @@ def test_criterion_05_pair_second_moment():
             size = _sn.checked_chunk_size(n, mint)
             total = 0
             for perms in _sn.chunks(n, size):
-                d = 2 * _sn.inner_sums(perms, mint)
+                d = 2 * _sn.inner_sums(perms, _sn.InnerKernel(mint))
                 total += int((d * d).sum())
             var = variance_formula(spec.matrix).variance
             if Fraction(total, scale**2) != 4 * math.factorial(n) * var:

@@ -21,6 +21,8 @@ from steinperm.cli import main
 
 import numpy as np
 
+from _oracles import draw_whole_tile
+
 SRC = Path(steinperm.__file__).resolve().parents[1]
 
 
@@ -335,6 +337,50 @@ _LARGE_LCM = _antisymmetric([["1/999983", "1/999979", "1"], ["1/999961", "2"], [
 _HUGE_LCM = _antisymmetric(
     [["1/1000003", "1/1000033", "1/1000037"], ["1/1000039", "1/1000081"], ["1/1000099"]]
 )
+
+
+class TestNarrowInner:
+    """sample and bounds --mode mc print what the int64 whole-tile draw of
+    the oracle gives, on matrices whose largest absolute row sum sits at
+    each edge of the narrow dtypes that the draw keeps inner in, through
+    both kernels: a dense row and a banded matrix."""
+
+    @staticmethod
+    def _rows(kind, bound):
+        if kind == "dense":
+            # row 0 holds bound when value 0 comes first
+            return _antisymmetric([[str(bound - 3), "1", "1", "1"], ["0", "0", "0"], ["0", "0"], ["0"]])
+        # one diagonal; row 1 holds -bound when value 1 precedes 0 and 2
+        return _antisymmetric([[str(bound - 27)] + ["0"] * 4, ["-27", "0", "0", "0"], ["1", "0", "0"], ["1", "0"], ["1"]])
+
+    @staticmethod
+    def _against_oracle(capsys, monkeypatch, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(_sn, "draw", lambda kernel, m, rng: draw_whole_tile(kernel.mint, m, rng)[1:])
+        assert run(capsys, *argv) == (0, out, "")
+        return out
+
+    @pytest.mark.parametrize("bound", [127, 128, 32767, 32768])
+    @pytest.mark.parametrize("kind", ["dense", "banded"])
+    @pytest.mark.parametrize("command", ["sample", "bounds"])
+    def test_row_sum_edges(self, capsys, monkeypatch, tmp_path, bound, kind, command):
+        rows = self._rows(kind, bound)
+        assert max(sum(abs(int(e)) for e in row) for row in rows) == bound
+        path = _write_rows(tmp_path, "m.json", rows)
+        mode = ["--format", "csv", "--trials", "600"] if command == "sample" else ["--mode", "mc", "--trials", "3000"]
+        out = self._against_oracle(capsys, monkeypatch, command, "--matrix", path, "--seed", "4", *mode)
+        if command == "sample":
+            # some draw moves the value whose suffix sum is +-bound
+            steps = {abs(int(r.split(",")[1]) - int(r.split(",")[0])) for r in out.splitlines()[1:]}
+            assert 2 * bound in steps
+
+    @pytest.mark.parametrize("command", ["sample", "bounds"])
+    def test_row_sum_below_2_62(self, capsys, monkeypatch, tmp_path, command):
+        rows = _antisymmetric([[str(1 << 61), str((1 << 61) - 1)], ["1"]])
+        path = _write_rows(tmp_path, "m.json", rows)
+        mode = ["--trials", "300"] if command == "sample" else ["--mode", "mc", "--trials", "3000"]
+        self._against_oracle(capsys, monkeypatch, command, "--matrix", path, "--seed", "6", *mode)
 
 
 class TestRefusedInput:

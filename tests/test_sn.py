@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -22,7 +23,7 @@ from steinperm import (
 from steinperm import _sn, exchangeability, stein_bounds
 from steinperm.perm_core import EnumerationLimitError
 
-from _oracles import inner_sums_gather
+from _oracles import draw_whole_tile, inner_sums_gather
 
 
 class TestSweep:
@@ -200,6 +201,15 @@ def _corner_matrix(n):
     return AntisymmetricMatrix.from_rows(rows)
 
 
+def _antisymmetric_matrix(n, upper):
+    """The n x n antisymmetric matrix with the strictly upper entries
+    ``upper[(i, j)]``, every other entry above the diagonal zero."""
+    rows = [["0"] * n for _ in range(n)]
+    for (i, j), e in upper.items():
+        rows[i][j], rows[j][i] = str(e), str(-e)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
 def _kernel_matrix(kind, n):
     return {
         "descents": lambda: descents_matrix(n),
@@ -222,15 +232,23 @@ def _nonzero_offsets(mint):
 
 class TestInnerSums:
     """inner_sums and both of its kernels, the running remainder and the
-    value-space diagonal steps, against the per-position gather, across
-    their row sub-block edges."""
+    value-space diagonal steps, against the per-position gather, for row
+    counts around the sub-tile height, into int64 and into the kernel's
+    narrow dtype."""
 
     KINDS = ["descents", "inversions", "banded", "corner", "zero", "rational", "row-sum-limit"]
-    KERNELS = (
-        _sn.inner_sums,
-        _sn.remainder_sums,
-        lambda perms, mint: _sn.diagonal_sums(perms, mint, _nonzero_offsets(mint)),
-    )
+
+    @staticmethod
+    def _kernels(mint):
+        """The InnerKernel that banded_offsets picks, then one forced to
+        each kernel: the remainder, and the diagonals over every offset
+        with a nonzero entry."""
+        kernels = [_sn.InnerKernel(mint)]
+        for offsets in (None, _nonzero_offsets(mint)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_sn, "banded_offsets", lambda mint, offsets=offsets: offsets)
+                kernels.append(_sn.InnerKernel(mint))
+        return kernels
 
     @classmethod
     def _check(cls, matrix, rows):
@@ -238,10 +256,13 @@ class TestInnerSums:
         n = matrix.n
         perms = np.random.default_rng(rows).permuted(np.tile(np.arange(n, dtype=np.int64), (rows, 1)), axis=1)
         want = inner_sums_gather(perms, mint)
-        for kernel in cls.KERNELS:
-            inner = kernel(perms, mint)
+        for kernel in cls._kernels(mint):
+            inner = _sn.inner_sums(perms, kernel)
             assert inner.dtype == np.int64 and inner.shape == (rows, n)
             assert np.array_equal(inner, want)
+            narrow = np.empty((rows, n), dtype=kernel.dtype)
+            assert _sn.inner_sums(perms, kernel, narrow) is narrow
+            assert np.array_equal(narrow, want)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 2, 7])
@@ -268,8 +289,10 @@ class TestInnerSums:
         ran = []
         for name in ("remainder_sums", "diagonal_sums"):
             kernel = getattr(_sn, name)
-            monkeypatch.setattr(_sn, name, lambda *args, name=name, kernel=kernel: ran.append(name) or kernel(*args))
-        _sn.inner_sums(np.tile(np.arange(n, dtype=np.int64), (3, 1)), mint)
+            monkeypatch.setattr(
+                _sn, name, lambda *args, name=name, kernel=kernel, **kw: ran.append(name) or kernel(*args, **kw)
+            )
+        _sn.inner_sums(np.tile(np.arange(n, dtype=np.int64), (3, 1)), _sn.InnerKernel(mint))
         assert ran == ["remainder_sums" if offsets is None else "diagonal_sums"]
 
     def test_row_sum_limit_is_at_the_limit(self):
@@ -281,8 +304,32 @@ class TestInnerSums:
     def test_ingredients_mc_equal_with_the_gather(self, kind, monkeypatch):
         spec = custom_spec(_kernel_matrix(kind, 9))
         want = ingredients_mc(spec, 3000, 17)
-        monkeypatch.setattr(_sn, "inner_sums", inner_sums_gather)
+
+        def gather(perms, kernel, out):
+            out[:] = inner_sums_gather(perms, kernel.mint)
+
+        monkeypatch.setattr(_sn, "inner_sums", gather)
         assert ingredients_mc(spec, 3000, 17) == want
+
+    @pytest.mark.parametrize("bound, dtype", [
+        (0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+        ((1 << 31) - 1, np.int32), (1 << 31, np.int64), ((1 << 62) - 1, np.int64),
+    ])
+    def test_narrowest_dtype_holds_the_largest_row_sum(self, bound, dtype):
+        # row 0 has absolute sum ``bound``, split over two entries of
+        # opposite sign; the other rows stay below it
+        a = bound // 2
+        mint, _ = _sn.integer_matrix(_antisymmetric_matrix(3, {(0, 1): a, (0, 2): a - bound}))
+        assert int(np.abs(mint).sum(axis=1).max()) == bound
+        assert _sn.InnerKernel(mint).dtype == dtype
+
+    @pytest.mark.parametrize("kind, n, dtype", [
+        ("descents", 200, np.int8), ("inversions", 200, np.int16), ("inversions", 128, np.int8),
+        ("inversions", 129, np.int16), ("row-sum-limit", 7, np.int64),
+    ])
+    def test_builtin_dtypes(self, kind, n, dtype):
+        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, n))
+        assert _sn.InnerKernel(mint).dtype == dtype
 
 
 class TestRowSumGuard:
@@ -306,37 +353,68 @@ class TestRowSumGuard:
 
 
 class TestDraws:
-    """draws, the Monte Carlo kernel behind bounds --mode mc and sample."""
+    """draws, the Monte Carlo kernel behind bounds --mode mc and sample,
+    against the whole-tile draw of the oracle on each spawned child stream."""
+
+    @staticmethod
+    def _check(m, trials, seed):
+        mint, scale, blocks = _sn.draws(m, trials, seed)
+        n = m.n
+        dtype = _sn.InnerKernel(mint).dtype
+        sizes = []
+        children = np.random.SeedSequence(seed).spawn(-(-trials // _sn.DRAW_BLOCK))
+        for (pos, inner), child in zip(blocks, children, strict=True):
+            sizes.append(len(pos))
+            perms, want_pos, want = draw_whole_tile(mint, len(pos), np.random.Generator(np.random.PCG64(child)))
+            assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (len(pos), 1)))
+            assert inner.shape == (len(pos), n) and inner.dtype == dtype
+            assert pos.min() >= 0 and pos.max() < n
+            assert np.array_equal(pos, want_pos)
+            assert np.array_equal(inner, want)
+            assert np.array_equal(inner, inner_sums_gather(perms, mint))
+        assert sum(sizes) == trials and all(s <= _sn.DRAW_BLOCK for s in sizes)
+        return scale, sizes
 
     @pytest.mark.parametrize("trials", [0, 1, 1 << 16, (1 << 17) + 5])
     def test_blocks(self, trials):
-        n = 4
-        mint, scale, blocks = _sn.draws(inversions_matrix(n), trials, 3)
+        scale, sizes = self._check(inversions_matrix(4), trials, 3)
         assert scale == 1
-        sizes = []
-        for perms, pos, inner in blocks:
-            sizes.append(len(perms))
-            assert perms.shape == inner.shape == (len(pos), n)
-            assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (len(perms), 1)))
-            assert pos.min() >= 0 and pos.max() < n
-            assert np.array_equal(inner, inner_sums_gather(perms, mint))
         assert len(sizes) == -(-trials // _sn.DRAW_BLOCK)
-        assert sum(sizes) == trials and all(s <= _sn.DRAW_BLOCK for s in sizes)
 
     def test_block_streams_are_the_spawned_children(self):
-        n, trials, seed = 5, 2 * _sn.DRAW_BLOCK + 7, 12
-        mint, _, blocks = _sn.draws(descents_matrix(n), trials, seed)
-        children = np.random.SeedSequence(seed).spawn(3)
-        for (perms, pos, inner), child, m in zip(blocks, children, (1 << 16, 1 << 16, 7), strict=True):
-            rng = np.random.Generator(np.random.PCG64(child))
-            want = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (m, 1)), axis=1)
-            assert np.array_equal(perms, want)
-            assert np.array_equal(pos, rng.integers(0, n, size=m))
+        _, sizes = self._check(descents_matrix(5), 2 * _sn.DRAW_BLOCK + 7, 12)
+        assert sizes == [1 << 16, 1 << 16, 7]
+
+    # sub-tiles of 1, 3 and 7 rows of n = 4 in blocks of 50, 50 and 7
+    # rows, through both kernels: 3 and 7 do not divide 50
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["inversions", "descents", "banded", "rational"])
+    def test_sub_tile_edges(self, height, kind, monkeypatch):
+        monkeypatch.setattr(_sn, "ROW_BLOCK_CELLS", 4 * height + 3)
+        monkeypatch.setattr(_sn, "DRAW_BLOCK", 50)
+        assert _sn.tile_height(4) == height
+        _, sizes = self._check(_kernel_matrix(kind, 4), 107, height)
+        assert sizes == [50, 50, 7]
 
     def test_large_entries_refused_before_return(self):
         m = AntisymmetricMatrix.from_rows([["0", str(1 << 62), "1"], [str(-(1 << 62)), "0", "1"], ["-1", "-1", "0"]])
         with pytest.raises(ValueError, match="too large"):
             _sn.draws(m, 10, 1)
+
+    def test_memory_of_one_full_block(self):
+        # ingredients_mc on one full block of n = 50 rows keeps the narrow
+        # inner, per-draw float vectors and cache-sized sub-tiles: about
+        # 6 MiB traced, where four (65536, 50) int64 or float64 arrays
+        # held at once took 52 MiB
+        spec = descents_spec(50)
+        ingredients_mc(spec, 100, 1)  # numpy's own first-use allocations
+        tracemalloc.start()
+        try:
+            ingredients_mc(spec, 1 << 16, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 def _swept(m, sums):
