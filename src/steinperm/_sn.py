@@ -22,10 +22,12 @@ updates per row.  A value-space kernel (:func:`diagonal_sums`) makes
 n - d per nonzero diagonal d of M, and :func:`banded_offsets` picks it
 when ``DIAGONAL_CELL_COST`` sum(n - d) <= n^2: descents and other banded
 matrices take it, inversions and other dense matrices the remainder.
-Every value either kernel keeps is a sum of distinct entries of one
-row, so the row-sum guard of :func:`integer_matrix` keeps it in int64;
-a draw keeps it in the narrowest signed type that holds the largest
-absolute row sum, and callers widen it before integer arithmetic.
+Every value either kernel holds is a sum of distinct entries of one
+row, so the largest absolute row sum bounds it.  The row-sum guard of
+:func:`integer_matrix` keeps that bound in int64; both kernels run in
+the narrowest signed type that holds it (``InnerKernel.dtype``: int8
+for descents, int16 for inversions at n = 200), and a draw keeps
+``inner`` in that type, which callers widen before integer arithmetic.
 
 Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
@@ -393,24 +395,33 @@ class InnerKernel:
     made once and shared by every block of rows: ``fill(perms, out)``,
     the kernel that :func:`banded_offsets` picks bound to the arrays it
     reads, and ``dtype``, the narrowest signed integer type that holds
-    the largest absolute row sum, so every suffix sum (int8 for descents,
-    int16 for inversions at n = 200)."""
+    the largest absolute row sum (int8 for descents, int16 for
+    inversions at n = 200).
+
+    The arrays the kernel reads are cast to ``dtype`` here, once, so its
+    cell updates run in that type.  They cannot overflow: every value
+    they hold, and every value the kernel computes from them, is a sum of
+    distinct entries of one row of L * M, each taken 0 or 1 times, so its
+    absolute value is at most that row's absolute sum, which ``dtype``
+    holds."""
 
     def __init__(self, mint: np.ndarray) -> None:
         self.mint = mint
         self.n = n = mint.shape[0]
         bound = int(np.abs(mint).sum(axis=1).max())
-        self.dtype = next(np.dtype(f"int{bits}") for bits in (8, 16, 32, 64) if bound < 1 << (bits - 1))
+        self.dtype = dtype = next(np.dtype(f"int{bits}") for bits in (8, 16, 32, 64) if bound < 1 << (bits - 1))
         offsets = banded_offsets(mint)
         if offsets is None:
             self.fill = functools.partial(
-                remainder_sums, cols=np.ascontiguousarray(mint.T), totals=mint.sum(axis=1)
+                remainder_sums,
+                cols=np.ascontiguousarray(mint.T, dtype=dtype),
+                totals=mint.sum(axis=1).astype(dtype),
             )
         else:
             self.fill = functools.partial(
                 diagonal_sums,
-                below=np.tril(mint).sum(axis=1)[:, None],
-                diagonals=[(d, np.diagonal(mint, d)[:, None]) for d in offsets],
+                below=np.tril(mint).sum(axis=1).astype(dtype)[:, None],
+                diagonals=[(d, np.diagonal(mint, d).astype(dtype)[:, None]) for d in offsets],
                 positions=np.arange(n, dtype=np.min_scalar_type(n)),
             )
 
@@ -429,11 +440,11 @@ def inner_sums(perms: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = 
     n^2 of the running remainder :func:`remainder_sums`, which takes
     every other matrix.  Descents and other banded matrices take the
     first, inversions and other dense matrices the second.  Both give the
-    same integers, and every value either keeps is a sum of distinct
-    entries of one row, each taken 0 or 1 times, which the row-sum guard
-    of :func:`integer_matrix` keeps inside int64, and ``kernel.dtype``
-    holds.  Their work arrays are (rows, n) int64: :func:`draw` passes
-    sub-tiles small enough to stay in cache.
+    same integers, and every value either holds is a sum of distinct
+    entries of one row, each taken 0 or 1 times, which ``kernel.dtype``
+    holds (see :class:`InnerKernel`).  Their work arrays are (rows, n) in
+    ``kernel.dtype``: :func:`draw` passes sub-tiles small enough to stay
+    in cache.
     """
     if out is None:
         out = np.empty(perms.shape, dtype=np.int64)
@@ -456,8 +467,11 @@ def remainder_sums(perms: np.ndarray, out: np.ndarray, cols: np.ndarray, totals:
 
     The rows carry rest[t, u] = sum of M[u][w] over the values w not yet
     passed: the full row sums less column p_t(i) at each position i,
-    where rest[t, p_t(i)] is inner[t, i].  Every value of rest is a
-    partial row sum, which :func:`integer_matrix` keeps inside int64.
+    where rest[t, p_t(i)] is inner[t, i].  ``cols``, ``totals`` and
+    rest are in ``InnerKernel.dtype``: every entry of ``cols`` is one
+    entry of a row of M, and every value of ``totals`` and rest a sum of
+    distinct entries of row u, each at most u's absolute row sum in
+    absolute value, which that type holds.
     """
     m, n = perms.shape
     rest = np.tile(totals, (m, 1))
@@ -485,9 +499,11 @@ def diagonal_sums(
     diagonal d then takes term = [sigma(u + d) > sigma(u)] M[u][u + d]
     and adds it to val[u] and to val[u + d], where it turns
     M[u + d][u] = -M[u][u + d] into [sigma(u) > sigma(u + d)] M[u + d][u].
-    inner[t, i] is val[p_t(i)].  At every step val[w] is a sum of distinct
-    entries of row w, each taken 0 or 1 times, so it is bounded by the
-    absolute row sum that :func:`integer_matrix` keeps below 2^62.
+    inner[t, i] is val[p_t(i)].  ``below``, the diagonals, term and val
+    are in ``InnerKernel.dtype``: term holds single entries, and at every
+    step val[w] is a sum of distinct entries of row w, each taken 0 or 1
+    times, so each is bounded by an absolute row sum, which that type
+    holds.
     """
     m, n = perms.shape
     # the flat index of cell (p_t(i), t) of a value-major (n, m) array

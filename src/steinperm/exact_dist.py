@@ -128,7 +128,7 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
 
 def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> IntegerDistribution:
     """Exact counts of the statistic over S_n for an integer matrix."""
-    if any(e.denominator != 1 for row in m.entries for e in row):
+    if m.cleared[1] != 1:
         raise ValueError("exact counting requires integer matrix entries")
     _, sums = _sn.exact_sums(m, limit, _sn.ExactSums())
     tally = sums.level_count

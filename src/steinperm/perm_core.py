@@ -162,26 +162,26 @@ def zero_matrix(n: int) -> AntisymmetricMatrix:
     return AntisymmetricMatrix((row,) * n)
 
 
+def _toeplitz(n: int, window: tuple[int, ...]) -> AntisymmetricMatrix:
+    """The n x n matrix with M[i][i + d] = window[n + d], its integer rows
+    handed over as ``cleared`` with L = 1 instead of read back from the
+    n^2 Fractions.  ``window`` has 2n + 1 entries in {-1, 0, 1}, so row i
+    (0-indexed) is the slice window[n - i : 2n - i]."""
+    entries = tuple({-1: _MINUS_ONE, 0: _ZERO, 1: _ONE}[e] for e in window)
+    m = AntisymmetricMatrix(tuple(entries[n - i : 2 * n - i] for i in range(n)))
+    ints = tuple(window[n - i : 2 * n - i] for i in range(n))
+    vars(m)["cleared"] = (ints, 1)  # where the cached_property stores its value
+    return m
+
+
 def descents_matrix(n: int) -> AntisymmetricMatrix:
     """M[i][i+1] = -1 and M[i+1][i] = +1, zero elsewhere."""
-    rows = []
-    for i in range(1, n + 1):
-        row = [_ZERO] * n
-        if i < n:
-            row[i] = _MINUS_ONE
-        if i > 1:
-            row[i - 2] = _ONE
-        rows.append(tuple(row))
-    return AntisymmetricMatrix(tuple(rows))
+    return _toeplitz(n, (0,) * (n - 1) + (1, 0, -1) + (0,) * (n - 1))
 
 
 def inversions_matrix(n: int) -> AntisymmetricMatrix:
     """M[i][j] = -1 for i < j and +1 for i > j."""
-    rows = []
-    for i in range(1, n + 1):
-        row = tuple(_MINUS_ONE if i < j else (_ONE if i > j else _ZERO) for j in range(1, n + 1))
-        rows.append(row)
-    return AntisymmetricMatrix(tuple(rows))
+    return _toeplitz(n, (1,) * n + (0,) + (-1,) * n)
 
 
 class StatisticKind(str, Enum):

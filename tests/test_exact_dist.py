@@ -102,8 +102,11 @@ class TestGenericDistribution:
 
     def test_rejects_rational_entries(self):
         m = AntisymmetricMatrix.from_rows([["0", "1/2"], ["-1/2", "0"]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires integer matrix entries"):
             generic_distribution(m)
+        # entries that reduce to integers are integers
+        m = AntisymmetricMatrix.from_rows([["0", "4/2", "0"], ["-2", "0", "3/3"], ["0", "-1", "0"]])
+        assert dict(generic_distribution(m).support()) == {-3: 1, -1: 2, 1: 2, 3: 1}
 
     def test_limit(self):
         with pytest.raises(EnumerationLimitError):

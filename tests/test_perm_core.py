@@ -103,6 +103,23 @@ class TestMatrices:
         assert m.entry(4, 1) == 1
         assert m.entry(2, 2) == 0
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_builders_equal_the_defining_formula(self, n):
+        # the built-ins hand over their integer rows as ``cleared``; a
+        # matrix built from the same entries computes them from the Fractions
+        formulas = {
+            descents_matrix: lambda i, j: -1 if j == i + 1 else (1 if i == j + 1 else 0),
+            inversions_matrix: lambda i, j: -1 if i < j else (1 if i > j else 0),
+        }
+        for build, formula in formulas.items():
+            m = build(n)
+            assert m.entries == tuple(tuple(Fraction(formula(i, j)) for j in range(n)) for i in range(n))
+            assert all(type(e) is Fraction for row in m.entries for e in row)
+            generic = AntisymmetricMatrix(m.entries)
+            assert m.cleared == generic.cleared
+            assert all(type(e) is int for row in m.cleared[0] for e in row)
+            assert variance_formula(m) == variance_formula(generic)
+
     def test_from_rows_rejects_asymmetry_with_location(self):
         with pytest.raises(MatrixFormatError, match=r"\(1, 3\)"):
             AntisymmetricMatrix.from_rows(

@@ -210,6 +210,23 @@ def _antisymmetric_matrix(n, upper):
     return AntisymmetricMatrix.from_rows(rows)
 
 
+def _dtype_edge_matrix(n, bound, form):
+    """An n x n integer matrix whose largest absolute row sum is ``bound``:
+    row 0 sums to +bound and row n - 1 to -bound, each over entries of one
+    sign, and every other entry above the diagonal (``dense``, but for
+    M[0][n - 1] = 0) or on the diagonals d = 1 and 2 (``banded``) is +-1."""
+    rng = np.random.default_rng(bound + n)
+    reach = n - 2 if form == "dense" else 2
+    upper = {(i, j): int(rng.choice([-1, 1])) for i in range(n) for j in range(i + 1, min(i + reach + 1, n))}
+    upper.pop((0, n - 1), None)  # in neither row 0's nor row n - 1's share
+    # row 0 holds M[0][j] and row n - 1 holds -M[i][n - 1]
+    for cells in ([(0, j) for j in range(1, reach + 1)], [(i, n - 1) for i in range(n - 1 - reach, n - 1)]):
+        share, extra = divmod(bound, len(cells))
+        for k, cell in enumerate(cells):
+            upper[cell] = share + (k < extra)
+    return _antisymmetric_matrix(n, upper)
+
+
 def _kernel_matrix(kind, n):
     return {
         "descents": lambda: descents_matrix(n),
@@ -330,6 +347,44 @@ class TestInnerSums:
     def test_builtin_dtypes(self, kind, n, dtype):
         mint, _ = _sn.integer_matrix(_kernel_matrix(kind, n))
         assert _sn.InnerKernel(mint).dtype == dtype
+
+    EDGES = [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)]
+
+    @pytest.mark.parametrize("bound, dtype", EDGES)
+    @pytest.mark.parametrize("form", ["dense", "banded"])
+    def test_bound_arrays_in_the_kernel_dtype(self, bound, dtype, form):
+        mint, _ = _sn.integer_matrix(_dtype_edge_matrix(7, bound, form))
+        for kernel in self._kernels(mint):
+            assert kernel.dtype == dtype
+            kw = kernel.fill.keywords
+            if "cols" in kw:
+                arrays = [kw["cols"], kw["totals"]]
+            else:
+                arrays = [kw["below"], *(diagonal for _, diagonal in kw["diagonals"])]
+            assert all(a.dtype == dtype for a in arrays)
+
+    # all of S_7 against the sweep's table, and wider rows against the
+    # per-position gather; each set holds a row that puts value 0 first,
+    # whose inner is +bound, and one that puts value n - 1 first, -bound
+    @pytest.mark.parametrize("bound", [bound for bound, _ in EDGES])
+    @pytest.mark.parametrize("form", ["dense", "banded"])
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_kernels_at_the_dtype_edges_equal_the_int64_oracle(self, bound, form, n):
+        mint, _ = _sn.integer_matrix(_dtype_edge_matrix(n, bound, form))
+        assert int(np.abs(mint).sum(axis=1).max()) == bound
+        assert (_sn.banded_offsets(mint) is None) == (form == "dense")
+        if n <= 10:
+            perms = np.concatenate(list(_sn.chunks(n)))
+            want = _sn.table_inner(perms, _sn.suffix_table(mint))
+        else:
+            shuffled = np.random.default_rng(bound).permuted(np.tile(np.arange(n), (60, 1)), axis=1)
+            perms = np.concatenate([[np.arange(n), np.arange(n)[::-1]], shuffled])
+            want = inner_sums_gather(perms, mint)
+        assert want.dtype == np.int64 and want.max() == bound and want.min() == -bound
+        for kernel in self._kernels(mint):
+            assert np.array_equal(_sn.inner_sums(perms, kernel), want)
+            narrow = _sn.inner_sums(perms, kernel, np.empty(perms.shape, dtype=kernel.dtype))
+            assert np.array_equal(narrow, want)
 
 
 class TestRowSumGuard:
