@@ -19,6 +19,7 @@ from .exact_dist import (
     eulerian_distribution,
     mahonian_distribution,
     standardize,
+    sums_to_one,
 )
 from .perm_core import StatisticKind
 
@@ -48,17 +49,21 @@ def kolmogorov_distance(d: StandardizedDistribution) -> float:
 
     Between consecutive atoms F is flat and Phi increases, so the
     supremum is attained at an atom: compare F(w) - Phi(w) at the top
-    of each jump and Phi(w) - F(w-) at the bottom.
+    of each jump and Phi(w) - F(w-) at the bottom, Phi by normal_cdf's floats.
     """
-    total = math.fsum(d.probs)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    best = 0.0
-    below = 0.0
+    if not (sums_to_one(d.probs) and all(map(math.isfinite, d.atoms))):
+        raise ValueError(f"need finite atoms and probabilities summing to 1 (sum {math.fsum(d.probs)!r})")
+    erfc, root2 = math.erfc, math.sqrt(2.0)
+    best = below = 0.0
     for w, p in zip(d.atoms, d.probs):
-        phi_w = normal_cdf(w)
-        best = max(best, phi_w - below, below + p - phi_w)
+        phi_w = 0.5 * erfc(-w / root2)
+        gap = phi_w - below
+        if gap > best:
+            best = gap
         below += p
+        gap = below - phi_w
+        if gap > best:
+            best = gap
     return best
 
 

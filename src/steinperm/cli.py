@@ -242,8 +242,9 @@ def cmd_dist(args) -> int:
         if args.cap is not None and args.cap > default_cap:
             _warn(f"cap raised to {args.cap}; large n may take minutes and much memory")
     if args.format == "csv":
+        text = exact_dist.decimal_counts(dist)
         lines = ["value,count"]
-        lines += [f"{v},{c}" for v, c in dist.support()]
+        lines += [f"{v},{text[c]}" for v, c in dist.support()]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit_json(exact_dist.dist_to_json_dict(dist), args.out)

@@ -4,11 +4,12 @@ Descent counts follow the classical triangle recurrence and inversion
 counts the product of uniform blocks (Knuth, TAOCP vol. 3, 5.1.1), both
 in arbitrary-precision integer arithmetic so the counts are exact for
 every n up to the caps.  Every row of either recurrence is a palindrome,
-so each step computes the first half only, with C-level ``map`` and
-``accumulate`` loops over Python ints, and mirrors it.  Arbitrary
-integer matrices are counted over S_n by :func:`_sn.exact_sums`.
-:func:`standardize` shifts each atom and forms each probability by one
-correctly rounded int/int division, with no Fraction arithmetic per atom.
+so only the first half of each row is carried: a step extends it by the
+few mirrored entries it reads and computes the new half with C-level
+``map`` and ``accumulate`` loops over Python ints.  Integer matrices are
+counted over S_n by :func:`_sn.exact_sums`.  :func:`standardize` shifts
+each atom and forms each probability by one correctly rounded int/int
+division, with no Fraction per atom; :func:`sums_to_one` checks the sum.
 
 Counts index the exact statistic value: counts[k] is the number of
 permutations with value min_value + k.
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, lt, mul, sub
 
 from . import _sn
 from .perm_core import AntisymmetricMatrix
@@ -39,10 +40,8 @@ class IntegerDistribution:
     total: int
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-        if sum(self.counts) != self.total:
-            raise ValueError("counts must sum to total")
+        if min(self.counts, default=0) < 0 or sum(self.counts) != self.total:
+            raise ValueError("counts must be nonnegative and sum to total")
 
     def support(self):
         """Yield (value, count) for every nonzero count, ascending."""
@@ -61,24 +60,52 @@ class StandardizedDistribution:
     stddev_used: float
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
-            raise ValueError("atoms must be strictly increasing")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        atoms, probs = self.atoms, self.probs
+        if len(atoms) != len(probs) or min(probs, default=0.0) < 0.0 or not sums_to_one(probs):
+            raise ValueError("there must be one nonnegative probability per atom, summing to 1")
+        # lt is False on NaN, and every atom lies between the first and the last
+        if not (all(map(lt, atoms, atoms[1:])) and math.isfinite(atoms[0]) and math.isfinite(atoms[-1])):
+            raise ValueError("atoms must be finite and strictly increasing")
+        if not 0.0 < self.stddev_used < math.inf:
+            raise ValueError("stddev must be finite and positive")
 
 
-def _palindrome(half: list[int], size: int) -> list[int]:
-    """The palindromic row of length ``size`` whose first len(half) entries,
-    at least half of the row, are ``half``."""
-    return half + half[: size - len(half)][::-1]
+def sums_to_one(probs: tuple[float, ...]) -> bool:
+    """abs(math.fsum(probs) - 1.0) <= 1e-12 in linear time, NaN refused.
+
+    fsum's partials grow with the exponent span of its input.  Here S, the
+    sum of the m sums of blocks of b = isqrt(N) + 1 terms, decides unless a
+    term is negative, S is not finite or S is near T = 1e-12.  Proof, with
+    u = 2**-53, g(j) = j u / (1 - j u), k = b + m, k u < 1e-2: a j-term float
+    ``sum`` is within g(j - 1) times the sum of |terms| of the exact sum s
+    (Higham, Accuracy and Stability, 4.2; the bound of Python 3.12's
+    compensated ``sum`` is smaller), so with no negative term |S - s| <=
+    g(k) s; fsum's F = s rounded has |F - s| <= u s; so |F - S| < e / 1.5
+    for e = 2 (k + 1) u S.  Let D = |S - 1.0|; answer D <= T if |D - T| > e.
+    If D <= 1/4, then e < 1/4, S - 1.0 and F - 1.0 are exact (Sterbenz) and
+    |F - 1| is within e / 1.5 of D, on D's side of T.  Else |F - 1| > D / 4.
+    """
+    n = len(probs)
+    b = math.isqrt(n) + 1
+    s = sum([sum(probs[i : i + b]) for i in range(0, n, b)])
+    k, d = b - (-n // b), abs(s - 1.0)  # k = b + m, m = ceil(n / b) blocks
+    if min(probs, default=0.0) >= 0.0 and math.isfinite(s) and abs(d - 1e-12) > (k + 1) * 2.0**-52 * s:
+        return d <= 1e-12
+    return abs(math.fsum(probs) - 1.0) <= 1e-12
+
+
+def _palindrome(half: list[int], size: int, upto: int | None = None) -> list[int]:
+    """Entries 0..upto-1 (upto >= len(half); all by default) of the palindrome
+    of length ``size`` whose first len(half) entries, half or more, are ``half``."""
+    return half + half[size - (upto or size) : size - len(half)][::-1]
 
 
 def eulerian_distribution(n: int, cap: int = EULERIAN_CAP) -> IntegerDistribution:
     """Counts of permutations of n by number of descents.
 
     Row m of the triangle is A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1)
-    for k = 0..m-1; it is a palindrome, so only its first half is computed,
-    as C-level maps over the old row, and then mirrored.
+    for k = 0..m-1; it is a palindrome, so only its first half is carried,
+    by C-level maps over the old half (plus one mirrored entry for odd m).
 
     >>> eulerian_distribution(3).counts
     (1, 4, 1)
@@ -89,13 +116,13 @@ def eulerian_distribution(n: int, cap: int = EULERIAN_CAP) -> IntegerDistributio
         raise ValueError("n must be at least 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the cap {cap}")
-    row = [1]
+    half = [1]
     for m in range(2, n + 1):
-        h = (m + 1) // 2  # h <= m - 1 = len(row)
+        h = (m + 1) // 2
+        row = _palindrome(half, m - 1, h)  # entries 0..h-1 of the old row
         # entries k < h: (k + 1) row[k] + (m - k) row[k - 1], with row[-1] read as 0
         half = list(map(add, map(mul, range(1, h + 1), row), map(mul, range(m, m - h, -1), [0] + row)))
-        row = _palindrome(half, m)
-    return IntegerDistribution(n=n, min_value=0, counts=tuple(row), total=math.factorial(n))
+    return IntegerDistribution(n=n, min_value=0, counts=tuple(_palindrome(half, n)), total=math.factorial(n))
 
 
 def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistribution:
@@ -104,9 +131,10 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
     Step i multiplies the generating function by [i]_q = 1 + q + ... +
     q^(i-1), the law of an independent uniform block {0..i-1}, so with P
     the prefix sums of the old row the new row is P[k] - P[k - i].  Every
-    row is a palindrome, so each step takes the prefix sums of the first
-    half only (``accumulate``), their differences at lag i (``map`` of
-    ``operator.sub``) and mirrors the half: C-level loops over Python ints.
+    row is a palindrome, so only its first half is carried: each step adds
+    the about i/2 mirrored entries the new half reads, then takes prefix
+    sums (``accumulate``) and differences at lag i (``map`` of
+    ``operator.sub``), C-level loops over Python ints.
 
     >>> mahonian_distribution(3).counts
     (1, 2, 2, 1)
@@ -117,13 +145,12 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
         raise ValueError("n must be at least 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the cap {cap}")
-    counts = [1]
+    half, size = [1], 1
     for i in range(2, n + 1):
-        size = len(counts) + i - 1
-        # the half (size + 1) // 2 is at most len(counts), since len(counts) >= i - 1
-        prefix = list(accumulate(counts[: (size + 1) // 2]))
-        counts = _palindrome(prefix[:i] + list(map(sub, prefix[i:], prefix)), size)
-    return IntegerDistribution(n=n, min_value=0, counts=tuple(counts), total=math.factorial(n))
+        # the new half (size + i) // 2 is at most size, since size >= i - 1
+        prefix = list(accumulate(_palindrome(half, size, (size + i) // 2)))
+        half, size = prefix[:i] + list(map(sub, prefix[i:], prefix)), size + i - 1
+    return IntegerDistribution(n=n, min_value=0, counts=tuple(_palindrome(half, size)), total=math.factorial(n))
 
 
 def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> IntegerDistribution:
@@ -155,8 +182,8 @@ def standardize(d: IntegerDistribution, mean: Fraction, stddev: float) -> Standa
     of float(v - mean) / stddev and float(Fraction(count, total)), with no
     Fraction arithmetic or gcd per atom.
     """
-    if stddev <= 0:
-        raise ValueError("stddev must be positive")
+    if not 0.0 < stddev < math.inf:
+        raise ValueError("stddev must be finite and positive")
     p, q, total = mean.numerator, mean.denominator, d.total
     atoms = []
     probs = []
@@ -171,9 +198,15 @@ def standardize(d: IntegerDistribution, mean: Fraction, stddev: float) -> Standa
     )
 
 
+def decimal_counts(d: IntegerDistribution) -> dict[int, str]:
+    """Distinct counts as decimal strings; a palindromic row has each twice."""
+    distinct = set(d.counts)
+    return dict(zip(distinct, map(str, distinct)))
+
+
 def dist_to_json_dict(d: IntegerDistribution) -> dict:
     return {
         "n": d.n,
         "min_value": d.min_value,
-        "counts": [str(c) for c in d.counts],
+        "counts": list(map(decimal_counts(d).__getitem__, d.counts)),
     }

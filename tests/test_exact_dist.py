@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,7 +23,7 @@ from steinperm import (
     standardize,
     zero_matrix,
 )
-from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, dist_to_json_dict
+from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, dist_to_json_dict, sums_to_one
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError
 
 
@@ -243,6 +244,108 @@ class TestDistributionType:
             StandardizedDistribution(atoms=(1.0, 1.0), probs=(0.5, 0.5), mean_used=0, stddev_used=1)
         with pytest.raises(ValueError):
             StandardizedDistribution(atoms=(0.0, 1.0), probs=(0.5, 0.4), mean_used=0, stddev_used=1)
+
+    def test_rejects_nan_probability(self):
+        # abs(nan - 1.0) > 1e-12 is False, so the fsum test let this law by
+        with pytest.raises(ValueError):
+            StandardizedDistribution(atoms=(0.0,), probs=(math.nan,), mean_used=0, stddev_used=1)
+
+    @pytest.mark.parametrize("atoms", [(math.nan,), (0.0, math.nan, 1.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf)])
+    def test_rejects_nan_and_infinite_atoms(self, atoms):
+        # NaN compares False either way, so it passed the strictly-increasing check
+        probs = (1.0,) if len(atoms) == 1 else (0.25, 0.5, 0.25)
+        with pytest.raises(ValueError):
+            StandardizedDistribution(atoms=atoms, probs=probs, mean_used=0, stddev_used=1)
+
+    def test_rejects_negative_probability(self):
+        with pytest.raises(ValueError):
+            StandardizedDistribution(atoms=(0.0, 1.0), probs=(1.5, -0.5), mean_used=0, stddev_used=1)
+
+    @pytest.mark.parametrize("sd", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_stddev(self, sd):
+        with pytest.raises(ValueError):
+            StandardizedDistribution(atoms=(0.0,), probs=(1.0,), mean_used=0, stddev_used=sd)
+
+    def test_standardize_rejects_nan_stddev(self):
+        # stddev <= 0 is False for NaN, and every atom came out NaN
+        with pytest.raises(ValueError):
+            standardize(eulerian_distribution(3), Fraction(1), math.nan)
+
+    def test_rejects_one_probability_per_atom_mismatch(self):
+        with pytest.raises(ValueError):
+            StandardizedDistribution(atoms=(0.0, 1.0), probs=(1.0,), mean_used=0, stddev_used=1)
+
+
+def _accepts(check, probs) -> bool:
+    """check(probs), with an error fsum raises (mixed infinities, overflow) read as a rejection."""
+    try:
+        return check(probs)
+    except (ValueError, OverflowError):
+        return False
+
+
+def _fsum_check(probs) -> bool:
+    """The test sums_to_one replaces."""
+    return abs(math.fsum(probs) - 1.0) <= 1e-12
+
+
+def _exact(x: float) -> int:
+    """x as an integer multiple of 2**-1074, the smallest subnormal."""
+    num, den = x.as_integer_ratio()
+    return num * ((1 << 1074) // den)
+
+
+@st.composite
+def _near_threshold(draw):
+    """Up to 20 000 probabilities spanning 1e-300 to 1, plus one term that
+    puts their exact sum a few ulps either side of 1 - 1e-12, 1 or 1 + 1e-12."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    size = draw(st.integers(0, 20_000) | st.sampled_from([11_176, 20_000]))
+    weights = [rnd.random() * 10.0 ** -rnd.randrange(301) for _ in range(size)]
+    total = math.fsum(weights) or 1.0
+    share = draw(st.floats(0.05, 0.95))
+    probs = [w / total * share for w in weights]
+    target = draw(st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-12])) + draw(st.integers(-4, 4)) * 2.0**-52
+    last = float(Fraction(target) - Fraction(sum(map(_exact, probs)), 1 << 1074))
+    probs.insert(rnd.randrange(len(probs) + 1), last)
+    return probs
+
+
+class TestSumsToOne:
+    """The linear-time check against the fsum test it replaced: the same
+    answer on every finite list."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_near_threshold())
+    def test_near_the_threshold(self, probs):
+        assert _accepts(sums_to_one, probs) == _accepts(_fsum_check, probs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1.0, 1.0), max_size=60))
+    def test_any_finite_list(self, probs):
+        assert _accepts(sums_to_one, probs) == _accepts(_fsum_check, probs)
+
+    def test_the_disagreeing_sums_exist(self):
+        # the float sum and fsum round to opposite sides of 1 + 1e-12 and of
+        # 1 - 1e-12, so the fsum fallback is what decides these two lists
+        for probs, verdict in (([0.5, 0.5, 9.99777955395075e-13, 1.6653345369377348e-16], True),
+                               ([0.7499999999989997, 0.25, 8.326672684688674e-17, 1.942890293094024e-16], False)):
+            assert _fsum_check(probs) is verdict
+            assert (abs(sum(probs) - 1.0) <= 1e-12) is not verdict
+            assert sums_to_one(probs) is verdict
+
+    @pytest.mark.parametrize("probs", [[math.inf], [-math.inf, 1.0], [0.5, math.inf, 0.5], [math.nan], [0.5, math.nan, 0.5]])
+    def test_infinite_and_nan_rejected(self, probs):
+        assert sums_to_one(probs) is False
+
+    def test_mixed_infinities_raise_as_fsum_does(self):
+        with pytest.raises(ValueError):
+            sums_to_one([math.inf, 1.0, -math.inf])
+
+    def test_empty_and_exact(self):
+        assert sums_to_one([]) is False
+        assert sums_to_one([1.0]) is True
+        assert sums_to_one([0.25] * 4) is True
 
 
 class TestJson:
