@@ -43,7 +43,8 @@ would be too wide or its sums could leave int64.
 Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
 allocate; every Monte Carlo draw goes through :func:`draws`, which
-refuses oversized entries and yields (pos, inner) blocks.
+refuses oversized entries and yields (pos, inner) blocks.  The table
+also gives X of a swept row moved at each position (:func:`moved_x`).
 
 numpy is loaded on the first array operation, not on import (see
 :func:`_lazy_numpy`); the other modules bind ``np`` from here, so the
@@ -529,3 +530,32 @@ def inner_sum_chunks(
 def moved(perms: np.ndarray, i: int) -> np.ndarray:
     """Each row with the entry at 0-indexed position i sent to the end."""
     return np.concatenate([perms[:, :i], perms[:, i + 1 :], perms[:, i : i + 1]], axis=1)
+
+
+@functools.cache
+def triangle(n: int) -> tuple[np.ndarray, ...]:
+    """Cells j >= i of an n x n square, i-major: (i, j) and each i's first cell, read-only."""
+    i, j = np.triu_indices(n)
+    return tuple(np.broadcast_to(a, a.shape) for a in (i, j, np.flatnonzero(i == j)))
+
+
+def moved_tail(keys: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """tail[t, i]: the ``suffix`` terms from position i on of row t moved at i, from
+    keys[c, t] = v << n | seen on cell c = (i, j) of :func:`triangle`, v the row's value
+    at j and seen the values at or before j.  Moved, the value v_i of cell (i, i) leaves
+    every later seen set and goes last with all seen."""
+    n = suffix.shape[0]
+    i, _, starts = triangle(n)
+    keys = keys ^ (1 << (keys[starts] >> n))[i]
+    keys[starts] |= (1 << n) - 1
+    return np.add.reduceat(np.take(suffix, keys), starts, axis=0).T
+
+
+def moved_x(perms: np.ndarray, inner: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """x[t, i]: X of row t with position i moved to the end, for every i, no row
+    copied.  Its terms before i are p's, before[i] = sum_{j < i} inner[j], as the
+    moved row has p's values and seen sets there; every later term is a fresh
+    ``suffix`` lookup (:func:`moved_tail`), none read off X' = X - 2 inner[i]."""
+    p = perms.T
+    keys = (p << len(p) | np.cumsum(1 << p, axis=0))[triangle(len(p))[1]]
+    return np.cumsum(inner, axis=1) - inner + moved_tail(keys, suffix)

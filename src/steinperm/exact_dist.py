@@ -9,7 +9,8 @@ few mirrored entries it reads and computes the new half with C-level
 ``map`` and ``accumulate`` loops over Python ints.  Integer matrices are
 counted over S_n by :func:`_sn.exact_sums`.  :func:`standardize` shifts
 each atom and forms each probability by one correctly rounded int/int
-division, with no Fraction per atom; :func:`sums_to_one` checks the sum.
+division, one per mirrored pair of counts, with no Fraction per atom;
+:func:`sums_to_one` checks the sum.
 
 Counts index the exact statistic value: counts[k] is the number of
 permutations with value min_value + k.
@@ -20,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, lt, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import add, lt, mul, sub, truediv
 
 from . import _sn
 from .perm_core import AntisymmetricMatrix
@@ -177,22 +178,19 @@ def standardize(d: IntegerDistribution, mean: Fraction, stddev: float) -> Standa
 
     Atoms with zero count are dropped.  With mean = p/q, each atom is
     (v q - p) / q rounded once to the nearest float, then divided by
-    ``stddev``, and each probability is count/total rounded once: Python's
-    int/int true division is correctly rounded, so these are the floats
-    of float(v - mean) / stddev and float(Fraction(count, total)), with no
-    Fraction arithmetic or gcd per atom.
+    ``stddev``, and each probability is count/total rounded once (once per
+    mirrored pair of counts of a palindromic law, as every built-in law is):
+    Python's int/int true division is correctly rounded, so these are the
+    floats of float(v - mean) / stddev and float(Fraction(count, total)).
     """
     if not 0.0 < stddev < math.inf:
         raise ValueError("stddev must be finite and positive")
-    p, q, total = mean.numerator, mean.denominator, d.total
-    atoms = []
-    probs = []
-    for v, c in d.support():
-        atoms.append((v * q - p) / q / stddev)
-        probs.append(c / total)
+    p, q, total, counts = mean.numerator, mean.denominator, d.total, d.counts
+    k = len(counts) // 2 if counts == counts[::-1] else 0
+    half = list(map(truediv, counts[: len(counts) - k], repeat(total)))
     return StandardizedDistribution(
-        atoms=tuple(atoms),
-        probs=tuple(probs),
+        atoms=tuple((v * q - p) / q / stddev for v, c in enumerate(counts, d.min_value) if c),
+        probs=tuple(compress(half + half[:k][::-1], counts)),
         mean_used=float(mean),
         stddev_used=stddev,
     )

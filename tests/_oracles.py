@@ -5,9 +5,10 @@ oracle is a Taylor series in 60-digit arithmetic rather than erfc, the
 distance oracle is a brute scan rather than the closed form, the
 suffix sums are gathered position by position rather than read from a
 table or a running remainder, the Monte Carlo draw shuffles one whole
-tile rather than cache-sized sub-tiles, and the exact laws are the full-row
+tile rather than cache-sized sub-tiles, the exact laws are the full-row
 recurrences and Fraction standardization that the half-row versions
-replaced.
+replaced, and X of every moved and relabeled row is recomputed on a copy
+of the rows rather than read from the original rows' seen sets.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from steinperm import _sn
 from steinperm.analysis import normal_cdf
 
 
@@ -121,3 +123,32 @@ def standardize_fraction(min_value: int, counts, mean: Fraction, stddev: float):
             atoms.append(float(min_value + k - mean) / stddev)
             probs.append(float(Fraction(c, total)))
     return tuple(atoms), tuple(probs)
+
+
+def relabel(table: np.ndarray, perms: np.ndarray, i: int) -> np.ndarray:
+    """Rows of 0-indexed permutations mapped by lambda_map at 0-indexed
+    position i, with ``table`` an ``exchangeability.relabel_table``."""
+    suffix = perms[:, i:]
+    mask = (1 << suffix).sum(axis=1)
+    out = perms.copy()
+    out[:, i:] = table[mask[:, None], suffix[:, :1], suffix]
+    return out
+
+
+def row_copy_x(perms: np.ndarray, suffix: np.ndarray, table: np.ndarray | None = None):
+    """(moved, relabeled, relabeled then moved): X[t, i] of row t moved at
+    position i, of row t relabeled at i by ``table`` and of that row moved
+    at i, each row set copied with ``_sn.moved`` or :func:`relabel` and its
+    X recomputed as the row sum of ``_sn.table_inner``; the last two are
+    None without a table."""
+    def x_of(rows):
+        return _sn.table_inner(rows, suffix).sum(axis=1)
+
+    n = perms.shape[1]
+    moved = np.stack([x_of(_sn.moved(perms, i)) for i in range(n)], axis=1)
+    if table is None:
+        return moved, None, None
+    lams = [relabel(table, perms, i) for i in range(n)]
+    relabeled = np.stack([x_of(lam) for lam in lams], axis=1)
+    then_moved = np.stack([x_of(_sn.moved(lam, i)) for i, lam in enumerate(lams)], axis=1)
+    return moved, relabeled, then_moved

@@ -12,6 +12,7 @@ import steinperm
 from steinperm import (
     AntisymmetricMatrix,
     _sn,
+    exchangeability,
     inversions_matrix,
     matrix_to_json_dict,
     random_antisymmetric_matrix,
@@ -21,7 +22,7 @@ from steinperm.cli import main
 
 import numpy as np
 
-from _oracles import draw_whole_tile
+from _oracles import draw_whole_tile, row_copy_x
 
 SRC = Path(steinperm.__file__).resolve().parents[1]
 
@@ -512,6 +513,101 @@ class TestSingleSweep:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert sum(rows) == math.factorial(5)
+
+
+def _doubled_inversions_file(tmp_path, n):
+    """A custom matrix file, 2 x the inversions matrix: every verify check holds."""
+    base = inversions_matrix(n)
+    rows = [[2 * base.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json_dict(AntisymmetricMatrix.from_rows(rows))))
+    return str(path)
+
+
+class TestNoRowCopies:
+    """verify reads X of every moved and relabeled row from the swept rows'
+    seen sets: no row set is copied or recomputed outside the sweep."""
+
+    @pytest.mark.parametrize("selector", ["descents", "inversions", "custom"])
+    def test_no_moved_rows_at_n_6(self, capsys, monkeypatch, tmp_path, selector):
+        calls = {"chunks": 0, "moved": 0, "table_inner": 0}
+        originals = {name: getattr(_sn, name) for name in calls}
+
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return originals[name](*args, **kwargs)
+            return wrapper
+
+        def counting_chunks(*args, **kwargs):
+            for block in originals["chunks"](*args, **kwargs):
+                calls["chunks"] += 1
+                yield block
+
+        monkeypatch.setattr(_sn, "chunks", counting_chunks)
+        monkeypatch.setattr(_sn, "moved", counting("moved"))
+        monkeypatch.setattr(_sn, "table_inner", counting("table_inner"))
+        if selector == "custom":
+            argv = ["verify", "--matrix", _doubled_inversions_file(tmp_path, 6)]
+        else:
+            argv = ["verify", "--stat", selector, "--n", "6"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["all_pass"]
+        assert calls["moved"] == 0
+        # the sweep itself reads each chunk's suffix sums once
+        assert calls["table_inner"] == calls["chunks"] >= 1
+
+
+class TestFailingChecks:
+    """A broken table makes the identity checks fail, and the failing set is
+    the one that X recomputed on copied rows gives."""
+
+    @staticmethod
+    def failing(capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        return [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+
+    def oracle_failing(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(_sn, "moved_x", lambda perms, inner, suffix: row_copy_x(perms, suffix)[0])
+        monkeypatch.setattr(
+            exchangeability,
+            "relabeled_x",
+            lambda table, perms, inner, suffix: row_copy_x(perms, suffix, table)[1:],
+        )
+        return self.failing(capsys, argv)
+
+    @pytest.mark.parametrize("stat, other", [("descents", "inversions"), ("inversions", "descents")])
+    def test_other_builtins_relabel_table(self, capsys, monkeypatch, stat, other):
+        from steinperm.perm_core import spec_for
+
+        build = exchangeability.relabel_table
+        monkeypatch.setattr(exchangeability, "relabel_table", lambda spec: build(spec_for(other, spec.n)))
+        argv = ["verify", "--stat", stat, "--n", "6"]
+        failing = self.failing(capsys, argv)
+        assert "relabeling_swaps_pair_values" in failing
+        assert "statistic_delta_consistency" not in failing and "drift_identity" not in failing
+        assert failing == self.oracle_failing(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("selector", ["descents", "inversions", "custom"])
+    @pytest.mark.parametrize("value, seen", [(0, 0b111111), (2, 0b000111), (5, 0b100000)])
+    def test_altered_suffix_entry(self, capsys, monkeypatch, tmp_path, selector, value, seen):
+        build = _sn.suffix_table
+
+        def altered(mint):
+            table = build(mint).copy()
+            table[value, seen] += 1
+            return table
+
+        monkeypatch.setattr(_sn, "suffix_table", altered)
+        if selector == "custom":
+            argv = ["verify", "--matrix", _doubled_inversions_file(tmp_path, 6)]
+        else:
+            argv = ["verify", "--stat", selector, "--n", "6"]
+        failing = self.failing(capsys, argv)
+        assert {"statistic_delta_consistency", "drift_identity"} <= set(failing)
+        assert ("relabeling_swaps_pair_values" in failing) == (selector != "custom")
+        assert failing == self.oracle_failing(capsys, monkeypatch, argv)
 
 
 class TestNoSweep:

@@ -26,8 +26,10 @@ from steinperm import (
     zero_matrix,
 )
 from steinperm._sn import integer_matrix
-from steinperm.exchangeability import CosetContext, flip_conditions, relabel, relabel_table
+from steinperm.exchangeability import CosetContext, flip_conditions, relabel_table
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError, custom_spec
+
+from _oracles import relabel
 
 WORKED = Permutation((6, 4, 1, 5, 3, 2, 7))
 S_EXAMPLE = (1, 2, 3, 5, 7)
@@ -453,3 +455,21 @@ class TestIsExchangeable:
 
     def test_zero_matrix(self):
         assert is_exchangeable(zero_matrix(4), 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_integer_tally_agrees_with_scaled_law(self, n):
+        from steinperm._sn import sweep
+        from steinperm.exchangeability import PairTally
+
+        base = random_matrices(n, count=1)[0]
+        halved = AntisymmetricMatrix(tuple(tuple(e / 2 for e in row) for row in base.entries))
+        verdicts = []
+        for m in [descents_matrix(n), inversions_matrix(n), halved, *random_matrices(n, count=3)]:
+            _, scale, chunks = sweep(m)
+            tally = PairTally()
+            for _, inner in chunks:
+                tally.add(inner)
+            verdicts.append(tally.swap_symmetric())
+            assert verdicts[-1] == tally.distribution(scale).swap_symmetric()
+        # from n = 4 on the seeded random matrices include pairs that are not exchangeable
+        assert verdicts[:2] == [True, True] and (n < 4 or False in verdicts)

@@ -18,12 +18,15 @@ from steinperm import (
     ingredients_exact,
     ingredients_mc,
     inversions_matrix,
+    inversions_spec,
+    random_antisymmetric_matrix,
     zero_matrix,
 )
 from steinperm import _sn, exchangeability, stein_bounds
 from steinperm.perm_core import EnumerationLimitError
 
-from _oracles import draw_whole_tile, inner_sums_gather
+from conftest import random_matrices
+from _oracles import draw_whole_tile, inner_sums_gather, relabel, row_copy_x
 
 
 class TestSweep:
@@ -119,7 +122,7 @@ class TestSuffixTable:
         batches = [perms]
         for i in range(n):
             batches.append(_sn.moved(perms, i))
-            batches.append(exchangeability.relabel(relabeling, perms, i))
+            batches.append(relabel(relabeling, perms, i))
         for rows in batches:
             assert np.array_equal(_sn.table_inner(rows, table), inner_sums_gather(rows, mint))
 
@@ -137,6 +140,104 @@ class TestSuffixTable:
         assert mint[0, 1] == -k and np.abs(mint).max() == k
         with pytest.raises(ValueError, match="too large"):
             _sn.checked_chunk_size(self.N, np.array([[k + 1]], dtype=np.int64))
+
+
+def _random_rational_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+            rows[i][j], rows[j][i] = str(e), str(-e)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
+class TestMovedAndRelabeledX:
+    """moved_x and relabeled_x, read from the rows' seen sets, give the X
+    arrays of the row-copy oracle: every row moved at every position,
+    relabeled there, and relabeled then moved.  Each built-in matrix also
+    meets the other built-in's relabeling table, and a suffix table with
+    one entry altered, where the identities the kernels serve fail."""
+
+    @staticmethod
+    def rows(n):
+        if n <= 7:
+            return np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+        rng = np.random.default_rng(n)
+        return rng.permuted(np.tile(np.arange(n, dtype=np.int64), (2000, 1)), axis=1)
+
+    @staticmethod
+    def matrix(kind, n):
+        if kind == "integer":
+            return random_matrices(n, count=1)[0]
+        if kind == "rational":
+            return _random_rational_matrix(n, seed=n)
+        return _kernel_matrix(kind, n)
+
+    @staticmethod
+    def assert_row_copies(perms, suffix, table):
+        inner = _sn.table_inner(perms, suffix)
+        moved, relabeled, then_moved = row_copy_x(perms, suffix, table)
+        xm = _sn.moved_x(perms, inner, suffix)
+        assert xm.shape == perms.shape and np.array_equal(xm, moved)
+        x, x_moved = exchangeability.relabeled_x(table, perms, inner, suffix)
+        assert np.array_equal(x, relabeled) and np.array_equal(x_moved, then_moved)
+        return xm, x, x_moved
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", ["descents", "inversions", "integer", "rational", "near-limit"])
+    def test_equals_row_copies(self, kind, n):
+        mint, _ = _sn.integer_matrix(self.matrix(kind, n))
+        suffix = _sn.suffix_table(mint)
+        perms = self.rows(n)
+        for spec in (descents_spec(n), inversions_spec(n)):
+            self.assert_row_copies(perms, suffix, exchangeability.relabel_table(spec))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
+    def test_own_table_swaps_pair_values(self, make, n):
+        spec = make(n)
+        mint, _ = _sn.integer_matrix(spec.matrix)
+        suffix = _sn.suffix_table(mint)
+        perms = self.rows(n)
+        inner = _sn.table_inner(perms, suffix)
+        xm, xl, xlm = self.assert_row_copies(perms, suffix, exchangeability.relabel_table(spec))
+        x = inner.sum(axis=1)[:, None]
+        assert np.array_equal(xm, x - 2 * inner)
+        assert np.array_equal(xl, xm) and bool((xlm == x).all())
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_altered_suffix_entry(self, n):
+        mint, _ = _sn.integer_matrix(inversions_matrix(n))
+        suffix = _sn.suffix_table(mint)
+        perms = self.rows(n)
+        table = exchangeability.relabel_table(inversions_spec(n))
+        clean = self.assert_row_copies(perms, suffix, table)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            v = int(rng.integers(n))
+            seen = int(rng.integers(1 << n)) | 1 << v
+            altered = suffix.copy()
+            altered[v, seen] += 1
+            # every (value, seen set) pair is met by some moved and some relabeled row
+            for got, want in zip(self.assert_row_copies(perms, altered, table), clean):
+                assert not np.array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["descents", "inversions"]),
+        scale=st.integers(1, 12),
+    )
+    def test_random_rows_and_matrices(self, n, seed, kind, scale):
+        rng = np.random.default_rng(seed)
+        m = random_antisymmetric_matrix(n, rng)
+        m = AntisymmetricMatrix(tuple(tuple(Fraction(e) / scale for e in row) for row in m.entries))
+        mint, _ = _sn.integer_matrix(m)
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (50, 1)), axis=1)
+        table = exchangeability.relabel_table(descents_spec(n) if kind == "descents" else inversions_spec(n))
+        self.assert_row_copies(perms, _sn.suffix_table(mint), table)
 
 
 class TestChunkSize:
