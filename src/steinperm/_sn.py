@@ -177,19 +177,18 @@ class ExactSums:
         self.level_q.update(dict(zip(vals.tolist(), qsum.tolist())))
 
 
-def exact_sums(
-    m: AntisymmetricMatrix, limit: int | None, sums: ExactSums
-) -> tuple[int, ExactSums]:
-    """(L, sums) with the fresh ``sums`` filled as a full sweep of S_n fills it.
+def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> tuple[int, ExactSums]:
+    """(L, sums): the :class:`ExactSums` a full sweep of S_n fills.
 
     :func:`sweep` runs its guards first.  :func:`prefix_set_sums` then
     does the work when max_k C(n, k) (2B + 1), B the sum of |L M_ij| over
     i < j, is at most ``PREFIX_DP_CELLS``, so that no layer has more slots,
     and n! q_max < 2^62, q_max a bound on q_pi, so that every int64 count
-    and sum of q it keeps fits.  Otherwise the sweep feeds ``sums``.
+    and sum of q it keeps fits.  Otherwise the sweep feeds them.
     """
     n = m.n
     mint, scale, swept = sweep(m, limit)
+    sums = ExactSums()
     # |inner| at value v is at most v's absolute row sum, and |X| at most
     # the sum of |L M_ij| over i < j, half the sum of all absolute rows
     row_abs = [sum(map(abs, row)) for row in m.cleared[0]]

@@ -77,32 +77,6 @@ def x_delta(spec: StatisticSpec, p: Permutation, i: int) -> Fraction:
     return -2 * sum((row[v - 1] for v in p.image[i:]), Fraction(0))
 
 
-def conditional_drift(spec: StatisticSpec, p: Permutation) -> Fraction:
-    """E[X' - X | pi] over the uniform choice of position.
-
-    Averaging x_delta over i telescopes to -(2/n) X(pi), which is the
-    linear regression property of the pair.
-
-    >>> from .perm_core import inversions_spec
-    >>> conditional_drift(inversions_spec(7), Permutation((6, 4, 1, 5, 3, 2, 7)))
-    Fraction(-2, 7)
-    """
-    # identity checked exhaustively in tests: the sum is -2 X(pi)
-    return sum((x_delta(spec, p, i) for i in range(1, p.n + 1)), Fraction(0)) / p.n
-
-
-def cond_exp_sq(spec: StatisticSpec, p: Permutation) -> Fraction:
-    """E[(X' - X)^2 | pi], exactly (4/n) times the sum of squared suffix sums.
-
-    >>> from .perm_core import identity, inversions_spec
-    >>> cond_exp_sq(descents_spec(7), identity(7))
-    Fraction(24, 7)
-    >>> cond_exp_sq(inversions_spec(3), Permutation((1, 2, 3)))
-    Fraction(20, 3)
-    """
-    return sum((x_delta(spec, p, i) ** 2 for i in range(1, p.n + 1)), Fraction(0)) / p.n
-
-
 def pair_samples(
     sigma: float, scale: int, pos: np.ndarray, inner: np.ndarray
 ) -> Iterator[PairSample]:

@@ -35,7 +35,6 @@ from .perm_core import (
     StatisticKind,
     StatisticSpec,
     custom_spec,
-    format_rational,
     load_matrix_file,
     spec_for,
     x_stat,
@@ -109,7 +108,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     suffix = _sn.suffix_table(mint)
     height = _sn.tile_height(n * (n + 1) // 2)
 
-    sums = stein_bounds.ExactSums()
+    sums = _sn.ExactSums()
     pairs = exchangeability.PairTally()
     ok_delta = ok_drift = ok_lambda = True
     for perms, inner in sweep:
@@ -127,7 +126,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     nfact = math.factorial(n)
     mean = Fraction(sums.sum_x, nfact * scale)
     bf_var = Fraction(sums.sum_x2, nfact * scale**2) - mean * mean
-    ing = sums.ingredients(spec, scale)
+    ing = stein_bounds.exact_ingredients(sums, spec, scale)
 
     checks = [
         ("statistic_delta_consistency", ok_delta),
@@ -300,7 +299,7 @@ def cmd_sample(args) -> int:
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
     _, scale, blocks = _sn.draws(spec.matrix, args.trials, args.seed)
     samples = [s for pos, inner in blocks for s in pair_samples(sigma, scale, pos, inner)]
-    rows = [dict(vars(s), x=format_rational(s.x), x_prime=format_rational(s.x_prime)) for s in samples]
+    rows = [dict(vars(s), x=str(s.x), x_prime=str(s.x_prime)) for s in samples]
     if args.format == "csv":
         lines = ["x,x_prime,w,w_prime,position"]
         lines += [f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows]

@@ -158,7 +158,7 @@ def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> In
     """Exact counts of the statistic over S_n for an integer matrix."""
     if m.cleared[1] != 1:
         raise ValueError("exact counting requires integer matrix entries")
-    _, sums = _sn.exact_sums(m, limit, _sn.ExactSums())
+    _, sums = _sn.exact_sums(m, limit)
     tally = sums.level_count
     lo, hi = min(tally), max(tally)
     counts = tuple(tally.get(v, 0) for v in range(lo, hi + 1))

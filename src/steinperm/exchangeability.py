@@ -63,38 +63,6 @@ class SetBijection:
         return dict(self.pairs)
 
 
-@dataclass(frozen=True)
-class CosetContext:
-    """Permutations agreeing with a fixed prefix before position i."""
-
-    n: int
-    i: int
-    prefix: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.i <= self.n:
-            raise ValueError(f"position {self.i} out of range 1..{self.n}")
-        if len(self.prefix) != self.i - 1:
-            raise ValueError("prefix length must be i - 1")
-        if len(set(self.prefix)) != len(self.prefix):
-            raise ValueError("prefix values must be distinct")
-        for v in self.prefix:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"prefix value {v} out of range 1..{self.n}")
-
-    @property
-    def remaining(self) -> tuple[int, ...]:
-        used = set(self.prefix)
-        return tuple(v for v in range(1, self.n + 1) if v not in used)
-
-    def contains(self, p: Permutation) -> bool:
-        return p.n == self.n and p.image[: self.i - 1] == self.prefix
-
-
-def coset_of(p: Permutation, i: int) -> CosetContext:
-    return CosetContext(n=p.n, i=i, prefix=p.image[: i - 1])
-
-
 def _sorted_set(s) -> tuple[int, ...]:
     out = tuple(sorted(s))
     if len(set(out)) != len(out):
@@ -111,28 +79,6 @@ def _runs(values: tuple[int, ...]) -> list[tuple[int, ...]]:
             runs.append(values[start:k])
             start = k
     return runs
-
-
-def subset_sums(m: AntisymmetricMatrix, s, i: int) -> tuple[Fraction, Fraction]:
-    """Row sum above i and column sum below i, restricted to S.
-
-    >>> from .perm_core import descents_matrix, inversions_matrix
-    >>> subset_sums(descents_matrix(7), {1, 2, 3, 5, 7}, 1)
-    (Fraction(-1, 1), Fraction(0, 1))
-    >>> subset_sums(inversions_matrix(7), {1, 2, 3, 5, 7}, 3)
-    (Fraction(-2, 1), Fraction(-2, 1))
-    """
-    values = _sorted_set(s)
-    if i not in values:
-        raise ValueError(f"{i} is not in the set")
-    a = Fraction(0)
-    b = Fraction(0)
-    for j in values:
-        if j > i:
-            a += m.entry(i, j)
-        elif j < i:
-            b += m.entry(j, i)
-    return a, b
 
 
 def theta(spec: StatisticSpec, s) -> SetBijection:
@@ -218,7 +164,8 @@ def check_conditions(
 ) -> bool:
     """Whether (Theta, Phi) certify exchangeability on this subset.
 
-    Condition 1: a - b flips sign along Theta at every point.
+    Condition 1: a - b, the row sum of M over S as M is antisymmetric,
+    flips sign along Theta at every point.
     Condition 2: each Phi_i maps S - {i} to S - {Theta(i)} leaving the
     matrix entries invariant.  ``phis`` maps each i to its bijection;
     by default the order-preserving pairing is tried.  This is the
@@ -232,11 +179,9 @@ def check_conditions(
     values = _sorted_set(s)
     if tuple(th.domain) != values or tuple(th.codomain) != values:
         raise ValueError("the bijection must map the set onto itself")
-    for i in values:
-        a_i, b_i = subset_sums(m, values, i)
-        a_t, b_t = subset_sums(m, values, th(i))
-        if a_i - b_i != b_t - a_t:
-            return False
+    row_sum = {i: sum(m.entry(i, j) for j in values) for i in values}
+    if any(row_sum[i] != -row_sum[th(i)] for i in values):
+        return False
     for i in values:
         f = phis(i) if phis is not None else phi(values, i, th(i))
         dom = tuple(v for v in values if v != i)
@@ -266,7 +211,7 @@ def lambda_map(spec: StatisticSpec, p: Permutation, i: int) -> Permutation:
     n = p.n
     if not 1 <= i <= n:
         raise ValueError(f"position {i} out of range 1..{n}")
-    remaining = coset_of(p, i).remaining
+    remaining = set(range(1, n + 1)) - set(p.image[: i - 1])
     v = p.image[i - 1]
     th = theta(spec, remaining)
     f = builtin_phi(spec, remaining, v)

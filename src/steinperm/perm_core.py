@@ -308,7 +308,7 @@ def brute_force_moments(
     """
     from . import _sn
 
-    scale, sums = _sn.exact_sums(m, limit, _sn.ExactSums())
+    scale, sums = _sn.exact_sums(m, limit)
     nfact = math.factorial(m.n)
     mean = Fraction(sums.sum_x, nfact * scale)
     second = Fraction(sums.sum_x2, nfact * scale * scale)
@@ -325,11 +325,6 @@ def check_enum_limit(n: int, limit: int | None = None) -> int:
     return n
 
 
-def format_rational(x: Fraction) -> str:
-    """Serialize exactly, as "p" or "p/q"."""
-    return str(x)
-
-
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _ENTRY_RE.match(text):
@@ -340,7 +335,7 @@ def parse_rational(text: str) -> Fraction:
 def matrix_to_json_dict(m: AntisymmetricMatrix) -> dict:
     return {
         "n": m.n,
-        "entries": [[format_rational(e) for e in row] for row in m.entries],
+        "entries": [[str(e) for e in row] for row in m.entries],
     }
 
 

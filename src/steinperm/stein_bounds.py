@@ -4,8 +4,10 @@ For the exchangeable pair (W, W') built from one chain step we need:
 the regression rate lambda = 2/n, an almost-sure bound A on |W' - W|,
 the conditional second moment E[(W'-W)^2 | pi] and its variance over
 pi (or over W), and the third absolute moment E|W'-W|^3.  Small n gets
-all of them exactly by enumeration; large n gets Monte Carlo estimates
-with standard errors.  Two bounds are then evaluated:
+all of them exactly from the integer sums over S_n that
+:func:`_sn.exact_sums` returns (:func:`exact_ingredients`); large n gets
+Monte Carlo estimates with standard errors.  Two bounds are then
+evaluated:
 
 * the concentration-inequality bound
     (12/lambda) sqrt(Var(E^W(W'-W)^2)) + 48 A^3/lambda + 8 A^2/sqrt(lambda)
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from . import _sn
 from ._sn import np
-from .perm_core import StatisticKind, StatisticSpec, format_rational, spec_for
+from .perm_core import StatisticKind, StatisticSpec, spec_for
 
 MODE_EXACT = "exact"
 MODE_MC = "mc"
@@ -99,48 +101,45 @@ def a_max(spec: StatisticSpec) -> float:
     return 2 * float(Fraction(worst, 2 * scale)) / sigma
 
 
-class ExactSums(_sn.ExactSums):
-    """:class:`_sn.ExactSums`, the exact sums over S_n, with the bound
-    ingredients they determine."""
+def exact_ingredients(sums: _sn.ExactSums, spec: StatisticSpec, scale: int) -> BoundIngredients:
+    """The exact bound ingredients from ``sums`` over the whole of S_n,
+    on the matrix cleared by ``scale``, as :func:`_sn.exact_sums` gives them."""
+    n = spec.n
+    var = spec.variance
+    nfact = math.factorial(n)
+    e_diff_sq_x = Fraction(sums.sum_q, nfact * n * scale**2)
+    e_diff_sq_w = e_diff_sq_x / var
+    e_abs3_x = Fraction(sums.sum_abs_d3, nfact * n * scale**3)
+    # E|W'-W|^3 = E|X'-X|^3 / Var(X)^{3/2}, rounded once
+    e_abs3_w = math.sqrt(float(e_abs3_x**2 / var**3))
 
-    def ingredients(self, spec: StatisticSpec, scale: int) -> BoundIngredients:
-        """The exact bound ingredients once the whole of S_n has been added."""
-        n = spec.n
-        var = spec.variance
-        nfact = math.factorial(n)
-        e_diff_sq_x = Fraction(self.sum_q, nfact * n * scale**2)
-        e_diff_sq_w = e_diff_sq_x / var
-        e_abs3_x = Fraction(self.sum_abs_d3, nfact * n * scale**3)
-        # E|W'-W|^3 = E|X'-X|^3 / Var(X)^{3/2}, rounded once
-        e_abs3_w = math.sqrt(float(e_abs3_x**2 / var**3))
+    # c_pi = E[(W'-W)^2 | pi] = q_pi / (n scale^2 Var(X))
+    denom = n * scale**2 * var
+    mean_c = Fraction(sums.sum_q, nfact) / denom
+    mean_c2 = Fraction(sums.sum_q2, nfact) / denom**2
+    var_cond_pi_w = mean_c2 - mean_c * mean_c
 
-        # c_pi = E[(W'-W)^2 | pi] = q_pi / (n scale^2 Var(X))
-        denom = n * scale**2 * var
-        mean_c = Fraction(self.sum_q, nfact) / denom
-        mean_c2 = Fraction(self.sum_q2, nfact) / denom**2
-        var_cond_pi_w = mean_c2 - mean_c * mean_c
+    level_sq = Fraction(0)
+    for v, c in sums.level_count.items():
+        mean_here = Fraction(sums.level_q[v], c) / denom
+        level_sq += c * mean_here * mean_here
+    var_cond_w_w = level_sq / nfact - mean_c * mean_c
 
-        level_sq = Fraction(0)
-        for v, c in self.level_count.items():
-            mean_here = Fraction(self.level_q[v], c) / denom
-            level_sq += c * mean_here * mean_here
-        var_cond_w_w = level_sq / nfact - mean_c * mean_c
-
-        return BoundIngredients(
-            n=n,
-            lam=Fraction(2, n),
-            a_max=2 * self.max_inner / (scale * math.sqrt(var)),
-            e_diff_sq=float(e_diff_sq_w),
-            e_abs_diff_cubed=e_abs3_w,
-            var_cond_pi=float(var_cond_pi_w),
-            var_cond_w=float(var_cond_w_w),
-            mode=MODE_EXACT,
-            e_diff_sq_x=e_diff_sq_x,
-            e_diff_sq_w=e_diff_sq_w,
-            e_abs_diff_cubed_x=e_abs3_x,
-            var_cond_pi_w=var_cond_pi_w,
-            var_cond_w_w=var_cond_w_w,
-        )
+    return BoundIngredients(
+        n=n,
+        lam=Fraction(2, n),
+        a_max=2 * sums.max_inner / (scale * math.sqrt(var)),
+        e_diff_sq=float(e_diff_sq_w),
+        e_abs_diff_cubed=e_abs3_w,
+        var_cond_pi=float(var_cond_pi_w),
+        var_cond_w=float(var_cond_w_w),
+        mode=MODE_EXACT,
+        e_diff_sq_x=e_diff_sq_x,
+        e_diff_sq_w=e_diff_sq_w,
+        e_abs_diff_cubed_x=e_abs3_x,
+        var_cond_pi_w=var_cond_pi_w,
+        var_cond_w_w=var_cond_w_w,
+    )
 
 
 def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIngredients:
@@ -151,8 +150,8 @@ def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIng
     second moment within each group.
     """
     spec.variance  # refuse a zero-variance statistic before any work
-    scale, sums = _sn.exact_sums(spec.matrix, limit, ExactSums())
-    return sums.ingredients(spec, scale)
+    scale, sums = _sn.exact_sums(spec.matrix, limit)
+    return exact_ingredients(sums, spec, scale)
 
 
 def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredients:
@@ -268,11 +267,6 @@ class ScalingRow:
     var_cond_pi_n3: float
 
 
-SCALING_CSV_HEADER = (
-    "n,statistic,mode,rr_bound,stein_bound,rr_scaled,stein_scaled,var_cond_pi,var_cond_pi_n3"
-)
-
-
 def scaling_table(
     kind: StatisticKind | str,
     n_list,
@@ -311,20 +305,10 @@ def scaling_table(
     return rows
 
 
-def scaling_table_csv(rows: list[ScalingRow]) -> str:
-    lines = [SCALING_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.statistic.value},{r.mode},{r.rr_bound!r},{r.stein_bound!r},"
-            f"{r.rr_scaled!r},{r.stein_scaled!r},{r.var_cond_pi!r},{r.var_cond_pi_n3!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def ingredients_to_json_dict(ing: BoundIngredients) -> dict:
     out: dict = {
         "n": ing.n,
-        "lambda": format_rational(ing.lam),
+        "lambda": str(ing.lam),
         "a_max": ing.a_max,
         "e_diff_sq": ing.e_diff_sq,
         "e_abs_diff_cubed": ing.e_abs_diff_cubed,
@@ -334,11 +318,11 @@ def ingredients_to_json_dict(ing: BoundIngredients) -> dict:
     }
     if ing.mode == MODE_EXACT:
         out["exact"] = {
-            "e_diff_sq_x": format_rational(ing.e_diff_sq_x),
-            "e_diff_sq_w": format_rational(ing.e_diff_sq_w),
-            "e_abs_diff_cubed_x": format_rational(ing.e_abs_diff_cubed_x),
-            "var_cond_pi_w": format_rational(ing.var_cond_pi_w),
-            "var_cond_w_w": format_rational(ing.var_cond_w_w),
+            "e_diff_sq_x": str(ing.e_diff_sq_x),
+            "e_diff_sq_w": str(ing.e_diff_sq_w),
+            "e_abs_diff_cubed_x": str(ing.e_abs_diff_cubed_x),
+            "var_cond_pi_w": str(ing.var_cond_pi_w),
+            "var_cond_w_w": str(ing.var_cond_w_w),
         }
     else:
         out["trials"] = ing.trials

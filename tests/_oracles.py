@@ -7,8 +7,11 @@ suffix sums are gathered position by position rather than read from a
 table or a running remainder, the Monte Carlo draw shuffles one whole
 tile rather than cache-sized sub-tiles, the exact laws are the full-row
 recurrences and Fraction standardization that the half-row versions
-replaced, and X of every moved and relabeled row is recomputed on a copy
-of the rows rather than read from the original rows' seen sets.
+replaced, X of every moved and relabeled row is recomputed on a copy
+of the rows rather than read from the original rows' seen sets, and the
+conditional moments of one chain step average the scalar Fraction
+``chain.x_delta`` over the n positions rather than read the integer
+suffix sums.
 """
 
 from fractions import Fraction
@@ -18,6 +21,7 @@ import numpy as np
 
 from steinperm import _sn
 from steinperm.analysis import normal_cdf
+from steinperm.chain import x_delta
 
 
 def phi_taylor(x: float) -> float:
@@ -152,3 +156,15 @@ def row_copy_x(perms: np.ndarray, suffix: np.ndarray, table: np.ndarray | None =
     relabeled = np.stack([x_of(lam) for lam in lams], axis=1)
     then_moved = np.stack([x_of(_sn.moved(lam, i)) for i, lam in enumerate(lams)], axis=1)
     return moved, relabeled, then_moved
+
+
+def conditional_drift(spec, p) -> Fraction:
+    """E[X' - X | pi] over the uniform choice of position; averaging
+    x_delta over i telescopes to -(2/n) X(pi), the linear regression
+    property of the pair."""
+    return sum((x_delta(spec, p, i) for i in range(1, p.n + 1)), Fraction(0)) / p.n
+
+
+def cond_exp_sq(spec, p) -> Fraction:
+    """E[(X' - X)^2 | pi], (4/n) times the sum of squared suffix sums."""
+    return sum((x_delta(spec, p, i) ** 2 for i in range(1, p.n + 1)), Fraction(0)) / p.n

@@ -5,11 +5,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from _oracles import cond_exp_sq, conditional_drift
 from conftest import random_matrices
 from steinperm import (
     Permutation,
-    cond_exp_sq,
-    conditional_drift,
     custom_spec,
     descents_spec,
     identity,

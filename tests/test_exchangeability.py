@@ -10,7 +10,6 @@ from steinperm import (
     SetBijection,
     builtin_phi,
     check_conditions,
-    coset_of,
     descents_matrix,
     descents_spec,
     inversions_matrix,
@@ -20,13 +19,12 @@ from steinperm import (
     lambda_map,
     move_to_end,
     phi,
-    subset_sums,
     theta,
     x_stat,
     zero_matrix,
 )
 from steinperm._sn import integer_matrix
-from steinperm.exchangeability import CosetContext, flip_conditions, relabel_table
+from steinperm.exchangeability import flip_conditions, relabel_table
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError, custom_spec
 
 from _oracles import relabel
@@ -86,39 +84,6 @@ class TestSetBijection:
     def test_missing_key(self):
         with pytest.raises(KeyError):
             SetBijection.from_mapping({1: 1})(2)
-
-
-class TestCosetContext:
-    def test_coset_of(self):
-        ctx = coset_of(WORKED, 3)
-        assert ctx.prefix == (6, 4)
-        assert ctx.remaining == (1, 2, 3, 5, 7)
-        assert ctx.contains(WORKED)
-        assert ctx.contains(move_to_end(WORKED, 3))
-        assert not ctx.contains(Permutation((4, 6, 1, 5, 3, 2, 7)))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CosetContext(n=4, i=3, prefix=(1,))
-        with pytest.raises(ValueError):
-            CosetContext(n=4, i=3, prefix=(1, 1))
-        with pytest.raises(ValueError):
-            CosetContext(n=4, i=5, prefix=(1, 2, 3, 4))
-
-
-class TestSubsetSums:
-    def test_descents_example(self):
-        assert subset_sums(descents_matrix(7), S_EXAMPLE, 1) == (-1, 0)
-
-    def test_inversions_example(self):
-        assert subset_sums(inversions_matrix(7), S_EXAMPLE, 3) == (-2, -2)
-
-    def test_singleton(self):
-        assert subset_sums(descents_matrix(7), {4}, 4) == (0, 0)
-
-    def test_membership_required(self):
-        with pytest.raises(ValueError):
-            subset_sums(descents_matrix(7), S_EXAMPLE, 4)
 
 
 class TestTheta:
@@ -243,7 +208,7 @@ class TestLambdaMap:
             for image in permutations(range(1, n + 1)):
                 p = Permutation(image)
                 for i in range(1, n + 1):
-                    assert coset_of(p, i).contains(lambda_map(spec, p, i))
+                    assert lambda_map(spec, p, i).image[: i - 1] == p.image[: i - 1]
 
     def test_swaps_pair_values_everywhere(self):
         n = 5

@@ -266,7 +266,7 @@ class TestChunkSize:
             dict(level_count), dict(level_q),
         )
         assert (q * q).sum() > 1 << 63  # one int64 sum over all of S_n would wrap
-        _, got = _swept(m, _sn.ExactSums())
+        _, got = _swept(m)
         assert _fields(got) == want
 
 
@@ -573,9 +573,10 @@ class TestDraws:
         assert peak < 16 << 20
 
 
-def _swept(m, sums):
-    """The oracle: ``sums.add`` over every chunk of the sweep; (L, sums)."""
+def _swept(m):
+    """The oracle: ``ExactSums.add`` over every chunk of the sweep; (L, sums)."""
     _, scale, sweep = _sn.sweep(m)
+    sums = _sn.ExactSums()
     for _, inner in sweep:
         sums.add(inner)
     return scale, sums
@@ -622,13 +623,13 @@ class TestExactSums:
     @given(m=_small_matrices())
     @example(m=_near_limit_matrix(6))  # the overflow guard's largest entries, on the DP side
     def test_equals_the_sweep(self, m):
-        scale, want = _swept(m, _sn.ExactSums())
+        scale, want = _swept(m)
         mint, _ = _sn.integer_matrix(m)
         dp = _sn.ExactSums()
         _sn.prefix_set_sums(mint, dp)
         assert _fields(dp) == _fields(want)
-        got = _sn.ExactSums()
-        assert _sn.exact_sums(m, None, got) == (scale, got)
+        got_scale, got = _sn.exact_sums(m, None)
+        assert got_scale == scale
         assert _fields(got) == _fields(want)
 
     @pytest.mark.parametrize("kind", ["descents", "inversions", "rational", "near-limit"])
@@ -637,20 +638,20 @@ class TestExactSums:
             raise AssertionError("the sweep ran")
 
         monkeypatch.setattr(_sn, "chunks", no_chunks)
-        _sn.exact_sums(_kernel_matrix(kind, 6), None, _sn.ExactSums())
+        _sn.exact_sums(_kernel_matrix(kind, 6), None)
 
     def test_row_sum_limit_refused_like_the_sweep(self):
         m = _row_sum_limit_matrix(5)
         with pytest.raises(ValueError, match="too large"):
             _sn.sweep(m)
         with pytest.raises(ValueError, match="too large"):
-            _sn.exact_sums(m, None, _sn.ExactSums())
+            _sn.exact_sums(m, None)
 
     def test_limit_checked_first(self):
         with pytest.raises(EnumerationLimitError):
-            _sn.exact_sums(descents_matrix(11), None, _sn.ExactSums())
+            _sn.exact_sums(descents_matrix(11), None)
         with pytest.raises(EnumerationLimitError):
-            _sn.exact_sums(descents_matrix(5), 4, _sn.ExactSums())
+            _sn.exact_sums(descents_matrix(5), 4)
 
     def test_wide_matrix_takes_the_sweep(self, monkeypatch):
         # entries +-1200 at n = 7: C(7, 3) (2B + 1) = 35 * 50401 > PREFIX_DP_CELLS
@@ -662,7 +663,7 @@ class TestExactSums:
                 e = 1200 * int(rng.choice([-1, 1]))
                 rows[i][j], rows[j][i] = str(e), str(-e)
         m = AntisymmetricMatrix.from_rows(rows)
-        scale, want = _swept(m, stein_bounds.ExactSums())
+        scale, want = _swept(m)
         rows_swept = []
         original = _sn.chunks
 
@@ -673,7 +674,7 @@ class TestExactSums:
 
         monkeypatch.setattr(_sn, "chunks", counting_chunks)
         spec = custom_spec(m)
-        assert ingredients_exact(spec) == want.ingredients(spec, scale)
+        assert ingredients_exact(spec) == stein_bounds.exact_ingredients(want, spec, scale)
         dist = generic_distribution(m)
         assert dict(dist.support()) == dict(want.level_count)
         assert sum(rows_swept) == 2 * math.factorial(n)
@@ -682,7 +683,7 @@ class TestExactSums:
         # C(18, 9) (2B + 1) fits PREFIX_DP_CELLS for B <= 10, but with
         # M[0][1] = 10 the per-level sums of q could reach 18! * 800 > 2^62
         n, f = 18, math.factorial(18)
-        _, sums = _sn.exact_sums(_pair_matrix(n, 9), n, _sn.ExactSums())
+        _, sums = _sn.exact_sums(_pair_matrix(n, 9), n)
         assert dict(sums.level_count) == {-9: f // 2, 9: f // 2}
         assert sums.sum_q == 324 * f and sums.sum_q2 == 324**2 * f
         assert sums.sum_abs_d3 == 8 * 9**3 * f and sums.max_inner == 9
@@ -692,4 +693,4 @@ class TestExactSums:
 
         monkeypatch.setattr(_sn, "chunks", sweep_instead)
         with pytest.raises(LookupError, match="sweep"):
-            _sn.exact_sums(_pair_matrix(n, 10), n, _sn.ExactSums())
+            _sn.exact_sums(_pair_matrix(n, 10), n)

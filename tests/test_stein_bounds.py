@@ -4,13 +4,13 @@ from itertools import permutations
 
 import pytest
 
+from _oracles import cond_exp_sq
 from conftest import random_matrices
 from steinperm import (
     BoundIngredients,
     Permutation,
     a_max,
     bound_report,
-    cond_exp_sq,
     custom_spec,
     descents_spec,
     ingredients_exact,
@@ -23,12 +23,7 @@ from steinperm import (
     zero_matrix,
 )
 from steinperm.perm_core import EnumerationLimitError
-from steinperm.stein_bounds import (
-    SCALING_CSV_HEADER,
-    ingredients_to_json_dict,
-    report_to_json_dict,
-    scaling_table_csv,
-)
+from steinperm.stein_bounds import ingredients_to_json_dict, report_to_json_dict
 
 
 def _degenerate_ingredients(**overrides):
@@ -270,13 +265,6 @@ class TestScalingTable:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             scaling_table("descents", [4], mode="guess")
-
-    def test_csv(self):
-        text = scaling_table_csv(scaling_table("descents", [4, 5]))
-        lines = text.strip().split("\n")
-        assert lines[0] == SCALING_CSV_HEADER
-        assert len(lines) == 3
-        assert lines[1].startswith("4,descents,exact,")
 
 
 class TestJson:
