@@ -735,6 +735,18 @@ class TestGoldenStdout:
              "2cbea8539443609138236e1a7f9473568dfb4139e9b2f5ed70c1b195784558fb"),
             (("dist", "--stat", "descents", "--n", "199"),
              "b3983dfb3a2465e84c322f5cd5e9f65e16ed3cbef5c2e07f3a2f0785e993a4f4"),
+            # lambda_map on the worked example, exact bounds by the prefix-set
+            # program, and Monte Carlo bounds and samples in both formats
+            (("example",),
+             "0a7e9809fc220b4fc837b14187d117d4ac38f29113d2191373a1d6d22f82e9f2"),
+            (("bounds", "--stat", "descents", "--n", "8"),
+             "f1351e6f50b1acecbd77122a7e6db06c68e3ce8e54c2b59c2c975f545e8b5b9c"),
+            (("bounds", "--stat", "inversions", "--n", "12", "--mode", "mc", "--trials", "5000", "--seed", "11"),
+             "3f8778da5b3d3feaf391cdcac7bfcf55118e2cfa87a84d0723a9fcd012b548bf"),
+            (("sample", "--stat", "descents", "--n", "12", "--seed", "3", "--trials", "5"),
+             "2b152eb8a9587c4d08d4560572314eb6c87e5d93bd107b8fc6bb1c51394627a6"),
+            (("sample", "--stat", "descents", "--n", "12", "--seed", "3", "--trials", "5", "--format", "csv"),
+             "dcd9c2393bcb8efb4577c79607b9f1029c757370db961a1b7713ea733d773980"),
         ],
     )
     def test_sha256(self, capsys, argv, digest):
