@@ -8,7 +8,8 @@ all aggregates remain exact integers.
 A lexicographic block is a run of (n - k)-prefixes, each followed by
 the k values it leaves in every order of S_k, k the largest with k! no
 more than the chunk size: S_k is built once and every block is the
-prefixes times ``remaining[S_k]``.
+prefixes times ``remaining[S_k]``, both taken in lexicographic order
+from ``itertools.permutations``.
 
 The suffix sums inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] depend only
 on p_t(i) and the set of values at or before position i, so sweeps read
@@ -58,6 +59,7 @@ import importlib.util
 import math
 import sys
 from collections import Counter
+from itertools import chain, islice, permutations
 from typing import Iterator
 
 from .perm_core import AntisymmetricMatrix, check_enum_limit
@@ -229,7 +231,8 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     masks = np.arange(1 << n)
     members = masks >> np.arange(n)[:, None] & 1
     within = (subset_sums(np.abs(mint)) * members).sum(axis=0) // 2
-    layers = [masks[np.bitwise_count(masks) == k] for k in range(n + 1)]
+    size = members.sum(axis=0)
+    layers = [masks[size == k] for k in range(n + 1)]
     bounds = [int(within[layer].max()) for layer in layers]
     rank = np.empty(1 << n, dtype=np.int64)
     for layer in layers:
@@ -323,42 +326,30 @@ def draw(kernel: InnerKernel, m: int, rng: np.random.Generator) -> tuple[np.ndar
     return rng.integers(0, n, size=m), inner
 
 
-def _lex_heads(rank: np.ndarray, rest: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``depth`` values of the arrangement of lexicographic rank
-    ``rank[t]`` among the depth-arrangements of the sorted row ``rest[t]``,
-    and the values each leaves, still sorted."""
-    m = len(rank)
-    heads = np.empty((m, depth), dtype=np.int64)
-    rows = np.arange(m)
-    for j in range(depth):
-        r = rest.shape[1]
-        digit, rank = np.divmod(rank, math.perm(r - 1, depth - j - 1))
-        heads[:, j] = rest[rows, digit]
-        rest = rest[np.arange(r) != digit[:, None]].reshape(m, r - 1)
-    return heads, rest
-
-
 def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
     """Yield (m, n) int64 arrays of 0-indexed permutations, lex order.
 
-    No block holds more than ``chunk_size`` rows.
+    No block holds more than ``chunk_size`` rows.  ``itertools.permutations``
+    gives both factors in lexicographic order: S_k once, and the
+    (n - k)-prefixes a block at a time.
     """
     k = n
     while math.factorial(k) > chunk_size:
         k -= 1
     kfact = math.factorial(k)
-    tail, _ = _lex_heads(np.arange(kfact), np.tile(np.arange(k), (kfact, 1)), k)
+    tail = np.fromiter(chain.from_iterable(permutations(range(k))), np.int64, kfact * k).reshape(kfact, k)
+    prefixes = permutations(range(n), n - k)
     # fewer than k + 1 prefixes per block, since (k + 1)! > chunk_size
-    group = chunk_size // kfact
-    n_prefixes = math.perm(n, n - k)
-    for start in range(0, n_prefixes, group):
-        rank = np.arange(start, min(start + group, n_prefixes))
-        heads, rest = _lex_heads(rank, np.tile(np.arange(n), (len(rank), 1)), n - k)
-        block = np.empty((len(rank), kfact, n), dtype=np.int64)
-        block[:, :, : n - k] = heads[:, None, :]
-        for g, values in enumerate(rest):
-            block[g, :, n - k :] = values[tail]
-        yield block.reshape(len(rank) * kfact, n)
+    while heads := list(islice(prefixes, chunk_size // kfact)):
+        g = len(heads)
+        block = np.empty((g, kfact, n), dtype=np.int64)
+        head = np.array(heads, dtype=np.int64)
+        block[:, :, : n - k] = head[:, None, :]
+        left = np.ones((g, n), dtype=bool)
+        left[np.arange(g)[:, None], head] = False
+        # the values each prefix leaves, ascending, in every order of S_k
+        block[:, :, n - k :] = np.nonzero(left)[1].reshape(g, k).take(tail, axis=1)
+        yield block.reshape(g * kfact, n)
 
 
 def subset_sums(mint: np.ndarray) -> np.ndarray:

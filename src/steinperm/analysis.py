@@ -23,8 +23,6 @@ from .exact_dist import (
 )
 from .perm_core import StatisticKind
 
-CSV_HEADER = "n,statistic,d_k,d_k_sqrt_n"
-
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
@@ -99,13 +97,6 @@ def rate_table(statistic: StatisticKind, n_list) -> list[RateRow]:
         d_k = kolmogorov_distance(_standardized_law(statistic, n))
         rows.append(RateRow(n=n, statistic=statistic, d_k=d_k, scaled=d_k * math.sqrt(n)))
     return rows
-
-
-def rate_table_csv(rows: list[RateRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(f"{r.n},{r.statistic.value},{r.d_k!r},{r.scaled!r}")
-    return "\n".join(lines) + "\n"
 
 
 def rate_row_to_json_dict(r: RateRow) -> dict:

@@ -59,6 +59,10 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
 
 
+def _emit_csv(header: str, lines, out_path: str | None) -> None:
+    _emit("\n".join([header, *lines]) + "\n", out_path)
+
+
 def _warn(text: str) -> None:
     sys.stderr.write(f"warning: {text}\n")
 
@@ -238,9 +242,7 @@ def cmd_dist(args) -> int:
             _warn(f"cap raised to {args.cap}; large n may take minutes and much memory")
     if args.format == "csv":
         text = exact_dist.decimal_counts(dist)
-        lines = ["value,count"]
-        lines += [f"{v},{text[c]}" for v, c in dist.support()]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_csv("value,count", (f"{v},{text[c]}" for v, c in dist.support()), args.out)
     else:
         _emit_json(exact_dist.dist_to_json_dict(dist), args.out)
     return 0
@@ -255,7 +257,8 @@ def cmd_rate(args) -> int:
     kind = StatisticKind(args.stat)
     rows = analysis.rate_table(kind, n_list)
     if args.format == "csv":
-        _emit(analysis.rate_table_csv(rows), args.out)
+        lines = (f"{r.n},{r.statistic.value},{r.d_k!r},{r.scaled!r}" for r in rows)
+        _emit_csv("n,statistic,d_k,d_k_sqrt_n", lines, args.out)
     else:
         _emit_json([analysis.rate_row_to_json_dict(r) for r in rows], args.out)
     return 0
@@ -301,9 +304,8 @@ def cmd_sample(args) -> int:
     samples = [s for pos, inner in blocks for s in pair_samples(sigma, scale, pos, inner)]
     rows = [dict(vars(s), x=str(s.x), x_prime=str(s.x_prime)) for s in samples]
     if args.format == "csv":
-        lines = ["x,x_prime,w,w_prime,position"]
-        lines += [f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = (f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows)
+        _emit_csv("x,x_prime,w,w_prime,position", lines, args.out)
     else:
         _emit_json(rows, args.out)
     return 0

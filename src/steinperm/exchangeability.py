@@ -27,42 +27,6 @@ from .perm_core import (
 )
 
 
-@dataclass(frozen=True)
-class SetBijection:
-    """A bijection between two finite integer sets, stored as pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        srcs = [a for a, _ in self.pairs]
-        dsts = [b for _, b in self.pairs]
-        if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
-            raise ValueError("mapping is not a bijection")
-        if sorted(srcs) != srcs:
-            raise ValueError("pairs must be sorted by source")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[int, int]) -> "SetBijection":
-        return cls(tuple(sorted(mapping.items())))
-
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    @property
-    def codomain(self) -> tuple[int, ...]:
-        return tuple(sorted(b for _, b in self.pairs))
-
-    def __call__(self, v: int) -> int:
-        for a, b in self.pairs:
-            if a == v:
-                return b
-        raise KeyError(f"{v} not in domain")
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-
 def _sorted_set(s) -> tuple[int, ...]:
     out = tuple(sorted(s))
     if len(set(out)) != len(out):
@@ -81,16 +45,16 @@ def _runs(values: tuple[int, ...]) -> list[tuple[int, ...]]:
     return runs
 
 
-def theta(spec: StatisticSpec, s) -> SetBijection:
+def theta(spec: StatisticSpec, s) -> dict[int, int]:
     """The value-flip bijection on S for a built-in statistic.
 
     Descents reverse each maximal run of consecutive integers;
     inversions reverse the whole set.
 
     >>> from .perm_core import descents_spec, inversions_spec
-    >>> theta(descents_spec(7), {1, 2, 3, 5, 7}).as_dict()
+    >>> theta(descents_spec(7), {1, 2, 3, 5, 7})
     {1: 3, 2: 2, 3: 1, 5: 5, 7: 7}
-    >>> theta(inversions_spec(7), {1, 2, 3, 5, 7}).as_dict()
+    >>> theta(inversions_spec(7), {1, 2, 3, 5, 7})
     {1: 7, 2: 5, 3: 3, 5: 2, 7: 1}
     """
     values = _sorted_set(s)
@@ -99,16 +63,16 @@ def theta(spec: StatisticSpec, s) -> SetBijection:
         for run in _runs(values):
             for v in run:
                 mapping[v] = run[0] + run[-1] - v
-        return SetBijection.from_mapping(mapping)
+        return mapping
     if spec.kind == StatisticKind.INVERSIONS:
-        return SetBijection(tuple(zip(values, reversed(values))))
+        return dict(zip(values, reversed(values)))
     raise ValueError("no general value-flip recipe for a custom matrix; supply your own")
 
 
-def phi(s, i: int, theta_i: int) -> SetBijection:
+def phi(s, i: int, theta_i: int) -> dict[int, int]:
     """The order-preserving bijection S - {i} -> S - {theta_i}.
 
-    >>> phi({1, 2, 3, 5, 7}, 1, 3).as_dict()
+    >>> phi({1, 2, 3, 5, 7}, 1, 3)
     {2: 1, 3: 2, 5: 5, 7: 7}
     """
     values = _sorted_set(s)
@@ -118,10 +82,10 @@ def phi(s, i: int, theta_i: int) -> SetBijection:
         raise ValueError(f"{theta_i} is not in the set")
     dom = [v for v in values if v != i]
     cod = [v for v in values if v != theta_i]
-    return SetBijection(tuple(zip(dom, cod)))
+    return dict(zip(dom, cod))
 
 
-def _phi_descents(values: tuple[int, ...], i: int) -> SetBijection:
+def _phi_descents(values: tuple[int, ...], i: int) -> dict[int, int]:
     """Companion bijection for the run-reversal flip: translate the two
     pieces of i's run past each other, leave everything else in place.
 
@@ -141,10 +105,10 @@ def _phi_descents(values: tuple[int, ...], i: int) -> SetBijection:
         else:
             for v in run:
                 mapping[v] = v
-    return SetBijection.from_mapping(mapping)
+    return mapping
 
 
-def builtin_phi(spec: StatisticSpec, s, i: int) -> SetBijection:
+def builtin_phi(spec: StatisticSpec, s, i: int) -> dict[int, int]:
     """The matrix-preserving companion bijection for a built-in statistic."""
     values = _sorted_set(s)
     if i not in values:
@@ -152,14 +116,14 @@ def builtin_phi(spec: StatisticSpec, s, i: int) -> SetBijection:
     if spec.kind == StatisticKind.DESCENTS:
         return _phi_descents(values, i)
     if spec.kind == StatisticKind.INVERSIONS:
-        return phi(values, i, theta(spec, values)(i))
+        return phi(values, i, theta(spec, values)[i])
     raise ValueError("no general companion bijection for a custom matrix; supply your own")
 
 
 def check_conditions(
     m: AntisymmetricMatrix,
     s,
-    th: SetBijection,
+    th: dict[int, int],
     phis=None,
 ) -> bool:
     """Whether (Theta, Phi) certify exchangeability on this subset.
@@ -168,29 +132,30 @@ def check_conditions(
     flips sign along Theta at every point.
     Condition 2: each Phi_i maps S - {i} to S - {Theta(i)} leaving the
     matrix entries invariant.  ``phis`` maps each i to its bijection;
-    by default the order-preserving pairing is tried.  This is the
-    scalar Fraction reference for :func:`flip_conditions`, the array
+    by default the order-preserving pairing is tried.  A Theta that is
+    no bijection of S is refused; a Phi_i that is none fails.  This is
+    the scalar Fraction reference for :func:`flip_conditions`, the array
     check over all subsets that ``verify`` runs.
 
     >>> from .perm_core import descents_matrix
-    >>> check_conditions(descents_matrix(2), {1, 2}, SetBijection.from_mapping({1: 1, 2: 2}))
+    >>> check_conditions(descents_matrix(2), {1, 2}, {1: 1, 2: 2})
     False
     """
-    values = _sorted_set(s)
-    if tuple(th.domain) != values or tuple(th.codomain) != values:
+    values = list(_sorted_set(s))
+    if sorted(th) != values or sorted(th.values()) != values:
         raise ValueError("the bijection must map the set onto itself")
     row_sum = {i: sum(m.entry(i, j) for j in values) for i in values}
-    if any(row_sum[i] != -row_sum[th(i)] for i in values):
+    if any(row_sum[i] != -row_sum[th[i]] for i in values):
         return False
     for i in values:
-        f = phis(i) if phis is not None else phi(values, i, th(i))
-        dom = tuple(v for v in values if v != i)
-        cod = tuple(v for v in values if v != th(i))
-        if f.domain != dom or f.codomain != cod:
+        f = phis(i) if phis is not None else phi(values, i, th[i])
+        dom = [v for v in values if v != i]
+        cod = [v for v in values if v != th[i]]
+        if sorted(f) != dom or sorted(f.values()) != cod:
             return False
         for j in dom:
             for k in dom:
-                if m.entry(j, k) != m.entry(f(j), f(k)):
+                if m.entry(j, k) != m.entry(f[j], f[k]):
                     return False
     return True
 
@@ -216,9 +181,9 @@ def lambda_map(spec: StatisticSpec, p: Permutation, i: int) -> Permutation:
     th = theta(spec, remaining)
     f = builtin_phi(spec, remaining, v)
     out = list(p.image)
-    out[i - 1] = th(v)
+    out[i - 1] = th[v]
     for j in range(i, n):
-        out[j] = f(p.image[j])
+        out[j] = f[p.image[j]]
     return Permutation(tuple(out))
 
 

@@ -15,10 +15,10 @@ from steinperm import (
     mahonian_distribution,
     normal_cdf,
     rate_table,
-    rate_table_csv,
     standardize,
 )
-from steinperm.analysis import CSV_HEADER, rate_row_to_json_dict
+from steinperm.analysis import rate_row_to_json_dict
+from steinperm.cli import main
 
 
 def _standard_law(kind: StatisticKind, n: int):
@@ -118,11 +118,12 @@ class TestRateTable:
         with pytest.raises(ValueError):
             rate_table(StatisticKind.CUSTOM, [3])
 
-    def test_csv_format_round_trips(self):
+    def test_csv_format_round_trips(self, capsys):
         rows = rate_table(StatisticKind.DESCENTS, [5, 10])
-        text = rate_table_csv(rows)
+        assert main(["rate", "--stat", "descents", "--n-list", "5,10", "--format", "csv"]) == 0
+        text = capsys.readouterr().out
         lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER == "n,statistic,d_k,d_k_sqrt_n"
+        assert lines[0] == "n,statistic,d_k,d_k_sqrt_n"
         for line, row in zip(lines[1:], rows):
             n_s, stat_s, dk_s, scaled_s = line.split(",")
             assert int(n_s) == row.n

@@ -7,7 +7,6 @@ import pytest
 from conftest import random_matrices
 from steinperm import (
     Permutation,
-    SetBijection,
     builtin_phi,
     check_conditions,
     descents_matrix,
@@ -55,47 +54,23 @@ def table_verdict(m, table, mask):
     a row that is no bijection, or that check_conditions refuses, fails."""
     s = members(mask, m.n)
     try:
-        th = SetBijection.from_mapping({v: int(table[mask, v - 1, v - 1]) + 1 for v in s})
-        phis = {
-            v: SetBijection.from_mapping({u: int(table[mask, v - 1, u - 1]) + 1 for u in s if u != v})
-            for v in s
-        }
+        th = {v: int(table[mask, v - 1, v - 1]) + 1 for v in s}
+        phis = {v: {u: int(table[mask, v - 1, u - 1]) + 1 for u in s if u != v} for v in s}
         return check_conditions(m, s, th, phis=phis.__getitem__)
     except ValueError:
         return False
 
 
-class TestSetBijection:
-    def test_mapping_interface(self):
-        f = SetBijection.from_mapping({3: 1, 1: 3, 2: 2})
-        assert f.domain == (1, 2, 3)
-        assert f.codomain == (1, 2, 3)
-        assert f(1) == 3 and f(3) == 1
-        assert f.as_dict() == {1: 3, 2: 2, 3: 1}
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            SetBijection(((1, 5), (2, 5)))
-
-    def test_rejects_unsorted_pairs(self):
-        with pytest.raises(ValueError):
-            SetBijection(((2, 1), (1, 2)))
-
-    def test_missing_key(self):
-        with pytest.raises(KeyError):
-            SetBijection.from_mapping({1: 1})(2)
-
-
 class TestTheta:
     def test_descents_reverses_runs(self):
-        assert theta(descents_spec(7), S_EXAMPLE).as_dict() == {1: 3, 2: 2, 3: 1, 5: 5, 7: 7}
+        assert theta(descents_spec(7), S_EXAMPLE) == {1: 3, 2: 2, 3: 1, 5: 5, 7: 7}
 
     def test_inversions_reverses_all(self):
-        assert theta(inversions_spec(7), S_EXAMPLE).as_dict() == {1: 7, 2: 5, 3: 3, 5: 2, 7: 1}
+        assert theta(inversions_spec(7), S_EXAMPLE) == {1: 7, 2: 5, 3: 3, 5: 2, 7: 1}
 
     def test_singleton(self):
-        assert theta(descents_spec(7), {4}).as_dict() == {4: 4}
-        assert theta(inversions_spec(7), {4}).as_dict() == {4: 4}
+        assert theta(descents_spec(7), {4}) == {4: 4}
+        assert theta(inversions_spec(7), {4}) == {4: 4}
 
     def test_custom_kind_refused(self):
         spec = custom_spec(random_matrices(4, count=1)[0])
@@ -106,18 +81,18 @@ class TestTheta:
         for spec in (descents_spec(6), inversions_spec(6)):
             for s in all_subsets(6):
                 th = theta(spec, s)
-                assert all(th(th(v)) == v for v in s)
+                assert all(th[th[v]] == v for v in s)
 
 
 class TestPhi:
     def test_order_preserving_example(self):
-        assert phi(S_EXAMPLE, 1, 3).as_dict() == {2: 1, 3: 2, 5: 5, 7: 7}
+        assert phi(S_EXAMPLE, 1, 3) == {2: 1, 3: 2, 5: 5, 7: 7}
 
     def test_identity_when_fixed(self):
-        assert phi(S_EXAMPLE, 5, 5).as_dict() == {1: 1, 2: 2, 3: 3, 7: 7}
+        assert phi(S_EXAMPLE, 5, 5) == {1: 1, 2: 2, 3: 3, 7: 7}
 
     def test_two_elements(self):
-        assert phi({1, 2}, 1, 2).as_dict() == {2: 1}
+        assert phi({1, 2}, 1, 2) == {2: 1}
 
     def test_membership_errors(self):
         with pytest.raises(ValueError):
@@ -130,7 +105,7 @@ class TestBuiltinPhi:
     def test_descents_translates_run_pieces(self):
         # run 1..4 around i=2: below the pivot shifts up by 3, above shifts down by 2
         f = builtin_phi(descents_spec(4), (1, 2, 3, 4), 2)
-        assert f.as_dict() == {1: 4, 3: 1, 4: 2}
+        assert f == {1: 4, 3: 1, 4: 2}
 
     def test_descents_preserves_matrix_where_order_preserving_fails(self):
         m = descents_matrix(4)
@@ -138,19 +113,19 @@ class TestBuiltinPhi:
         i, th_i = 2, 3
         good = builtin_phi(descents_spec(4), s, i)
         assert all(
-            m.entry(j, k) == m.entry(good(j), good(k))
+            m.entry(j, k) == m.entry(good[j], good[k])
             for j in (1, 3, 4)
             for k in (1, 3, 4)
         )
         naive = phi(s, i, th_i)
-        assert m.entry(3, 4) != m.entry(naive(3), naive(4))
+        assert m.entry(3, 4) != m.entry(naive[3], naive[4])
 
     def test_inversions_matches_order_preserving(self):
         spec = inversions_spec(6)
         for s in all_subsets(6):
             for i in s:
-                th_i = theta(spec, s)(i)
-                assert builtin_phi(spec, s, i).pairs == phi(s, i, th_i).pairs
+                th_i = theta(spec, s)[i]
+                assert builtin_phi(spec, s, i) == phi(s, i, th_i)
 
     def test_membership(self):
         with pytest.raises(ValueError):
@@ -172,13 +147,20 @@ class TestCheckConditions:
             assert check_conditions(m, s, theta(spec, s))
 
     def test_identity_flip_fails_for_descents(self):
-        th = SetBijection.from_mapping({1: 1, 2: 2})
-        assert check_conditions(descents_matrix(2), {1, 2}, th) is False
+        assert check_conditions(descents_matrix(2), {1, 2}, {1: 1, 2: 2}) is False
 
     def test_bijection_must_act_on_the_set(self):
-        th = SetBijection.from_mapping({1: 1, 3: 3})
         with pytest.raises(ValueError):
-            check_conditions(descents_matrix(3), {1, 2}, th)
+            check_conditions(descents_matrix(3), {1, 2}, {1: 1, 3: 3})
+        with pytest.raises(ValueError):  # not onto the set
+            check_conditions(zero_matrix(3), {1, 2, 3}, {1: 1, 2: 1, 3: 3})
+
+    def test_phi_with_a_repeated_value_fails(self):
+        # on the zero matrix only the bijection checks can fail
+        s, th = (1, 2, 3), {1: 1, 2: 2, 3: 3}
+        assert check_conditions(zero_matrix(3), s, th)
+        phis = {1: {2: 2, 3: 3}, 2: {1: 1, 3: 3}, 3: {1: 1, 2: 1}}
+        assert check_conditions(zero_matrix(3), s, th, phis=phis.__getitem__) is False
 
 
 class TestLambdaMap:
@@ -274,8 +256,8 @@ class TestRelabelTable:
             if s:
                 th = theta(spec, s)
                 for v in s:
-                    expected[v - 1, v - 1] = th(v) - 1
-                    for u, w in builtin_phi(spec, s, v).pairs:
+                    expected[v - 1, v - 1] = th[v] - 1
+                    for u, w in builtin_phi(spec, s, v).items():
                         expected[v - 1, u - 1] = w - 1
             assert np.array_equal(table[mask], expected), (mask, s)
 
