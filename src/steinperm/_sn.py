@@ -15,20 +15,25 @@ The suffix sums inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] depend only
 on p_t(i) and the set of values at or before position i, so sweeps read
 them from an n x 2^n table of partial row sums (:func:`suffix_table`),
 n gathers per row.  Rows too wide for such a table, the Monte Carlo
-draws, are shuffled in sub-tiles of rows small enough to stay in cache
-(:func:`draw`), and each sub-tile goes through :func:`inner_sums` by one
-of two kernels, set up once per matrix (:class:`InnerKernel`).  A
-running remainder of row sums (:func:`remainder_sums`) makes n^2 cell
-updates per row.  A value-space kernel (:func:`diagonal_sums`) makes
-n - d per nonzero diagonal d of M, and :func:`banded_offsets` picks it
-when ``DIAGONAL_CELL_COST`` sum(n - d) <= n^2: descents and other banded
-matrices take it, inversions and other dense matrices the remainder.
-Every value either kernel holds is a sum of distinct entries of one
-row, so the largest absolute row sum bounds it.  The row-sum guard of
-:func:`integer_matrix` keeps that bound in int64; both kernels run in
-the narrowest signed type that holds it (``InnerKernel.dtype``: int8
-for descents, int16 for inversions at n = 200), and a draw keeps
-``inner`` in that type, which callers widen before integer arithmetic.
+draws, are keyed instead: one float64 key per value, the permutation
+listing the values by increasing key with ties broken by value index,
+drawn in sub-tiles of rows small enough to stay in cache (:func:`draw`).
+Each sub-tile goes through :func:`inner_sums`, which takes the keys and
+gives inner in value order, by one of two kernels, set up once per
+matrix (:class:`InnerKernel`).  A value-space kernel
+(:func:`diagonal_sums`) reads "u + d after u" off the keys directly,
+n - d cell updates per nonzero diagonal d of M and no permutation at
+all, and :func:`banded_offsets` picks it when ``DIAGONAL_CELL_COST``
+sum(n - d) <= n^2: descents and other banded matrices take it.
+Inversions and other dense matrices sort the keys (:func:`ordered`) and
+run a remainder of row sums along the order (:func:`remainder_sums`),
+n^2 cell updates per row.  Every value either kernel holds is a sum of
+distinct entries of one row, so the largest absolute row sum bounds it.
+The row-sum guard of :func:`integer_matrix` keeps that bound in int64;
+both kernels run in the narrowest signed type that holds it
+(``InnerKernel.dtype``: int8 for descents, int16 for inversions at
+n = 200), and a draw keeps ``inner`` in that type, which callers widen
+before integer arithmetic.
 
 Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
@@ -44,7 +49,7 @@ would be too wide or its sums could leave int64.
 Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
 allocate; every Monte Carlo draw goes through :func:`draws`, which
-refuses oversized entries and yields (pos, inner) blocks.  The table
+refuses oversized entries and yields (pick, pos, inner) blocks.  The table
 also gives X of a swept row moved at each position (:func:`moved_x`).
 
 numpy is loaded on the first array operation, not on import (see
@@ -87,7 +92,7 @@ np = _lazy_numpy()
 
 CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
-ROW_BLOCK_CELLS = 1 << 15  # int64 cells (256 KiB) of one draw sub-tile
+ROW_BLOCK_CELLS = 1 << 15  # float64 keys (256 KiB) of one draw sub-tile
 # One diagonal_sums cell costs 2-3 remainder_sums cells: both kernels on
 # the dense inversions matrix took 2.5 against 1.2 ns per cell at n = 50
 # and 2.2 against 0.8 ns at n = 200 (numpy 2.4, 2-core x86-64 VM).  4
@@ -283,8 +288,8 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
 
 def draws(
     m: AntisymmetricMatrix, trials: int, seed: int
-) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """(L * M, L, blocks of :func:`draw`) for ``trials`` draws of (pi, I):
+) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """(L * M, L, blocks of :func:`draw`) for ``trials`` draws of (pi, V):
     block b holds at most ``DRAW_BLOCK`` draws from the b-th child of
     ``SeedSequence(seed)``.  The overflow guard runs before this returns,
     and the :class:`InnerKernel` set-up once for every block."""
@@ -303,27 +308,58 @@ def tile_height(n: int) -> int:
     return max(1, ROW_BLOCK_CELLS // n)
 
 
-def draw(kernel: InnerKernel, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, inner) for m draws of a uniform permutation and a uniform
-    0-indexed position, with ``inner = inner_sums(perms, kernel)``.
+def draw(kernel: InnerKernel, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pick, pos, inner) for m draws of a uniform permutation and a uniform
+    moved value, with ``inner = inner_sums(keys, kernel)`` in value order.
 
-    The permutations are shuffled in sub-tiles of :func:`tile_height`
-    rows, each a copy of one int64 identity tile (``permuted`` on uint8
-    rows is slower), and go through :func:`inner_sums` while in cache;
-    only their ``inner`` rows are kept, in ``kernel.dtype``.  ``pos`` is
-    drawn after the last sub-tile: ``permuted`` shuffles row by row, so
-    the rows and ``pos`` are those of one whole-tile shuffle.
+    The block's moved values V, ``pick``, are drawn first.  Then each
+    sub-tile of :func:`tile_height` rows draws its keys, U = ``rng.random``,
+    one float64 key per value, in place in one reused tile: row t's
+    permutation lists the values by increasing key, ties broken by value
+    index.  Each sub-tile goes through :func:`inner_sums` while in cache,
+    and only its ``inner`` rows are kept, in ``kernel.dtype``.  ``pos`` is
+    V's 0-indexed position, the number of keys of its row before U_V under
+    the same tie rule.  The sub-tiles' keys are, in order, those of one
+    whole-block ``rng.random((m, n))``.  ``pick`` and ``pos`` are in the
+    narrowest unsigned type that holds n - 1.
+
+    A uniform position I and a uniform value V independent of pi give the
+    same law of (pi, I): I = pi^-1(V) is uniform and independent of pi.
+
+    The law of the drawn order is within total variation C(n, 2) 2^-53 of
+    uniform.  ``rng.random`` gives k 2^-53 with k uniform on 0..2^53 - 1,
+    independently for every value.  Let T be the event that two keys of a
+    row tie; by the union bound over the C(n, 2) pairs, each tying with
+    probability 2^-53, P(T) <= C(n, 2) 2^-53.  Off T the order is the
+    order of distinct exchangeable keys, so each of the n! orders has the
+    same probability P(T^c) / n!.  For any set A of permutations,
+    P(order in A) - |A| / n! = P(order in A, T) - P(T) |A| / n!, a
+    difference of two numbers in [0, P(T)], so at most P(T) in absolute
+    value.
     """
     n = kernel.n
     height = tile_height(n)
-    identity = np.tile(np.arange(n, dtype=np.int64), (min(m, height), 1))
-    tile = np.empty_like(identity)
+    small = np.min_scalar_type(n - 1)
+    pick = rng.integers(0, n, size=m, dtype=small)
+    pos = np.empty(m, dtype=small)
+    values = np.arange(n, dtype=small)
+    tile = np.empty((min(m, height), n))
     inner = np.empty((m, n), dtype=kernel.dtype)
     for start in range(0, m, height):
         h = min(height, m - start)
-        rng.permuted(identity[:h], axis=1, out=tile[:h])
-        inner_sums(tile[:h], kernel, inner[start : start + h])
-    return rng.integers(0, n, size=m), inner
+        keys = rng.random(out=tile[:h])
+        v = pick[start : start + h, None]
+        inner_sums(keys, kernel, inner[start : start + h])
+        key = np.take_along_axis(keys, v, axis=1)
+        at = pos[start : start + h]
+        np.sum(keys < key, axis=1, dtype=small, out=at)
+        # rows where another key equals U_V also count the lower values
+        # among those; the count of equal keys, U_V's own included, is
+        # 1..n and wraps to 0 in ``small`` only at n
+        tied = (keys == key).sum(axis=1, dtype=small) != 1
+        if tied.any():
+            at[tied] += ((keys[tied] == key[tied]) & (values < v[tied])).sum(axis=1, dtype=small)
+    return pick, pos, inner
 
 
 def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
@@ -383,7 +419,7 @@ def table_inner(perms: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 class InnerKernel:
     """The per-matrix set-up of :func:`inner_sums` on ``mint`` = L * M,
-    made once and shared by every block of rows: ``fill(perms, out)``,
+    made once and shared by every block of rows: ``fill(keys, out)``,
     the kernel that :func:`banded_offsets` picks bound to the arrays it
     reads, and ``dtype``, the narrowest signed integer type that holds
     the largest absolute row sum (int8 for descents, int16 for
@@ -398,7 +434,7 @@ class InnerKernel:
 
     def __init__(self, mint: np.ndarray) -> None:
         self.mint = mint
-        self.n = n = mint.shape[0]
+        self.n = mint.shape[0]
         bound = int(np.abs(mint).sum(axis=1).max())
         self.dtype = dtype = next(np.dtype(f"int{bits}") for bits in (8, 16, 32, 64) if bound < 1 << (bits - 1))
         offsets = banded_offsets(mint)
@@ -411,19 +447,21 @@ class InnerKernel:
         else:
             self.fill = functools.partial(
                 diagonal_sums,
-                below=np.tril(mint).sum(axis=1).astype(dtype)[:, None],
-                diagonals=[(d, np.diagonal(mint, d).astype(dtype)[:, None]) for d in offsets],
-                positions=np.arange(n, dtype=np.min_scalar_type(n)),
+                below=np.tril(mint).sum(axis=1).astype(dtype),
+                diagonals=[(d, np.diagonal(mint, d).astype(dtype)) for d in offsets],
             )
 
 
-def inner_sums(perms: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = None) -> np.ndarray:
-    """inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] for each row p_t, with
-    ``kernel = InnerKernel(mint)``, written to ``out`` (int64 if None).
+def inner_sums(keys: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = None) -> np.ndarray:
+    """inner[t, v] = sum of M[v][u] over the values u after v in row t,
+    with ``kernel = InnerKernel(mint)``, written to ``out`` (int64 if None).
 
-    This is the suffix row sum behind every statistic here: the total
-    X equals inner.sum(axis=1) and a move of position i changes X by
-    -2 * inner[t, i].
+    Row t orders the values by increasing key ``keys[t, v]``, ties broken
+    by value index; a permutation p has the keys sigma = p^-1, its
+    positions.  inner is in value order: inner[t, p_t(i)] is the suffix
+    row sum at position i, the sum behind every statistic here: the total
+    X equals inner.sum(axis=1), and moving value v to the end changes X
+    by -2 * inner[t, v].
 
     Two exact kernels compute it, chosen by :func:`banded_offsets`: the
     value-space :func:`diagonal_sums`, one step per nonzero diagonal of M,
@@ -433,13 +471,12 @@ def inner_sums(perms: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = 
     first, inversions and other dense matrices the second.  Both give the
     same integers, and every value either holds is a sum of distinct
     entries of one row, each taken 0 or 1 times, which ``kernel.dtype``
-    holds (see :class:`InnerKernel`).  Their work arrays are (rows, n) in
-    ``kernel.dtype``: :func:`draw` passes sub-tiles small enough to stay
-    in cache.
+    holds (see :class:`InnerKernel`).  Their work arrays are (rows, n):
+    :func:`draw` passes sub-tiles small enough to stay in cache.
     """
     if out is None:
-        out = np.empty(perms.shape, dtype=np.int64)
-    kernel.fill(perms, out)
+        out = np.empty(keys.shape, dtype=np.int64)
+    kernel.fill(keys, out)
     return out
 
 
@@ -452,61 +489,72 @@ def banded_offsets(mint: np.ndarray) -> list[int] | None:
     return offsets if DIAGONAL_CELL_COST * sum(n - d for d in offsets) <= n * n else None
 
 
-def remainder_sums(perms: np.ndarray, out: np.ndarray, cols: np.ndarray, totals: np.ndarray) -> None:
-    """:func:`inner_sums` by a running remainder, n^2 cell updates per row,
-    with ``cols`` the columns of M as rows and ``totals`` its row sums.
+def ordered(keys: np.ndarray) -> np.ndarray:
+    """The permutations that ``keys`` define: row t lists the values by
+    increasing key, ties broken by value index.
+
+    ``argsort``'s default sort is the fastest, but need not keep tied keys
+    in index order; so when two keys tie, which one flat scan of the
+    sorted rows finds (it may also flag the last key of a row equal to the
+    first of the next), every row is sorted again by a stable sort."""
+    ranked = np.sort(keys, axis=1).reshape(-1)
+    if (ranked[1:] == ranked[:-1]).any():
+        return keys.argsort(axis=1, kind="stable")
+    return keys.argsort(axis=1)
+
+
+def remainder_sums(keys: np.ndarray, out: np.ndarray, cols: np.ndarray, totals: np.ndarray) -> None:
+    """:func:`inner_sums` by a running remainder along the :func:`ordered`
+    rows, n^2 cell updates per row, with ``cols`` the columns of M as rows
+    and ``totals`` its row sums.
 
     The rows carry rest[t, u] = sum of M[u][w] over the values w not yet
     passed: the full row sums less column p_t(i) at each position i,
-    where rest[t, p_t(i)] is inner[t, i].  ``cols``, ``totals`` and
+    where rest[t, p_t(i)] is inner[t, p_t(i)].  ``cols``, ``totals`` and
     rest are in ``InnerKernel.dtype``: every entry of ``cols`` is one
     entry of a row of M, and every value of ``totals`` and rest a sum of
     distinct entries of row u, each at most u's absolute row sum in
     absolute value, which that type holds.
     """
-    m, n = perms.shape
+    m, n = keys.shape
     rest = np.tile(totals, (m, 1))
-    flat = np.arange(m) * n
-    for i in range(n):
-        rest -= cols[perms[:, i]]
-        out[:, i] = rest.ravel().take(flat + perms[:, i])
+    val = np.empty_like(rest)
+    # cell (t, p_t(i)) of rest and val is flat[t] + p_t(i) of these views
+    flat, rest_cells, val_cells = np.arange(0, m * n, n), rest.reshape(-1), val.reshape(-1)
+    for p in ordered(keys).T:
+        rest -= cols.take(p, axis=0)
+        where = flat + p
+        val_cells[where] = rest_cells[where]
+    out[:] = val
 
 
 def diagonal_sums(
-    perms: np.ndarray,
+    keys: np.ndarray,
     out: np.ndarray,
     below: np.ndarray,
     diagonals: list[tuple[int, np.ndarray]],
-    positions: np.ndarray,
 ) -> None:
-    """:func:`inner_sums` in value space, sum(n - d) cell updates per row
-    over the pairs (d, M[u][u + d] as a column) in ``diagonals``, whose
-    offsets d hold every nonzero entry of M above the main diagonal;
-    ``below[w]`` is sum_{u < w} M[w][u] and ``positions`` is 0..n-1.
+    """:func:`inner_sums` in value space, read from the keys, sum(n - d)
+    cell updates per row over the pairs (d, M[u][u + d] for u = 0..n-d-1)
+    in ``diagonals``, whose offsets d hold every nonzero entry of M above
+    the main diagonal; ``below[w]`` is sum_{u < w} M[w][u].
 
-    With sigma = p^-1, inner at value w is sum_u M[w][u] [sigma(u) > sigma(w)].
-    The rows, laid out value-major as (n, m) arrays so that every step
-    below reads contiguous slices, start val[w] at ``below[w]``; each
-    diagonal d then takes term = [sigma(u + d) > sigma(u)] M[u][u + d]
-    and adds it to val[u] and to val[u + d], where it turns
-    M[u + d][u] = -M[u][u + d] into [sigma(u) > sigma(u + d)] M[u + d][u].
-    inner[t, i] is val[p_t(i)].  ``below``, the diagonals, term and val
+    inner at value w is sum_u M[w][u] [u after w].  Each row of ``out``
+    starts at ``below``; each diagonal d then takes
+    term = [u + d after u] M[u][u + d], where u + d comes after u when
+    U_{u+d} >= U_u (a tie puts the lower index u first), and adds it to
+    inner at u and at u + d, where it turns M[u + d][u] = -M[u][u + d]
+    into [u after u + d] M[u + d][u].  ``below``, the diagonals and term
     are in ``InnerKernel.dtype``: term holds single entries, and at every
-    step val[w] is a sum of distinct entries of row w, each taken 0 or 1
-    times, so each is bounded by an absolute row sum, which that type
-    holds.
+    step inner at w is a sum of distinct entries of row w, each taken 0
+    or 1 times, so each is bounded by an absolute row sum, which that
+    type holds.
     """
-    m, n = perms.shape
-    # the flat index of cell (p_t(i), t) of a value-major (n, m) array
-    where = perms * m + np.arange(m)[:, None]
-    sigma = np.empty((n, m), dtype=positions.dtype)
-    sigma.reshape(-1)[where] = positions
-    val = np.repeat(below, m, axis=1)
+    out[:] = below
     for d, diagonal in diagonals:
-        term = (sigma[d:] > sigma[:-d]) * diagonal
-        val[:-d] += term
-        val[d:] += term
-    out[:] = val.reshape(-1).take(where)
+        term = (keys[:, d:] >= keys[:, :-d]) * diagonal
+        out[:, :-d] += term
+        out[:, d:] += term
 
 
 def inner_sum_chunks(

@@ -8,8 +8,9 @@ E[W' | pi] = (1 - 2/n) W.
 
 Everything except sampling is exact rational arithmetic.  Samples come
 in integer blocks from ``_sn.draw``, the kernel of ``bounds --mode mc``:
-the drawn positions and the suffix sums ``inner`` of the drawn
-permutations, in the narrowest integer type that holds them.
+the moved values, their positions and the suffix sums ``inner`` of the
+drawn permutations, in value order and the narrowest integer type that
+holds them.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ def x_delta(spec: StatisticSpec, p: Permutation, i: int) -> Fraction:
 
 
 def pair_samples(
-    sigma: float, scale: int, pos: np.ndarray, inner: np.ndarray
+    sigma: float, scale: int, pick: np.ndarray, pos: np.ndarray, inner: np.ndarray
 ) -> Iterator[PairSample]:
-    """The pairs of a block of ``_sn.draw`` on L * M, L = ``scale``, with
-    X = sum_i inner[i] / L and X' = X - 2 inner[I] / L.  ``inner`` may be
-    as narrow as int8, so both are taken in int64."""
+    """The pairs of a block (pick, pos, inner) of ``_sn.draw`` on L * M,
+    L = ``scale``: the moved value V = ``pick`` sits at 0-indexed position
+    ``pos``, X = sum_v inner[v] / L and X' = X - 2 inner[V] / L.  ``inner``
+    may be as narrow as int8, so both are taken in int64."""
     x = inner.sum(axis=1, dtype=np.int64)
-    x_prime = x - 2 * inner[np.arange(len(pos)), pos].astype(np.int64)
+    x_prime = x - 2 * inner[np.arange(len(pick)), pick].astype(np.int64)
     for a, b, i in zip(x.tolist(), x_prime.tolist(), pos.tolist()):
         fa, fb = Fraction(a, scale), Fraction(b, scale)
         yield PairSample(fa, fb, float(fa) / sigma, float(fb) / sigma, i + 1)
@@ -95,8 +97,7 @@ def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
     ``_sn.draw``, fully determined by the generator state."""
     sigma = math.sqrt(spec.variance)
     mint, scale = _sn.integer_matrix(spec.matrix)
-    pos, inner = _sn.draw(_sn.InnerKernel(mint), 1, rng)
-    return next(pair_samples(sigma, scale, pos, inner))
+    return next(pair_samples(sigma, scale, *_sn.draw(_sn.InnerKernel(mint), 1, rng)))
 
 
 def unit_step_check(n: int, limit: int | None = None) -> bool:

@@ -301,7 +301,7 @@ def cmd_sample(args) -> int:
         raise UsageError("--trials must not be negative")
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
     _, scale, blocks = _sn.draws(spec.matrix, args.trials, args.seed)
-    samples = [s for pos, inner in blocks for s in pair_samples(sigma, scale, pos, inner)]
+    samples = [s for block in blocks for s in pair_samples(sigma, scale, *block)]
     rows = [dict(vars(s), x=str(s.x), x_prime=str(s.x_prime)) for s in samples]
     if args.format == "csv":
         lines = (f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows)

@@ -155,13 +155,14 @@ def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIng
 
 
 def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredients:
-    """Monte Carlo ingredients from ``trials`` independent (pi, I) draws.
+    """Monte Carlo ingredients from ``trials`` independent (pi, V) draws,
+    V the moved value, uniform and independent of pi.
 
     The draws come in blocks from :func:`_sn.draws`, so the result
     depends only on (trials, seed).  E[(W'-W)^2] is estimated by the
     mean of the exact per-permutation conditional second moment (which
     has smaller variance than the raw squared increments); the third
-    moment uses the sampled position.
+    moment uses the sampled value's suffix sum, ``inner`` at column V.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -173,18 +174,21 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
 
     block_sums: list[list[float]] = []
     height = _sn.tile_height(n)
-    for pos, inner in blocks:
-        d_w = -2.0 * inner[np.arange(len(pos)), pos] / sigma_x
-        abs3 = np.abs(d_w) ** 3
-        # c by sub-tiles of rows, never a float copy of the whole block:
-        # a row sum is the same float however the rows are sliced
-        c = np.empty(len(pos))
-        for start in range(0, len(pos), height):
-            f = inner[start : start + height].astype(np.float64)
+    for pick, _, inner in blocks:
+        # inner at V and c by sub-tiles of rows, never a float copy of the
+        # whole block: a row sum is the same float however the rows are sliced
+        d_w, c = np.empty(len(pick)), np.empty(len(pick))
+        for start in range(0, len(pick), height):
+            rows = inner[start : start + height]
+            d_w[start : start + height] = rows[np.arange(len(rows)), pick[start : start + height]]
+            f = rows.astype(np.float64)
             f /= sigma_x**2
-            f *= inner[start : start + height]
+            f *= rows
             c[start : start + height] = 4.0 / n * f.sum(axis=1)
-        del inner  # free it before the next draw
+        del inner, rows  # free it before the next draw
+        d_w *= -2.0
+        d_w /= sigma_x
+        abs3 = np.abs(d_w) ** 3
         u = c - c_center
         powers = (abs3, abs3 * abs3, u, u * u, u * u * u, u * u * u * u)
         block_sums.append([float(v.sum()) for v in powers])

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: the normal CDF
 oracle is a Taylor series in 60-digit arithmetic rather than erfc, the
 distance oracle is a brute scan rather than the closed form, the
 suffix sums are gathered position by position rather than read from a
-table or a running remainder, the Monte Carlo draw shuffles one whole
-tile rather than cache-sized sub-tiles, the exact laws are the full-row
+table, a running remainder or the keys, the Monte Carlo draw keys one
+whole block rather than cache-sized sub-tiles and orders it by a stable
+argsort, the exact laws are the full-row
 recurrences and Fraction standardization that the half-row versions
 replaced, X of every moved and relabeled row is recomputed on a copy
 of the rows rather than read from the original rows' seen sets, and the
@@ -73,14 +74,35 @@ def inner_sums_gather(perms: np.ndarray, mint: np.ndarray) -> np.ndarray:
     return inner
 
 
+def value_order(perms: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """``inner`` of rows of permutations moved from position order to
+    value order: out[t, perms[t, i]] = inner[t, i]."""
+    out = np.empty_like(inner)
+    np.put_along_axis(out, perms, inner, axis=1)
+    return out
+
+
+def keyed_gather(keys: np.ndarray, mint: np.ndarray) -> np.ndarray:
+    """The suffix sums, in value order and int64, of the permutations that
+    ``keys`` define: each row's values by increasing key, ties broken by
+    value index (a stable argsort), gathered position by position."""
+    perms = np.argsort(keys, axis=1, kind="stable")
+    return value_order(perms, inner_sums_gather(perms, mint))
+
+
 def draw_whole_tile(mint: np.ndarray, m: int, rng: np.random.Generator):
-    """(perms, pos, inner) for m draws of (pi, I) from ``rng``, as the Monte
-    Carlo draw made them before it worked in sub-tiles: one int64 tile of m
-    identity rows shuffled at once, the positions drawn after it, and every
-    suffix sum by the per-position gather, in int64."""
+    """(perms, pick, pos, inner) for m draws of (pi, V) from ``rng``, in the
+    order the Monte Carlo draw takes them: the moved values first, then the
+    keys of the whole block in one call rather than by cache-sized
+    sub-tiles.  The permutations are a stable argsort of the keys, ``pos``
+    is V's place in them and every suffix sum is the per-position gather,
+    in int64 and value order."""
     n = mint.shape[0]
-    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (m, 1)), axis=1)
-    return perms, rng.integers(0, n, size=m), inner_sums_gather(perms, mint)
+    pick = rng.integers(0, n, size=m, dtype=np.min_scalar_type(n - 1))
+    keys = rng.random((m, n))
+    perms = np.argsort(keys, axis=1, kind="stable")
+    pos = np.argsort(perms, axis=1)[np.arange(m), pick]
+    return perms, pick, pos, keyed_gather(keys, mint)
 
 
 def descent_counts(perms: np.ndarray) -> np.ndarray:

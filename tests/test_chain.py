@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,10 +9,14 @@ import pytest
 from _oracles import cond_exp_sq, conditional_drift
 from conftest import random_matrices
 from steinperm import (
+    AntisymmetricMatrix,
     Permutation,
+    _sn,
     custom_spec,
+    descents_matrix,
     descents_spec,
     identity,
+    inversions_matrix,
     inversions_spec,
     move_to_end,
     sample_pair,
@@ -21,6 +26,7 @@ from steinperm import (
     x_stat,
     zero_matrix,
 )
+from steinperm.chain import pair_samples
 from steinperm.perm_core import EnumerationLimitError
 
 WORKED = Permutation((6, 4, 1, 5, 3, 2, 7))
@@ -188,3 +194,49 @@ class TestUnitStep:
     def test_limit(self):
         with pytest.raises(EnumerationLimitError):
             unit_step_check(12)
+
+
+class TestPairLaw:
+    """The sampled (position, X, X') of the Monte Carlo draws at n = 5, a
+    fixed-seed chi-square test against the exact tally over S_5 x
+    positions: descents take the diagonal kernel, inversions and the
+    2-descent matrix (M[u][u + k] = -1 for k = 1, 2) the remainder, and
+    every position comes from the keys' ranks."""
+
+    N = 5
+    TRIALS = 60_000
+
+    @staticmethod
+    def _matrix(kind, n):
+        if kind == "two-descents":
+            rows = [["0"] * n for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, min(u + 3, n)):
+                    rows[u][v], rows[v][u] = "-1", "1"
+            return AntisymmetricMatrix.from_rows(rows)
+        return {"descents": descents_matrix, "inversions": inversions_matrix}[kind](n)
+
+    @pytest.mark.parametrize("kind, banded", [("descents", True), ("inversions", False), ("two-descents", False)])
+    def test_chi_square_against_the_exact_tally(self, kind, banded):
+        stats = pytest.importorskip("scipy.stats")
+        n = self.N
+        matrix = self._matrix(kind, n)
+        mint, scale = _sn.integer_matrix(matrix)
+        assert (_sn.banded_offsets(mint) is not None) == banded
+        perms = np.concatenate(list(_sn.chunks(n)))
+        inner = _sn.table_inner(perms, _sn.suffix_table(mint))
+        x = inner.sum(axis=1)
+        exact = Counter()
+        for i in range(n):
+            exact.update(zip([i + 1] * len(x), x.tolist(), (x - 2 * inner[:, i]).tolist()))
+        assert sum(exact.values()) == math.factorial(n) * n
+        _, scale, blocks = _sn.draws(matrix, self.TRIALS, 2024)
+        seen = Counter(
+            (s.position, s.x * scale, s.x_prime * scale) for block in blocks for s in pair_samples(1.0, scale, *block)
+        )
+        assert set(seen) <= set(exact)
+        cells = sorted(exact)
+        observed = [seen[c] for c in cells]
+        expected = [self.TRIALS * exact[c] / (math.factorial(n) * n) for c in cells]
+        assert min(expected) >= 5
+        assert stats.chisquare(observed, expected).pvalue > 1e-3

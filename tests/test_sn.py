@@ -23,10 +23,11 @@ from steinperm import (
     zero_matrix,
 )
 from steinperm import _sn, exchangeability, stein_bounds
+from steinperm.chain import pair_samples
 from steinperm.perm_core import EnumerationLimitError
 
 from conftest import random_matrices
-from _oracles import draw_whole_tile, inner_sums_gather, relabel, row_copy_x
+from _oracles import draw_whole_tile, inner_sums_gather, keyed_gather, relabel, row_copy_x, value_order
 
 
 class TestSweep:
@@ -370,17 +371,24 @@ class TestInnerSums:
 
     @classmethod
     def _check(cls, matrix, rows):
+        # float keys as the draw makes them, and a permutation's positions
         mint, _ = _sn.integer_matrix(matrix)
         n = matrix.n
-        perms = np.random.default_rng(rows).permuted(np.tile(np.arange(n, dtype=np.int64), (rows, 1)), axis=1)
-        want = inner_sums_gather(perms, mint)
-        for kernel in cls._kernels(mint):
-            inner = _sn.inner_sums(perms, kernel)
-            assert inner.dtype == np.int64 and inner.shape == (rows, n)
-            assert np.array_equal(inner, want)
-            narrow = np.empty((rows, n), dtype=kernel.dtype)
-            assert _sn.inner_sums(perms, kernel, narrow) is narrow
-            assert np.array_equal(narrow, want)
+        rng = np.random.default_rng(rows)
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (rows, 1)), axis=1)
+        floats = rng.random((rows, n))
+        cases = [
+            (floats, keyed_gather(floats, mint)),
+            (np.argsort(perms, axis=1), value_order(perms, inner_sums_gather(perms, mint))),
+        ]
+        for keys, want in cases:
+            for kernel in cls._kernels(mint):
+                inner = _sn.inner_sums(keys, kernel)
+                assert inner.dtype == np.int64 and inner.shape == (rows, n)
+                assert np.array_equal(inner, want)
+                narrow = np.empty((rows, n), dtype=kernel.dtype)
+                assert _sn.inner_sums(keys, kernel, narrow) is narrow
+                assert np.array_equal(narrow, want)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 2, 7])
@@ -423,8 +431,8 @@ class TestInnerSums:
         spec = custom_spec(_kernel_matrix(kind, 9))
         want = ingredients_mc(spec, 3000, 17)
 
-        def gather(perms, kernel, out):
-            out[:] = inner_sums_gather(perms, kernel.mint)
+        def gather(keys, kernel, out):
+            out[:] = keyed_gather(keys, kernel.mint)
 
         monkeypatch.setattr(_sn, "inner_sums", gather)
         assert ingredients_mc(spec, 3000, 17) == want
@@ -482,10 +490,14 @@ class TestInnerSums:
             perms = np.concatenate([[np.arange(n), np.arange(n)[::-1]], shuffled])
             want = inner_sums_gather(perms, mint)
         assert want.dtype == np.int64 and want.max() == bound and want.min() == -bound
-        for kernel in self._kernels(mint):
-            assert np.array_equal(_sn.inner_sums(perms, kernel), want)
-            narrow = _sn.inner_sums(perms, kernel, np.empty(perms.shape, dtype=kernel.dtype))
-            assert np.array_equal(narrow, want)
+        # each row keyed by its positions, and by float keys in the same order
+        want = value_order(perms, want)
+        positions = np.argsort(perms, axis=1)
+        for keys in (positions, (positions + 0.5) / n):
+            for kernel in self._kernels(mint):
+                assert np.array_equal(_sn.inner_sums(keys, kernel), want)
+                narrow = _sn.inner_sums(keys, kernel, np.empty(keys.shape, dtype=kernel.dtype))
+                assert np.array_equal(narrow, want)
 
 
 class TestRowSumGuard:
@@ -517,17 +529,22 @@ class TestDraws:
         mint, scale, blocks = _sn.draws(m, trials, seed)
         n = m.n
         dtype = _sn.InnerKernel(mint).dtype
+        small = np.min_scalar_type(n - 1)
         sizes = []
         children = np.random.SeedSequence(seed).spawn(-(-trials // _sn.DRAW_BLOCK))
-        for (pos, inner), child in zip(blocks, children, strict=True):
-            sizes.append(len(pos))
-            perms, want_pos, want = draw_whole_tile(mint, len(pos), np.random.Generator(np.random.PCG64(child)))
-            assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (len(pos), 1)))
-            assert inner.shape == (len(pos), n) and inner.dtype == dtype
-            assert pos.min() >= 0 and pos.max() < n
+        for (pick, pos, inner), child in zip(blocks, children, strict=True):
+            rows = len(pick)
+            sizes.append(rows)
+            perms, want_pick, want_pos, want = draw_whole_tile(mint, rows, np.random.Generator(np.random.PCG64(child)))
+            assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (rows, 1)))
+            assert inner.shape == (rows, n) and inner.dtype == dtype
+            assert pick.dtype == pos.dtype == small and pos.shape == (rows,)
+            assert pick.max() < n and pos.max() < n
+            assert np.array_equal(pick, want_pick)
             assert np.array_equal(pos, want_pos)
+            assert np.array_equal(perms[np.arange(rows), pos], pick)
             assert np.array_equal(inner, want)
-            assert np.array_equal(inner, inner_sums_gather(perms, mint))
+            assert np.array_equal(np.take_along_axis(inner, perms, axis=1), inner_sums_gather(perms, mint))
         assert sum(sizes) == trials and all(s <= _sn.DRAW_BLOCK for s in sizes)
         return scale, sizes
 
@@ -571,6 +588,65 @@ class TestDraws:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+class _TiedKeys:
+    """A generator whose keys tie: each key is floor(3 u) / 3 for a uniform
+    u of a seeded numpy generator, so every row of 4 or more values has a
+    tie; ``integers`` is the numpy generator's."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.integers = self._rng.integers
+        self.drawn = []
+
+    def random(self, size=None, out=None):
+        keys = np.floor(3 * self._rng.random(size if out is None else out.shape)) / 3
+        self.drawn.append(keys)
+        if out is None:
+            return keys
+        out[:] = keys
+        return out
+
+
+class TestTiedKeys:
+    """Draws whose keys tie: inner is the int64 gather, and pos V's place,
+    of the order the keys define with ties broken by value index, for the
+    kernel banded_offsets picks and for each kernel forced."""
+
+    @pytest.mark.parametrize("kind", ["descents", "inversions", "banded", "corner", "rational"])
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_index_order(self, kind, n, monkeypatch):
+        monkeypatch.setattr(_sn, "ROW_BLOCK_CELLS", 13 * n)  # sub-tiles of 13 rows
+        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, n))
+        stub = _TiedKeys(n)
+        perms, want_pick, want_pos, want = draw_whole_tile(mint, 400, stub)
+        ranked = np.take_along_axis(stub.drawn[0], perms, axis=1)
+        tie = ranked[:, 1:] == ranked[:, :-1]
+        assert tie.any(axis=1).all() if n == 7 else 0 < tie.any(axis=1).sum() < 400
+        assert (perms[:, 1:][tie] > perms[:, :-1][tie]).all()  # the lower index first
+        for kernel in TestInnerSums._kernels(mint):
+            pick, pos, inner = _sn.draw(kernel, 400, _TiedKeys(n))
+            assert np.array_equal(pick, want_pick)
+            assert np.array_equal(inner, want)
+            assert np.array_equal(pos, want_pos)
+            assert np.array_equal(perms[np.arange(400), pos], pick)
+            samples = list(pair_samples(1.0, 1, pick, pos, inner))
+            assert [s.position for s in samples] == (want_pos + 1).tolist()
+            x = want.sum(axis=1)
+            assert [s.x_prime - s.x for s in samples] == (-2 * want[np.arange(400), pick]).tolist()
+            assert [s.x for s in samples] == x.tolist()
+
+    @pytest.mark.parametrize("kind", ["inversions", "banded"])
+    def test_kernels_on_tied_keys(self, kind):
+        # keys with one tie in some rows only: the remainder's fast sort on
+        # the untied rows, the stable sort once a tie is found
+        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, 6))
+        keys = np.random.default_rng(2).random((50, 6))
+        keys[::7, 4] = keys[::7, 1]
+        for tile in (keys[1:7], keys):
+            for kernel in TestInnerSums._kernels(mint):
+                assert np.array_equal(_sn.inner_sums(tile, kernel), keyed_gather(tile, mint))
 
 
 def _swept(m):
