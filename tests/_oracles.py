@@ -93,8 +93,9 @@ def keyed_gather(keys: np.ndarray, mint: np.ndarray) -> np.ndarray:
 def draw_whole_tile(mint: np.ndarray, m: int, rng: np.random.Generator):
     """(perms, pick, pos, inner) for m draws of (pi, V) from ``rng``, in the
     order the Monte Carlo draw takes them: the moved values first, then the
-    keys of the whole block in one call rather than by cache-sized
-    sub-tiles.  The permutations are a stable argsort of the keys, ``pos``
+    keys of the whole block in one ``rng.random`` call rather than by
+    cache-sized sub-tiles: the draw's integer keys times 2^-53, in the same
+    order.  The permutations are a stable argsort of the keys, ``pos``
     is V's place in them and every suffix sum is the per-position gather,
     in int64 and value order."""
     n = mint.shape[0]

@@ -371,14 +371,14 @@ class TestInnerSums:
 
     @classmethod
     def _check(cls, matrix, rows):
-        # float keys as the draw makes them, and a permutation's positions
+        # keys as the draw makes them, and a permutation's positions
         mint, _ = _sn.integer_matrix(matrix)
         n = matrix.n
         rng = np.random.default_rng(rows)
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (rows, 1)), axis=1)
-        floats = rng.random((rows, n))
+        drawn = rng.bit_generator.random_raw((rows, n)) >> (64 - _sn.KEY_BITS)
         cases = [
-            (floats, keyed_gather(floats, mint)),
+            (drawn, keyed_gather(drawn, mint)),
             (np.argsort(perms, axis=1), value_order(perms, inner_sums_gather(perms, mint))),
         ]
         for keys, want in cases:
@@ -490,10 +490,10 @@ class TestInnerSums:
             perms = np.concatenate([[np.arange(n), np.arange(n)[::-1]], shuffled])
             want = inner_sums_gather(perms, mint)
         assert want.dtype == np.int64 and want.max() == bound and want.min() == -bound
-        # each row keyed by its positions, and by float keys in the same order
+        # each row keyed by its positions, and by the top keys in the same order
         want = value_order(perms, want)
         positions = np.argsort(perms, axis=1)
-        for keys in (positions, (positions + 0.5) / n):
+        for keys in (positions, (1 << _sn.KEY_BITS) - n + positions.astype(np.uint64)):
             for kernel in self._kernels(mint):
                 assert np.array_equal(_sn.inner_sums(keys, kernel), want)
                 narrow = _sn.inner_sums(keys, kernel, np.empty(keys.shape, dtype=kernel.dtype))
@@ -591,22 +591,25 @@ class TestDraws:
 
 
 class _TiedKeys:
-    """A generator whose keys tie: each key is floor(3 u) / 3 for a uniform
-    u of a seeded numpy generator, so every row of 4 or more values has a
-    tie; ``integers`` is the numpy generator's."""
+    """A generator whose keys tie: each raw 64-bit draw is c 2^62 for
+    c = floor(3 u), u a uniform of a seeded numpy generator, so every row
+    of 4 or more values has a tie.  ``random`` makes (draw >> 11) 2^-53
+    of the same draws, as numpy does; ``integers`` is the numpy
+    generator's, and ``bit_generator.random_raw`` gives the raw draws."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.integers = self._rng.integers
+        self.bit_generator = self
         self.drawn = []
 
-    def random(self, size=None, out=None):
-        keys = np.floor(3 * self._rng.random(size if out is None else out.shape)) / 3
-        self.drawn.append(keys)
-        if out is None:
-            return keys
-        out[:] = keys
-        return out
+    def random_raw(self, size=None):
+        raw = np.floor(3 * self._rng.random(size)).astype(np.uint64) << np.uint64(62)
+        self.drawn.append(raw)
+        return raw
+
+    def random(self, size=None):
+        return (self.random_raw(size) >> np.uint64(11)) * 2.0**-53
 
 
 class TestTiedKeys:
@@ -639,14 +642,27 @@ class TestTiedKeys:
 
     @pytest.mark.parametrize("kind", ["inversions", "banded"])
     def test_kernels_on_tied_keys(self, kind):
-        # keys with one tie in some rows only: the remainder's fast sort on
-        # the untied rows, the stable sort once a tie is found
+        # keys with one tie in some rows only, each broken by value index
         mint, _ = _sn.integer_matrix(_kernel_matrix(kind, 6))
-        keys = np.random.default_rng(2).random((50, 6))
+        keys = np.random.default_rng(2).integers(0, 1 << _sn.KEY_BITS, (50, 6), dtype=np.uint64)
         keys[::7, 4] = keys[::7, 1]
         for tile in (keys[1:7], keys):
             for kernel in TestInnerSums._kernels(mint):
                 assert np.array_equal(_sn.inner_sums(tile, kernel), keyed_gather(tile, mint))
+
+    @pytest.mark.parametrize("n", [2, 3, 2047, 2048, 2049])
+    def test_ordered_at_the_width_of_the_codes(self, n):
+        # keys at the bottom, the middle and the top of the range below
+        # 2^53, so most rows tie and a code too wide for 64 bits would lose
+        # the top bit: up to n = 2048 the value index fills the low 11 bits
+        # of each code, and wider rows take the stable argsort
+        top = 1 << _sn.KEY_BITS
+        spread = np.array([0, 1, top >> 1, (top >> 1) + 1, top - 2, top - 1], dtype=np.uint64)
+        keys = np.random.default_rng(n).choice(spread, (5, n))
+        keys[0] = top - 1
+        order = _sn.ordered(keys)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(keys, axis=1, kind="stable"))
 
 
 def _swept(m):
