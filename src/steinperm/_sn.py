@@ -33,8 +33,9 @@ distinct entries of one row, so the largest absolute row sum bounds it.
 The row-sum guard of :func:`integer_matrix` keeps that bound in int64;
 both kernels run in the narrowest signed type that holds it
 (``InnerKernel.dtype``: int8 for descents, int16 for inversions at
-n = 200), and a draw keeps ``inner`` in that type, which callers widen
-before integer arithmetic.
+n = 200).  A draw keeps no block of ``inner``: each sub-tile goes
+straight to its consumer in that type, which callers widen before
+integer arithmetic.
 
 Rational matrices are cleared to integers first: with L the lcm of all
 entry denominators, every statistic computed from the integer matrix is
@@ -50,8 +51,9 @@ would be too wide or its sums could leave int64.
 Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
 allocate; every Monte Carlo draw goes through :func:`draws`, which
-refuses oversized entries and yields (pick, pos, inner) blocks.  The table
-also gives X of a swept row moved at each position (:func:`moved_x`).
+refuses oversized entries and yields (pick, tiles) blocks: the moved
+values and their sub-tiles of keys and ``inner``.  The table also gives
+X of a swept row moved at each position (:func:`moved_x`).
 
 numpy is loaded on the first array operation, not on import (see
 :func:`_lazy_numpy`); the other modules bind ``np`` from here, so the
@@ -290,7 +292,7 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
 
 def draws(
     m: AntisymmetricMatrix, trials: int, seed: int
-) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]]]:
     """(L * M, L, blocks of :func:`draw`) for ``trials`` draws of (pi, V):
     block b holds at most ``DRAW_BLOCK`` draws from the b-th child of
     ``SeedSequence(seed)``.  The overflow guard runs before this returns,
@@ -310,22 +312,27 @@ def tile_height(n: int) -> int:
     return max(1, ROW_BLOCK_CELLS // n)
 
 
-def draw(kernel: InnerKernel, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pick, pos, inner) for m draws of a uniform permutation and a uniform
-    moved value, with ``inner = inner_sums(keys, kernel)`` in value order.
+def draw(
+    kernel: InnerKernel, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """(pick, tiles) for m draws of a uniform permutation and a uniform
+    moved value: ``pick`` holds the moved values V, and ``tiles`` yields,
+    for each sub-tile of :func:`tile_height` rows from row ``start`` on,
+    ``(start, keys, inner)`` with ``inner = inner_sums(keys, kernel)`` in
+    value order.
 
-    The block's moved values V, ``pick``, are drawn first.  Then each
-    sub-tile of :func:`tile_height` rows draws its keys, one per value:
-    the top ``KEY_BITS`` = 53 bits k of a raw 64-bit draw, the k of the
-    k 2^-53 that ``rng.random`` makes of the same draw, so the keys have
-    its order and its stream.  Row t's permutation lists the values by
-    increasing key, ties broken by value index.  Each sub-tile goes
-    through :func:`inner_sums` while in cache, and only its ``inner`` rows
-    are kept, in ``kernel.dtype``.  ``pos`` is V's 0-indexed position,
-    the number of keys of its row before k_V under the same tie rule.  The
-    sub-tiles' keys are, in order, those of one whole-block
-    ``rng.random((m, n))`` times 2^53.  ``pick`` and ``pos`` are in the
-    narrowest unsigned type that holds n - 1.
+    The block's moved values are drawn first, on this call, in the
+    narrowest unsigned type that holds n - 1.  Then each sub-tile draws
+    its keys, one per value, as ``tiles`` reaches it: the top
+    ``KEY_BITS`` = 53 bits k of a raw 64-bit draw, the k of the k 2^-53
+    that ``rng.random`` makes of the same draw, so the keys have its order
+    and its stream.  Row t's permutation lists the values by increasing
+    key, ties broken by value index, so V's 0-indexed position is the
+    number of keys of its row below k_V + [u < V].  The sub-tiles' keys
+    are, in order, those of one whole-block ``rng.random((m, n))`` times
+    2^53.  Every sub-tile's ``inner`` is a view of one buffer in
+    ``kernel.dtype``, which the next sub-tile overwrites: a consumer reads
+    it, and its keys, before it asks for the next.
 
     A uniform position I and a uniform value V independent of pi give the
     same law of (pi, I): I = pi^-1(V) is uniform and independent of pi.
@@ -342,22 +349,20 @@ def draw(kernel: InnerKernel, m: int, rng: np.random.Generator) -> tuple[np.ndar
     value.
     """
     n = kernel.n
-    height = tile_height(n)
-    small = np.min_scalar_type(n - 1)
-    pick = rng.integers(0, n, size=m, dtype=small)
-    pos = np.empty(m, dtype=small)
-    values = np.arange(n, dtype=small)
-    inner = np.empty((m, n), dtype=kernel.dtype)
-    for start in range(0, m, height):
-        h = min(height, m - start)
-        keys = rng.bit_generator.random_raw(h * n).reshape(h, n)
-        keys >>= 64 - KEY_BITS
-        v = pick[start : start + h, None]
-        inner_sums(keys, kernel, inner[start : start + h])
-        # a value u < V is before V when k_u <= k_V, that is k_u < k_V + 1
-        key = np.take_along_axis(keys, v, axis=1) + (values < v)
-        np.sum(keys < key, axis=1, dtype=small, out=pos[start : start + h])
-    return pick, pos, inner
+    pick = rng.integers(0, n, size=m, dtype=np.min_scalar_type(n - 1))
+
+    def tiles() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        height = tile_height(n)
+        inner = np.empty((min(height, m), n), dtype=kernel.dtype)
+        for start in range(0, m, height):
+            h = min(height, m - start)
+            keys = rng.bit_generator.random_raw(h * n).reshape(h, n)
+            keys >>= 64 - KEY_BITS
+            rows = inner[:h]
+            inner_sums(keys, kernel, rows)
+            yield start, keys, rows
+
+    return pick, tiles()
 
 
 def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:

@@ -8,9 +8,10 @@ E[W' | pi] = (1 - 2/n) W.
 
 Everything except sampling is exact rational arithmetic.  Samples come
 in integer blocks from ``_sn.draw``, the kernel of ``bounds --mode mc``:
-the moved values, their positions and the suffix sums ``inner`` of the
-drawn permutations, in value order and the narrowest integer type that
-holds them.
+the moved values, then sub-tiles of the drawn permutations' keys and
+suffix sums ``inner``, in value order and the narrowest integer type
+that holds them.  The moved value's position is ranked from the keys
+here, the one place it is printed.
 """
 
 from __future__ import annotations
@@ -79,17 +80,26 @@ def x_delta(spec: StatisticSpec, p: Permutation, i: int) -> Fraction:
 
 
 def pair_samples(
-    sigma: float, scale: int, pick: np.ndarray, pos: np.ndarray, inner: np.ndarray
+    sigma: float, scale: int, pick: np.ndarray, tiles: Iterator[tuple[int, np.ndarray, np.ndarray]]
 ) -> Iterator[PairSample]:
-    """The pairs of a block (pick, pos, inner) of ``_sn.draw`` on L * M,
-    L = ``scale``: the moved value V = ``pick`` sits at 0-indexed position
-    ``pos``, X = sum_v inner[v] / L and X' = X - 2 inner[V] / L.  ``inner``
-    may be as narrow as int8, so both are taken in int64."""
-    x = inner.sum(axis=1, dtype=np.int64)
-    x_prime = x - 2 * inner[np.arange(len(pick)), pick].astype(np.int64)
-    for a, b, i in zip(x.tolist(), x_prime.tolist(), pos.tolist()):
-        fa, fb = Fraction(a, scale), Fraction(b, scale)
-        yield PairSample(fa, fb, float(fa) / sigma, float(fb) / sigma, i + 1)
+    """The pairs of a block (pick, tiles) of ``_sn.draw`` on L * M,
+    L = ``scale``: in each sub-tile (start, keys, inner), the moved value
+    V = ``pick[start + t]`` of row t sits at 0-indexed position
+    #{u : k_u < k_V + [u < V]}, the number of values before it by key with
+    ties broken by value index, X = sum_v inner[v] / L and
+    X' = X - 2 inner[V] / L.  ``inner`` may be as narrow as int8, so both
+    are taken in int64."""
+    for start, keys, inner in tiles:
+        h, n = inner.shape
+        v = pick[start : start + h, None]
+        x = inner.sum(axis=1, dtype=np.int64)
+        x_prime = x - 2 * inner[np.arange(h), v[:, 0]].astype(np.int64)
+        # a value u < V is before V when k_u <= k_V, that is k_u < k_V + 1
+        key = np.take_along_axis(keys, v, axis=1) + (np.arange(n, dtype=v.dtype) < v)
+        pos = np.sum(keys < key, axis=1)
+        for a, b, i in zip(x.tolist(), x_prime.tolist(), pos.tolist()):
+            fa, fb = Fraction(a, scale), Fraction(b, scale)
+            yield PairSample(fa, fb, float(fa) / sigma, float(fb) / sigma, i + 1)
 
 
 def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:

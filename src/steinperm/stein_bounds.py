@@ -159,10 +159,11 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
     V the moved value, uniform and independent of pi.
 
     The draws come in blocks from :func:`_sn.draws`, so the result
-    depends only on (trials, seed).  E[(W'-W)^2] is estimated by the
-    mean of the exact per-permutation conditional second moment (which
-    has smaller variance than the raw squared increments); the third
-    moment uses the sampled value's suffix sum, ``inner`` at column V.
+    depends only on (trials, seed); each sub-tile is reduced to per-draw
+    floats as it is drawn.  E[(W'-W)^2] is estimated by the mean of the
+    exact per-permutation conditional second moment (which has smaller
+    variance than the raw squared increments); the third moment uses the
+    sampled value's suffix sum, ``inner`` at column V.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -173,19 +174,16 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
     c_center = 4.0 / n  # exact mean of c_pi, used to stabilize moments
 
     block_sums: list[list[float]] = []
-    height = _sn.tile_height(n)
-    for pick, _, inner in blocks:
-        # inner at V and c by sub-tiles of rows, never a float copy of the
-        # whole block: a row sum is the same float however the rows are sliced
+    for pick, tiles in blocks:
+        # inner at V and c from each sub-tile while it is in cache: a row
+        # sum is the same float however the rows are sliced
         d_w, c = np.empty(len(pick)), np.empty(len(pick))
-        for start in range(0, len(pick), height):
-            rows = inner[start : start + height]
-            d_w[start : start + height] = rows[np.arange(len(rows)), pick[start : start + height]]
-            f = rows.astype(np.float64)
-            f /= sigma_x**2
+        for start, _, rows in tiles:
+            stop = start + len(rows)
+            d_w[start:stop] = rows[np.arange(len(rows)), pick[start:stop]]
+            f = rows / sigma_x**2
             f *= rows
-            c[start : start + height] = 4.0 / n * f.sum(axis=1)
-        del inner, rows  # free it before the next draw
+            c[start:stop] = 4.0 / n * f.sum(axis=1)
         d_w *= -2.0
         d_w /= sigma_x
         abs3 = np.abs(d_w) ** 3

@@ -5,8 +5,8 @@ oracle is a Taylor series in 60-digit arithmetic rather than erfc, the
 distance oracle is a brute scan rather than the closed form, the
 suffix sums are gathered position by position rather than read from a
 table, a running remainder or the keys, the Monte Carlo draw keys one
-whole block rather than cache-sized sub-tiles and orders it by a stable
-argsort, the exact laws are the full-row
+whole block rather than cache-sized sub-tiles, orders it by a stable
+argsort and places V by the inverse permutation, the exact laws are the full-row
 recurrences and Fraction standardization that the half-row versions
 replaced, X of every moved and relabeled row is recomputed on a copy
 of the rows rather than read from the original rows' seen sets, and the
@@ -104,6 +104,15 @@ def draw_whole_tile(mint: np.ndarray, m: int, rng: np.random.Generator):
     perms = np.argsort(keys, axis=1, kind="stable")
     pos = np.argsort(perms, axis=1)[np.arange(m), pick]
     return perms, pick, pos, keyed_gather(keys, mint)
+
+
+def whole_tile_draw(kernel, m: int, rng: np.random.Generator):
+    """:func:`draw_whole_tile` in the (pick, tiles) form of ``_sn.draw``:
+    one sub-tile of all m rows, whose keys are each value's position in
+    the oracle's permutation, so that a consumer ranking V by its keys
+    finds the oracle's ``pos``."""
+    perms, pick, _, inner = draw_whole_tile(kernel.mint, m, rng)
+    return pick, iter([(0, np.argsort(perms, axis=1), inner)])
 
 
 def descent_counts(perms: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from steinperm.cli import main
 
 import numpy as np
 
-from _oracles import draw_whole_tile, row_copy_x
+from _oracles import row_copy_x, whole_tile_draw
 
 SRC = Path(steinperm.__file__).resolve().parents[1]
 
@@ -358,7 +358,7 @@ _HUGE_LCM = _antisymmetric(
 
 class TestNarrowInner:
     """sample and bounds --mode mc print what the int64 whole-tile draw of
-    the oracle gives, on matrices whose largest absolute row sum sits at
+    the oracle gives, as one sub-tile keyed by its positions, on matrices whose largest absolute row sum sits at
     each edge of the narrow dtypes that the draw keeps inner in, through
     both kernels: a dense row and a banded matrix."""
 
@@ -374,7 +374,7 @@ class TestNarrowInner:
     def _against_oracle(capsys, monkeypatch, *argv):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        monkeypatch.setattr(_sn, "draw", lambda kernel, m, rng: draw_whole_tile(kernel.mint, m, rng)[1:])
+        monkeypatch.setattr(_sn, "draw", whole_tile_draw)
         assert run(capsys, *argv) == (0, out, "")
         return out
 

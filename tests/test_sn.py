@@ -530,15 +530,26 @@ class TestDraws:
         n = m.n
         dtype = _sn.InnerKernel(mint).dtype
         small = np.min_scalar_type(n - 1)
+        height = _sn.tile_height(n)
         sizes = []
         children = np.random.SeedSequence(seed).spawn(-(-trials // _sn.DRAW_BLOCK))
-        for (pick, pos, inner), child in zip(blocks, children, strict=True):
+        for (pick, tiles), child in zip(blocks, children, strict=True):
             rows = len(pick)
             sizes.append(rows)
             perms, want_pick, want_pos, want = draw_whole_tile(mint, rows, np.random.Generator(np.random.PCG64(child)))
             assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (rows, 1)))
-            assert inner.shape == (rows, n) and inner.dtype == dtype
-            assert pick.dtype == pos.dtype == small and pos.shape == (rows,)
+            kept = []
+            samples = list(pair_samples(1.0, scale, pick, _copied(tiles, kept)))
+            assert [start for start, _, _ in kept] == list(range(0, rows, height))
+            for start, keys, inner in kept:
+                h = min(height, rows - start)
+                assert inner.shape == keys.shape == (h, n) and inner.dtype == dtype
+                assert np.array_equal(inner, want[start : start + h])
+                assert np.array_equal(np.argsort(keys, axis=1, kind="stable"), perms[start : start + h])
+            inner = np.concatenate([inner for _, _, inner in kept])
+            pos = np.array([s.position - 1 for s in samples])
+            assert pick.dtype == small and pos.shape == (rows,)
+            assert all(isinstance(s.position, int) for s in samples)
             assert pick.max() < n and pos.max() < n
             assert np.array_equal(pick, want_pick)
             assert np.array_equal(pos, want_pos)
@@ -574,6 +585,14 @@ class TestDraws:
         with pytest.raises(ValueError, match="too large"):
             _sn.draws(m, 10, 1)
 
+    def test_one_inner_buffer(self):
+        # every sub-tile's inner is a view of one buffer of one sub-tile's rows
+        (pick, tiles), = _sn.draws(inversions_matrix(30), 5000, 1)[2]
+        views = [inner for _, _, inner in tiles]
+        assert len(views) == -(-5000 // _sn.tile_height(30))
+        assert views[0].base is not None and views[0].base.shape == (_sn.tile_height(30), 30)
+        assert all(v.base is views[0].base for v in views)
+
     def test_memory_of_one_full_block(self):
         # ingredients_mc on one full block of n = 50 rows keeps the narrow
         # inner, per-draw float vectors and cache-sized sub-tiles: about
@@ -588,6 +607,28 @@ class TestDraws:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    def test_memory_of_one_full_inversions_block_at_n_200(self):
+        # ingredients_mc reduces each int16 sub-tile as it is drawn, so no
+        # (65536, 200) block is kept: about 4.6 MiB traced, where keeping
+        # that block took 27 MiB
+        spec = inversions_spec(200)
+        ingredients_mc(spec, 100, 1)  # numpy's own first-use allocations
+        tracemalloc.start()
+        try:
+            ingredients_mc(spec, 1 << 16, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+def _copied(tiles, kept):
+    """``tiles`` of ``_sn.draw`` passed through, each sub-tile's
+    (start, keys, inner) kept with a copy of its reused ``inner``."""
+    for start, keys, inner in tiles:
+        kept.append((start, keys, inner.copy()))
+        yield start, keys, inner
 
 
 class _TiedKeys:
@@ -613,9 +654,10 @@ class _TiedKeys:
 
 
 class TestTiedKeys:
-    """Draws whose keys tie: inner is the int64 gather, and pos V's place,
-    of the order the keys define with ties broken by value index, for the
-    kernel banded_offsets picks and for each kernel forced."""
+    """Draws whose keys tie: inner is the int64 gather, and the position
+    that pair_samples ranks from the keys is V's place, of the order the
+    keys define with ties broken by value index, for the kernel
+    banded_offsets picks and for each kernel forced."""
 
     @pytest.mark.parametrize("kind", ["descents", "inversions", "banded", "corner", "rational"])
     @pytest.mark.parametrize("n", [2, 7])
@@ -629,12 +671,16 @@ class TestTiedKeys:
         assert tie.any(axis=1).all() if n == 7 else 0 < tie.any(axis=1).sum() < 400
         assert (perms[:, 1:][tie] > perms[:, :-1][tie]).all()  # the lower index first
         for kernel in TestInnerSums._kernels(mint):
-            pick, pos, inner = _sn.draw(kernel, 400, _TiedKeys(n))
+            pick, tiles = _sn.draw(kernel, 400, _TiedKeys(n))
+            kept = []
+            samples = list(pair_samples(1.0, 1, pick, _copied(tiles, kept)))
+            inner = np.concatenate([inner for _, _, inner in kept])
+            pos = np.array([s.position - 1 for s in samples])
+            assert len(kept) == -(-400 // 13)
             assert np.array_equal(pick, want_pick)
             assert np.array_equal(inner, want)
             assert np.array_equal(pos, want_pos)
             assert np.array_equal(perms[np.arange(400), pos], pick)
-            samples = list(pair_samples(1.0, 1, pick, pos, inner))
             assert [s.position for s in samples] == (want_pos + 1).tolist()
             x = want.sum(axis=1)
             assert [s.x_prime - s.x for s in samples] == (-2 * want[np.arange(400), pick]).tolist()
