@@ -20,6 +20,7 @@ configuration including the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -351,7 +352,11 @@ def _add_selector(sub) -> None:
     sub.add_argument("--n", type=_positive_int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first :func:`main` call
+    and kept for the process; :func:`main` runs ``cmd_<command>``, looked
+    up when it runs."""
     parser = argparse.ArgumentParser(
         prog="steinperm",
         description="Exact and Monte Carlo analysis of permutation statistics "
@@ -364,11 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selector(sub)
     sub.add_argument("--enum-limit", type=_non_negative_int)
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("example", help="reproduce the built-in worked example")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_example)
 
     sub = subs.add_parser("dist", help="exact distribution of a statistic")
     _add_selector(sub)
@@ -376,14 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--enum-limit", type=_non_negative_int)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_dist)
 
     sub = subs.add_parser("rate", help="normal-approximation rate table")
     sub.add_argument("--stat", choices=["descents", "inversions"])
     sub.add_argument("--n-list", required=True, help="comma-separated, e.g. 10,20,30")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_rate)
 
     sub = subs.add_parser("bounds", help="bound ingredients and bound values")
     _add_selector(sub)
@@ -392,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--enum-limit", type=_non_negative_int)
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_bounds)
 
     sub = subs.add_parser("sample", help="sample the exchangeable pair")
     _add_selector(sub)
@@ -400,16 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=int, default=1)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_sample)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_seed(getattr(args, "seed", None))
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, ValueError, OSError) as exc:
         # MatrixFormatError and EnumerationLimitError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")

@@ -718,6 +718,25 @@ _ARRAY_GOLDENS = [
 ]
 
 
+# refused commands, then the one in argv, in one interpreter; the child
+# prints how many parsers it built as the last line of stderr
+_REFUSED_THEN_GOOD = """\
+import sys
+from steinperm import cli
+assert cli.build_parser.cache_info().misses == 0
+try:
+    cli.main(["sample", "--stat", "descents", "--n", "5"])
+except SystemExit as exc:
+    assert exc.code == 2
+else:
+    raise AssertionError("sample without --seed accepted")
+assert cli.main(["bounds", "--stat", "descents", "--n", "4", "--mode", "mc"]) == 2
+code = cli.main(sys.argv[1:])
+sys.stderr.write(f"parsers built: {cli.build_parser.cache_info().misses}\\n")
+sys.exit(code)
+"""
+
+
 class TestGoldenStdout:
     """The exact laws at the caps, their rate tables and the verify report,
     byte for byte: the sha256 of stdout as the full-row recurrences, the
@@ -770,6 +789,25 @@ class TestGoldenStdout:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the parser is built once per process, and a refusal, by argparse or
+    # by main, leaves nothing behind for the next command
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "--stat", "descents", "--n", "7"),
+         "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
+        (("sample", "--stat", "descents", "--n", "12", "--seed", "3", "--trials", "5"),
+         "79940a9a13f44cb5666a02346aface2deadcb89171ec5ba1181b16b587931ea3"),
+    ])
+    def test_sha256_after_refused_commands(self, argv, digest):
+        proc = run_fresh(_REFUSED_THEN_GOOD, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+        lines = proc.stderr.splitlines()
+        assert lines[-1] == "parsers built: 1"
+        assert lines[-3:-1] == [
+            "steinperm sample: error: the following arguments are required: --seed",
+            "error: Monte Carlo mode needs --seed",
+        ]
 
     @pytest.mark.parametrize("argv, digest", _ARRAY_GOLDENS)
     def test_sha256_fresh_interpreter(self, argv, digest):

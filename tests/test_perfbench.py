@@ -1,6 +1,7 @@
 """The benchmark's own checks against this tree, each in a fresh
-interpreter: ``perfbench/selftest.py``, and one short ``mc-draws`` run
-whose outputs must all pass ``perfbench/checks.py``."""
+interpreter: ``perfbench/selftest.py``, and one short ``mc-draws`` and
+one short ``exact-verify`` run, whose outputs must all pass
+``perfbench/checks.py``."""
 
 import json
 import subprocess
@@ -23,9 +24,18 @@ def test_selftest():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_mc_draws_outputs_pass_the_checks():
-    proc = _run("perfbench/run.py", "--workload", "mc-draws", "--seed", "1", "--seconds", "0", "--trace", "0")
+def _smoke(workload):
+    proc = _run("perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0 and result["attempted"] > 0
+
+
+def test_mc_draws_outputs_pass_the_checks():
+    _smoke("mc-draws")
+
+
+def test_exact_verify_outputs_pass_the_checks():
+    # several verify calls in one process, all through the one parser
+    _smoke("exact-verify")
