@@ -6,9 +6,9 @@ distance oracle is a brute scan rather than the closed form, the
 suffix sums are gathered position by position rather than read from a
 table, a running remainder or the keys, the Monte Carlo draw keys one
 whole block rather than cache-sized sub-tiles, orders it by a stable
-argsort and places V by the inverse permutation, the exact laws are the full-row
-recurrences and Fraction standardization that the half-row versions
-replaced, X of every moved and relabeled row is recomputed on a copy
+argsort and places V by the inverse permutation, the exact laws are the
+full-row recurrences and Fraction standardization that the half-row
+versions replaced, X of every moved and relabeled row is recomputed on a copy
 of the rows rather than read from the original rows' seen sets, and the
 conditional moments of one chain step average the scalar Fraction
 ``chain.x_delta`` over the n positions rather than read the integer

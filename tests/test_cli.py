@@ -358,9 +358,10 @@ _HUGE_LCM = _antisymmetric(
 
 class TestNarrowInner:
     """sample and bounds --mode mc print what the int64 whole-tile draw of
-    the oracle gives, as one sub-tile keyed by its positions, on matrices whose largest absolute row sum sits at
-    each edge of the narrow dtypes that the draw keeps inner in, through
-    both kernels: a dense row and a banded matrix."""
+    the oracle gives, as one sub-tile keyed by its positions, on matrices
+    whose largest absolute row sum sits at each edge of the narrow dtypes
+    that the draw keeps inner in, through both kernels: a dense row and a
+    banded matrix."""
 
     @staticmethod
     def _rows(kind, bound):

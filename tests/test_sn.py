@@ -587,7 +587,7 @@ class TestDraws:
 
     def test_one_inner_buffer(self):
         # every sub-tile's inner is a view of one buffer of one sub-tile's rows
-        (pick, tiles), = _sn.draws(inversions_matrix(30), 5000, 1)[2]
+        (_, tiles), = _sn.draws(inversions_matrix(30), 5000, 1)[2]
         views = [inner for _, _, inner in tiles]
         assert len(views) == -(-5000 // _sn.tile_height(30))
         assert views[0].base is not None and views[0].base.shape == (_sn.tile_height(30), 30)
