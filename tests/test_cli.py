@@ -923,3 +923,41 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["all_match"] is True
+
+
+# fixed matrix files for the --matrix layouts: integer entries for dist,
+# rational ones (cleared by L = 6) for exact and Monte Carlo bounds
+_INTEGER_MATRIX = """{"n": 6, "entries": [
+  ["0", "2", "-1", "3", "0", "1"],
+  ["-2", "0", "1", "-1", "2", "0"],
+  ["1", "-1", "0", "2", "-3", "1"],
+  ["-3", "1", "-2", "0", "1", "2"],
+  ["0", "-2", "3", "-1", "0", "-1"],
+  ["-1", "0", "-1", "-2", "1", "0"]]}
+"""
+_RATIONAL_MATRIX = """{"n": 5, "entries": [
+  ["0", "1/2", "-2/3", "1", "0"],
+  ["-1/2", "0", "3/2", "-1/3", "2"],
+  ["2/3", "-3/2", "0", "1/6", "-1"],
+  ["-1", "1/3", "-1/6", "0", "5/6"],
+  ["0", "-2", "1", "-5/6", "0"]]}
+"""
+
+
+@pytest.mark.parametrize("text, argv, digest", [
+    (_INTEGER_MATRIX, ("dist",),
+     "3a5ccd1832c0caa95de3f361785d7574f62e3306ff4c81e97a783acf9614fe85"),
+    (_INTEGER_MATRIX, ("dist", "--format", "csv"),
+     "6f5732673d30f0e878d245ea698d0ce373924e14745d1e6230a49efda931fcd2"),
+    (_RATIONAL_MATRIX, ("bounds",),
+     "6d3d4a28d66b3728de774595cd8cbf3fd9d2b0d4a17473d57daa11f6845d0345"),
+    (_RATIONAL_MATRIX, ("bounds", "--mode", "mc", "--trials", "2000", "--seed", "7"),
+     "d3d778f7e772663dec592372a85574ae127d5a0d8ee75748308e4b9b458e8b6a"),
+])
+def test_matrix_layout_sha256(capsys, tmp_path, text, argv, digest):
+    """The --matrix layouts of dist and bounds, byte for byte."""
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], "--matrix", str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
