@@ -97,12 +97,3 @@ def rate_table(statistic: StatisticKind, n_list) -> list[RateRow]:
         d_k = kolmogorov_distance(_standardized_law(statistic, n))
         rows.append(RateRow(n=n, statistic=statistic, d_k=d_k, scaled=d_k * math.sqrt(n)))
     return rows
-
-
-def rate_row_to_json_dict(r: RateRow) -> dict:
-    return {
-        "n": r.n,
-        "statistic": r.statistic.value,
-        "d_k": r.d_k,
-        "d_k_sqrt_n": r.scaled,
-    }

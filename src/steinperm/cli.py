@@ -14,7 +14,8 @@ Subcommands:
 Exit codes: 0 on success (and all checks passing), 1 when a check
 fails, 2 on usage or input errors, 3 on an internal error.  Output is
 JSON by default (CSV where tabular), deterministic for a fixed
-configuration including the seed.
+configuration including the seed.  This module owns every command's JSON
+and CSV layout; the library modules return values only.
 """
 
 from __future__ import annotations
@@ -241,11 +242,14 @@ def cmd_dist(args) -> int:
         dist = recurrence(args.n, args.cap or default_cap)
         if args.cap is not None and args.cap > default_cap:
             _warn(f"cap raised to {args.cap}; large n may take minutes and much memory")
+    # each distinct count's decimal text once: a palindromic row holds each count twice
+    distinct = set(dist.counts)
+    text = dict(zip(distinct, map(str, distinct)))
     if args.format == "csv":
-        text = exact_dist.decimal_counts(dist)
         _emit_csv("value,count", (f"{v},{text[c]}" for v, c in dist.support()), args.out)
     else:
-        _emit_json(exact_dist.dist_to_json_dict(dist), args.out)
+        counts = list(map(text.__getitem__, dist.counts))
+        _emit_json({"n": dist.n, "min_value": dist.min_value, "counts": counts}, args.out)
     return 0
 
 
@@ -261,11 +265,42 @@ def cmd_rate(args) -> int:
         lines = (f"{r.n},{r.statistic.value},{r.d_k!r},{r.scaled!r}" for r in rows)
         _emit_csv("n,statistic,d_k,d_k_sqrt_n", lines, args.out)
     else:
-        _emit_json([analysis.rate_row_to_json_dict(r) for r in rows], args.out)
+        table = [{"n": r.n, "statistic": r.statistic.value, "d_k": r.d_k, "d_k_sqrt_n": r.scaled} for r in rows]
+        _emit_json(table, args.out)
     return 0
 
 
 # ---------------------------------------------------------------- bounds
+
+def _ingredients_json(ing: stein_bounds.BoundIngredients) -> dict:
+    out: dict = {
+        "n": ing.n,
+        "lambda": str(ing.lam),
+        "a_max": ing.a_max,
+        "e_diff_sq": ing.e_diff_sq,
+        "e_abs_diff_cubed": ing.e_abs_diff_cubed,
+        "var_cond_pi": ing.var_cond_pi,
+        "var_cond_w": ing.var_cond_w,
+        "mode": ing.mode,
+    }
+    if ing.mode == stein_bounds.MODE_EXACT:
+        out["exact"] = {
+            "e_diff_sq_x": str(ing.e_diff_sq_x),
+            "e_diff_sq_w": str(ing.e_diff_sq_w),
+            "e_abs_diff_cubed_x": str(ing.e_abs_diff_cubed_x),
+            "var_cond_pi_w": str(ing.var_cond_pi_w),
+            "var_cond_w_w": str(ing.var_cond_w_w),
+        }
+    else:
+        out["trials"] = ing.trials
+        out["seed"] = ing.seed
+        out["stderr"] = {
+            "e_diff_sq": ing.stderr_e_diff_sq,
+            "e_abs_diff_cubed": ing.stderr_e_abs_diff_cubed,
+            "var_cond_pi": ing.stderr_var_cond_pi,
+        }
+    return out
+
 
 def cmd_bounds(args) -> int:
     if args.mode == "exact":
@@ -284,11 +319,10 @@ def cmd_bounds(args) -> int:
         if args.trials is None:
             raise UsageError("Monte Carlo mode needs --trials")
         ing = stein_bounds.ingredients_mc(spec, args.trials, args.seed)
-    rep = stein_bounds.bound_report(ing)
     report = {
         "statistic": spec.kind.value,
-        "ingredients": stein_bounds.ingredients_to_json_dict(ing),
-        "report": stein_bounds.report_to_json_dict(rep),
+        "ingredients": _ingredients_json(ing),
+        "report": vars(stein_bounds.bound_report(ing)),
     }
     _emit_json(report, args.out)
     return 0
@@ -302,8 +336,8 @@ def cmd_sample(args) -> int:
         raise UsageError("--trials must not be negative")
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
     _, scale, blocks = _sn.draws(spec.matrix, args.trials, args.seed)
-    samples = [s for block in blocks for s in pair_samples(sigma, scale, *block)]
-    rows = [dict(vars(s), x=str(s.x), x_prime=str(s.x_prime)) for s in samples]
+    rows = [dict(vars(s), x=str(s.x), x_prime=str(s.x_prime))
+            for block in blocks for s in pair_samples(sigma, scale, *block)]
     if args.format == "csv":
         lines = (f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows)
         _emit_csv("x,x_prime,w,w_prime,position", lines, args.out)

@@ -194,17 +194,3 @@ def standardize(d: IntegerDistribution, mean: Fraction, stddev: float) -> Standa
         mean_used=float(mean),
         stddev_used=stddev,
     )
-
-
-def decimal_counts(d: IntegerDistribution) -> dict[int, str]:
-    """Distinct counts as decimal strings; a palindromic row has each twice."""
-    distinct = set(d.counts)
-    return dict(zip(distinct, map(str, distinct)))
-
-
-def dist_to_json_dict(d: IntegerDistribution) -> dict:
-    return {
-        "n": d.n,
-        "min_value": d.min_value,
-        "counts": list(map(decimal_counts(d).__getitem__, d.counts)),
-    }

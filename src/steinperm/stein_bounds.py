@@ -305,43 +305,3 @@ def scaling_table(
             )
         )
     return rows
-
-
-def ingredients_to_json_dict(ing: BoundIngredients) -> dict:
-    out: dict = {
-        "n": ing.n,
-        "lambda": str(ing.lam),
-        "a_max": ing.a_max,
-        "e_diff_sq": ing.e_diff_sq,
-        "e_abs_diff_cubed": ing.e_abs_diff_cubed,
-        "var_cond_pi": ing.var_cond_pi,
-        "var_cond_w": ing.var_cond_w,
-        "mode": ing.mode,
-    }
-    if ing.mode == MODE_EXACT:
-        out["exact"] = {
-            "e_diff_sq_x": str(ing.e_diff_sq_x),
-            "e_diff_sq_w": str(ing.e_diff_sq_w),
-            "e_abs_diff_cubed_x": str(ing.e_abs_diff_cubed_x),
-            "var_cond_pi_w": str(ing.var_cond_pi_w),
-            "var_cond_w_w": str(ing.var_cond_w_w),
-        }
-    else:
-        out["trials"] = ing.trials
-        out["seed"] = ing.seed
-        out["stderr"] = {
-            "e_diff_sq": ing.stderr_e_diff_sq,
-            "e_abs_diff_cubed": ing.stderr_e_abs_diff_cubed,
-            "var_cond_pi": ing.stderr_var_cond_pi,
-        }
-    return out
-
-
-def report_to_json_dict(rep: BoundReport) -> dict:
-    return {
-        "rr_bound": rep.rr_bound,
-        "stein_bound": rep.stein_bound,
-        "rr_scaled": rep.rr_scaled,
-        "stein_scaled": rep.stein_scaled,
-        "surrogate_used": rep.surrogate_used,
-    }

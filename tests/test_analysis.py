@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from steinperm import (
     rate_table,
     standardize,
 )
-from steinperm.analysis import rate_row_to_json_dict
 from steinperm.cli import main
 
 
@@ -131,9 +131,10 @@ class TestRateTable:
             assert float(dk_s) == row.d_k
             assert float(scaled_s) == row.scaled
 
-    def test_json_dict(self):
+    def test_json_dict(self, capsys):
         row = rate_table(StatisticKind.DESCENTS, [4])[0]
-        obj = rate_row_to_json_dict(row)
+        assert main(["rate", "--stat", "descents", "--n-list", "4"]) == 0
+        [obj] = json.loads(capsys.readouterr().out)
         assert obj == {
             "n": 4,
             "statistic": "descents",

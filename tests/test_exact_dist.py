@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,7 +24,8 @@ from steinperm import (
     standardize,
     zero_matrix,
 )
-from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, dist_to_json_dict, sums_to_one
+from steinperm.cli import main
+from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, sums_to_one
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError
 
 
@@ -349,7 +351,9 @@ class TestSumsToOne:
 
 
 class TestJson:
-    def test_counts_are_decimal_strings(self):
-        obj = dist_to_json_dict(eulerian_distribution(30))
+    def test_counts_are_decimal_strings(self, capsys):
+        assert main(["dist", "--stat", "descents", "--n", "30"]) == 0
+        obj = json.loads(capsys.readouterr().out)
         assert all(isinstance(c, str) for c in obj["counts"])
         assert obj["n"] == 30 and obj["min_value"] == 0
+        assert tuple(map(int, obj["counts"])) == eulerian_distribution(30).counts

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -23,7 +24,7 @@ from steinperm import (
     zero_matrix,
 )
 from steinperm.perm_core import EnumerationLimitError
-from steinperm.stein_bounds import ingredients_to_json_dict, report_to_json_dict
+from steinperm.cli import main
 
 
 def _degenerate_ingredients(**overrides):
@@ -268,20 +269,28 @@ class TestScalingTable:
 
 
 class TestJson:
-    def test_exact_dict(self):
-        obj = ingredients_to_json_dict(ingredients_exact(descents_spec(8)))
+    """The ingredients and report as ``bounds`` prints them."""
+
+    @staticmethod
+    def _bounds(capsys, *argv):
+        assert main(["bounds", "--stat", "descents", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_exact_dict(self, capsys):
+        obj = self._bounds(capsys, "--n", "8")["ingredients"]
         assert obj["lambda"] == "1/4"
         assert obj["mode"] == "exact"
         assert obj["exact"]["e_diff_sq_w"] == "1/2"
 
-    def test_mc_dict(self):
-        obj = ingredients_to_json_dict(ingredients_mc(descents_spec(8), trials=100, seed=5))
+    def test_mc_dict(self, capsys):
+        obj = self._bounds(capsys, "--n", "8", "--mode", "mc", "--trials", "100", "--seed", "5")["ingredients"]
         assert obj["mode"] == "mc"
         assert obj["trials"] == 100 and obj["seed"] == 5
         assert set(obj["stderr"]) == {"e_diff_sq", "e_abs_diff_cubed", "var_cond_pi"}
 
-    def test_report_dict(self):
+    def test_report_dict(self, capsys):
         rep = bound_report(ingredients_exact(descents_spec(5)))
-        obj = report_to_json_dict(rep)
+        obj = self._bounds(capsys, "--n", "5")["report"]
+        assert set(obj) == {"rr_bound", "stein_bound", "rr_scaled", "stein_scaled", "surrogate_used"}
         assert obj["rr_bound"] == rep.rr_bound
         assert obj["surrogate_used"] is False
