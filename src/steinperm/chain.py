@@ -114,10 +114,10 @@ def unit_step_check(n: int, limit: int | None = None) -> bool:
     """Exhaustively confirm a chain step changes des(pi^-1) by at most 1.
 
     That is |X' - X| <= 2 for the descent statistic, i.e. every suffix
-    sum of ``descents_matrix(n)`` along every permutation is -1, 0 or 1.
+    sum of ``descents_matrix(n)`` along every permutation is -1, 0 or 1:
+    the largest |inner| over S_n, from :func:`_sn.exact_sums`, is at most 1.
 
     >>> unit_step_check(5)
     True
     """
-    _, _, sweep = _sn.sweep(descents_matrix(n), limit)
-    return all(int(np.abs(inner).max()) <= 1 for _, inner in sweep)
+    return _sn.exact_sums(descents_matrix(n), limit)[1].max_inner <= 1
