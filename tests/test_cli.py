@@ -918,6 +918,7 @@ class TestUsage:
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "steinperm.cli", "example"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True,
             text=True,
         )
