@@ -243,13 +243,12 @@ def cmd_dist(args) -> int:
         if args.cap is not None and args.cap > default_cap:
             _warn(f"cap raised to {args.cap}; large n may take minutes and much memory")
     # each distinct count's decimal text once: a palindromic row holds each count twice
-    distinct = set(dist.counts)
-    text = dict(zip(distinct, map(str, distinct)))
+    text = list(map({c: str(c) for c in set(dist.counts)}.__getitem__, dist.counts))
     if args.format == "csv":
-        _emit_csv("value,count", (f"{v},{text[c]}" for v, c in dist.support()), args.out)
+        lines = (f"{v},{t}" for v, (c, t) in enumerate(zip(dist.counts, text), dist.min_value) if c)
+        _emit_csv("value,count", lines, args.out)
     else:
-        counts = list(map(text.__getitem__, dist.counts))
-        _emit_json({"n": dist.n, "min_value": dist.min_value, "counts": counts}, args.out)
+        _emit_json({"n": dist.n, "min_value": dist.min_value, "counts": text}, args.out)
     return 0
 
 
