@@ -45,8 +45,11 @@ The same observation lets :func:`exact_sums`, behind exact ``bounds``,
 ``dist --matrix`` and the enumerated moments, skip the n! rows: a sum
 over S_n of terms in inner_i factors through the 2^n prefix sets, taken
 in popcount layers, with the running statistic as a second coordinate
-(:func:`prefix_set_sums`).  It falls back to the sweep when that state
-would be too wide or its sums could leave int64.
+(:func:`prefix_set_sums`).  Each layer is built from the one before in
+one array step per member slot: slot j removes the j-th smallest member
+of every set of the new layer at once, which names its predecessor, so
+the whole program is n(n + 1)/2 steps.  It falls back to the sweep when
+that state would be too wide or its sums could leave int64.
 
 Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
@@ -65,6 +68,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import operator
 import sys
 from collections import Counter
 from itertools import chain, islice, permutations
@@ -102,7 +106,7 @@ KEY_BITS = 53  # a draw's keys are below 2^KEY_BITS, as rng.random's k of k 2^-5
 # and 2.2 against 0.8 ns at n = 200 (numpy 2.4, 2-core x86-64 VM).  4
 # leaves room for the diagonal kernel's per-row scatter and gather.
 DIAGONAL_CELL_COST = 4
-PREFIX_DP_CELLS = 1 << 20  # (prefix set, X value) slots of one prefix_set_sums layer
+PREFIX_DP_CELLS = 1 << 22  # (prefix set, X value) slots of one prefix_set_sums layer
 
 _TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
 
@@ -221,71 +225,117 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
 
     A state is (S, y): S the set of values placed first and y the
     statistic within S, the sum of M[w][u] over w placed before u, both in
-    S.  Appending v moves y by sum_{w in S} M[w][v] and contributes
-    inner = table[v, S | {v}], both functions of (S, v) alone.  Layer k
-    holds, for each k-set S and each y, the number of orderings of S with
-    that y and the sum of their partial q = 4 sum inner^2; on the one set
-    of the last layer y is X, and the layer holds the level sets.  The y
-    range of layer k is +-b_k, the largest sum of |M_wu| over pairs inside
-    a k-set.  n! times the largest q_pi must be below 2^62.
+    S.  Appending v moves y by sum_{w in S} M[w][v] = -inside[v, S] and
+    contributes inner = R_v - inside[v, S], R_v the row sum of v, both
+    functions of (S, v) alone.  Layer k holds, for each k-set S and each
+    y, the number of orderings of S with that y and the sum of their
+    partial q = 4 sum inner^2; on the one set of the last layer y is X,
+    and the layer holds the level sets.  The y range of layer k is +-b_k,
+    the largest sum of |M_wu| over pairs inside a k-set.  n! times the
+    largest q_pi must be below 2^62, so that every int64 count and sum of
+    q in the layers fits.
 
-    The other sums need no y and run over (S, v) in Python ints: each
-    term in inner is shared by the |S|! orderings of S and the
-    (n - |S| - 1)! of the values after v, and the sum over orderings of S
-    of the partial q^2 is carried per S.
+    Layer k + 1 is built target by target, one array step per member
+    slot: a (k + 1)-set T has the k + 1 predecessors T - {v}, one for each
+    member v, so slot j takes the j-th smallest member of every target at
+    once, gathers each predecessor's row shifted by its step in y, adds
+    t = 4 inner^2 times its counts into its q half, and adds it into the
+    targets' rows, which are in layer order.  That is n(n + 1)/2 array
+    steps in all, each on vectors of the layer's length; the source
+    layer's padded copy is freed before the next layer.
+
+    The other sums need no y.  A step (S, v) is taken by |S|! (n - |S| - 1)!
+    permutations, so sum |2 inner|^3 is a weighted sum over the steps, and
+    so is the part sum t^2 of sum q_pi^2 = sum_pi (sum of its steps' t)^2.
+    The cross part 2 sum_{i < j} t_i t_j is, at the later step (S, v), t
+    times the sum over orderings of S of their partial q, which layer |S|
+    holds, times the (n - |S| - 1)! orderings after v.  Per set S, the
+    sums over v outside S of t, t^2 and 4 |inner|^3 fit int64 for entries
+    that :func:`checked_chunk_size` accepts (at most 4n^3 K^2, 16n^5 K^4
+    and 4n^4 K^3, K the largest |entry|); their products and layer sums are
+    taken in Python ints.  The largest |inner| is the largest
+    |inside[v, U]|: each set U without v is the complement of some
+    S | {v}, and M[v][v] = 0.
     """
     n = mint.shape[0]
-    inside = subset_sums(mint)
-    table = inside[:, ::-1]  # suffix_table(mint)
-    masks = np.arange(1 << n)
-    members = masks >> np.arange(n)[:, None] & 1
-    within = (subset_sums(np.abs(mint)) * members).sum(axis=0) // 2
-    size = members.sum(axis=0)
-    layers = [masks[size == k] for k in range(n + 1)]
+    # every |inside| is at most the largest absolute row sum, and after the
+    # shift by pad below at most twice it: the tables are kept in the
+    # narrowest type that holds that, int8 for descents
+    dtype = signed_type(2 * int(np.abs(mint).sum(axis=1).max()))
+    inside = subset_sums(mint.astype(dtype))
+    absolute = subset_sums(np.abs(mint).astype(dtype))
+    rowsum = inside[:, -1].astype(np.int64)
+    size = np.zeros(1 << n, dtype=np.int8)  # popcount
+    lowest = np.zeros(1 << n, dtype=np.intp)  # the smallest member, 0 for the empty set
+    within = np.zeros(1 << n, dtype=np.int64)  # the sum of |M_wu| over the pairs inside
+    for u in range(n):
+        # the masks with top bit u are those below 2^u with u added
+        top = slice(1 << u, 2 << u)
+        size[top] = size[: 1 << u] + 1
+        lowest[top] = lowest[: 1 << u]
+        lowest[1 << u] = u
+        within[top] = within[: 1 << u] + absolute[u, : 1 << u]
+    del absolute
+    # per set S, over the values v outside S: sum t, sum t^2 and sum 4 |inner|^3
+    per_set = np.zeros((3, 1 << n), dtype=np.int64)
+    for v in range(n):
+        # the sets without v are the first half of each run of 2^(v + 1) masks
+        inner = np.subtract(rowsum[v], inside[v].reshape(-1, 2, 1 << v)[:, 0], dtype=np.int64)
+        t = 4 * inner * inner
+        per_set.reshape(3, -1, 2, 1 << v)[:, :, 0] += [t, t * t, t * np.abs(inner)]
+    t_sum, t_sq, cube = per_set
+    # the masks by popcount, each layer in increasing order
+    layers = np.split(np.argsort(size, kind="stable"), np.cumsum([math.comb(n, k) for k in range(n)]))
     bounds = [int(within[layer].max()) for layer in layers]
     rank = np.empty(1 << n, dtype=np.int64)
     for layer in layers:
         rank[layer] = np.arange(len(layer))
-    pad = int(np.abs(inside).max())
-    # f[row, 0, b_k + y] counts orderings and f[row, 1, b_k + y] sums their q
-    f = np.zeros((1, 2, 1), dtype=np.int64)
+    pad = max(int(inside.max()), -int(inside.min()))
+    inside += pad  # inside[v, S] + pad is the offset of the predecessor's window, below
+    # steps[v, inside[v, S]] = t = 4 inner^2 of the step (S, v)
+    steps = 4 * (rowsum[:, None] + pad - np.arange(2 * pad + 1)) ** 2
+    # f[0, row, b_k + y] counts orderings and f[1, row, b_k + y] sums their q
+    f = np.zeros((2, 1, 1), dtype=np.int64)
     f[0, 0, 0] = 1
-    q2 = np.zeros(1, dtype=object)
     for k in range(n):
-        source, width = layers[k], 2 * bounds[k + 1] + 1
-        # f padded so that windows[row, :, pad - shift][j] is the source
+        source, target, width = layers[k], layers[k + 1], 2 * bounds[k + 1] + 1
+        orderings, after = math.factorial(k), math.factorial(n - k - 1)
+        q = f[1].sum(axis=1)
+        sums.sum_q2 += after * (
+            orderings * sum(t_sq[source].tolist()) + 2 * sum(map(operator.mul, t_sum[source].tolist(), q.tolist()))
+        )
+        sums.sum_abs_d3 += 2 * orderings * after * sum(cube[source].tolist())
+        # f padded so that windows[:, row, pad - shift][:, :, j] is the source
         # slot of y = j - b_{k+1} - shift, zero where that is out of range;
         # shift = sum_{w in S} M[w][v] = -inside[v, S]
         offset = bounds[k + 1] - bounds[k] + pad
-        padded = np.zeros((len(source), 2, width + 2 * pad), dtype=np.int64)
+        padded = np.zeros((2, len(source), width + 2 * pad), dtype=np.int64)
         padded[:, :, offset : offset + f.shape[2]] = f
-        windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=2)
-        nxt = np.zeros((len(layers[k + 1]), 2, width), dtype=np.int64)
-        q2_next = np.zeros(len(layers[k + 1]), dtype=object)
-        q = f[:, 1].sum(axis=1).astype(object)
-        orderings, after = math.factorial(k), math.factorial(n - k - 1)
-        for v in range(n):
-            rows = np.flatnonzero(members[v, source] == 0)
-            target = source[rows] | 1 << v
-            inner = table[v, target]
-            t = 4 * inner * inner
-            moved = windows[rows, :, pad + inside[v, source[rows]]]
-            moved[:, 1] += t[:, None] * moved[:, 0]
-            dst = rank[target]
-            nxt[dst] += moved
-            t = t.astype(object)
-            q2_next[dst] += q2[rows] + t * (2 * q[rows] + orderings * t)
-            a = np.abs(inner)
-            sums.sum_abs_d3 += orderings * after * 8 * sum((a * a * a).tolist())
-            sums.max_inner = max(sums.max_inner, int(a.max()))
-        f, q2 = nxt, q2_next
-    count, qsum = f[0]
+        del f
+        windows = np.lib.stride_tricks.as_strided(
+            padded, (2, len(source), 2 * pad + 1, width), padded.strides + padded.strides[2:], writeable=False
+        )
+        f = np.zeros((2, len(target), width), dtype=np.int64)
+        left = target.copy()  # the members of each target not yet taken
+        for _ in range(k + 1):
+            v = lowest[left]
+            bit = 1 << v
+            left ^= bit
+            pred = target ^ bit
+            offsets = inside[v, pred]
+            moved = windows[:, rank[pred], offsets]
+            f += moved
+            counts = moved[0]
+            counts *= steps[v, offsets][:, None]
+            f[1] += counts
+        del padded, windows, moved, counts
+    sums.max_inner = max(sums.max_inner, pad)
+    count, qsum = f[:, 0]
     ys = np.flatnonzero(count)
     xs, cs, qs = (ys - bounds[n]).tolist(), count[ys].tolist(), qsum[ys].tolist()
     sums.sum_x += sum(x * c for x, c in zip(xs, cs))
     sums.sum_x2 += sum(x * x * c for x, c in zip(xs, cs))
     sums.sum_q += sum(qs)
-    sums.sum_q2 += q2[0]
     sums.level_count.update(dict(zip(xs, cs)))
     sums.level_q.update(dict(zip(xs, qs)))
 
@@ -391,12 +441,18 @@ def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
         yield block.reshape(g * kfact, n)
 
 
+def signed_type(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds -bound..bound."""
+    return next(np.dtype(f"int{bits}") for bits in (8, 16, 32, 64) if bound < 1 << (bits - 1))
+
+
 def subset_sums(mint: np.ndarray) -> np.ndarray:
     """inside[v, mask] = sum of M[v][u] over the values u in the bitmask ``mask``."""
     n = mint.shape[0]
-    inside = np.zeros((n, 1), dtype=mint.dtype)
+    inside = np.zeros((n, 1 << n), dtype=mint.dtype)
     for u in range(n):
-        inside = np.concatenate([inside, inside + mint[:, u : u + 1]], axis=1)
+        # the masks with top bit u are those below 2^u with u added
+        np.add(inside[:, : 1 << u], mint[:, u : u + 1], out=inside[:, 1 << u : 2 << u])
     return inside
 
 
@@ -439,7 +495,7 @@ class InnerKernel:
         self.mint = mint
         self.n = mint.shape[0]
         bound = int(np.abs(mint).sum(axis=1).max())
-        self.dtype = dtype = next(np.dtype(f"int{bits}") for bits in (8, 16, 32, 64) if bound < 1 << (bits - 1))
+        self.dtype = dtype = signed_type(bound)
         offsets = banded_offsets(mint)
         if offsets is None:
             self.fill = functools.partial(

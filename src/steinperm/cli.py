@@ -85,13 +85,17 @@ def _selected_spec(args) -> StatisticSpec:
     return spec_for(args.stat, args.n)
 
 
-def _enum_limit(args) -> int | None:
+def _enum_limit(args, always_sweeps: bool = False) -> int | None:
+    """``--enum-limit``, with a warning when it raises the default cap: what
+    it costs depends on whether the command always sweeps S_n (``verify``)
+    or only where ``_sn.exact_sums`` cannot run its prefix-set program."""
     limit = getattr(args, "enum_limit", None)
     if limit is not None and limit > DEFAULT_ENUM_LIMIT:
-        _warn(
-            f"enumeration limit raised to {limit}; a full sweep visits {limit}! "
-            "permutations and may run very long"
-        )
+        if always_sweeps:
+            cost = f"a full sweep visits {limit}! permutations and may run very long"
+        else:
+            cost = f"a sweep of up to {limit}! permutations runs only where the prefix-set program does not fit"
+        _warn(f"enumeration limit raised to {limit}; {cost}")
     return limit
 
 
@@ -156,7 +160,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
 
 def cmd_verify(args) -> int:
     spec = _selected_spec(args)
-    limit = _enum_limit(args)
+    limit = _enum_limit(args, always_sweeps=True)
     checks = _run_checks(spec, limit)
     report = {
         "n": spec.n,

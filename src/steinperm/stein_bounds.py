@@ -119,11 +119,12 @@ def exact_ingredients(sums: _sn.ExactSums, spec: StatisticSpec, scale: int) -> B
     mean_c2 = Fraction(sums.sum_q2, nfact) / denom**2
     var_cond_pi_w = mean_c2 - mean_c * mean_c
 
-    level_sq = Fraction(0)
-    for v, c in sums.level_count.items():
-        mean_here = Fraction(sums.level_q[v], c) / denom
-        level_sq += c * mean_here * mean_here
-    var_cond_w_w = level_sq / nfact - mean_c * mean_c
+    # the level sets x of X, c_x permutations with sum Q_x of q_pi each, give
+    # sum_x c_x (Q_x / (c_x denom))^2 = (sum_x Q_x^2 / c_x) / denom^2, and
+    # the inner sum is one exact rational over the lcm of the counts
+    common = math.lcm(*sums.level_count.values())
+    level_sq = Fraction(sum(sums.level_q[x] ** 2 * (common // c) for x, c in sums.level_count.items()), common)
+    var_cond_w_w = level_sq / (nfact * denom**2) - mean_c * mean_c
 
     return BoundIngredients(
         n=n,

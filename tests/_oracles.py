@@ -12,9 +12,12 @@ versions replaced, X of every moved and relabeled row is recomputed on a copy
 of the rows rather than read from the original rows' seen sets, and the
 conditional moments of one chain step average the scalar Fraction
 ``chain.x_delta`` over the n positions rather than read the integer
-suffix sums.
+suffix sums, and Var(E^W (W' - W)^2) adds the level sets up one
+``Fraction`` at a time rather than as one integer sum over the lcm of
+their counts.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -200,3 +203,19 @@ def conditional_drift(spec, p) -> Fraction:
 def cond_exp_sq(spec, p) -> Fraction:
     """E[(X' - X)^2 | pi], (4/n) times the sum of squared suffix sums."""
     return sum((x_delta(spec, p, i) ** 2 for i in range(1, p.n + 1)), Fraction(0)) / p.n
+
+
+def level_set_variance(sums, spec, scale: int) -> Fraction:
+    """Var(E^W (W' - W)^2) from ``_sn.ExactSums`` over S_n on the matrix
+    cleared by ``scale``: the mean of c_pi = q_pi / (n scale^2 Var X) on
+    each level set of X, squared and weighted by the level's count, one
+    level at a time."""
+    n = spec.n
+    nfact = math.factorial(n)
+    denom = n * scale**2 * spec.variance
+    mean_c = Fraction(sums.sum_q, nfact) / denom
+    level_sq = Fraction(0)
+    for v, c in sums.level_count.items():
+        mean_here = Fraction(sums.level_q[v], c) / denom
+        level_sq += c * mean_here * mean_here
+    return level_sq / nfact - mean_c * mean_c

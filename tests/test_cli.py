@@ -116,7 +116,20 @@ class TestVerify:
     def test_enum_limit_warning(self, capsys):
         code, _, err = run(capsys, "verify", "--stat", "descents", "--n", "4", "--enum-limit", "11")
         assert code == 0
-        assert "warning" in err
+        assert err == (
+            "warning: enumeration limit raised to 11; a full sweep visits 11! permutations and may run very long\n"
+        )
+
+    @pytest.mark.parametrize("command", ["bounds", "dist"])
+    def test_enum_limit_warning_without_a_sweep(self, capsys, matrix_file, command):
+        argv = (command, "--matrix", matrix_file)
+        code, out, err = run(capsys, *argv, "--enum-limit", "11")
+        assert code == 0
+        assert err == (
+            "warning: enumeration limit raised to 11; a sweep of up to 11! permutations runs only "
+            "where the prefix-set program does not fit\n"
+        )
+        assert out == run(capsys, *argv)[1]
 
 
 class TestExample:

@@ -24,6 +24,7 @@ from steinperm import (
 )
 from steinperm import _sn, exchangeability, stein_bounds
 from steinperm.chain import pair_samples
+from steinperm.exact_dist import eulerian_distribution, mahonian_distribution
 from steinperm.perm_core import EnumerationLimitError
 
 from conftest import random_matrices
@@ -746,6 +747,17 @@ def _small_matrices(draw):
     return AntisymmetricMatrix.from_rows(rows)
 
 
+def _rational_matrix(n):
+    # upper entries p/q, |p| <= 5, q in {1, 2, 3, 4, 6}: L = 12, as the benchmark's custom matrices
+    rng = np.random.default_rng(9)
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = Fraction(int(rng.integers(-5, 6)), int(rng.choice([1, 2, 3, 4, 6])))
+            rows[i][j], rows[j][i] = str(e), str(-e)
+    return AntisymmetricMatrix.from_rows(rows)
+
+
 def _pair_matrix(n, entry):
     # one nonzero pair, M[0][1] = entry: X = +-entry, q_pi = 4 entry^2
     rows = [["0"] * n for _ in range(n)]
@@ -760,6 +772,10 @@ class TestExactSums:
     @settings(max_examples=60, deadline=None)
     @given(m=_small_matrices())
     @example(m=_near_limit_matrix(6))  # the overflow guard's largest entries, on the DP side
+    # the strategy stops at n = 8; the exact-bounds benchmark runs these at n = 9
+    @example(m=descents_matrix(9))
+    @example(m=inversions_matrix(9))
+    @example(m=_rational_matrix(9))
     def test_equals_the_sweep(self, m):
         scale, want = _swept(m)
         mint, _ = _sn.integer_matrix(m)
@@ -794,13 +810,15 @@ class TestExactSums:
             _sn.exact_sums(descents_matrix(5), 4)
 
     def test_wide_matrix_takes_the_sweep(self, monkeypatch):
-        # entries +-1200 at n = 7: C(7, 3) (2B + 1) = 35 * 50401 > PREFIX_DP_CELLS
+        # entries +-600 at n = 9: C(9, 4) (2B + 1) = 126 * 43201 > PREFIX_DP_CELLS.
+        # At n = 7 and 8 no entries pass both that and the int64 guard
+        # (4n (nK)^2)^2 <= 2^62, which allows K <= 1251 and 1024 there.
         rng = np.random.default_rng(8)
-        n = 7
+        n = 9
         rows = [["0"] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                e = 1200 * int(rng.choice([-1, 1]))
+                e = 600 * int(rng.choice([-1, 1]))
                 rows[i][j], rows[j][i] = str(e), str(-e)
         m = AntisymmetricMatrix.from_rows(rows)
         scale, want = _swept(m)
@@ -819,8 +837,28 @@ class TestExactSums:
         assert dict(dist.support()) == dict(want.level_count)
         assert sum(rows_swept) == 2 * math.factorial(n)
 
+    @pytest.mark.parametrize(
+        "matrix, law, n",
+        [(inversions_matrix, mahonian_distribution, 15), (descents_matrix, eulerian_distribution, 17)],
+        ids=["inversions-15", "descents-17"],
+    )
+    def test_reach_against_the_recurrences(self, matrix, law, n, monkeypatch):
+        # X = 2k - K, k the inversions or descents and K their largest value
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(_sn, "chunks", no_chunks)
+        m = matrix(n)
+        scale, sums = _sn.exact_sums(m, n)
+        counts = law(n).counts
+        pairs = len(counts) - 1
+        assert scale == 1
+        assert dict(sums.level_count) == {2 * k - pairs: c for k, c in enumerate(counts)}
+        assert sums.sum_x == 0
+        assert sums.sum_q == 4 * math.factorial(n) * custom_spec(m).variance
+
     def test_q_guard_at_n_18(self, monkeypatch):
-        # C(18, 9) (2B + 1) fits PREFIX_DP_CELLS for B <= 10, but with
+        # C(18, 9) (2B + 1) fits PREFIX_DP_CELLS for B <= 42, but with
         # M[0][1] = 10 the per-level sums of q could reach 18! * 800 > 2^62
         n, f = 18, math.factorial(18)
         _, sums = _sn.exact_sums(_pair_matrix(n, 9), n)

@@ -3,9 +3,10 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from _oracles import cond_exp_sq
+from _oracles import cond_exp_sq, level_set_variance
 from conftest import random_matrices
 from steinperm import (
     BoundIngredients,
@@ -17,12 +18,14 @@ from steinperm import (
     ingredients_exact,
     ingredients_mc,
     inversions_spec,
+    random_antisymmetric_matrix,
     rr_bound,
     scaling_table,
     stein_original_bound,
     variance_formula,
     zero_matrix,
 )
+from steinperm import _sn, stein_bounds
 from steinperm.perm_core import EnumerationLimitError
 from steinperm.cli import main
 
@@ -126,6 +129,14 @@ class TestIngredientsExact:
         second = sum(len(v) * (sum(v) / len(v)) ** 2 for v in levels.values()) / total
         ing = ingredients_exact(spec)
         assert ing.var_cond_w_w == second - mean * mean
+
+    def test_var_cond_w_against_the_per_level_fractions(self):
+        rng = np.random.default_rng(21)
+        spec = custom_spec(random_antisymmetric_matrix(9, rng, max_abs=20))
+        scale, sums = _sn.exact_sums(spec.matrix, None)
+        assert len(sums.level_count) >= 200
+        ing = stein_bounds.exact_ingredients(sums, spec, scale)
+        assert ing.var_cond_w_w == level_set_variance(sums, spec, scale)
 
     def test_random_matrices_also_satisfy_identities(self):
         for m in random_matrices(5, count=3):
