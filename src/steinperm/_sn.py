@@ -124,6 +124,13 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64).reshape(m.n, m.n), scale
 
 
+def checked_x_bound(m: AntisymmetricMatrix) -> AntisymmetricMatrix:
+    """``m``, refused if sum_{i<j} |L M_ij|, the bound on |X| of ``chain.pair_samples``, reaches 2^63."""
+    if sum(sum(map(abs, row)) for row in m.cleared[0]) >= 1 << 64:  # twice the sum over i < j
+        raise ValueError(_TOO_LARGE)
+    return m
+
+
 def checked_chunk_size(n: int, rows) -> int:
     """Chunk size small enough that int64 per-chunk aggregates cannot overflow.
 

@@ -10,8 +10,8 @@ Everything except sampling is exact rational arithmetic.  Samples come
 in integer blocks from ``_sn.draw``, the kernel of ``bounds --mode mc``:
 the moved values, then sub-tiles of the drawn permutations' keys and
 suffix sums ``inner``, in value order and the narrowest integer type
-that holds them.  The moved value's position is ranked from the keys
-here, the one place it is printed.
+that holds them.  :func:`pair_samples` reads each sub-tile's X, X' and
+moved position into Python ints, which ``sample`` prints as they are.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from typing import Iterator
 
 from . import _sn
 from ._sn import np
-from .perm_core import (
-    Permutation,
-    StatisticSpec,
-    descents_matrix,
-    descents_spec,
-)
+from .perm_core import Permutation, StatisticSpec, descents_matrix
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ def x_delta(spec: StatisticSpec, p: Permutation, i: int) -> Fraction:
     the pairs (i, j) with j > i, so the change is -2 times the suffix
     row sum at position i.
 
-    >>> from .perm_core import inversions_spec
+    >>> from .perm_core import descents_spec, inversions_spec
     >>> x_delta(inversions_spec(7), Permutation((6, 4, 1, 5, 3, 2, 7)), 3)
     Fraction(8, 1)
     >>> x_delta(descents_spec(7), Permutation((6, 4, 1, 5, 3, 2, 7)), 3)
@@ -79,16 +74,13 @@ def x_delta(spec: StatisticSpec, p: Permutation, i: int) -> Fraction:
     return -2 * sum((row[v - 1] for v in p.image[i:]), Fraction(0))
 
 
-def pair_samples(
-    sigma: float, scale: int, pick: np.ndarray, tiles: Iterator[tuple[int, np.ndarray, np.ndarray]]
-) -> Iterator[PairSample]:
-    """The pairs of a block (pick, tiles) of ``_sn.draw`` on L * M,
-    L = ``scale``: in each sub-tile (start, keys, inner), the moved value
-    V = ``pick[start + t]`` of row t sits at 0-indexed position
-    #{u : k_u < k_V + [u < V]}, the number of values before it by key with
-    ties broken by value index, X = sum_v inner[v] / L and
-    X' = X - 2 inner[V] / L.  ``inner`` may be as narrow as int8, so both
-    are taken in int64."""
+def pair_samples(pick: np.ndarray, tiles: Iterator[tuple[int, np.ndarray, np.ndarray]]) -> Iterator[tuple]:
+    """Per sub-tile (start, keys, inner) of a block (pick, tiles) of
+    ``_sn.draw`` on L * M, the Python-int lists (X, X', position): row t
+    moves V = ``pick[start + t]``, at position 1 + #{u : k_u < k_V + [u < V]},
+    X = sum_v inner[v] and X' = X - 2 inner[V], summed in int64.  Past
+    :func:`_sn.checked_x_bound`, X, X' and X's partial sums are signed sums over
+    distinct pairs u < v, below 2^63 in size, as is 2 inner[V] by the row bound."""
     for start, keys, inner in tiles:
         h, n = inner.shape
         v = pick[start : start + h, None]
@@ -96,18 +88,16 @@ def pair_samples(
         x_prime = x - 2 * inner[np.arange(h), v[:, 0]].astype(np.int64)
         # a value u < V is before V when k_u <= k_V, that is k_u < k_V + 1
         key = np.take_along_axis(keys, v, axis=1) + (np.arange(n, dtype=v.dtype) < v)
-        pos = np.sum(keys < key, axis=1)
-        for a, b, i in zip(x.tolist(), x_prime.tolist(), pos.tolist()):
-            fa, fb = Fraction(a, scale), Fraction(b, scale)
-            yield PairSample(fa, fb, float(fa) / sigma, float(fb) / sigma, i + 1)
+        yield x.tolist(), x_prime.tolist(), (np.sum(keys < key, axis=1) + 1).tolist()
 
 
 def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
     """Draw pi uniform on S_n and one chain step from it: one row of
     ``_sn.draw``, fully determined by the generator state."""
     sigma = math.sqrt(spec.variance)
-    mint, scale = _sn.integer_matrix(spec.matrix)
-    return next(pair_samples(sigma, scale, *_sn.draw(_sn.InnerKernel(mint), 1, rng)))
+    mint, scale = _sn.integer_matrix(_sn.checked_x_bound(spec.matrix))
+    (a,), (b,), (i,) = next(pair_samples(*_sn.draw(_sn.InnerKernel(mint), 1, rng)))
+    return PairSample(Fraction(a, scale), Fraction(b, scale), a / scale / sigma, b / scale / sigma, i)
 
 
 def unit_step_check(n: int, limit: int | None = None) -> bool:

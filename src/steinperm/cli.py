@@ -338,14 +338,17 @@ def cmd_sample(args) -> int:
     if args.trials < 0:
         raise UsageError("--trials must not be negative")
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
-    _, scale, blocks = _sn.draws(spec.matrix, args.trials, args.seed)
-    rows = [dict(vars(s), x=str(s.x), x_prime=str(s.x_prime))
-            for block in blocks for s in pair_samples(sigma, scale, *block)]
+    _, scale, blocks = _sn.draws(_sn.checked_x_bound(spec.matrix), args.trials, args.seed)
+    text = str if scale == 1 else lambda a: str(Fraction(a, scale))
+    # int / int rounds correctly, so a / L / sigma is float(Fraction(a, L)) / sigma past 2^53 too
+    rows = ((text(a), text(b), a / scale / sigma, b / scale / sigma, i)
+            for block in blocks for tile in pair_samples(*block) for a, b, i in zip(*tile))
     if args.format == "csv":
-        lines = (f"{r['x']},{r['x_prime']},{r['w']!r},{r['w_prime']!r},{r['position']}" for r in rows)
-        _emit_csv("x,x_prime,w,w_prime,position", lines, args.out)
-    else:
-        _emit_json(rows, args.out)
+        _emit_csv("x,x_prime,w,w_prime,position", ("{},{},{!r},{!r},{}".format(*r) for r in rows), args.out)
+    else:  # the layout of _emit_json: sorted keys, an indent of 2, floats by repr
+        body = ",\n".join('  {{\n    "position": {4},\n    "w": {2!r},\n    "w_prime": {3!r},\n    "x": "{0}",\n'
+                          '    "x_prime": "{1}"\n  }}'.format(*r) for r in rows)
+        _emit(f"[\n{body}\n]\n" if body else "[]\n", args.out)
     return 0
 
 

@@ -232,7 +232,7 @@ class TestPairLaw:
         assert sum(exact.values()) == math.factorial(n) * n
         _, scale, blocks = _sn.draws(matrix, self.TRIALS, 2024)
         seen = Counter(
-            (s.position, s.x * scale, s.x_prime * scale) for block in blocks for s in pair_samples(1.0, scale, *block)
+            (i, a, b) for block in blocks for xs, xps, pos in pair_samples(*block) for a, b, i in zip(xs, xps, pos)
         )
         assert set(seen) <= set(exact)
         cells = sorted(exact)

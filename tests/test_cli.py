@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import steinperm
 from steinperm import (
     AntisymmetricMatrix,
     _sn,
+    custom_spec,
     descents_spec,
     exchangeability,
     ingredients_exact,
@@ -19,13 +21,14 @@ from steinperm import (
     inversions_matrix,
     matrix_to_json_dict,
     random_antisymmetric_matrix,
+    sample_pair,
     zero_matrix,
 )
 from steinperm.cli import main
 
 import numpy as np
 
-from _oracles import row_copy_x, whole_tile_draw
+from _oracles import draw_whole_tile, row_copy_x, whole_tile_draw
 
 SRC = Path(steinperm.__file__).resolve().parents[1]
 
@@ -312,7 +315,9 @@ class TestSample:
         def refuse(*args):
             raise AssertionError("per-draw Fraction evaluation")
 
-        for module, name in ((perm_core, "x_stat"), (cli, "x_stat"), (chain, "x_delta")):
+        # at L = 1 the rows are built from ints alone: no Fraction at all
+        for module, name in ((perm_core, "x_stat"), (cli, "x_stat"), (chain, "x_delta"),
+                             (cli, "Fraction"), (chain, "Fraction")):
             monkeypatch.setattr(module, name, refuse)
         code, out, _ = run(capsys, "sample", "--stat", "inversions", "--n", "6",
                            "--seed", "4", "--trials", "50")
@@ -332,6 +337,24 @@ class TestSample:
         assert code == 0
         want = json.loads(out)["ingredients"]["e_abs_diff_cubed"]
         assert mean_abs3 == pytest.approx(want, rel=1e-12)
+
+    def test_w_of_a_rational_x_beyond_2_53(self, capsys, tmp_path):
+        # L = 3 and L M_ij, i < j, a little above 2^56: |L X| exceeds 2^53,
+        # where a float64 of L X would be rounded before the division by L
+        rows = _antisymmetric([[str(Fraction((1 << 56) + 1 + 7919 * (8 * i + j), 3)) for j in range(i + 1, 8)]
+                               for i in range(7)])
+        path = _write_rows(tmp_path, "m.json", rows)
+        code, out, err = run(capsys, "sample", "--matrix", path, "--seed", "2", "--trials", "2000", "--format", "csv")
+        assert (code, err) == (0, "")
+        sigma = math.sqrt(custom_spec(AntisymmetricMatrix.from_rows(rows)).variance)
+        drawn = [line.split(",") for line in out.splitlines()[1:]]
+        assert any("/" in x for x, *_ in drawn) and any("/" not in x for x, *_ in drawn)
+        assert max(abs(3 * Fraction(x)) for x, *_ in drawn) > 1 << 53
+        for x, x_prime, w, w_prime, _ in drawn:
+            assert float(w) == float(Fraction(x)) / sigma
+            assert float(w_prime) == float(Fraction(x_prime)) / sigma
+        # a float64 division misses the correctly rounded W on some rows
+        assert any(float(np.float64(int(3 * Fraction(x)))) / 3 / sigma != float(w) for x, _, w, _, _ in drawn)
 
     @pytest.mark.parametrize("trials", ["0", "1", "3"])
     def test_zero_variance_refused_for_every_trial_count(self, capsys, trials):
@@ -357,6 +380,51 @@ def _antisymmetric(upper):
             rows[i][j] = e
             rows[j][i] = e[1:] if e.startswith("-") else "-" + e
     return rows
+
+
+def _inversions_times(n, e):
+    """Rows of e times the inversions matrix: -e above the diagonal, e below."""
+    return [[e if i > j else -e if i < j else 0 for j in range(n)] for i in range(n)]
+
+
+def _x_of(rows, perm):
+    """X of the 0-indexed permutation ``perm``, in Python ints."""
+    return sum(rows[u][v] for i, u in enumerate(perm) for v in perm[i + 1 :])
+
+
+class TestWideX:
+    """X = sum_v inner[v] leaves int64 once sum_{i<j} |L M_ij| reaches 2^63,
+    though every row sum stays below 2^62: 2^59 times the inversions
+    matrix at n = 8 sums to 28 * 2^59 = 7 * 2^61 above the diagonal."""
+
+    def test_refused_by_sample_not_by_bounds(self, capsys, tmp_path):
+        path = _write_rows(tmp_path, "wide.json", _inversions_times(8, 1 << 59))
+        code, out, err = run(capsys, "sample", "--matrix", path, "--seed", "5", "--trials", "20000", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "too large" in err
+        # bounds --mode mc reduces each draw to floats and never sums X
+        code, out, err = run(capsys, "bounds", "--matrix", path, "--mode", "mc", "--seed", "5", "--trials", "2000")
+        assert (code, err) == (0, "")
+
+    def test_refused_by_sample_pair(self):
+        spec = custom_spec(AntisymmetricMatrix.from_rows(_inversions_times(8, 1 << 59)))
+        with pytest.raises(ValueError, match="too large"):
+            sample_pair(spec, np.random.default_rng(0))
+
+    def test_below_the_bound_printed_exactly(self, capsys, tmp_path):
+        # at 2^58 the sum above the diagonal is 7 * 2^60 < 2^63
+        rows, trials = _inversions_times(8, 1 << 58), 3000
+        path = _write_rows(tmp_path, "m.json", rows)
+        code, out, err = run(capsys, "sample", "--matrix", path, "--seed", "5", "--trials", str(trials), "--format", "csv")
+        assert (code, err) == (0, "")
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5).spawn(1)[0]))
+        perms, _, pos, _ = draw_whole_tile(np.array(rows, dtype=np.int64), trials, rng)
+        printed = [line.split(",")[:2] for line in out.splitlines()[1:]]
+        assert len(printed) == trials
+        for (x, x_prime), perm, i in zip(printed, perms.tolist(), pos.tolist()):
+            assert int(x) == _x_of(rows, perm)
+            assert int(x_prime) == _x_of(rows, perm[:i] + perm[i + 1 :] + [perm[i]])
+        assert max(abs(int(x)) for x, _ in printed) > 1 << 62
 
 
 # an entry of 9e12, and denominators whose lcm is about 1e18 (the scaled
@@ -717,6 +785,8 @@ def run_fresh(code, *argv):
                           capture_output=True, text=True, timeout=300)
 
 
+_RATIONAL = str(Path(__file__).with_name("rational_matrix.json"))
+
 # pinned both in this process, where numpy was imported before steinperm,
 # and in a new interpreter, where steinperm loads it lazily; the Monte Carlo
 # cases here and below pin the stream of the keyed draw
@@ -729,6 +799,12 @@ _ARRAY_GOLDENS = [
      "7bc5cbb47d44390a08b949ce893c79146600b051925709cf4522268d27a04384"),
     (("sample", "--stat", "inversions", "--n", "8", "--seed", "5", "--trials", "20"),
      "ccfbb7b4d6363b6d9ddd43cccf91d58ddef63553c2eb1da3e38b53fa81ab8476"),
+    # a rational matrix, L = 12, with negative entries and one given as 4/6,
+    # so the printed X are fractions, some in lower terms than x / 12
+    (("sample", "--matrix", _RATIONAL, "--seed", "17", "--trials", "50"),
+     "56ef023b34c12dd221cab0df9fb048f2bd7cd29e9e37fe0ef6875b4dc9c97b41"),
+    (("sample", "--matrix", _RATIONAL, "--seed", "17", "--trials", "50", "--format", "csv"),
+     "bd3eff84ead392d3ba7a8051d5b4da27bfccd1e124ca0dadd047be75fa77440c"),
 ]
 
 
@@ -776,7 +852,7 @@ class TestGoldenStdout:
              "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
             (("verify", "--stat", "inversions", "--n", "7"),
              "151584cdfacaaf3b2173852ee082b77ca21d466481a0887e8a882ace7e725044"),
-            *_ARRAY_GOLDENS[1:],
+            *_ARRAY_GOLDENS[1:4],
             # odd rows (11 027 and 199 entries) and the even one in CSV, taken
             # before the recurrences carried half rows
             (("dist", "--stat", "inversions", "--n", "149"),
@@ -797,6 +873,8 @@ class TestGoldenStdout:
              "79940a9a13f44cb5666a02346aface2deadcb89171ec5ba1181b16b587931ea3"),
             (("sample", "--stat", "descents", "--n", "12", "--seed", "3", "--trials", "5", "--format", "csv"),
              "fed29ae675b1feb8c2ec124c63dc87d59d1a7768d6e2641b27ce576f0b69bfc1"),
+            # last, so that the cases before keep their ids
+            *_ARRAY_GOLDENS[4:],
         ],
     )
     def test_sha256(self, capsys, argv, digest):
@@ -864,9 +942,11 @@ class TestLazyNumpy:
          "statistic has zero variance; W is undefined"),
         (("verify", "--stat", "descents", "--n", "11"),
          "full enumeration of S_11 exceeds the limit 10; raise the limit explicitly to proceed"),
-    ], ids=["bounds-fault", "dist-fault", "mc-zero-variance", "verify-enum-limit"])
+        (("sample", "--matrix", "wide.json", "--seed", "1"), _sn._TOO_LARGE),
+    ], ids=["bounds-fault", "dist-fault", "mc-zero-variance", "verify-enum-limit", "sample-wide-x"])
     def test_refused_first(self, tmp_path, argv, error):
         _write_rows(tmp_path, "fault.json", _FAULT)
+        _write_rows(tmp_path, "wide.json", _inversions_times(8, 1 << 59))
         _write_rows(tmp_path, "zero.json", [[0] * 3] * 3)
         proc = run_fresh(_MAIN, *(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
         assert (proc.returncode, proc.stdout) == (2, "")

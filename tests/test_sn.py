@@ -540,7 +540,7 @@ class TestDraws:
             perms, want_pick, want_pos, want = draw_whole_tile(mint, rows, np.random.Generator(np.random.PCG64(child)))
             assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (rows, 1)))
             kept = []
-            samples = list(pair_samples(1.0, scale, pick, _copied(tiles, kept)))
+            xs, _, positions = _pairs(pick, _copied(tiles, kept))
             assert [start for start, _, _ in kept] == list(range(0, rows, height))
             for start, keys, inner in kept:
                 h = min(height, rows - start)
@@ -548,9 +548,10 @@ class TestDraws:
                 assert np.array_equal(inner, want[start : start + h])
                 assert np.array_equal(np.argsort(keys, axis=1, kind="stable"), perms[start : start + h])
             inner = np.concatenate([inner for _, _, inner in kept])
-            pos = np.array([s.position - 1 for s in samples])
+            pos = np.array(positions) - 1
             assert pick.dtype == small and pos.shape == (rows,)
-            assert all(isinstance(s.position, int) for s in samples)
+            assert all(isinstance(v, int) for v in xs + positions)
+            assert xs == want.sum(axis=1).tolist()
             assert pick.max() < n and pos.max() < n
             assert np.array_equal(pick, want_pick)
             assert np.array_equal(pos, want_pos)
@@ -632,6 +633,16 @@ def _copied(tiles, kept):
         yield start, keys, inner
 
 
+def _pairs(pick, tiles):
+    """:func:`pair_samples` of one block (pick, tiles), its sub-tiles' lists
+    joined: (X, X', position) of every row."""
+    cols = ([], [], [])
+    for tile in pair_samples(pick, tiles):
+        for col, part in zip(cols, tile):
+            col.extend(part)
+    return cols
+
+
 class _TiedKeys:
     """A generator whose keys tie: each raw 64-bit draw is c 2^62 for
     c = floor(3 u), u a uniform of a seeded numpy generator, so every row
@@ -674,18 +685,18 @@ class TestTiedKeys:
         for kernel in TestInnerSums._kernels(mint):
             pick, tiles = _sn.draw(kernel, 400, _TiedKeys(n))
             kept = []
-            samples = list(pair_samples(1.0, 1, pick, _copied(tiles, kept)))
+            xs, xps, positions = _pairs(pick, _copied(tiles, kept))
             inner = np.concatenate([inner for _, _, inner in kept])
-            pos = np.array([s.position - 1 for s in samples])
+            pos = np.array(positions) - 1
             assert len(kept) == -(-400 // 13)
             assert np.array_equal(pick, want_pick)
             assert np.array_equal(inner, want)
             assert np.array_equal(pos, want_pos)
             assert np.array_equal(perms[np.arange(400), pos], pick)
-            assert [s.position for s in samples] == (want_pos + 1).tolist()
+            assert positions == (want_pos + 1).tolist()
             x = want.sum(axis=1)
-            assert [s.x_prime - s.x for s in samples] == (-2 * want[np.arange(400), pick]).tolist()
-            assert [s.x for s in samples] == x.tolist()
+            assert [b - a for a, b in zip(xs, xps)] == (-2 * want[np.arange(400), pick]).tolist()
+            assert xs == x.tolist()
 
     @pytest.mark.parametrize("kind", ["inversions", "banded"])
     def test_kernels_on_tied_keys(self, kind):
