@@ -1,134 +1,63 @@
 """Permutation statistics from antisymmetric matrices, their
 exchangeable pair under the move-random-to-end chain, exact
-distributions, and normal-approximation bounds."""
+distributions, and normal-approximation bounds.
 
-from .analysis import RateRow, kolmogorov_distance, normal_cdf, rate_table
-from .chain import (
-    PairSample,
-    move_to_end,
-    sample_pair,
-    unit_step_check,
-    x_delta,
-)
-from .exact_dist import (
-    IntegerDistribution,
-    StandardizedDistribution,
-    eulerian_distribution,
-    exact_moments,
-    generic_distribution,
-    mahonian_distribution,
-    standardize,
-)
-from .exchangeability import (
-    PairDistribution,
-    builtin_phi,
-    check_conditions,
-    is_exchangeable,
-    joint_distribution,
-    lambda_map,
-    phi,
-    theta,
-)
-from .perm_core import (
-    AntisymmetricMatrix,
-    EnumerationLimitError,
-    MatrixFormatError,
-    Permutation,
-    StatisticKind,
-    StatisticSpec,
-    VarianceBreakdown,
-    brute_force_moments,
-    custom_spec,
-    descent_count,
-    descents_matrix,
-    descents_spec,
-    identity,
-    inverse,
-    inversion_count,
-    inversions_matrix,
-    inversions_spec,
-    load_matrix_file,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
-    random_antisymmetric_matrix,
-    spec_for,
-    variance_formula,
-    x_stat,
-    zero_matrix,
-)
-from .stein_bounds import (
-    BoundIngredients,
-    BoundReport,
-    ScalingRow,
-    a_max,
-    bound_report,
-    ingredients_exact,
-    ingredients_mc,
-    rr_bound,
-    scaling_table,
-    stein_original_bound,
-)
+``perm_core`` and ``_sn`` are imported with the package.  The other
+modules are put in ``sys.modules`` as lazy modules (``_sn.lazy_module``)
+that run on their first attribute access, so a command runs only the
+modules it uses.  The public names below resolve through ``__getattr__``.
+"""
+
+from . import _sn, perm_core
+
+for _module in ("analysis", "chain", "exact_dist", "exchangeability", "stein_bounds"):
+    globals()[_module] = _sn.lazy_module(f"{__name__}.{_module}")
+del _module
+
+# every public name and the module that defines it
+_HOME = {
+    name: module
+    for module, names in [
+        ("analysis", "RateRow kolmogorov_distance normal_cdf rate_table"),
+        ("chain", "PairSample move_to_end sample_pair unit_step_check x_delta"),
+        (
+            "exact_dist",
+            "IntegerDistribution StandardizedDistribution eulerian_distribution exact_moments "
+            "generic_distribution mahonian_distribution standardize",
+        ),
+        (
+            "exchangeability",
+            "PairDistribution builtin_phi check_conditions is_exchangeable joint_distribution "
+            "lambda_map phi theta",
+        ),
+        (
+            "perm_core",
+            "AntisymmetricMatrix EnumerationLimitError MatrixFormatError Permutation StatisticKind "
+            "StatisticSpec VarianceBreakdown brute_force_moments custom_spec descent_count "
+            "descents_matrix descents_spec identity inverse inversion_count inversions_matrix "
+            "inversions_spec load_matrix_file matrix_from_json_dict matrix_to_json_dict "
+            "random_antisymmetric_matrix spec_for variance_formula x_stat zero_matrix",
+        ),
+        (
+            "stein_bounds",
+            "BoundIngredients BoundReport ScalingRow a_max bound_report ingredients_exact "
+            "ingredients_mc rr_bound scaling_table stein_original_bound",
+        ),
+    ]
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntisymmetricMatrix",
-    "BoundIngredients",
-    "BoundReport",
-    "EnumerationLimitError",
-    "IntegerDistribution",
-    "MatrixFormatError",
-    "PairDistribution",
-    "PairSample",
-    "Permutation",
-    "RateRow",
-    "ScalingRow",
-    "StandardizedDistribution",
-    "StatisticKind",
-    "StatisticSpec",
-    "VarianceBreakdown",
-    "a_max",
-    "bound_report",
-    "brute_force_moments",
-    "builtin_phi",
-    "check_conditions",
-    "custom_spec",
-    "descent_count",
-    "descents_matrix",
-    "descents_spec",
-    "eulerian_distribution",
-    "exact_moments",
-    "generic_distribution",
-    "identity",
-    "ingredients_exact",
-    "ingredients_mc",
-    "inverse",
-    "inversion_count",
-    "inversions_matrix",
-    "inversions_spec",
-    "is_exchangeable",
-    "joint_distribution",
-    "kolmogorov_distance",
-    "lambda_map",
-    "load_matrix_file",
-    "mahonian_distribution",
-    "matrix_from_json_dict",
-    "matrix_to_json_dict",
-    "move_to_end",
-    "normal_cdf",
-    "phi",
-    "random_antisymmetric_matrix",
-    "rate_table",
-    "rr_bound",
-    "sample_pair",
-    "scaling_table",
-    "spec_for",
-    "standardize",
-    "stein_original_bound",
-    "theta",
-    "unit_step_check",
-    "variance_formula",
-    "x_delta",
-    "x_stat",
-    "zero_matrix",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name, read from its module, which runs on the first read."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

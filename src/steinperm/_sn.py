@@ -59,8 +59,9 @@ values and their sub-tiles of keys and ``inner``.  The table also gives
 X of a swept row moved at each position (:func:`moved_x`).
 
 numpy is loaded on the first array operation, not on import (see
-:func:`_lazy_numpy`); the other modules bind ``np`` from here, so the
-recurrences, ``--help`` and every refusal of input run without it.
+:func:`lazy_module`, which ``steinperm/__init__.py`` also uses for the
+modules behind the commands); the other modules bind ``np`` from here, so
+the recurrences, ``--help`` and every refusal of input run without it.
 """
 
 from __future__ import annotations
@@ -77,25 +78,23 @@ from typing import Iterator
 from .perm_core import AntisymmetricMatrix, check_enum_limit
 
 
-def _lazy_numpy():
-    """numpy as it is in ``sys.modules``, or else a module that
-    ``importlib.util.LazyLoader`` executes on its first attribute access.
-    A missing numpy raises ImportError here, on import of the package."""
-    if "numpy" in sys.modules:
-        import numpy
-
-        return numpy
-    spec = importlib.util.find_spec("numpy")
+def lazy_module(name: str):
+    """The module ``name`` as it is in ``sys.modules``, or else one put there
+    that ``importlib.util.LazyLoader`` executes on its first attribute
+    access.  A module that cannot be found raises ModuleNotFoundError here."""
+    if name in sys.modules:
+        return importlib.import_module(name)
+    spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-np = _lazy_numpy()
+np = lazy_module("numpy")
 
 CHUNK = 150_000
 DRAW_BLOCK = 1 << 16

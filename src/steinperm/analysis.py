@@ -11,8 +11,8 @@ d_k * sqrt(n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_dist import (
     StandardizedDistribution,
@@ -65,8 +65,7 @@ def kolmogorov_distance(d: StandardizedDistribution) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     n: int
     statistic: StatisticKind
     d_k: float

@@ -17,17 +17,15 @@ moved position into Python ints, which ``sample`` prints as they are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import _sn
 from ._sn import np
 from .perm_core import Permutation, StatisticSpec, descents_matrix
 
 
-@dataclass(frozen=True)
-class PairSample:
+class PairSample(NamedTuple):
     """One draw of the exchangeable pair, on both the X and W scales."""
 
     x: Fraction

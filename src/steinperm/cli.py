@@ -21,16 +21,15 @@ and CSV layout; the library modules return values only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 from fractions import Fraction
 
-from . import _sn, analysis, exact_dist, exchangeability, stein_bounds
+from . import _sn, analysis, chain, exact_dist, exchangeability, stein_bounds
 from ._sn import np
-from .chain import move_to_end, pair_samples
-from .exchangeability import lambda_map
 from .perm_core import (
     DEFAULT_ENUM_LIMIT,
     Permutation,
@@ -49,12 +48,14 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------- output
 
+def _write(texts, out_path: str | None) -> None:
+    """Write each string of ``texts`` as it is made, to stdout or to the file ``out_path``."""
+    with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8") as fh:
+        fh.writelines(texts)
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write((text,), out_path)
 
 
 def _emit_json(obj, out_path: str | None) -> None:
@@ -196,7 +197,7 @@ _EXAMPLE_EXPECTED = {
 def cmd_example(args) -> int:
     p = Permutation(_EXAMPLE_PI)
     i = _EXAMPLE_POSITION
-    p_prime = move_to_end(p, i)
+    p_prime = chain.move_to_end(p, i)
     report = {
         "pi": list(_EXAMPLE_PI),
         "position": i,
@@ -206,8 +207,8 @@ def cmd_example(args) -> int:
     for kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS):
         spec = spec_for(kind, 7)
         expected = _EXAMPLE_EXPECTED[kind.value]
-        lam_p = lambda_map(spec, p, i)
-        lam_then_move = move_to_end(lam_p, i)
+        lam_p = exchangeability.lambda_map(spec, p, i)
+        lam_then_move = chain.move_to_end(lam_p, i)
         block = {
             "lambda_pi": list(lam_p.image),
             "lambda_pi_then_move": list(lam_then_move.image),
@@ -325,7 +326,7 @@ def cmd_bounds(args) -> int:
     report = {
         "statistic": spec.kind.value,
         "ingredients": _ingredients_json(ing),
-        "report": vars(stein_bounds.bound_report(ing)),
+        "report": stein_bounds.bound_report(ing)._asdict(),
     }
     _emit_json(report, args.out)
     return 0
@@ -340,16 +341,28 @@ def cmd_sample(args) -> int:
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
     _, scale, blocks = _sn.draws(_sn.checked_x_bound(spec.matrix), args.trials, args.seed)
     text = str if scale == 1 else lambda a: str(Fraction(a, scale))
-    # int / int rounds correctly, so a / L / sigma is float(Fraction(a, L)) / sigma past 2^53 too
-    rows = ((text(a), text(b), a / scale / sigma, b / scale / sigma, i)
-            for block in blocks for tile in pair_samples(*block) for a, b, i in zip(*tile))
-    if args.format == "csv":
-        _emit_csv("x,x_prime,w,w_prime,position", ("{},{},{!r},{!r},{}".format(*r) for r in rows), args.out)
-    else:  # the layout of _emit_json: sorted keys, an indent of 2, floats by repr
-        body = ",\n".join('  {{\n    "position": {4},\n    "w": {2!r},\n    "w_prime": {3!r},\n    "x": "{0}",\n'
-                          '    "x_prime": "{1}"\n  }}'.format(*r) for r in rows)
-        _emit(f"[\n{body}\n]\n" if body else "[]\n", args.out)
+    # the rows of each sub-tile; int / int rounds correctly, so a / L / sigma
+    # is float(Fraction(a, L)) / sigma past 2^53 too
+    tiles = ([(text(a), text(b), a / scale / sigma, b / scale / sigma, i) for a, b, i in zip(*tile)]
+             for block in blocks for tile in chain.pair_samples(*block))
+    _write(_sample_text(tiles, args.format), args.out)
     return 0
+
+
+def _sample_text(tiles, fmt: str):
+    """``sample``'s output, one string per sub-tile of rows, in CSV or in the
+    layout of :func:`_emit_json`: sorted keys, an indent of 2, floats by repr."""
+    if fmt == "csv":
+        yield "x,x_prime,w,w_prime,position\n"
+        for rows in tiles:
+            yield "".join("{},{},{!r},{!r},{}\n".format(*r) for r in rows)
+        return
+    sep = "[\n"
+    for rows in tiles:  # a sub-tile holds at least one row
+        yield sep + ",\n".join('  {{\n    "position": {4},\n    "w": {2!r},\n    "w_prime": {3!r},\n    "x": "{0}",\n'
+                               '    "x_prime": "{1}"\n  }}'.format(*r) for r in rows)
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 # ----------------------------------------------------------------- wiring

@@ -19,30 +19,26 @@ permutations with value min_value + k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, lt, mul, sub, truediv
 
 from . import _sn
-from .perm_core import AntisymmetricMatrix
+from .perm_core import AntisymmetricMatrix, Frozen
 
 EULERIAN_CAP = 200
 MAHONIAN_CAP = 150
 
 
-@dataclass(frozen=True)
-class IntegerDistribution:
+class IntegerDistribution(Frozen):
     """A distribution over integers with exact big-integer counts."""
 
-    n: int
-    min_value: int
-    counts: tuple[int, ...]
-    total: int
+    _fields = ("n", "min_value", "counts", "total")
 
-    def __post_init__(self) -> None:
-        if min(self.counts, default=0) < 0 or sum(self.counts) != self.total:
+    def __init__(self, n: int, min_value: int, counts: tuple[int, ...], total: int) -> None:
+        if min(counts, default=0) < 0 or sum(counts) != total:
             raise ValueError("counts must be nonnegative and sum to total")
+        self._set(n, min_value, counts, total)
 
     def support(self):
         """Yield (value, count) for every nonzero count, ascending."""
@@ -51,24 +47,22 @@ class IntegerDistribution:
                 yield self.min_value + k, c
 
 
-@dataclass(frozen=True)
-class StandardizedDistribution:
+class StandardizedDistribution(Frozen):
     """Atoms and probabilities of (value - mean) / stddev."""
 
-    atoms: tuple[float, ...]
-    probs: tuple[float, ...]
-    mean_used: float
-    stddev_used: float
+    _fields = ("atoms", "probs", "mean_used", "stddev_used")
 
-    def __post_init__(self) -> None:
-        atoms, probs = self.atoms, self.probs
+    def __init__(
+        self, atoms: tuple[float, ...], probs: tuple[float, ...], mean_used: float, stddev_used: float
+    ) -> None:
         if len(atoms) != len(probs) or min(probs, default=0.0) < 0.0 or not sums_to_one(probs):
             raise ValueError("there must be one nonnegative probability per atom, summing to 1")
         # lt is False on NaN, and every atom lies between the first and the last
         if not (all(map(lt, atoms, atoms[1:])) and math.isfinite(atoms[0]) and math.isfinite(atoms[-1])):
             raise ValueError("atoms must be finite and strictly increasing")
-        if not 0.0 < self.stddev_used < math.inf:
+        if not 0.0 < stddev_used < math.inf:
             raise ValueError("stddev must be finite and positive")
+        self._set(atoms, probs, mean_used, stddev_used)
 
 
 def sums_to_one(probs: tuple[float, ...]) -> bool:

@@ -14,8 +14,8 @@ row copied, and verifies exchangeability itself by exact enumeration.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _sn
 from ._sn import np
@@ -288,8 +288,7 @@ def relabeled_x(table: np.ndarray, perms: np.ndarray, inner: np.ndarray, suffix:
     return x, before + _sn.moved_tail(keys, suffix)
 
 
-@dataclass(frozen=True)
-class PairDistribution:
+class PairDistribution(NamedTuple):
     """Exact joint counts of (X, X') over all (permutation, position)."""
 
     counts: dict[tuple[Fraction, Fraction], int]

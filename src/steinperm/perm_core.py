@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 DEFAULT_ENUM_LIMIT = 10
 
@@ -44,8 +44,37 @@ class MatrixFormatError(ValueError):
     """Raised for malformed or non-antisymmetric matrix input."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Frozen:
+    """Fields set once, by ``__init__`` through :meth:`_set`, and read-only
+    after, with the equality, hash and repr of a frozen dataclass over
+    ``_fields``.  A cached_property writes its value to ``vars(self)``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        vars(self).update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(Frozen):
     """A permutation of {1..n} in one-line notation.
 
     ``image[k]`` is the value at position k+1; positions and values are
@@ -56,12 +85,13 @@ class Permutation:
     (1, 7)
     """
 
-    image: tuple[int, ...]
+    _fields = ("image",)
 
-    def __post_init__(self) -> None:
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.image!r}")
+    def __init__(self, image: tuple[int, ...]) -> None:
+        n = len(image)
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {image!r}")
+        self._set(image)
 
     @property
     def n(self) -> int:
@@ -110,8 +140,7 @@ def inversion_count(p: Permutation) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if img[i] > img[j])
 
 
-@dataclass(frozen=True)
-class AntisymmetricMatrix:
+class AntisymmetricMatrix(Frozen):
     """A rational matrix with M[j][i] = -M[i][j] (hence zero diagonal).
 
     Indexed 1..n through :meth:`entry`.  Construct through
@@ -119,7 +148,10 @@ class AntisymmetricMatrix:
     which produce valid entries by construction.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        self._set(entries)
 
     @property
     def n(self) -> int:
@@ -190,16 +222,17 @@ class StatisticKind(str, Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class StatisticSpec:
+class StatisticSpec(Frozen):
     """A statistic X(p) = sum_{i<j} M[p(i)][p(j)] given by its matrix.
 
     The matrix is materialized for the built-in kinds too, so every code
     path can fall back on the defining formula.
     """
 
-    kind: StatisticKind
-    matrix: AntisymmetricMatrix
+    _fields = ("kind", "matrix")
+
+    def __init__(self, kind: StatisticKind, matrix: AntisymmetricMatrix) -> None:
+        self._set(kind, matrix)
 
     @property
     def n(self) -> int:
@@ -259,8 +292,7 @@ def x_stat(spec: StatisticSpec, p: Permutation) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class VarianceBreakdown:
+class VarianceBreakdown(NamedTuple):
     """Var(X) = (sum_sq + row_balance) / 3 split into its two pieces.
 
     ``a[i]`` is the upper row sum A_i = sum_{j>i} M[i][j], ``b[i]`` the
@@ -329,7 +361,14 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _ENTRY_RE.match(text):
         raise MatrixFormatError(f"not an integer or p/q rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # past the pattern, only the int-string length limit is left
+        digits = max(len(part.lstrip("+-")) for part in text.split("/"))
+        raise MatrixFormatError(
+            f"entry literal has a {digits}-digit integer, over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for int-string conversion"
+        ) from None
 
 
 def matrix_to_json_dict(m: AntisymmetricMatrix) -> dict:

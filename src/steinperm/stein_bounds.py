@@ -24,8 +24,8 @@ variance of the conditional expectation, so the bound stays valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _sn
 from ._sn import np
@@ -35,8 +35,7 @@ MODE_EXACT = "exact"
 MODE_MC = "mc"
 
 
-@dataclass(frozen=True)
-class BoundIngredients:
+class BoundIngredients(NamedTuple):
     """Everything the bound formulas consume, for one statistic at one n.
 
     Moments live on the normalized W scale; ``e_diff_sq_x`` keeps the
@@ -67,8 +66,7 @@ class BoundIngredients:
     stderr_var_cond_pi: float | None = None
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     rr_bound: float
     stein_bound: float
     rr_scaled: float
@@ -257,8 +255,7 @@ def bound_report(ing: BoundIngredients) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     n: int
     statistic: StatisticKind
     mode: str

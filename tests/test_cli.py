@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,6 +32,7 @@ import numpy as np
 from _oracles import draw_whole_tile, row_copy_x, whole_tile_draw
 
 SRC = Path(steinperm.__file__).resolve().parents[1]
+_RATIONAL = str(Path(__file__).with_name("rational_matrix.json"))
 
 
 def run(capsys, *argv):
@@ -356,6 +358,42 @@ class TestSample:
         # a float64 division misses the correctly rounded W on some rows
         assert any(float(np.float64(int(3 * Fraction(x)))) / 3 / sigma != float(w) for x, _, w, _, _ in drawn)
 
+    @pytest.mark.parametrize("fmt, out", [("json", "[]\n"), ("csv", "x,x_prime,w,w_prime,position\n")])
+    def test_no_trials(self, capsys, fmt, out):
+        assert run(capsys, "sample", "--stat", "descents", "--n", "5", "--seed", "1", "--trials", "0",
+                   "--format", fmt) == (0, out, "")
+
+    # digests recorded before the rows were written per sub-tile: 400 draws
+    # at n = 200 are 3 sub-tiles, 70000 at n = 6 are 2 blocks of 5461-row ones
+    @pytest.mark.parametrize("argv, digest", [
+        (("--stat", "inversions", "--n", "200", "--seed", "7", "--trials", "400"),
+         "4eca002eaa1ed5132b20dcf7e7a5736838913bd43c5a8d109df8aa07110f9f27"),
+        (("--stat", "inversions", "--n", "200", "--seed", "7", "--trials", "400", "--format", "csv"),
+         "0c5b4652c078fd1369b0d0e0fbd4a114b6daab7eeb9f27dc8df3aecef2950565"),
+        (("--matrix", _RATIONAL, "--seed", "17", "--trials", "70000"),
+         "fbc8377329d689f2e7b1f526f22b06ea1e8437b64a3e7dd361b31fa61727ca49"),
+        (("--matrix", _RATIONAL, "--seed", "17", "--trials", "70000", "--format", "csv"),
+         "9baaf0854d62217c3062026a5f9f4a9a6726514ddd6ad99a7781d3a12eabf52f"),
+    ], ids=["inversions-json", "inversions-csv", "rational-json", "rational-csv"])
+    def test_rows_written_per_sub_tile(self, monkeypatch, tmp_path, argv, digest):
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recording())
+        assert main(["sample", *argv]) == 0
+        assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
+        n, trials = (200, 400) if "--stat" in argv else (6, 70000)
+        rows = "\n" if "csv" in argv else '"position"'
+        assert len(writes) >= -(-trials // _sn.tile_height(n))
+        assert max(text.count(rows) for text in writes) <= _sn.tile_height(n)
+        out = tmp_path / "out"
+        assert main(["sample", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("trials", ["0", "1", "3"])
     def test_zero_variance_refused_for_every_trial_count(self, capsys, trials):
         code, out, err = run(capsys, "sample", "--stat", "descents", "--n", "1",
@@ -520,6 +558,14 @@ class TestRefusedInput:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "--enum-limit" in captured.err and "negative" in captured.err
+
+    def test_entry_past_int_string_limit(self, capsys, tmp_path):
+        path = _write_rows(tmp_path, "long.json", _antisymmetric([["1/" + "9" * 5000, "2"], ["3"]]))
+        code, out, err = run(capsys, "bounds", "--matrix", path)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == (f"error: entry literal has a 5000-digit integer, over Python's limit of {limit} digits "
+                       "for int-string conversion\n")
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_non_positive_cap_refused(self, capsys, cap):
@@ -785,8 +831,6 @@ def run_fresh(code, *argv):
                           capture_output=True, text=True, timeout=300)
 
 
-_RATIONAL = str(Path(__file__).with_name("rational_matrix.json"))
-
 # pinned both in this process, where numpy was imported before steinperm,
 # and in a new interpreter, where steinperm loads it lazily; the Monte Carlo
 # cases here and below pin the stream of the keyed draw
@@ -988,6 +1032,60 @@ class TestLazyNumpy:
         )
         proc = run_fresh(code)
         assert (proc.returncode, proc.stdout) == (0, "ModuleNotFoundError numpy\n")
+
+
+# the steinperm modules that have run, as the last line of stderr: the
+# command modules sit in sys.modules as lazy modules until first used
+_RAN = """\
+import sys, types
+from steinperm.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    ran = sorted(k for k, m in sys.modules.items() if k.startswith("steinperm.") and type(m) is types.ModuleType)
+    sys.stderr.write(f"ran: {' '.join(ran)}\\n")
+sys.exit(code)
+"""
+
+
+class TestColdStart:
+    """What a new interpreter runs: importing the CLI runs perm_core, _sn
+    and cli and no dataclasses or inspect, and each command runs only the
+    modules it uses."""
+
+    def test_import_loads_no_dataclasses(self):
+        proc = run_fresh("import sys, steinperm.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+        assert (proc.returncode, proc.stdout) == (0, "False False\n")
+
+    def test_command_modules_registered_not_run(self):
+        code = (
+            "import sys, types, steinperm, steinperm.cli\n"
+            "names = ('analysis', 'chain', 'exact_dist', 'exchangeability', 'stein_bounds')\n"
+            "modules = [sys.modules['steinperm.' + name] for name in names]\n"
+            "print(all(m is getattr(steinperm, name) for m, name in zip(modules, names)))\n"
+            "print([type(m) is types.ModuleType for m in modules])\n"
+            "for m in modules:\n"
+            "    m.__doc__\n"  # the first read runs it, in place
+            "print([type(m) is types.ModuleType for m in modules], modules[1].move_to_end is steinperm.move_to_end)\n"
+        )
+        proc = run_fresh(code)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "True\n[False, False, False, False, False]\n[True, True, True, True, True] True\n"
+
+    @pytest.mark.parametrize("argv, code, ran", [
+        (("bounds", "--matrix", "fault.json"), 2, "_sn cli perm_core stein_bounds"),
+        (("dist", "--stat", "inversions", "--n", "20"), 0, "_sn cli exact_dist perm_core"),
+        (("dist", "--stat", "descents", "--n", "20", "--format", "csv"), 0, "_sn cli exact_dist perm_core"),
+        (("rate", "--stat", "descents", "--n-list", "5,10,20"), 0, "_sn analysis cli exact_dist perm_core"),
+        (("rate", "--stat", "inversions", "--n-list", "5,10,20"), 0, "_sn analysis cli exact_dist perm_core"),
+        (("example",), 0, "_sn chain cli exchangeability perm_core"),
+        (("--help",), 0, "_sn cli perm_core"),
+    ], ids=["bounds-fault", "dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help"])
+    def test_modules_run_by_command(self, tmp_path, argv, code, ran):
+        _write_rows(tmp_path, "fault.json", _FAULT)
+        proc = run_fresh(_RAN, *(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+        assert proc.returncode == code
+        assert proc.stderr.splitlines()[-1] == "ran: " + " ".join(f"steinperm.{m}" for m in ran.split())
 
 
 class TestUsage:

@@ -283,3 +283,45 @@ def test_x_stat_mean_zero_pairs(image):
     rev = Permutation(tuple(reversed(image)))
     spec = inversions_spec(p.n)
     assert x_stat(spec, p) + x_stat(spec, rev) == 0
+
+
+class TestValueSemantics:
+    """The validating classes keep the behaviour of frozen dataclasses:
+    read-only fields, and equality, hash and repr over the fields.  The
+    result records are NamedTuples."""
+
+    def test_read_only_fields(self):
+        from steinperm import eulerian_distribution, standardize
+
+        dist = eulerian_distribution(3)
+        law = standardize(dist, Fraction(1), 1.0)
+        for obj, field in ((WORKED, "image"), (descents_matrix(3), "entries"), (descents_spec(3), "kind"),
+                           (dist, "counts"), (law, "atoms")):
+            for change in (lambda: setattr(obj, field, None), lambda: delattr(obj, field),
+                           lambda: setattr(obj, "other", 1)):
+                with pytest.raises(AttributeError):
+                    change()
+            assert getattr(obj, field) is not None
+
+    def test_equality_hash_repr(self):
+        from steinperm import IntegerDistribution, eulerian_distribution
+
+        p = Permutation(image=(2, 3, 1))
+        assert p == Permutation((2, 3, 1)) and p != Permutation((1, 2, 3)) and p != (2, 3, 1)
+        assert hash(p) == hash(((2, 3, 1),)) and repr(p) == "Permutation(image=(2, 3, 1))"
+        spec = descents_spec(3)
+        assert spec.variance == Fraction(4, 3)  # a cached value is no field
+        assert spec == descents_spec(3) != inversions_spec(3)
+        assert hash(spec) == hash((StatisticKind.DESCENTS, descents_matrix(3)))
+        assert repr(spec) == f"StatisticSpec(kind={StatisticKind.DESCENTS!r}, matrix={descents_matrix(3)!r})"
+        d = IntegerDistribution(n=3, min_value=0, counts=(1, 4, 1), total=6)
+        assert d == eulerian_distribution(3) and hash(d) == hash((3, 0, (1, 4, 1), 6))
+        assert repr(d) == "IntegerDistribution(n=3, min_value=0, counts=(1, 4, 1), total=6)"
+        with pytest.raises(ValueError, match="sum to total"):
+            IntegerDistribution(3, 0, (1, 4, 1), 7)
+
+    def test_records_are_named_tuples(self):
+        br = variance_formula(descents_matrix(3))
+        assert br._fields == ("sum_sq", "row_balance", "a", "b", "variance")
+        assert br == tuple(br) and br._asdict()["variance"] == br.variance == Fraction(4, 3)
+        assert br._replace(variance=Fraction(0)).variance == 0
