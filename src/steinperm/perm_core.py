@@ -361,12 +361,17 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _ENTRY_RE.match(text):
         raise MatrixFormatError(f"not an integer or p/q rational literal: {text!r}")
+    num, _, den = text.partition("/")
+    return Fraction(_int_literal(num), _int_literal(den or "1"))
+
+
+def _int_literal(text: str) -> int:
+    """int(text) of a decimal literal, refused by name past Python's int-string limit."""
     try:
-        return Fraction(text)
-    except ValueError:  # past the pattern, only the int-string length limit is left
-        digits = max(len(part.lstrip("+-")) for part in text.split("/"))
+        return int(text)
+    except ValueError:  # the only failure left for a literal the pattern or json accepted
         raise MatrixFormatError(
-            f"entry literal has a {digits}-digit integer, over Python's limit of "
+            f"entry literal has a {len(text.lstrip('+-'))}-digit integer, over Python's limit of "
             f"{sys.get_int_max_str_digits()} digits for int-string conversion"
         ) from None
 
@@ -402,7 +407,7 @@ def matrix_from_json_dict(data: dict) -> AntisymmetricMatrix:
 def load_matrix_file(path: str) -> AntisymmetricMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_int_literal)
         except json.JSONDecodeError as exc:
             raise MatrixFormatError(f"invalid JSON in {path}: {exc}") from exc
     return matrix_from_json_dict(data)

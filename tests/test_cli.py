@@ -559,9 +559,13 @@ class TestRefusedInput:
         assert captured.out == ""
         assert "--enum-limit" in captured.err and "negative" in captured.err
 
-    def test_entry_past_int_string_limit(self, capsys, tmp_path):
-        path = _write_rows(tmp_path, "long.json", _antisymmetric([["1/" + "9" * 5000, "2"], ["3"]]))
-        code, out, err = run(capsys, "bounds", "--matrix", path)
+    # refused by name before the matrix is built, so the other entries do not matter
+    @pytest.mark.parametrize("entry", ['"1/' + "9" * 5000 + '"', '"-' + "9" * 5000 + '/7"', "9" * 5000],
+                             ids=["denominator", "numerator", "json-number"])
+    def test_entry_past_int_string_limit(self, capsys, tmp_path, entry):
+        path = tmp_path / "long.json"
+        path.write_text('{"n": 2, "entries": [["0", ' + entry + '], ["0", "0"]]}')
+        code, out, err = run(capsys, "bounds", "--matrix", str(path))
         limit = sys.get_int_max_str_digits()
         assert (code, out) == (2, "")
         assert err == (f"error: entry literal has a 5000-digit integer, over Python's limit of {limit} digits "
