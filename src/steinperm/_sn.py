@@ -55,8 +55,8 @@ Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
 allocate; every Monte Carlo draw goes through :func:`draws`, which
 refuses oversized entries and yields (pick, tiles) blocks: the moved
-values and their sub-tiles of keys and ``inner``.  The table also gives
-X of a swept row moved at each position (:func:`moved_x`).
+values and their sub-tiles of keys and ``inner``.  The table also gives X
+of a swept row moved, relabeled and relabeled then moved (:func:`moved_x`).
 
 numpy is loaded on the first array operation, not on import (see
 :func:`lazy_module`, which ``steinperm/__init__.py`` also uses for the
@@ -650,23 +650,46 @@ def triangle(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.broadcast_to(a, a.shape) for a in (i, j, np.flatnonzero(i == j)))
 
 
-def moved_tail(keys: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-    """tail[t, i]: the ``suffix`` terms from position i on of row t moved at i, from
-    keys[c, t] = v << n | seen on cell c = (i, j) of :func:`triangle`, v the row's value
-    at j and seen the values at or before j.  Moved, the value v_i of cell (i, i) leaves
-    every later seen set and goes last with all seen."""
-    n = suffix.shape[0]
-    i, _, starts = triangle(n)
-    keys = keys ^ (1 << (keys[starts] >> n))[i]
-    keys[starts] |= (1 << n) - 1
-    return np.add.reduceat(np.take(suffix, keys), starts, axis=0).T
+def moved_x(perms: np.ndarray, inner: np.ndarray, suffix: np.ndarray, table: np.ndarray | None = None):
+    """For each sub-tile of rows of a swept chunk, (inner, moved, relabeled,
+    relabeled then moved): X[t, i] of row t moved at position i, of it relabeled
+    at i by ``table`` (``exchangeability.relabel_table``) and of that moved at
+    i, no row copied; the last two are None without a table.
 
+    A row has a key v << n | seen on each cell (i, j) of :func:`triangle`, v its
+    value at j and seen the values at or before j; one sub-tile's seen masks and
+    prefix sums before[i] = sum_{j < i} inner[j] serve all three rows, which keep
+    p's values and seen sets before i.  From i on, the moved row drops p(i) from
+    every seen set and puts it last with all seen; the relabeled row holds
+    lambda(j) = table[S_i, p(i), p(j)], S_i the values at positions >= i, and has
+    seen the values before i and lambda(i..j), a running sum as lambda is
+    one-to-one.  Each such term is a fresh ``suffix`` lookup, none read off
+    X' = X - 2 inner[i] or X(lambda) = X'."""
+    n = perms.shape[1]
+    i, j, starts = triangle(n)
 
-def moved_x(perms: np.ndarray, inner: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-    """x[t, i]: X of row t with position i moved to the end, for every i, no row
-    copied.  Its terms before i are p's, before[i] = sum_{j < i} inner[j], as the
-    moved row has p's values and seen sets there; every later term is a fresh
-    ``suffix`` lookup (:func:`moved_tail`), none read off X' = X - 2 inner[i]."""
-    p = perms.T
-    keys = (p << len(p) | np.cumsum(1 << p, axis=0))[triangle(len(p))[1]]
-    return np.cumsum(inner, axis=1) - inner + moved_tail(keys, suffix)
+    def tail(keys, moved=False):  # the suffix terms of cells (i, i..n-1), summed
+        if moved:
+            keys = keys ^ (1 << (keys[starts] >> n))[i]
+            keys[starts] |= (1 << n) - 1
+        return np.add.reduceat(np.take(suffix, keys), starts, axis=0).T
+
+    # a call per sub-tile frees its arrays before the next, and triangle is made once per n:
+    # without either, verify at n = 10 fragmented the heap, 100-113 MB RSS, not 94-97 MB
+    def tile(p, inn):
+        bits = 1 << p
+        seen = np.cumsum(bits, axis=0)
+        before = np.cumsum(inn, axis=1) - inn
+        relabeled = relabeled_moved = None
+        if table is not None:
+            prior = seen - bits
+            lam = table.take(((((1 << n) - 1 ^ prior) * n + p) * n)[i] + p[j])
+            lam_bits = 1 << lam
+            lam_seen = np.cumsum(lam_bits, axis=0)
+            keys = lam << n | (lam_seen - (lam_seen[starts] - lam_bits[starts] - prior)[i])
+            relabeled, relabeled_moved = before + tail(keys), before + tail(keys, moved=True)
+        return inn, before + tail((p << n | seen)[j], moved=True), relabeled, relabeled_moved
+
+    height = tile_height(len(i))
+    for start in range(0, len(perms), height):
+        yield tile(perms[start : start + height].T, inner[start : start + height])

@@ -35,6 +35,7 @@ from .perm_core import (
     Permutation,
     StatisticKind,
     StatisticSpec,
+    check_enum_limit,
     custom_spec,
     load_matrix_file,
     spec_for,
@@ -72,32 +73,32 @@ def _warn(text: str) -> None:
 
 # ------------------------------------------------------------- selection
 
-def _selected_spec(args) -> StatisticSpec:
-    """Build the statistic from --stat/--n or from --matrix."""
+def _selected_spec(args, always_sweeps: bool | None = None) -> StatisticSpec:
+    """Build the statistic from --stat/--n or from --matrix.  A command that
+    enumerates S_n says whether it ``always_sweeps`` (``verify``) or sweeps only
+    where ``_sn.exact_sums`` cannot run its prefix-set program: a raised
+    ``--enum-limit`` is warned of with its cost, and --n of --stat is checked
+    against the limit before the n x n matrix is built."""
     if args.matrix is not None:
         matrix = load_matrix_file(args.matrix)
         if args.n is not None and args.n != matrix.n:
             raise UsageError(f"--n {args.n} disagrees with the {matrix.n}x{matrix.n} matrix")
-        return custom_spec(matrix)
-    if args.stat is None:
+    elif args.stat is None:
         raise UsageError("select a statistic with --stat or --matrix")
-    if args.n is None:
+    elif args.n is None:
         raise UsageError("--stat needs --n")
-    return spec_for(args.stat, args.n)
-
-
-def _enum_limit(args, always_sweeps: bool = False) -> int | None:
-    """``--enum-limit``, with a warning when it raises the default cap: what
-    it costs depends on whether the command always sweeps S_n (``verify``)
-    or only where ``_sn.exact_sums`` cannot run its prefix-set program."""
-    limit = getattr(args, "enum_limit", None)
+    limit = args.enum_limit if always_sweeps is not None else None
     if limit is not None and limit > DEFAULT_ENUM_LIMIT:
         if always_sweeps:
             cost = f"a full sweep visits {limit}! permutations and may run very long"
         else:
             cost = f"a sweep of up to {limit}! permutations runs only where the prefix-set program does not fit"
         _warn(f"enumeration limit raised to {limit}; {cost}")
-    return limit
+    if args.matrix is not None:
+        return custom_spec(matrix)
+    if always_sweeps is not None:
+        check_enum_limit(args.n, limit)
+    return spec_for(args.stat, args.n)
 
 
 # ---------------------------------------------------------------- verify
@@ -105,11 +106,11 @@ def _enum_limit(args, always_sweeps: bool = False) -> int | None:
 def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]]:
     """The exact identity suite behind ``verify``, in one sweep of S_n.
 
-    In row sub-tiles of each chunk, ``_sn.moved_x`` and, for the built-ins,
-    ``exchangeability.relabeled_x`` give X of every row moved, relabeled, and
-    relabeled then moved at every position, no row copied; the checks compare
-    those arrays.  Each chunk also feeds the bound sums and the (X, X') tally;
-    the built-ins' Theta/Phi conditions are checked on every value subset at once.
+    ``_sn.moved_x`` gives, one row sub-tile of a chunk at a time, X of every
+    row moved, and for the built-ins relabeled and relabeled then moved, at
+    every position, no row copied; the checks compare those arrays.  Each chunk
+    also feeds the bound sums and the (X, X') tally; the built-ins' Theta/Phi
+    conditions are checked on every value subset at once.
     """
     n = spec.n
     var = spec.variance
@@ -117,20 +118,16 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     builtin = spec.kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS)
     table = exchangeability.relabel_table(spec) if builtin else None
     suffix = _sn.suffix_table(mint)
-    height = _sn.tile_height(n * (n + 1) // 2)
 
     sums = _sn.ExactSums()
     pairs = exchangeability.PairTally()
     ok_delta = ok_drift = ok_lambda = True
     for perms, inner in sweep:
-        for start in range(0, len(perms), height):
-            rows, inn = perms[start : start + height], inner[start : start + height]
+        for inn, xm, xl, xlm in _sn.moved_x(perms, inner, suffix, table):
             x = inn.sum(axis=1)[:, None]
-            xm = _sn.moved_x(rows, inn, suffix)
             ok_delta &= np.array_equal(xm, x - 2 * inn)
             ok_drift &= np.array_equal((xm - x).sum(axis=1), -2 * x[:, 0])
             if table is not None:
-                xl, xlm = exchangeability.relabeled_x(table, rows, inn, suffix)
                 ok_lambda &= np.array_equal(xl, xm) and bool((xlm == x).all())
         sums.add(inner)
         pairs.add(inner)
@@ -160,9 +157,8 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
 
 
 def cmd_verify(args) -> int:
-    spec = _selected_spec(args)
-    limit = _enum_limit(args, always_sweeps=True)
-    checks = _run_checks(spec, limit)
+    spec = _selected_spec(args, always_sweeps=True)
+    checks = _run_checks(spec, args.enum_limit)
     report = {
         "n": spec.n,
         "statistic": spec.kind.value,
@@ -233,8 +229,8 @@ def cmd_dist(args) -> int:
     if args.matrix is not None:
         if args.cap is not None:
             raise UsageError("--cap does nothing with --matrix")
-        spec = _selected_spec(args)
-        dist = exact_dist.generic_distribution(spec.matrix, _enum_limit(args))
+        spec = _selected_spec(args, always_sweeps=False)
+        dist = exact_dist.generic_distribution(spec.matrix, args.enum_limit)
     else:
         if args.stat is None or args.n is None:
             raise UsageError("dist needs --stat with --n, or --matrix")
@@ -314,14 +310,15 @@ def cmd_bounds(args) -> int:
     for flag, value in unused.items():
         if value is not None:
             raise UsageError(f"{flag} does nothing in --mode {args.mode}")
-    spec = _selected_spec(args)
     if args.mode == "exact":
-        ing = stein_bounds.ingredients_exact(spec, _enum_limit(args))
+        spec = _selected_spec(args, always_sweeps=False)
+        ing = stein_bounds.ingredients_exact(spec, args.enum_limit)
     else:
         if args.seed is None:
             raise UsageError("Monte Carlo mode needs --seed")
         if args.trials is None:
             raise UsageError("Monte Carlo mode needs --trials")
+        spec = _selected_spec(args)
         ing = stein_bounds.ingredients_mc(spec, args.trials, args.seed)
     report = {
         "statistic": spec.kind.value,
@@ -335,9 +332,9 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------- sample
 
 def cmd_sample(args) -> int:
-    spec = _selected_spec(args)
     if args.trials < 0:
         raise UsageError("--trials must not be negative")
+    spec = _selected_spec(args)
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
     _, scale, blocks = _sn.draws(_sn.checked_x_bound(spec.matrix), args.trials, args.seed)
     text = str if scale == 1 else lambda a: str(Fraction(a, scale))

@@ -7,8 +7,7 @@ leave the matrix invariant on S minus a point (condition 2).  This
 module builds the known Theta/Phi families for the two built-in
 statistics, checks the two conditions for arbitrary matrices (one
 subset at a time, or on every subset at once from a relabeling table),
-gives X of every relabeled row of a sweep from its seen sets, with no
-row copied, and verifies exchangeability itself by exact enumeration.
+and verifies exchangeability itself by exact enumeration.
 """
 
 from __future__ import annotations
@@ -265,27 +264,6 @@ def flip_conditions(mint: np.ndarray, table: np.ndarray) -> np.ndarray:
     ok_v &= np.all((mint[f[:, :, :, None], f[:, :, None, :]] == mint) | ~pairs, axis=(2, 3))
     th_image = np.bitwise_or.reduce(np.where(bits, 1 << th, 0), axis=1)
     return np.all(ok_v | ~bits, axis=1) & (th_image == masks)
-
-
-def relabeled_x(table: np.ndarray, perms: np.ndarray, inner: np.ndarray, suffix: np.ndarray):
-    """(x, x_moved)[t, i]: X of lambda_map(p_t) at position i and of it moved
-    at i, for every i, no row copied; ``table`` is a :func:`relabel_table`.
-    Its terms before i are p's, before[i] = sum_{j < i} inner[j], as lambda
-    keeps p's values and seen sets there.  From i on, position j holds
-    lambda(j) = table[S_i, p(i), p(j)], S_i the values at positions >= i, and
-    has seen the values before i and lambda(i..j), a running sum as lambda is
-    one-to-one.  Each such term is a fresh ``suffix`` lookup, also for the
-    moved row (:func:`_sn.moved_tail`), none read off X(lambda) = X'."""
-    p, n = perms.T, perms.shape[1]
-    i, j, starts = _sn.triangle(n)
-    prior = np.cumsum(1 << p, axis=0) - (1 << p)
-    lam = table.take(((((1 << n) - 1 ^ prior) * n + p) * n)[i] + p[j])
-    bits = 1 << lam
-    seen = np.cumsum(bits, axis=0)
-    keys = lam << n | (seen - (seen[starts] - bits[starts] - prior)[i])
-    before = np.cumsum(inner, axis=1) - inner
-    x = before + np.add.reduceat(np.take(suffix, keys), starts, axis=0).T
-    return x, before + _sn.moved_tail(keys, suffix)
 
 
 class PairDistribution(NamedTuple):

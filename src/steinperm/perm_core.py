@@ -408,7 +408,7 @@ def load_matrix_file(path: str) -> AntisymmetricMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=_int_literal)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter for arrays nested too deeply
             raise MatrixFormatError(f"invalid JSON in {path}: {exc}") from exc
     return matrix_from_json_dict(data)
 

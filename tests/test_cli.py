@@ -520,6 +520,9 @@ class TestNarrowInner:
         self._against_oracle(capsys, monkeypatch, command, "--matrix", path, "--seed", "6", *mode)
 
 
+_S_1000000 = "full enumeration of S_1000000 exceeds the limit 10; raise the limit explicitly to proceed\n"
+
+
 class TestRefusedInput:
     # dist --matrix takes integer entries only, so it sees just the first
     @pytest.mark.parametrize("command, rows", [
@@ -637,6 +640,34 @@ class TestRefusedInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--trials" in err
 
+    # refused on the arguments alone, before the n x n matrix of --stat is built
+    @pytest.mark.parametrize("argv, err", [
+        (("verify", "--stat", "inversions"), "error: " + _S_1000000),
+        (("verify", "--stat", "descents", "--enum-limit", "11"),
+         "warning: enumeration limit raised to 11; a full sweep visits 11! permutations and may run very long\n"
+         "error: " + _S_1000000.replace("limit 10", "limit 11")),
+        (("bounds", "--stat", "descents"), "error: " + _S_1000000),
+        (("bounds", "--stat", "inversions", "--mode", "mc", "--trials", "5"), "error: Monte Carlo mode needs --seed\n"),
+        (("bounds", "--stat", "descents", "--mode", "mc", "--seed", "1"), "error: Monte Carlo mode needs --trials\n"),
+        (("sample", "--stat", "descents", "--seed", "1", "--trials", "-1"), "error: --trials must not be negative\n"),
+    ], ids=["verify", "verify-enum-limit", "bounds", "mc-seed", "mc-trials", "sample-trials"])
+    def test_refused_before_the_statistic_is_built(self, capsys, monkeypatch, argv, err):
+        from steinperm import cli
+
+        def unbuilt(kind, n):
+            raise RuntimeError(f"the {n}x{n} matrix was built")
+
+        monkeypatch.setattr(cli, "spec_for", unbuilt)
+        assert run(capsys, *argv, "--n", "1000000") == (2, "", err)
+
+    @pytest.mark.parametrize("command", ["bounds", "dist"])
+    def test_matrix_nested_too_deeply(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, command, "--matrix", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {path}: ") and err.count("\n") == 1
+
 
 class TestSingleSweep:
     """verify enumerates S_n exactly once, whatever the statistic."""
@@ -717,11 +748,8 @@ class TestFailingChecks:
         return [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
 
     def oracle_failing(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(_sn, "moved_x", lambda perms, inner, suffix: row_copy_x(perms, suffix)[0])
         monkeypatch.setattr(
-            exchangeability,
-            "relabeled_x",
-            lambda table, perms, inner, suffix: row_copy_x(perms, suffix, table)[1:],
+            _sn, "moved_x", lambda perms, inner, suffix, table: [(inner, *row_copy_x(perms, suffix, table))]
         )
         return self.failing(capsys, argv)
 

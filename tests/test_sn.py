@@ -155,11 +155,12 @@ def _random_rational_matrix(n, seed):
 
 
 class TestMovedAndRelabeledX:
-    """moved_x and relabeled_x, read from the rows' seen sets, give the X
-    arrays of the row-copy oracle: every row moved at every position,
-    relabeled there, and relabeled then moved.  Each built-in matrix also
-    meets the other built-in's relabeling table, and a suffix table with
-    one entry altered, where the identities the kernels serve fail."""
+    """moved_x, read from the rows' seen sets in sub-tiles, gives the X arrays
+    of the row-copy oracle: every row moved at every position, and with a
+    relabeling table relabeled there, and relabeled then moved.  Each
+    built-in matrix also meets the other built-in's relabeling table, and a
+    suffix table with one entry altered, where the identities the kernel
+    serves fail."""
 
     @staticmethod
     def rows(n):
@@ -177,12 +178,20 @@ class TestMovedAndRelabeledX:
         return _kernel_matrix(kind, n)
 
     @staticmethod
-    def assert_row_copies(perms, suffix, table):
+    def joined_tiles(perms, inner, suffix, table=None):
+        """moved_x's (moved, relabeled, relabeled then moved), its sub-tiles joined."""
+        inn, *xs = zip(*_sn.moved_x(perms, inner, suffix, table))
+        assert np.array_equal(np.concatenate(inn), inner)
+        return [None if x[0] is None else np.concatenate(x) for x in xs]
+
+    def assert_row_copies(self, perms, suffix, table):
         inner = _sn.table_inner(perms, suffix)
         moved, relabeled, then_moved = row_copy_x(perms, suffix, table)
-        xm = _sn.moved_x(perms, inner, suffix)
+        xm, x, x_moved = self.joined_tiles(perms, inner, suffix)
         assert xm.shape == perms.shape and np.array_equal(xm, moved)
-        x, x_moved = exchangeability.relabeled_x(table, perms, inner, suffix)
+        assert x is None and x_moved is None
+        xm, x, x_moved = self.joined_tiles(perms, inner, suffix, table)
+        assert np.array_equal(xm, moved)
         assert np.array_equal(x, relabeled) and np.array_equal(x_moved, then_moved)
         return xm, x, x_moved
 
