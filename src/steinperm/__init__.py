@@ -2,16 +2,40 @@
 exchangeable pair under the move-random-to-end chain, exact
 distributions, and normal-approximation bounds.
 
-``perm_core`` and ``_sn`` are imported with the package.  The other
-modules are put in ``sys.modules`` as lazy modules (``_sn.lazy_module``)
+``perm_core`` is imported with the package.  The other modules, and
+numpy, are put in ``sys.modules`` as lazy modules (:func:`lazy_module`)
 that run on their first attribute access, so a command runs only the
-modules it uses.  The public names below resolve through ``__getattr__``.
+modules it uses: the recurrences and ``--help`` never run ``_sn`` or
+numpy.  A missing numpy still fails on import.  The public names below
+resolve through ``__getattr__``.
 """
 
-from . import _sn, perm_core
+import importlib.util
+import sys
 
-for _module in ("analysis", "chain", "exact_dist", "exchangeability", "stein_bounds"):
-    globals()[_module] = _sn.lazy_module(f"{__name__}.{_module}")
+from . import perm_core
+
+
+def lazy_module(name: str):
+    """The module ``name`` as it is in ``sys.modules``, loaded or not, or else
+    one put there that ``importlib.util.LazyLoader`` executes on its first
+    attribute access.  A module that cannot be found raises
+    ModuleNotFoundError here."""
+    if sys.modules.get(name) is not None:
+        return sys.modules[name]  # an import would run a lazy one
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lazy_module("numpy")  # found now, so that a missing numpy fails on import
+for _module in ("_sn", "analysis", "chain", "exact_dist", "exchangeability", "stein_bounds"):
+    globals()[_module] = lazy_module(f"{__name__}.{_module}")
 del _module
 
 # every public name and the module that defines it

@@ -59,40 +59,22 @@ values and their sub-tiles of keys and ``inner``.  The table also gives X
 of a swept row moved, relabeled and relabeled then moved (:func:`moved_x`).
 
 numpy is loaded on the first array operation, not on import (see
-:func:`lazy_module`, which ``steinperm/__init__.py`` also uses for the
-modules behind the commands); the other modules bind ``np`` from here, so
-the recurrences, ``--help`` and every refusal of input run without it.
+``steinperm.lazy_module``, which also defers this module and the others
+behind the commands); the other modules bind ``np`` from here, so the
+recurrences, ``--help`` and every refusal of input run without it.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
 import operator
-import sys
 from collections import Counter
 from itertools import chain, islice, permutations
 from typing import Iterator
 
+from . import lazy_module
 from .perm_core import AntisymmetricMatrix, check_enum_limit
-
-
-def lazy_module(name: str):
-    """The module ``name`` as it is in ``sys.modules``, or else one put there
-    that ``importlib.util.LazyLoader`` executes on its first attribute
-    access.  A module that cannot be found raises ModuleNotFoundError here."""
-    if name in sys.modules:
-        return importlib.import_module(name)
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 np = lazy_module("numpy")
 

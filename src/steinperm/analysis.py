@@ -5,7 +5,9 @@ standard normal is attained at an atom, either just after the jump or
 just before it, because both CDFs are monotone between atoms.  That
 closed form drives the rate tables: standardize the exact n-point law
 with its analytic mean and standard deviation and report d_k and
-d_k * sqrt(n).
+d_k * sqrt(n).  A table checks its whole n-list first, then runs the
+statistic's recurrence once, to the largest n, and measures each listed
+n as the pass reaches it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact_dist import (
+    EULERIAN_CAP,
+    MAHONIAN_CAP,
     StandardizedDistribution,
-    eulerian_distribution,
-    mahonian_distribution,
+    check_size,
+    eulerian_rows,
+    laws,
+    mahonian_rows,
     standardize,
     sums_to_one,
 )
@@ -72,27 +78,43 @@ class RateRow(NamedTuple):
     scaled: float
 
 
-def _standardized_law(statistic: StatisticKind, n: int) -> StandardizedDistribution:
-    if statistic not in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS):
+_LAWS = {
+    StatisticKind.DESCENTS: (eulerian_rows, EULERIAN_CAP),
+    StatisticKind.INVERSIONS: (mahonian_rows, MAHONIAN_CAP),
+}
+
+
+def _check_n(statistic: StatisticKind, n: int) -> None:
+    if statistic not in _LAWS:
         raise ValueError("rate tables exist only for the built-in statistics")
     if n == 1:
         # one permutation; the descents sd sqrt((n + 1) / 12) holds only from n = 2
         raise ValueError(f"{statistic.value} is constant at n = 1; the rate table needs n >= 2")
+    check_size(n, _LAWS[statistic][1])
+
+
+def _mean_sd(statistic: StatisticKind, n: int) -> tuple[Fraction, float]:
     if statistic == StatisticKind.DESCENTS:
-        dist = eulerian_distribution(n)
-        mean = Fraction(n - 1, 2)
-        sd = math.sqrt((n + 1) / 12.0)
-    else:
-        dist = mahonian_distribution(n)
-        mean = Fraction(n * (n - 1), 4)
-        sd = math.sqrt(n * (n - 1) * (2 * n + 5) / 72.0)
-    return standardize(dist, mean, sd)
+        return Fraction(n - 1, 2), math.sqrt((n + 1) / 12.0)
+    return Fraction(n * (n - 1), 4), math.sqrt(n * (n - 1) * (2 * n + 5) / 72.0)
 
 
 def rate_table(statistic: StatisticKind, n_list) -> list[RateRow]:
-    """One row per n: exact law, analytic standardization, d_k, d_k * sqrt(n)."""
-    rows = []
+    """One row per n, in list order with repeats kept: exact law, analytic
+    standardization, d_k, d_k * sqrt(n).
+
+    Every n is checked, in list order, before any law is computed; the laws
+    then come from one pass of the recurrence to the largest n.
+    """
+    n_list = list(n_list)
     for n in n_list:
-        d_k = kolmogorov_distance(_standardized_law(statistic, n))
-        rows.append(RateRow(n=n, statistic=statistic, d_k=d_k, scaled=d_k * math.sqrt(n)))
-    return rows
+        _check_n(statistic, n)
+    if not n_list:
+        return []
+    rows, _ = _LAWS[statistic]
+    table = {}
+    for dist in laws(rows(), set(n_list)):
+        n = dist.n
+        d_k = kolmogorov_distance(standardize(dist, *_mean_sd(statistic, n)))
+        table[n] = RateRow(n=n, statistic=statistic, d_k=d_k, scaled=d_k * math.sqrt(n))
+    return [table[n] for n in n_list]

@@ -29,7 +29,6 @@ import sys
 from fractions import Fraction
 
 from . import _sn, analysis, chain, exact_dist, exchangeability, stein_bounds
-from ._sn import np
 from .perm_core import (
     DEFAULT_ENUM_LIMIT,
     Permutation,
@@ -64,7 +63,7 @@ def _emit_json(obj, out_path: str | None) -> None:
 
 
 def _emit_csv(header: str, lines, out_path: str | None) -> None:
-    _emit("\n".join([header, *lines]) + "\n", out_path)
+    _emit("\n".join([header, *lines, ""]), out_path)
 
 
 def _warn(text: str) -> None:
@@ -112,8 +111,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     also feeds the bound sums and the (X, X') tally; the built-ins' Theta/Phi
     conditions are checked on every value subset at once.
     """
-    n = spec.n
-    var = spec.variance
+    n, var, np = spec.n, spec.variance, _sn.np
     mint, scale, sweep = _sn.sweep(spec.matrix, limit)
     builtin = spec.kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS)
     table = exchangeability.relabel_table(spec) if builtin else None
@@ -240,17 +238,33 @@ def cmd_dist(args) -> int:
             recurrence, default_cap = exact_dist.eulerian_distribution, exact_dist.EULERIAN_CAP
         else:
             recurrence, default_cap = exact_dist.mahonian_distribution, exact_dist.MAHONIAN_CAP
-        dist = recurrence(args.n, args.cap or default_cap)
-        if args.cap is not None and args.cap > default_cap:
-            _warn(f"cap raised to {args.cap}; large n may take minutes and much memory")
+        cap = args.cap or default_cap
+        exact_dist.check_size(args.n, cap)  # a refused n is not warned of
+        if cap > default_cap:
+            _warn(f"cap raised to {cap}; large n may take minutes and much memory")
+        dist = recurrence(args.n, cap)
     # each distinct count's decimal text once: a palindromic row holds each count twice
     text = list(map({c: str(c) for c in set(dist.counts)}.__getitem__, dist.counts))
     if args.format == "csv":
         lines = (f"{v},{t}" for v, (c, t) in enumerate(zip(dist.counts, text), dist.min_value) if c)
         _emit_csv("value,count", lines, args.out)
     else:
-        _emit_json({"n": dist.n, "min_value": dist.min_value, "counts": text}, args.out)
+        _emit(_dist_json(dist.n, dist.min_value, text), args.out)
     return 0
+
+
+def _dist_json(n: int, min_value: int, text: list[str]) -> str:
+    """``dist``'s JSON in the layout of :func:`_emit_json`, made by one join
+    over the decimal texts of the counts: json's indented encoder is pure
+    Python, and each further copy of the 2.6 MB text at n = 150 costs more
+    than the join."""
+    head, tail = '{\n  "counts": [', f'],\n  "min_value": {min_value},\n  "n": {n}\n}}\n'
+    if not text:
+        return head + tail
+    parts = list(text)
+    parts[0] = head + '\n    "' + parts[0]
+    parts[-1] += '"\n  ' + tail
+    return '",\n    "'.join(parts)
 
 
 # ------------------------------------------------------------------ rate

@@ -6,11 +6,15 @@ in arbitrary-precision integer arithmetic so the counts are exact for
 every n up to the caps.  Every row of either recurrence is a palindrome,
 so only the first half of each row is carried: a step extends it by the
 few mirrored entries it reads and computes the new half with C-level
-``map`` and ``accumulate`` loops over Python ints.  Integer matrices are
+``map`` and ``accumulate`` loops over Python ints.  One generator per
+statistic (:func:`eulerian_rows`, :func:`mahonian_rows`) yields the half
+row of every n in turn, so a table over many n runs the recurrence once,
+to the largest; :func:`eulerian_distribution` and
+:func:`mahonian_distribution` run it to one n.  Integer matrices are
 counted over S_n by :func:`_sn.exact_sums`.  :func:`standardize` shifts
 each atom and forms each probability by one correctly rounded int/int
-division, one per mirrored pair of counts, with no Fraction per atom;
-:func:`sums_to_one` checks the sum.
+division, one per mirrored pair of counts (and of atoms, for a law centred
+on its mean), with no Fraction per atom; :func:`sums_to_one` checks the sum.
 
 Counts index the exact statistic value: counts[k] is the number of
 permutations with value min_value + k.
@@ -21,7 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import add, lt, mul, sub, truediv
+from operator import add, lt, mul, neg, sub, truediv
+from typing import Iterator
 
 from . import _sn
 from .perm_core import AntisymmetricMatrix, Frozen
@@ -95,33 +100,43 @@ def _palindrome(half: list[int], size: int, upto: int | None = None) -> list[int
     return half + half[size - (upto or size) : size - len(half)][::-1]
 
 
-def eulerian_distribution(n: int, cap: int = EULERIAN_CAP) -> IntegerDistribution:
-    """Counts of permutations of n by number of descents.
-
-    Row m of the triangle is A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1)
-    for k = 0..m-1; it is a palindrome, so only its first half is carried,
-    by C-level maps over the old half (plus one mirrored entry for odd m).
-
-    >>> eulerian_distribution(3).counts
-    (1, 4, 1)
-    >>> eulerian_distribution(4).counts
-    (1, 11, 11, 1)
-    """
+def check_size(n: int, cap: int) -> None:
+    """Refuse an n the recurrences do not run to: below 1 or above ``cap``."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the cap {cap}")
-    half = [1]
-    for m in range(2, n + 1):
+
+
+def laws(rows: Iterator[tuple[list[int], int]], ns: set[int]) -> Iterator[IntegerDistribution]:
+    """The law on S_n of every n in ``ns``, ascending, from one pass of
+    ``rows`` (:func:`eulerian_rows` or :func:`mahonian_rows`) to max(ns)."""
+    for n, (half, size) in zip(range(1, max(ns) + 1), rows):
+        if n in ns:
+            yield IntegerDistribution(n=n, min_value=0, counts=tuple(_palindrome(half, size)), total=math.factorial(n))
+
+
+def eulerian_rows() -> Iterator[tuple[list[int], int]]:
+    """The first half of row n of the Eulerian triangle, with the row's
+    length n, for n = 1, 2, ...; each row is computed when it is asked for.
+
+    Row m of the triangle is A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1)
+    for k = 0..m-1; it is a palindrome, so only its first half is carried,
+    by C-level maps over the old half (plus one mirrored entry for odd m).
+    """
+    half, m = [1], 1
+    while True:
+        yield half, m
+        m += 1
         h = (m + 1) // 2
         row = _palindrome(half, m - 1, h)  # entries 0..h-1 of the old row
         # entries k < h: (k + 1) row[k] + (m - k) row[k - 1], with row[-1] read as 0
         half = list(map(add, map(mul, range(1, h + 1), row), map(mul, range(m, m - h, -1), [0] + row)))
-    return IntegerDistribution(n=n, min_value=0, counts=tuple(_palindrome(half, n)), total=math.factorial(n))
 
 
-def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistribution:
-    """Counts of permutations of n by number of inversions.
+def mahonian_rows() -> Iterator[tuple[list[int], int]]:
+    """The first half of the inversion counts of S_n, with the row's length
+    n(n - 1)/2 + 1, for n = 1, 2, ...; each row is computed when it is asked for.
 
     Step i multiplies the generating function by [i]_q = 1 + q + ... +
     q^(i-1), the law of an independent uniform block {0..i-1}, so with P
@@ -130,22 +145,41 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
     the about i/2 mirrored entries the new half reads, then takes prefix
     sums (``accumulate``) and differences at lag i (``map`` of
     ``operator.sub``), C-level loops over Python ints.
+    """
+    half, size, i = [1], 1, 1
+    while True:
+        yield half, size
+        i += 1
+        # the new half (size + i) // 2 is at most size, since size >= i - 1
+        half = list(accumulate(_palindrome(half, size, (size + i) // 2)))
+        half[i:] = map(sub, half[i:], half)  # made in full before the slice is replaced
+        size += i - 1
+
+
+def eulerian_distribution(n: int, cap: int = EULERIAN_CAP) -> IntegerDistribution:
+    """Counts of permutations of n by number of descents, row n of
+    :func:`eulerian_rows`.
+
+    >>> eulerian_distribution(3).counts
+    (1, 4, 1)
+    >>> eulerian_distribution(4).counts
+    (1, 11, 11, 1)
+    """
+    check_size(n, cap)
+    return next(laws(eulerian_rows(), {n}))
+
+
+def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistribution:
+    """Counts of permutations of n by number of inversions, row n of
+    :func:`mahonian_rows`.
 
     >>> mahonian_distribution(3).counts
     (1, 2, 2, 1)
     >>> mahonian_distribution(4).counts
     (1, 3, 5, 6, 5, 3, 1)
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the cap {cap}")
-    half, size = [1], 1
-    for i in range(2, n + 1):
-        # the new half (size + i) // 2 is at most size, since size >= i - 1
-        prefix = list(accumulate(_palindrome(half, size, (size + i) // 2)))
-        half, size = prefix[:i] + list(map(sub, prefix[i:], prefix)), size + i - 1
-    return IntegerDistribution(n=n, min_value=0, counts=tuple(_palindrome(half, size)), total=math.factorial(n))
+    check_size(n, cap)
+    return next(laws(mahonian_rows(), {n}))
 
 
 def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> IntegerDistribution:
@@ -176,14 +210,22 @@ def standardize(d: IntegerDistribution, mean: Fraction, stddev: float) -> Standa
     mirrored pair of counts of a palindromic law, as every built-in law is):
     Python's int/int true division is correctly rounded, so these are the
     floats of float(v - mean) / stddev and float(Fraction(count, total)).
+    A palindromic law centred on the mean, as every built-in law is with
+    its analytic mean, has its second half of atoms negated from the first:
+    the mirror of v has numerator exactly -(v q - p), and both divisions
+    round the same on either sign.
     """
     if not 0.0 < stddev < math.inf:
         raise ValueError("stddev must be finite and positive")
-    p, q, total, counts = mean.numerator, mean.denominator, d.total, d.counts
-    k = len(counts) // 2 if counts == counts[::-1] else 0
-    half = list(map(truediv, counts[: len(counts) - k], repeat(total)))
+    p, q, total, counts, lo = mean.numerator, mean.denominator, d.total, d.counts, d.min_value
+    size = len(counts)
+    k = size // 2 if counts == counts[::-1] else 0
+    half = list(map(truediv, counts[: size - k], repeat(total)))
+    j = k if 2 * p == (2 * lo + size - 1) * q else 0  # the mirrored atoms
+    shifted = map(sub, map(mul, range(lo, lo + size - j), repeat(q)), repeat(p))
+    first = list(map(truediv, map(truediv, shifted, repeat(q)), repeat(stddev)))
     return StandardizedDistribution(
-        atoms=tuple((v * q - p) / q / stddev for v, c in enumerate(counts, d.min_value) if c),
+        atoms=tuple(compress(first + list(map(neg, first[:j][::-1])), counts)),
         probs=tuple(compress(half + half[:k][::-1], counts)),
         mean_used=float(mean),
         stddev_used=stddev,

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import kolmogorov_scan, phi_taylor
 from steinperm import (
+    RateRow,
     StandardizedDistribution,
     StatisticKind,
     eulerian_distribution,
@@ -98,6 +100,12 @@ class TestKolmogorovDistance:
             kolmogorov_distance(d)
 
 
+def _per_n_row(kind, n):
+    """The rate row of n from its own law, one recurrence run to n."""
+    d_k = kolmogorov_distance(_standard_law(kind, n))
+    return RateRow(n=n, statistic=kind, d_k=d_k, scaled=d_k * math.sqrt(n))
+
+
 class TestRateTable:
     def test_empty(self):
         assert rate_table(StatisticKind.DESCENTS, []) == []
@@ -117,6 +125,23 @@ class TestRateTable:
     def test_custom_kind_refused(self):
         with pytest.raises(ValueError):
             rate_table(StatisticKind.CUSTOM, [3])
+
+    @pytest.mark.parametrize("kind, cap", [(StatisticKind.DESCENTS, 200), (StatisticKind.INVERSIONS, 150)])
+    def test_one_pass_equals_per_n_rows(self, kind, cap):
+        # shuffled, with repeats: rows in list order, each as its own law gives it
+        n_list = [37, 2, cap, 11, 37, 3, 2, 24, 11]
+        random.Random(7).shuffle(n_list)
+        assert rate_table(kind, n_list) == [_per_n_row(kind, n) for n in n_list]
+
+    @pytest.mark.parametrize("n_list, error", [
+        ([5, 1, 151], "inversions is constant at n = 1; the rate table needs n >= 2"),
+        ([5, 151, 1], "n=151 exceeds the cap 150"),
+        ([5, 0, 151], "n must be at least 1"),
+    ])
+    def test_refusals_in_list_order(self, n_list, error):
+        with pytest.raises(ValueError) as exc:
+            rate_table(StatisticKind.INVERSIONS, n_list)
+        assert str(exc.value) == error
 
     def test_csv_format_round_trips(self, capsys):
         rows = rate_table(StatisticKind.DESCENTS, [5, 10])

@@ -25,6 +25,7 @@ from steinperm import (
     sample_pair,
     zero_matrix,
 )
+from steinperm import analysis, cli, exact_dist
 from steinperm.cli import main
 
 import numpy as np
@@ -179,6 +180,45 @@ class TestDist:
         code, _, err = run(capsys, "dist", "--stat", "descents")
         assert code == 2
 
+    @pytest.mark.parametrize("stat, recurrence", [
+        ("descents", "eulerian_distribution"), ("inversions", "mahonian_distribution")])
+    def test_raised_cap_warned_before_the_recurrence(self, capsys, monkeypatch, stat, recurrence):
+        real, seen = getattr(exact_dist, recurrence), []
+
+        def watched(n, cap):
+            seen.append(capsys.readouterr().err)
+            return real(n, cap)
+
+        monkeypatch.setattr(exact_dist, recurrence, watched)
+        code, out, err = run(capsys, "dist", "--stat", stat, "--n", "5", "--cap", "300")
+        assert (code, err) == (0, "")
+        assert seen == ["warning: cap raised to 300; large n may take minutes and much memory\n"]
+
+    def test_n_past_the_raised_cap_refused_unwarned(self, capsys):
+        assert run(capsys, "dist", "--stat", "inversions", "--n", "157", "--cap", "155") == \
+            (2, "", "error: n=157 exceeds the cap 155\n")
+
+    @pytest.mark.parametrize("stat, cap", [
+        ("descents", exact_dist.EULERIAN_CAP), ("inversions", exact_dist.MAHONIAN_CAP)])
+    def test_json_is_the_json_module_layout(self, capsys, stat, cap):
+        law = exact_dist.eulerian_distribution if stat == "descents" else exact_dist.mahonian_distribution
+        for n in [*range(1, 41), cap]:
+            obj = {"n": n, "min_value": 0, "counts": [str(c) for c in law(n).counts]}
+            assert run(capsys, "dist", "--stat", stat, "--n", str(n)) == \
+                (0, json.dumps(obj, indent=2, sort_keys=True) + "\n", "")
+
+    def test_matrix_json_is_the_json_module_layout(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(_INTEGER_MATRIX)
+        code, out, _ = run(capsys, "dist", "--matrix", str(path))
+        obj = json.loads(out)
+        assert code == 0 and obj["min_value"] < 0
+        assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_json_writer_empty_counts(self):
+        obj = {"n": 0, "min_value": -3, "counts": []}
+        assert cli._dist_json(0, -3, []) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
 
 class TestRate:
     def test_csv_rows(self, capsys):
@@ -229,6 +269,17 @@ class TestRate:
         assert code == 2
         assert out == ""
         assert err == f"error: {stat} is constant at n = 1; the rate table needs n >= 2\n"
+
+    @pytest.mark.parametrize("n_list, error", [
+        ("5,1,151", "inversions is constant at n = 1; the rate table needs n >= 2"),
+        ("5,151,1", "n=151 exceeds the cap 150"),
+    ])
+    def test_list_refused_in_order_before_any_recurrence(self, capsys, monkeypatch, n_list, error):
+        def no_pass(rows, ns):
+            raise AssertionError("a recurrence ran")
+
+        monkeypatch.setattr(analysis, "laws", no_pass)
+        assert run(capsys, "rate", "--stat", "inversions", "--n-list", n_list) == (2, "", f"error: {error}\n")
 
 
 class TestBounds:
@@ -958,6 +1009,36 @@ class TestGoldenStdout:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # taken before rate ran one recurrence pass per n-list and dist wrote its
+    # own JSON: unsorted n-lists with repeats, the descents law at its cap
+    # as JSON, and the one- and two-point laws
+    @pytest.mark.parametrize("argv, digest", [
+        (("rate", "--stat", "inversions", "--n-list", "150,2,37,37,10"),
+         "b971554a086135628f97a417e26d8b880c6d53a4da3b2f7809a585d8ce25cd63"),
+        (("rate", "--stat", "inversions", "--n-list", "150,2,37,37,10", "--format", "csv"),
+         "69efd43637e065ceb812bde8adc06b87512b477c8d22c953fd69ee99895c7f9e"),
+        (("rate", "--stat", "descents", "--n-list", "150,2,37,37,10"),
+         "ca680028ab1d378677a9e8afa1f6848794a475b72ffbd82a710802507e2f3d84"),
+        (("rate", "--stat", "descents", "--n-list", "150,2,37,37,10", "--format", "csv"),
+         "2898615932f9899f25fa46c58edbbd90bdf687df0c0d629222bbb402a7b5debc"),
+        (("rate", "--stat", "descents", "--n-list", "200,3,3,40"),
+         "9df8592fc40b087e3c57dcf526463fa9e930e0fb3b54f2f454cff447d19f555e"),
+        (("rate", "--stat", "descents", "--n-list", "200,3,3,40", "--format", "csv"),
+         "61b4ab8b56ab408e6bcc910a6a729f3142f6b54247eb519b9a662c3677e497a3"),
+        (("rate", "--stat", "inversions", "--n-list", "150,3,3,40"),
+         "021c85dd6ea17e4732309129cca04dc5f2a1715bd4b6ecc0714f84c911fe1a49"),
+        (("rate", "--stat", "inversions", "--n-list", "150,3,3,40", "--format", "csv"),
+         "1e040a2c1a07b8bf499342e86ba4fdc433edafa106682c4b6d79b47627bab67f"),
+        (("dist", "--stat", "descents", "--n", "200"),
+         "41b197b08c46143995837a7340cfdd6d8892458ece0e12940dde077ef9b47a06"),
+        (("dist", "--stat", "inversions", "--n", "1"),
+         "eb6dd098f84fd209f41c1a205b3878fb696c20aa139d3a9397f0575b94e5f82d"),
+        (("dist", "--stat", "inversions", "--n", "2"),
+         "f3ccfce25ae83dbbfadd8c7b292209ab294d1c476e9671f4d7d75bdd63ed04e1"),
+    ])
+    def test_sha256_one_pass(self, capsys, argv, digest):
+        self.test_sha256(capsys, argv, digest)
+
     # the parser is built once per process, and a refusal, by argparse or
     # by main, leaves nothing behind for the next command
     @pytest.mark.parametrize("argv, digest", [
@@ -1032,20 +1113,21 @@ class TestLazyNumpy:
         code = (
             "import sys, types, numpy\n"
             "from steinperm import _sn, chain, cli, exchangeability, stein_bounds\n"
-            "mods = (_sn, chain, cli, exchangeability, stein_bounds)\n"
+            "mods = (_sn, chain, exchangeability, stein_bounds)\n"
             "print(all(m.np is numpy for m in mods), sys.modules['numpy'] is numpy, type(numpy) is types.ModuleType)\n"
+            "print(hasattr(cli, 'np'))\n"  # cli reads it from _sn when it sweeps
         )
         proc = run_fresh(code)
-        assert (proc.returncode, proc.stdout) == (0, "True True True\n")
+        assert (proc.returncode, proc.stdout) == (0, "True True True\nFalse\n")
 
     def test_lazy_module_is_the_one_in_sys_modules(self):
         code = (
             "import sys\n"
-            "from steinperm import _sn, cli\n"
+            "from steinperm import _sn, stein_bounds\n"
             "lazy = _sn.np\n"
             "lazy.int64\n"  # loads it in place
             "import numpy\n"
-            "print(cli.np is lazy is numpy is sys.modules['numpy'], 'numpy._core' in sys.modules)\n"
+            "print(stein_bounds.np is lazy is numpy is sys.modules['numpy'], 'numpy._core' in sys.modules)\n"
         )
         proc = run_fresh(code)
         assert (proc.returncode, proc.stdout) == (0, "True True\n")
@@ -1081,9 +1163,9 @@ sys.exit(code)
 
 
 class TestColdStart:
-    """What a new interpreter runs: importing the CLI runs perm_core, _sn
-    and cli and no dataclasses or inspect, and each command runs only the
-    modules it uses."""
+    """What a new interpreter runs: importing the CLI runs perm_core and cli
+    and no dataclasses or inspect, and each command runs only the modules
+    it uses: the recurrences and --help never run _sn."""
 
     def test_import_loads_no_dataclasses(self):
         proc = run_fresh("import sys, steinperm.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
@@ -1092,7 +1174,7 @@ class TestColdStart:
     def test_command_modules_registered_not_run(self):
         code = (
             "import sys, types, steinperm, steinperm.cli\n"
-            "names = ('analysis', 'chain', 'exact_dist', 'exchangeability', 'stein_bounds')\n"
+            "names = ('analysis', 'chain', 'exact_dist', 'exchangeability', 'stein_bounds', '_sn')\n"
             "modules = [sys.modules['steinperm.' + name] for name in names]\n"
             "print(all(m is getattr(steinperm, name) for m, name in zip(modules, names)))\n"
             "print([type(m) is types.ModuleType for m in modules])\n"
@@ -1102,16 +1184,17 @@ class TestColdStart:
         )
         proc = run_fresh(code)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "True\n[False, False, False, False, False]\n[True, True, True, True, True] True\n"
+        assert proc.stdout == "True\n" + "[False, False, False, False, False, False]\n" + \
+            "[True, True, True, True, True, True] True\n"
 
     @pytest.mark.parametrize("argv, code, ran", [
         (("bounds", "--matrix", "fault.json"), 2, "_sn cli perm_core stein_bounds"),
-        (("dist", "--stat", "inversions", "--n", "20"), 0, "_sn cli exact_dist perm_core"),
-        (("dist", "--stat", "descents", "--n", "20", "--format", "csv"), 0, "_sn cli exact_dist perm_core"),
-        (("rate", "--stat", "descents", "--n-list", "5,10,20"), 0, "_sn analysis cli exact_dist perm_core"),
-        (("rate", "--stat", "inversions", "--n-list", "5,10,20"), 0, "_sn analysis cli exact_dist perm_core"),
+        (("dist", "--stat", "inversions", "--n", "20"), 0, "cli exact_dist perm_core"),
+        (("dist", "--stat", "descents", "--n", "20", "--format", "csv"), 0, "cli exact_dist perm_core"),
+        (("rate", "--stat", "descents", "--n-list", "5,10,20"), 0, "analysis cli exact_dist perm_core"),
+        (("rate", "--stat", "inversions", "--n-list", "5,10,20"), 0, "analysis cli exact_dist perm_core"),
         (("example",), 0, "_sn chain cli exchangeability perm_core"),
-        (("--help",), 0, "_sn cli perm_core"),
+        (("--help",), 0, "cli perm_core"),
     ], ids=["bounds-fault", "dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help"])
     def test_modules_run_by_command(self, tmp_path, argv, code, ran):
         _write_rows(tmp_path, "fault.json", _FAULT)

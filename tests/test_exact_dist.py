@@ -25,7 +25,7 @@ from steinperm import (
     zero_matrix,
 )
 from steinperm.cli import main
-from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, sums_to_one
+from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, eulerian_rows, laws, mahonian_rows, sums_to_one
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError
 
 
@@ -226,6 +226,75 @@ class TestOracles:
         mean = Fraction(p, q)
         s = standardize(d, mean, sd)
         assert (s.atoms, s.probs) == standardize_fraction(min_value, counts, mean, sd)
+
+
+def _per_atom_hex(d, mean, sd):
+    """The atoms of standardize's docstring, one by one, as float.hex."""
+    p, q = mean.numerator, mean.denominator
+    return [((v * q - p) / q / sd).hex() for v, c in enumerate(d.counts, d.min_value) if c]
+
+
+class TestMirroredAtoms:
+    """standardize negates the first half of the atoms of a palindrome
+    centred on its mean; every atom is still the per-atom formula's float,
+    bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(kind, n) for kind in ("descents", "inversions") for n in range(2, 61)]
+        + [("descents", EULERIAN_CAP), ("inversions", MAHONIAN_CAP)],
+    )
+    def test_builtins(self, kind, n):
+        law, mean, sd = _closed_form_law(kind, n)
+        assert [a.hex() for a in standardize(law, mean, sd).atoms] == _per_atom_hex(law, mean, sd)
+
+    @pytest.mark.parametrize("matrix", [descents_matrix, inversions_matrix])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matrix_laws_about_zero(self, matrix, n):
+        # reversing the word negates X: symmetric about 0, negative min_value
+        law = generic_distribution(matrix(n))
+        assert law.min_value < 0
+        assert [a.hex() for a in standardize(law, Fraction(0), 1.7).atoms] == _per_atom_hex(law, Fraction(0), 1.7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1 << 200) | st.integers(0, 3), min_size=1, max_size=20).filter(any),
+        st.booleans(),
+        st.integers(-10**6, 10**6),
+        st.integers(-2, 2),
+        st.floats(1e-3, 1e6),
+    )
+    def test_palindromes(self, half, odd, min_value, off, sd):
+        # centred (off = 0) and off-centre means of even and odd palindromes
+        counts = tuple(half + half[::-1][odd:])
+        d = IntegerDistribution(n=1, min_value=min_value, counts=counts, total=sum(counts))
+        mean = Fraction(2 * min_value + len(counts) - 1 + off, 2)
+        assert [a.hex() for a in standardize(d, mean, sd).atoms] == _per_atom_hex(d, mean, sd)
+
+
+class TestRows:
+    """One pass of a row generator gives every listed law, and stops at the largest."""
+
+    @pytest.mark.parametrize("rows, law", [
+        (eulerian_rows, eulerian_distribution), (mahonian_rows, mahonian_distribution)])
+    def test_laws_of_one_pass(self, rows, law):
+        pulled = []
+
+        def counted():
+            for row in rows():
+                pulled.append(row)
+                yield row
+
+        ns = {17, 1, 2, 9}
+        assert list(laws(counted(), ns)) == [law(n) for n in sorted(ns)]
+        assert len(pulled) == 17
+
+    @pytest.mark.parametrize("rows, full_rows", [
+        (eulerian_rows, eulerian_full_rows), (mahonian_rows, mahonian_sliding_window)])
+    def test_every_row_is_the_first_half(self, rows, full_rows):
+        for n, (half, size) in zip(range(1, 41), rows()):
+            counts = full_rows(n)
+            assert (half, size) == (list(counts[: (size + 1) // 2]), len(counts))
 
 
 class TestDistributionType:
