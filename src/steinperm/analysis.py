@@ -4,10 +4,10 @@ The Kolmogorov distance between a discrete standardized law and the
 standard normal is attained at an atom, either just after the jump or
 just before it, because both CDFs are monotone between atoms.  That
 closed form drives the rate tables: standardize the exact n-point law
-with its analytic mean and standard deviation and report d_k and
-d_k * sqrt(n).  A table checks its whole n-list first, then runs the
-statistic's recurrence once, to the largest n, and measures each listed
-n as the pass reaches it.
+with its analytic mean and standard deviation (the closed-form Var X of
+``exact_dist.BUILTINS``) and report d_k and d_k * sqrt(n).  A table
+checks its whole n-list first, then runs the statistic's recurrence once,
+to the largest n, and measures each listed n as the pass reaches it.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_dist import (
-    EULERIAN_CAP,
-    MAHONIAN_CAP,
-    StandardizedDistribution,
-    check_size,
-    eulerian_rows,
-    laws,
-    mahonian_rows,
-    standardize,
-    sums_to_one,
-)
+from .exact_dist import BUILTINS, StandardizedDistribution, check_size, laws, standardize, sums_to_one
 from .perm_core import StatisticKind
 
 
@@ -78,27 +68,6 @@ class RateRow(NamedTuple):
     scaled: float
 
 
-_LAWS = {
-    StatisticKind.DESCENTS: (eulerian_rows, EULERIAN_CAP),
-    StatisticKind.INVERSIONS: (mahonian_rows, MAHONIAN_CAP),
-}
-
-
-def _check_n(statistic: StatisticKind, n: int) -> None:
-    if statistic not in _LAWS:
-        raise ValueError("rate tables exist only for the built-in statistics")
-    if n == 1:
-        # one permutation; the descents sd sqrt((n + 1) / 12) holds only from n = 2
-        raise ValueError(f"{statistic.value} is constant at n = 1; the rate table needs n >= 2")
-    check_size(n, _LAWS[statistic][1])
-
-
-def _mean_sd(statistic: StatisticKind, n: int) -> tuple[Fraction, float]:
-    if statistic == StatisticKind.DESCENTS:
-        return Fraction(n - 1, 2), math.sqrt((n + 1) / 12.0)
-    return Fraction(n * (n - 1), 4), math.sqrt(n * (n - 1) * (2 * n + 5) / 72.0)
-
-
 def rate_table(statistic: StatisticKind, n_list) -> list[RateRow]:
     """One row per n, in list order with repeats kept: exact law, analytic
     standardization, d_k, d_k * sqrt(n).
@@ -107,14 +76,20 @@ def rate_table(statistic: StatisticKind, n_list) -> list[RateRow]:
     then come from one pass of the recurrence to the largest n.
     """
     n_list = list(n_list)
+    builtin = BUILTINS.get(statistic)
     for n in n_list:
-        _check_n(statistic, n)
+        if builtin is None:
+            raise ValueError("rate tables exist only for the built-in statistics")
+        if n == 1:
+            # one permutation: Var X is 0 for both built-ins, so there is no spread to standardize
+            raise ValueError(f"{statistic.value} is constant at n = 1; the rate table needs n >= 2")
+        check_size(n, builtin.cap)
     if not n_list:
         return []
-    rows, _ = _LAWS[statistic]
     table = {}
-    for dist in laws(rows(), set(n_list)):
-        n = dist.n
-        d_k = kolmogorov_distance(standardize(dist, *_mean_sd(statistic, n)))
+    for dist in laws(builtin.rows(), set(n_list)):
+        # X = 2 count - max has mean 0, so the count's mean is max / 2 and its sd sqrt(Var X / 4)
+        n, mean = dist.n, Fraction(len(dist.counts) - 1, 2)
+        d_k = kolmogorov_distance(standardize(dist, mean, math.sqrt(float(builtin.variance(n) / 4))))
         table[n] = RateRow(n=n, statistic=statistic, d_k=d_k, scaled=d_k * math.sqrt(n))
     return [table[n] for n in n_list]

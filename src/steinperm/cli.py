@@ -38,8 +38,12 @@ from .perm_core import (
     custom_spec,
     load_matrix_file,
     spec_for,
+    variance_formula,
     x_stat,
 )
+
+# the keys of exact_dist.BUILTINS, named here so that building the parser does not run exact_dist
+_BUILTINS = [kind.value for kind in StatisticKind if kind is not StatisticKind.CUSTOM]
 
 
 class UsageError(Exception):
@@ -113,7 +117,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     """
     n, var, np = spec.n, spec.variance, _sn.np
     mint, scale, sweep = _sn.sweep(spec.matrix, limit)
-    builtin = spec.kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS)
+    builtin = spec.kind.value in _BUILTINS
     table = exchangeability.relabel_table(spec) if builtin else None
     suffix = _sn.suffix_table(mint)
 
@@ -137,7 +141,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     checks = [
         ("statistic_delta_consistency", ok_delta),
         ("drift_identity", ok_drift),
-        ("variance_formula_vs_enumeration", mean == 0 and bf_var == var),
+        ("variance_formula_vs_enumeration", mean == 0 and bf_var == variance_formula(spec.matrix).variance),
         ("pair_second_moment_identity", Fraction(sums.sum_q, scale**2) == 4 * nfact * var),
         ("pair_exchangeable", pairs.swap_symmetric()),
         ("normalized_second_moment_is_4_over_n", ing.e_diff_sq_w == Fraction(4, n)),
@@ -198,9 +202,9 @@ def cmd_example(args) -> int:
         "pi_prime": list(p_prime.image),
     }
     ok = p_prime.image == _EXAMPLE_PI_PRIME
-    for kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS):
-        spec = spec_for(kind, 7)
-        expected = _EXAMPLE_EXPECTED[kind.value]
+    for name in _BUILTINS:
+        spec = spec_for(name, 7)
+        expected = _EXAMPLE_EXPECTED[name]
         lam_p = exchangeability.lambda_map(spec, p, i)
         lam_then_move = chain.move_to_end(lam_p, i)
         block = {
@@ -209,7 +213,7 @@ def cmd_example(args) -> int:
             "x_pi": str(x_stat(spec, p)),
             "x_pi_prime": str(x_stat(spec, p_prime)),
         }
-        report[kind.value] = block
+        report[name] = block
         ok = ok and lam_p.image == expected["lambda_pi"]
         ok = ok and lam_then_move.image == expected["lambda_pi_then_move"]
         ok = ok and x_stat(spec, p) == expected["x_pi"]
@@ -234,15 +238,12 @@ def cmd_dist(args) -> int:
             raise UsageError("dist needs --stat with --n, or --matrix")
         if args.enum_limit is not None:
             raise UsageError("--enum-limit does nothing with --stat: the recurrences never enumerate")
-        if args.stat == "descents":
-            recurrence, default_cap = exact_dist.eulerian_distribution, exact_dist.EULERIAN_CAP
-        else:
-            recurrence, default_cap = exact_dist.mahonian_distribution, exact_dist.MAHONIAN_CAP
-        cap = args.cap or default_cap
+        builtin = exact_dist.BUILTINS[StatisticKind(args.stat)]
+        cap = args.cap or builtin.cap
         exact_dist.check_size(args.n, cap)  # a refused n is not warned of
-        if cap > default_cap:
+        if cap > builtin.cap:
             _warn(f"cap raised to {cap}; large n may take minutes and much memory")
-        dist = recurrence(args.n, cap)
+        dist = getattr(exact_dist, builtin.distribution)(args.n, cap)
     # each distinct count's decimal text once: a palindromic row holds each count twice
     text = list(map({c: str(c) for c in set(dist.counts)}.__getitem__, dist.counts))
     if args.format == "csv":
@@ -411,7 +412,7 @@ _positive_int = _int_at_least(1, "must be positive")
 
 def _add_selector(sub) -> None:
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--stat", choices=["descents", "inversions"])
+    group.add_argument("--stat", choices=_BUILTINS)
     group.add_argument("--matrix", metavar="PATH", help="JSON file with an antisymmetric matrix")
     sub.add_argument("--n", type=_positive_int)
 
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out")
 
     sub = subs.add_parser("rate", help="normal-approximation rate table")
-    sub.add_argument("--stat", choices=["descents", "inversions"])
+    sub.add_argument("--stat", choices=_BUILTINS)
     sub.add_argument("--n-list", required=True, help="comma-separated, e.g. 10,20,30")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out")

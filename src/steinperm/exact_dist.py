@@ -10,8 +10,9 @@ few mirrored entries it reads and computes the new half with C-level
 statistic (:func:`eulerian_rows`, :func:`mahonian_rows`) yields the half
 row of every n in turn, so a table over many n runs the recurrence once,
 to the largest; :func:`eulerian_distribution` and
-:func:`mahonian_distribution` run it to one n.  Integer matrices are
-counted over S_n by :func:`_sn.exact_sums`.  :func:`standardize` shifts
+:func:`mahonian_distribution` run it to one n; :data:`BUILTINS` holds each
+built-in's generator, cap, law function and Var X.  :func:`_sn.exact_sums`
+counts integer matrices over S_n.  :func:`standardize` shifts
 each atom and forms each probability by one correctly rounded int/int
 division, one per mirrored pair of counts (and of atoms, for a law centred
 on its mean), with no Fraction per atom; :func:`sums_to_one` checks the sum.
@@ -26,10 +27,10 @@ import math
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, lt, mul, neg, sub, truediv
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import _sn
-from .perm_core import AntisymmetricMatrix, Frozen
+from .perm_core import AntisymmetricMatrix, Frozen, StatisticKind
 
 EULERIAN_CAP = 200
 MAHONIAN_CAP = 150
@@ -180,6 +181,25 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
     """
     check_size(n, cap)
     return next(laws(mahonian_rows(), {n}))
+
+
+class Builtin(NamedTuple):
+    """A built-in X = 2 count - max: its laws' generator, its cap, the name of its law function
+    (looked up on this module when it runs, so that a wrapper put there sees it) and Var X."""
+
+    rows: Callable[[], Iterator[tuple[list[int], int]]]
+    cap: int
+    distribution: str
+    variance: Callable[[int], Fraction]
+
+
+# Var X = 4 Var count: Var des = (n + 1)/12 from n = 2 (0 at n = 1); inv is a sum of uniforms on {0..i-1}
+BUILTINS = {
+    StatisticKind.DESCENTS: Builtin(eulerian_rows, EULERIAN_CAP, "eulerian_distribution",
+                                    lambda n: Fraction(n + 1, 3) if n > 1 else Fraction(0)),
+    StatisticKind.INVERSIONS: Builtin(mahonian_rows, MAHONIAN_CAP, "mahonian_distribution",
+                                      lambda n: Fraction(n * (n - 1) * (2 * n + 5), 18)),
+}
 
 
 def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> IntegerDistribution:

@@ -245,7 +245,11 @@ class StatisticSpec(Frozen):
         >>> descents_spec(7).variance
         Fraction(8, 3)
         """
-        var = variance_formula(self.matrix).variance
+        if self.kind is StatisticKind.CUSTOM:
+            var = variance_formula(self.matrix).variance
+        else:  # a built-in's closed form; exact_dist imports this module
+            from .exact_dist import BUILTINS
+            var = BUILTINS[self.kind].variance(self.n)
         if var <= 0:
             raise ValueError("statistic has zero variance; W is undefined")
         return var

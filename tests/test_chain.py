@@ -157,16 +157,21 @@ class TestSamplePair:
         assert 2 in deltas
 
     def test_variance_computed_once_per_spec(self, monkeypatch):
-        from steinperm import perm_core
+        from steinperm import exact_dist, perm_core
+        from steinperm.perm_core import StatisticKind
 
+        # a built-in reads its closed form from the table, a custom matrix runs variance_formula
         calls = []
         original = perm_core.variance_formula
         monkeypatch.setattr(perm_core, "variance_formula", lambda m: calls.append(m) or original(m))
-        spec = inversions_spec(6)
+        builtin = exact_dist.BUILTINS[StatisticKind.INVERSIONS]
+        monkeypatch.setitem(exact_dist.BUILTINS, StatisticKind.INVERSIONS,
+                            builtin._replace(variance=lambda n: calls.append(n) or builtin.variance(n)))
         rng = np.random.Generator(np.random.PCG64(8))
-        for _ in range(20):
-            sample_pair(spec, rng)
-        assert len(calls) == 1
+        for spec in (inversions_spec(6), custom_spec(inversions_matrix(6))):
+            for _ in range(20):
+                sample_pair(spec, rng)
+        assert calls == [6, inversions_matrix(6)]
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):

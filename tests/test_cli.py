@@ -453,6 +453,15 @@ class TestSample:
         assert out == ""
         assert err.startswith("error:") and "zero variance" in err
 
+    @pytest.mark.parametrize("stat", ["descents", "inversions"])
+    @pytest.mark.parametrize("argv", [
+        ("bounds",), ("bounds", "--mode", "mc", "--trials", "10", "--seed", "1"), ("verify",), ("sample", "--seed", "1"),
+    ], ids=["bounds-exact", "bounds-mc", "verify", "sample"])
+    def test_n_1_refused_by_every_command(self, capsys, stat, argv):
+        # the one permutation of 1 has no descent and no inversion
+        assert run(capsys, argv[0], "--stat", stat, "--n", "1", *argv[1:]) == \
+            (2, "", "error: statistic has zero variance; W is undefined\n")
+
 
 def _write_rows(tmp_path, name, rows):
     path = tmp_path / name
@@ -836,6 +845,17 @@ class TestFailingChecks:
         assert ("relabeling_swaps_pair_values" in failing) == (selector != "custom")
         assert failing == self.oracle_failing(capsys, monkeypatch, argv)
 
+    @pytest.mark.parametrize("selector", ["descents", "inversions", "custom"])
+    def test_wrong_variance_formula(self, capsys, monkeypatch, tmp_path, selector):
+        # a built-in's spec.variance is its closed form, so verify checks the matrix formula by itself
+        real = cli.variance_formula
+        monkeypatch.setattr(cli, "variance_formula", lambda m: real(m)._replace(variance=real(m).variance + 1))
+        if selector == "custom":
+            argv = ["verify", "--matrix", _doubled_inversions_file(tmp_path, 6)]
+        else:
+            argv = ["verify", "--stat", selector, "--n", "6"]
+        assert self.failing(capsys, argv) == ["variance_formula_vs_enumeration"]
+
 
 class TestNoSweep:
     """Exact bounds and dist --matrix read S_n through the prefix-set
@@ -1204,6 +1224,11 @@ class TestColdStart:
 
 
 class TestUsage:
+    def test_stat_choices_are_the_table_keys(self):
+        subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        stats = [a.choices for sub in subs.values() for a in sub._actions if a.dest == "stat"]
+        assert stats == [[kind.value for kind in exact_dist.BUILTINS]] * 5  # all but example
+
     def test_stat_and_matrix_conflict(self, capsys, matrix_file):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--stat", "descents", "--matrix", matrix_file])

@@ -25,8 +25,16 @@ from steinperm import (
     zero_matrix,
 )
 from steinperm.cli import main
-from steinperm.exact_dist import EULERIAN_CAP, MAHONIAN_CAP, eulerian_rows, laws, mahonian_rows, sums_to_one
-from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError
+from steinperm.exact_dist import (
+    BUILTINS,
+    EULERIAN_CAP,
+    MAHONIAN_CAP,
+    eulerian_rows,
+    laws,
+    mahonian_rows,
+    sums_to_one,
+)
+from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError, StatisticKind, spec_for, variance_formula
 
 
 class TestEulerian:
@@ -137,6 +145,19 @@ class TestMoments:
         mean, var = exact_moments(mahonian_distribution(n))
         assert mean == Fraction(n * (n - 1), 4)
         assert var == Fraction(n * (n - 1) * (2 * n + 5), 72)
+
+    @pytest.mark.parametrize("kind", [StatisticKind.DESCENTS, StatisticKind.INVERSIONS])
+    def test_table_variance_is_the_matrix_formula_and_the_law(self, kind):
+        # X = 2 count - max, so Var X is 4 Var count; at n = 1 both are constant
+        builtin = BUILTINS[kind]
+        ns = [*range(1, 61), builtin.cap]
+        dists = list(laws(builtin.rows(), set(ns)))
+        assert [dist.n for dist in dists] == ns
+        for dist in dists:
+            var_x = builtin.variance(dist.n)
+            assert var_x == variance_formula(spec_for(kind, dist.n).matrix).variance
+            assert var_x == 4 * exact_moments(dist)[1]
+        assert builtin.variance(1) == 0 and builtin.variance(2) > 0
 
 
 class TestStandardize:
