@@ -37,9 +37,9 @@ n = 200).  A draw keeps no block of ``inner``: each sub-tile goes
 straight to its consumer in that type, which callers widen before
 integer arithmetic.
 
-Rational matrices are cleared to integers first: with L the lcm of all
-entry denominators, every statistic computed from the integer matrix is
-the exact value scaled by L.
+Every kernel reads the matrix in its stored form, L * M in integers
+with L the lcm of all entry denominators, so every statistic computed
+from it is the exact value scaled by L.
 
 The same observation lets :func:`exact_sums`, behind exact ``bounds``,
 ``dist --matrix`` and the enumerated moments, skip the n! rows: a sum
@@ -99,7 +99,7 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
     every partial row sum, and with it every suffix sum ``inner`` that
     the exact sweep and the Monte Carlo draws compute, fits in int64.
     """
-    rows, scale = m.cleared
+    rows, scale = m.rows, m.scale
     if any(sum(map(abs, row)) >= 1 << 62 for row in rows):
         raise ValueError(_TOO_LARGE)
     return np.array(rows, dtype=np.int64).reshape(m.n, m.n), scale
@@ -107,7 +107,7 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
 
 def checked_x_bound(m: AntisymmetricMatrix) -> AntisymmetricMatrix:
     """``m``, refused if sum_{i<j} |L M_ij|, the bound on |X| of ``chain.pair_samples``, reaches 2^63."""
-    if sum(sum(map(abs, row)) for row in m.cleared[0]) >= 1 << 64:  # twice the sum over i < j
+    if sum(sum(map(abs, row)) for row in m.rows) >= 1 << 64:  # twice the sum over i < j
         raise ValueError(_TOO_LARGE)
     return m
 
@@ -143,7 +143,7 @@ def sweep(
     loads no numpy.
     """
     n = check_enum_limit(m.n, limit)
-    size = checked_chunk_size(n, m.cleared[0])
+    size = checked_chunk_size(n, m.rows)
     mint, scale = integer_matrix(m)
     return mint, scale, inner_sum_chunks(n, mint, size)
 
@@ -194,7 +194,7 @@ def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> tuple[int, ExactSum
     sums = ExactSums()
     # |inner| at value v is at most v's absolute row sum, and |X| at most
     # the sum of |L M_ij| over i < j, half the sum of all absolute rows
-    row_abs = [sum(map(abs, row)) for row in m.cleared[0]]
+    row_abs = [sum(map(abs, row)) for row in m.rows]
     bound = sum(row_abs) // 2
     q_max = 4 * sum(a * a for a in row_abs)
     if (

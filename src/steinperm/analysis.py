@@ -68,18 +68,20 @@ class RateRow(NamedTuple):
     scaled: float
 
 
-def rate_table(statistic: StatisticKind, n_list) -> list[RateRow]:
+def rate_table(statistic: StatisticKind | str, n_list) -> list[RateRow]:
     """One row per n, in list order with repeats kept: exact law, analytic
     standardization, d_k, d_k * sqrt(n).
 
-    Every n is checked, in list order, before any law is computed; the laws
-    then come from one pass of the recurrence to the largest n.
+    A custom statistic is refused before the list is read.  Every n is
+    checked, in list order, before any law is computed; the laws then come
+    from one pass of the recurrence to the largest n.
     """
-    n_list = list(n_list)
+    statistic = StatisticKind(statistic)
     builtin = BUILTINS.get(statistic)
+    if builtin is None:
+        raise ValueError("rate tables exist only for the built-in statistics")
+    n_list = list(n_list)
     for n in n_list:
-        if builtin is None:
-            raise ValueError("rate tables exist only for the built-in statistics")
         if n == 1:
             # one permutation: Var X is 0 for both built-ins, so there is no spread to standardize
             raise ValueError(f"{statistic.value} is constant at n = 1; the rate table needs n >= 2")

@@ -68,8 +68,8 @@ def x_delta(spec: StatisticSpec, p: Permutation, i: int) -> Fraction:
         raise ValueError(f"position {i} out of range 1..{n}")
     if spec.n != n:
         raise ValueError(f"statistic is for n={spec.n}, permutation has n={n}")
-    row = spec.matrix.entries[p.image[i - 1] - 1]
-    return -2 * sum((row[v - 1] for v in p.image[i:]), Fraction(0))
+    row = spec.matrix.rows[p.image[i - 1] - 1]
+    return Fraction(-2 * sum(row[v - 1] for v in p.image[i:]), spec.matrix.scale)
 
 
 def pair_samples(pick: np.ndarray, tiles: Iterator[tuple[int, np.ndarray, np.ndarray]]) -> Iterator[tuple]:

@@ -204,7 +204,7 @@ BUILTINS = {
 
 def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> IntegerDistribution:
     """Exact counts of the statistic over S_n for an integer matrix."""
-    if m.cleared[1] != 1:
+    if m.scale != 1:
         raise ValueError("exact counting requires integer matrix entries")
     _, sums = _sn.exact_sums(m, limit)
     tally = sums.level_count

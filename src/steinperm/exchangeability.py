@@ -143,7 +143,8 @@ def check_conditions(
     values = list(_sorted_set(s))
     if sorted(th) != values or sorted(th.values()) != values:
         raise ValueError("the bijection must map the set onto itself")
-    row_sum = {i: sum(m.entry(i, j) for j in values) for i in values}
+    rows = m.rows
+    row_sum = {i: sum(rows[i - 1][j - 1] for j in values) for i in values}
     if any(row_sum[i] != -row_sum[th[i]] for i in values):
         return False
     for i in values:
@@ -154,7 +155,7 @@ def check_conditions(
             return False
         for j in dom:
             for k in dom:
-                if m.entry(j, k) != m.entry(f[j], f[k]):
+                if rows[j - 1][k - 1] != rows[f[j] - 1][f[k] - 1]:
                     return False
     return True
 
@@ -237,7 +238,7 @@ def relabel_table(spec: StatisticSpec) -> np.ndarray:
 def flip_conditions(mint: np.ndarray, table: np.ndarray) -> np.ndarray:
     """:func:`check_conditions` on every value subset at once, one verdict per mask.
 
-    ``mint`` is the cleared matrix L * M (L > 0) and ``table`` a
+    ``mint`` is the integer matrix L * M (L > 0) and ``table`` a
     :func:`relabel_table`: Theta_S(v) = ``table[S, v, v]`` and Phi_v the
     rest of row ``table[S, v]``.  As M is antisymmetric, a_v - b_v is
     the row sum of M over S, so condition 1 reads

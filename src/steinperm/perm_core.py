@@ -12,8 +12,10 @@ statistic of the inverse permutation:
 * ``descents_matrix(n)``:   X(p) = 2 * descent_count(inverse(p)) - (n - 1)
 * ``inversions_matrix(n)``: X(p) = 2 * inversion_count(inverse(p)) - n(n-1)/2
 
-Everything in this module is exact.  Statistics, variances and moments are
-``fractions.Fraction`` values; floats appear only in downstream modules.
+A matrix is stored once, as L * M in Python ints together with L, the lcm
+of its reduced entry denominators.  Everything in this module is exact.
+Statistics, variances and moments are ``fractions.Fraction`` values; floats
+appear only in downstream modules.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 DEFAULT_ENUM_LIMIT = 10
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 _ENTRY_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -91,7 +89,7 @@ class Permutation(Frozen):
         n = len(image)
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {image!r}")
-        self._set(image)
+        self._set(tuple(image))
 
     @property
     def n(self) -> int:
@@ -143,28 +141,30 @@ def inversion_count(p: Permutation) -> int:
 class AntisymmetricMatrix(Frozen):
     """A rational matrix with M[j][i] = -M[i][j] (hence zero diagonal).
 
-    Indexed 1..n through :meth:`entry`.  Construct through
-    :meth:`from_rows` (validating) or one of the module-level builders,
-    which produce valid entries by construction.
+    Stored once: ``rows`` is L * M as tuples of Python ints and ``scale``
+    is L, the lcm of the reduced entry denominators, so equal matrices
+    have equal fields.  Indexed 1..n through :meth:`entry`.  Construct
+    through :meth:`from_rows` (validating, from Fractions, ints or
+    strings) or one of the module-level builders, which produce valid
+    integer rows with L = 1 by construction.
     """
 
-    _fields = ("entries",)
+    _fields = ("rows", "scale")
 
-    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
-        self._set(entries)
+    def __init__(self, rows: tuple[tuple[int, ...], ...], scale: int) -> None:
+        self._set(rows, scale)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i - 1][j - 1]
+        return Fraction(self.rows[i - 1][j - 1], self.scale)
 
-    @cached_property
-    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(L * M as rows of Python ints, L), L the lcm of the entry denominators."""
-        scale = math.lcm(*(e.denominator for row in self.entries for e in row))
-        return tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in self.entries), scale
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """M as rows of Fractions, built on each read."""
+        return tuple(tuple(Fraction(e, self.scale) for e in row) for row in self.rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "AntisymmetricMatrix":
@@ -173,37 +173,27 @@ class AntisymmetricMatrix(Frozen):
         for row in rows:
             if len(row) != n:
                 raise MatrixFormatError(f"matrix is not square: {n} rows, a row of length {len(row)}")
-            conv.append(tuple(Fraction(e) for e in row))
-        m = cls(tuple(conv))
-        _check_antisymmetric(m)
-        return m
-
-
-def _check_antisymmetric(m: AntisymmetricMatrix) -> None:
-    for i in range(1, m.n + 1):
-        for j in range(i, m.n + 1):
-            if m.entry(i, j) != -m.entry(j, i):
-                raise MatrixFormatError(
-                    f"matrix is not antisymmetric at (i, j) = ({i}, {j}): "
-                    f"entry {m.entry(i, j)} vs {m.entry(j, i)}"
-                )
+            conv.append([Fraction(e) for e in row])
+        scale = math.lcm(*(e.denominator for row in conv for e in row))
+        ints = tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in conv)
+        for i in range(n):
+            for j in range(i, n):
+                if ints[i][j] != -ints[j][i]:
+                    raise MatrixFormatError(
+                        f"matrix is not antisymmetric at (i, j) = ({i + 1}, {j + 1}): "
+                        f"entry {conv[i][j]} vs {conv[j][i]}"
+                    )
+        return cls(ints, scale)
 
 
 def zero_matrix(n: int) -> AntisymmetricMatrix:
-    row = (_ZERO,) * n
-    return AntisymmetricMatrix((row,) * n)
+    return AntisymmetricMatrix(((0,) * n,) * n, 1)
 
 
 def _toeplitz(n: int, window: tuple[int, ...]) -> AntisymmetricMatrix:
-    """The n x n matrix with M[i][i + d] = window[n + d], its integer rows
-    handed over as ``cleared`` with L = 1 instead of read back from the
-    n^2 Fractions.  ``window`` has 2n + 1 entries in {-1, 0, 1}, so row i
-    (0-indexed) is the slice window[n - i : 2n - i]."""
-    entries = tuple({-1: _MINUS_ONE, 0: _ZERO, 1: _ONE}[e] for e in window)
-    m = AntisymmetricMatrix(tuple(entries[n - i : 2 * n - i] for i in range(n)))
-    ints = tuple(window[n - i : 2 * n - i] for i in range(n))
-    vars(m)["cleared"] = (ints, 1)  # where the cached_property stores its value
-    return m
+    """The n x n integer matrix with M[i][i + d] = window[n + d]: ``window``
+    has 2n + 1 entries, so row i (0-indexed) is the slice window[n - i : 2n - i]."""
+    return AntisymmetricMatrix(tuple(window[n - i : 2 * n - i] for i in range(n)), 1)
 
 
 def descents_matrix(n: int) -> AntisymmetricMatrix:
@@ -284,16 +274,13 @@ def x_stat(spec: StatisticSpec, p: Permutation) -> Fraction:
     """
     if p.n != spec.n:
         raise ValueError(f"permutation size {p.n} does not match matrix size {spec.n}")
-    entries = spec.matrix.entries
+    rows = spec.matrix.rows
     img = p.image
-    total = _ZERO
-    for i in range(p.n):
-        row = entries[img[i] - 1]
-        for j in range(i + 1, p.n):
-            e = row[img[j] - 1]
-            if e:
-                total += e
-    return total
+    total = 0
+    for i, u in enumerate(img):
+        row = rows[u - 1]
+        total += sum(row[v - 1] for v in img[i + 1 :])
+    return Fraction(total, spec.matrix.scale)
 
 
 class VarianceBreakdown(NamedTuple):
@@ -319,7 +306,7 @@ def variance_formula(m: AntisymmetricMatrix) -> VarianceBreakdown:
     >>> variance_formula(inversions_matrix(3)).variance
     Fraction(11, 3)
     """
-    rows, scale = m.cleared
+    rows, scale = m.rows, m.scale
     # A_i - B_i is the row sum (antisymmetry); each pair i < j is squared twice
     row_sums = [sum(row) for row in rows]
     a = [sum(row[i + 1 :]) for i, row in enumerate(rows)]
@@ -422,10 +409,10 @@ def random_antisymmetric_matrix(n: int, rng, max_abs: int = 3) -> AntisymmetricM
 
     ``rng`` is a numpy Generator; only the upper triangle is drawn.
     """
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(int(rng.integers(-max_abs, max_abs + 1)))
+            v = int(rng.integers(-max_abs, max_abs + 1))
             rows[i][j] = v
             rows[j][i] = -v
-    return AntisymmetricMatrix(tuple(tuple(r) for r in rows))
+    return AntisymmetricMatrix(tuple(map(tuple, rows)), 1)

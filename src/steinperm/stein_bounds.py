@@ -93,7 +93,7 @@ def a_max(spec: StatisticSpec) -> float:
     True
     """
     sigma = math.sqrt(spec.variance)
-    rows, scale = spec.matrix.cleared
+    rows, scale = spec.matrix.rows, spec.matrix.scale
     # the larger part of a row is half its absolute sum plus half |row sum|
     worst = max(sum(map(abs, row)) + abs(sum(row)) for row in rows)
     return 2 * float(Fraction(worst, 2 * scale)) / sigma
@@ -101,7 +101,7 @@ def a_max(spec: StatisticSpec) -> float:
 
 def exact_ingredients(sums: _sn.ExactSums, spec: StatisticSpec, scale: int) -> BoundIngredients:
     """The exact bound ingredients from ``sums`` over the whole of S_n,
-    on the matrix cleared by ``scale``, as :func:`_sn.exact_sums` gives them."""
+    on the matrix L * M with L = ``scale``, as :func:`_sn.exact_sums` gives them."""
     n = spec.n
     var = spec.variance
     nfact = math.factorial(n)

@@ -126,6 +126,27 @@ class TestRateTable:
         with pytest.raises(ValueError):
             rate_table(StatisticKind.CUSTOM, [3])
 
+    def test_str_statistic_taken_as_its_kind(self):
+        [row] = rate_table("descents", [3])
+        assert row.statistic is StatisticKind.DESCENTS and row == rate_table(StatisticKind.DESCENTS, [3])[0]
+        with pytest.raises(ValueError, match="^descents is constant at n = 1; the rate table needs n >= 2$"):
+            rate_table("descents", [1])
+
+    @pytest.mark.parametrize("statistic, error", [
+        ("custom", "rate tables exist only for the built-in statistics"),
+        (StatisticKind.CUSTOM, "rate tables exist only for the built-in statistics"),
+        ("bogus", "'bogus' is not a valid StatisticKind"),
+    ], ids=["custom-str", "custom-kind", "bogus"])
+    def test_non_builtin_refused_before_the_list_is_read(self, statistic, error):
+        def unread():
+            raise AssertionError("the n-list was read")
+            yield
+
+        for n_list in ([], unread()):
+            with pytest.raises(ValueError) as exc:
+                rate_table(statistic, n_list)
+            assert str(exc.value) == error
+
     @pytest.mark.parametrize("kind, cap", [(StatisticKind.DESCENTS, 200), (StatisticKind.INVERSIONS, 150)])
     def test_one_pass_equals_per_n_rows(self, kind, cap):
         # shuffled, with repeats: rows in list order, each as its own law gives it

@@ -883,7 +883,7 @@ class TestNoSweep:
         else:
             m = random_antisymmetric_matrix(6, np.random.Generator(np.random.PCG64(6)))
             if selector == "rational":
-                m = AntisymmetricMatrix(tuple(tuple(e / 6 for e in row) for row in m.entries))
+                m = AntisymmetricMatrix.from_rows([[e / 6 for e in row] for row in m.entries])
             path = tmp_path / "m.json"
             path.write_text(json.dumps(matrix_to_json_dict(m)))
             argv = [command, "--matrix", str(path)]

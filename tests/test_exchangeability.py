@@ -409,7 +409,7 @@ class TestIsExchangeable:
         from steinperm.exchangeability import PairTally
 
         base = random_matrices(n, count=1)[0]
-        halved = AntisymmetricMatrix(tuple(tuple(e / 2 for e in row) for row in base.entries))
+        halved = AntisymmetricMatrix.from_rows([[e / 2 for e in row] for row in base.entries])
         verdicts = []
         for m in [descents_matrix(n), inversions_matrix(n), halved, *random_matrices(n, count=3)]:
             _, scale, chunks = sweep(m)

@@ -52,6 +52,14 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(bad)
 
+    def test_list_image_stored_as_tuple(self):
+        from steinperm.chain import move_to_end
+
+        p = Permutation([1, 2, 3])
+        assert p.image == (1, 2, 3) and type(p.image) is tuple
+        assert p == Permutation((1, 2, 3)) and hash(p) == hash(Permutation((1, 2, 3)))
+        assert move_to_end(p, 1) == Permutation((2, 3, 1))
+
     def test_call_out_of_range(self):
         with pytest.raises(ValueError):
             Permutation((1, 2))(3)
@@ -105,8 +113,8 @@ class TestMatrices:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_builders_equal_the_defining_formula(self, n):
-        # the built-ins hand over their integer rows as ``cleared``; a
-        # matrix built from the same entries computes them from the Fractions
+        # the built-ins build their integer rows with L = 1; a matrix
+        # parsed from the same entries clears them from the Fractions
         formulas = {
             descents_matrix: lambda i, j: -1 if j == i + 1 else (1 if i == j + 1 else 0),
             inversions_matrix: lambda i, j: -1 if i < j else (1 if i > j else 0),
@@ -115,9 +123,9 @@ class TestMatrices:
             m = build(n)
             assert m.entries == tuple(tuple(Fraction(formula(i, j)) for j in range(n)) for i in range(n))
             assert all(type(e) is Fraction for row in m.entries for e in row)
-            generic = AntisymmetricMatrix(m.entries)
-            assert m.cleared == generic.cleared
-            assert all(type(e) is int for row in m.cleared[0] for e in row)
+            generic = AntisymmetricMatrix.from_rows(m.entries)
+            assert (m.rows, m.scale) == (generic.rows, generic.scale)
+            assert all(type(e) is int for row in m.rows for e in row) and m.scale == 1
             assert variance_formula(m) == variance_formula(generic)
 
     def test_from_rows_rejects_asymmetry_with_location(self):
@@ -133,6 +141,35 @@ class TestMatrices:
     def test_from_rows_rejects_non_square(self):
         with pytest.raises(MatrixFormatError, match="square"):
             AntisymmetricMatrix.from_rows([[0, 1], [-1, 0], [0, 0]])
+
+    def test_from_rows_stores_l_times_m_and_l(self):
+        text = [["0", "1/2", "-2/3"], ["-1/2", "0", "5"], ["2/3", "-5", "0"]]
+        m = AntisymmetricMatrix.from_rows(text)
+        assert m.rows == ((0, 3, -4), (-3, 0, 30), (4, -30, 0)) and m.scale == 6
+        assert all(type(e) is int for row in m.rows for e in row)
+        assert m.entries == tuple(tuple(Fraction(e) for e in row) for row in text)
+        assert m.entry(1, 3) == Fraction(-2, 3)
+        assert AntisymmetricMatrix(m.rows, m.scale) == m
+        with pytest.raises(TypeError):
+            AntisymmetricMatrix(m.entries)  # the scale has no default
+
+    def test_equal_entries_compare_and_hash_equal(self):
+        a = AntisymmetricMatrix.from_rows([["0", "1/2"], ["-1/2", "0"]])
+        b = AntisymmetricMatrix.from_rows([[0, Fraction(2, 4)], [Fraction(-3, 6), "0/5"]])
+        assert a == b and hash(a) == hash(b)
+        assert AntisymmetricMatrix.from_rows([[0, 1], [-1, 0]]) != a
+        d = AntisymmetricMatrix.from_rows([[str(e) for e in row] for row in descents_matrix(4).entries])
+        assert d == descents_matrix(4) and hash(d) == hash(descents_matrix(4))
+
+    def test_builders_store_int_rows_with_scale_1(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        for m in (descents_matrix(5), inversions_matrix(5), zero_matrix(5), random_antisymmetric_matrix(5, rng)):
+            assert m.scale == 1 and all(type(e) is int for row in m.rows for e in row)
+
+    def test_from_rows_rational_asymmetry_message(self):
+        with pytest.raises(MatrixFormatError) as exc:
+            AntisymmetricMatrix.from_rows([["0", "1/2", "1"], ["-1/3", "0", "2"], ["-1", "-2", "0"]])
+        assert str(exc.value) == "matrix is not antisymmetric at (i, j) = (1, 2): entry 1/2 vs -1/3"
 
     def test_random_matrix_is_valid(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -295,7 +332,7 @@ class TestValueSemantics:
 
         dist = eulerian_distribution(3)
         law = standardize(dist, Fraction(1), 1.0)
-        for obj, field in ((WORKED, "image"), (descents_matrix(3), "entries"), (descents_spec(3), "kind"),
+        for obj, field in ((WORKED, "image"), (descents_matrix(3), "rows"), (descents_spec(3), "kind"),
                            (dist, "counts"), (law, "atoms")):
             for change in (lambda: setattr(obj, field, None), lambda: delattr(obj, field),
                            lambda: setattr(obj, "other", 1)):

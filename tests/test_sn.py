@@ -244,7 +244,7 @@ class TestMovedAndRelabeledX:
     def test_random_rows_and_matrices(self, n, seed, kind, scale):
         rng = np.random.default_rng(seed)
         m = random_antisymmetric_matrix(n, rng)
-        m = AntisymmetricMatrix(tuple(tuple(Fraction(e) / scale for e in row) for row in m.entries))
+        m = AntisymmetricMatrix.from_rows([[e / scale for e in row] for row in m.entries])
         mint, _ = _sn.integer_matrix(m)
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (50, 1)), axis=1)
         table = exchangeability.relabel_table(descents_spec(n) if kind == "descents" else inversions_spec(n))
