@@ -122,7 +122,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     suffix = _sn.suffix_table(mint)
 
     sums = _sn.ExactSums()
-    pairs = exchangeability.PairTally()
+    pairs = exchangeability.PairDistribution({}, scale)
     ok_delta = ok_drift = ok_lambda = True
     for perms, inner in sweep:
         for inn, xm, xl, xlm in _sn.moved_x(perms, inner, suffix, table):

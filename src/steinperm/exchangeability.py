@@ -7,12 +7,12 @@ leave the matrix invariant on S minus a point (condition 2).  This
 module builds the known Theta/Phi families for the two built-in
 statistics, checks the two conditions for arbitrary matrices (one
 subset at a time, or on every subset at once from a relabeling table),
-and verifies exchangeability itself by exact enumeration.
+and verifies exchangeability itself by exact enumeration, as the swap
+symmetry of the integer counts of (L * X, L * X') in a PairDistribution.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,10 +26,13 @@ from .perm_core import (
 )
 
 
-def _sorted_set(s) -> tuple[int, ...]:
+def _sorted_set(s, n: int | None = None) -> tuple[int, ...]:
     out = tuple(sorted(s))
     if len(set(out)) != len(out):
         raise ValueError("set elements must be distinct")
+    outside = [v for v in out if n is not None and not 1 <= v <= n]
+    if outside:
+        raise ValueError(f"set element {outside[0]} out of range 1..{n}")
     return out
 
 
@@ -56,13 +59,9 @@ def theta(spec: StatisticSpec, s) -> dict[int, int]:
     >>> theta(inversions_spec(7), {1, 2, 3, 5, 7})
     {1: 7, 2: 5, 3: 3, 5: 2, 7: 1}
     """
-    values = _sorted_set(s)
+    values = _sorted_set(s, spec.n)
     if spec.kind == StatisticKind.DESCENTS:
-        mapping: dict[int, int] = {}
-        for run in _runs(values):
-            for v in run:
-                mapping[v] = run[0] + run[-1] - v
-        return mapping
+        return {v: run[0] + run[-1] - v for run in _runs(values) for v in run}
     if spec.kind == StatisticKind.INVERSIONS:
         return dict(zip(values, reversed(values)))
     raise ValueError("no general value-flip recipe for a custom matrix; supply your own")
@@ -109,7 +108,7 @@ def _phi_descents(values: tuple[int, ...], i: int) -> dict[int, int]:
 
 def builtin_phi(spec: StatisticSpec, s, i: int) -> dict[int, int]:
     """The matrix-preserving companion bijection for a built-in statistic."""
-    values = _sorted_set(s)
+    values = _sorted_set(s, spec.n)
     if i not in values:
         raise ValueError(f"{i} is not in the set")
     if spec.kind == StatisticKind.DESCENTS:
@@ -140,7 +139,7 @@ def check_conditions(
     >>> check_conditions(descents_matrix(2), {1, 2}, {1: 1, 2: 2})
     False
     """
-    values = list(_sorted_set(s))
+    values = list(_sorted_set(s, m.n))
     if sorted(th) != values or sorted(th.values()) != values:
         raise ValueError("the bijection must map the set onto itself")
     rows = m.rows
@@ -268,25 +267,20 @@ def flip_conditions(mint: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class PairDistribution(NamedTuple):
-    """Exact joint counts of (X, X') over all (permutation, position)."""
+    """Exact joint counts of (X, X') over S_n x {1..n}: ``raw`` counts the
+    integer pairs (L * X, L * X'), fed one sweep chunk at a time by
+    :meth:`add`, and ``scale`` is L; ``counts`` keys them by (X, X')."""
 
-    counts: dict[tuple[Fraction, Fraction], int]
-    total: int
+    raw: dict[tuple[int, int], int]
+    scale: int
 
-    def probability(self, x: Fraction, x_prime: Fraction) -> Fraction:
-        return Fraction(self.counts.get((x, x_prime), 0), self.total)
+    @property
+    def counts(self) -> dict[tuple[Fraction, Fraction], int]:
+        return {(Fraction(a, self.scale), Fraction(b, self.scale)): c for (a, b), c in self.raw.items()}
 
-    def swap_symmetric(self) -> bool:
-        """Whether (X, X') and (X', X) have the same law."""
-        return all(self.counts.get((xb, xa), 0) == c for (xa, xb), c in self.counts.items())
-
-
-class PairTally:
-    """Joint counts of the scaled pair (X, X') over S_n x {1..n}, fed chunk
-    by chunk with the suffix-sum arrays of a sweep."""
-
-    def __init__(self) -> None:
-        self.raw: Counter[tuple[int, int]] = Counter()
+    @property
+    def total(self) -> int:
+        return sum(self.raw.values())
 
     def add(self, inner: np.ndarray) -> None:
         x = inner.sum(axis=1)
@@ -299,15 +293,16 @@ class PairTally:
         keys, cnt = np.unique((xa - lo) * span + (xb - lo), return_counts=True)
         for k, c in zip(keys.tolist(), cnt.tolist()):
             a, b = divmod(k, span)
-            self.raw[a + lo, b + lo] += c
+            pair = (a + lo, b + lo)
+            self.raw[pair] = self.raw.get(pair, 0) + c
+
+    def probability(self, x: Fraction, x_prime: Fraction) -> Fraction:
+        key = (Fraction(x) * self.scale, Fraction(x_prime) * self.scale)
+        return Fraction(self.raw.get(key, 0), self.total)
 
     def swap_symmetric(self) -> bool:
-        """:meth:`PairDistribution.swap_symmetric` on the counts before scaling by 1/L."""
+        """Whether (X, X') and (X', X) have the same law."""
         return all(self.raw.get((b, a), 0) == c for (a, b), c in self.raw.items())
-
-    def distribution(self, scale: int) -> PairDistribution:
-        counts = {(Fraction(a, scale), Fraction(b, scale)): c for (a, b), c in self.raw.items()}
-        return PairDistribution(counts=counts, total=sum(counts.values()))
 
 
 def joint_distribution(m: AntisymmetricMatrix, n: int, limit: int | None = None) -> PairDistribution:
@@ -315,10 +310,10 @@ def joint_distribution(m: AntisymmetricMatrix, n: int, limit: int | None = None)
     if m.n != n:
         raise ValueError(f"matrix is {m.n}x{m.n}, expected {n}x{n}")
     _, scale, sweep = _sn.sweep(m, limit)
-    tally = PairTally()
+    dist = PairDistribution({}, scale)
     for _, inner in sweep:
-        tally.add(inner)
-    return tally.distribution(scale)
+        dist.add(inner)
+    return dist
 
 
 def is_exchangeable(m: AntisymmetricMatrix, n: int, limit: int | None = None) -> bool:

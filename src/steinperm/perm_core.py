@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import sys
 from enum import Enum
@@ -87,9 +88,13 @@ class Permutation(Frozen):
 
     def __init__(self, image: tuple[int, ...]) -> None:
         n = len(image)
-        if sorted(image) != list(range(1, n + 1)):
+        try:
+            ints = tuple(map(operator.index, image))
+        except TypeError:
+            ints = ()
+        if sorted(ints) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {image!r}")
-        self._set(tuple(image))
+        self._set(ints)
 
     @property
     def n(self) -> int:

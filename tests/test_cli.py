@@ -31,6 +31,7 @@ from steinperm.cli import main
 import numpy as np
 
 from _oracles import draw_whole_tile, row_copy_x, whole_tile_draw
+from conftest import d_descent_matrix
 
 SRC = Path(steinperm.__file__).resolve().parents[1]
 _RATIONAL = str(Path(__file__).with_name("rational_matrix.json"))
@@ -99,6 +100,15 @@ class TestVerify:
         assert report["all_pass"] is False
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert failed == {"pair_exchangeable"}
+
+    def test_two_descent_matrix_exit_1(self, capsys, tmp_path):
+        # the d-descent pair is exchangeable only for d = 1 and d >= n - 2
+        path = tmp_path / "two_descents.json"
+        path.write_text(json.dumps(matrix_to_json_dict(d_descent_matrix(8, 2))))
+        code, out, _ = run(capsys, "verify", "--matrix", str(path))
+        report = json.loads(out)
+        assert code == 1 and report["n"] == 8
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["pair_exchangeable"]
 
     def test_bad_matrix_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from conftest import random_matrices
+from conftest import d_descent_matrix, random_matrices
 from steinperm import (
     Permutation,
     builtin_phi,
@@ -77,6 +77,10 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(spec, {1, 2})
 
+    def test_values_outside_1_to_n_refused(self):
+        with pytest.raises(ValueError, match=r"element 5 out of range 1\.\.3"):
+            theta(descents_spec(3), {5, 7})
+
     def test_is_involution_on_all_subsets(self):
         for spec in (descents_spec(6), inversions_spec(6)):
             for s in all_subsets(6):
@@ -131,6 +135,10 @@ class TestBuiltinPhi:
         with pytest.raises(ValueError):
             builtin_phi(descents_spec(7), S_EXAMPLE, 4)
 
+    def test_values_outside_1_to_n_refused(self):
+        with pytest.raises(ValueError, match=r"element 5 out of range 1\.\.3"):
+            builtin_phi(inversions_spec(3), {5, 7}, 5)
+
 
 class TestCheckConditions:
     def test_descents_all_subsets(self):
@@ -154,6 +162,12 @@ class TestCheckConditions:
             check_conditions(descents_matrix(3), {1, 2}, {1: 1, 3: 3})
         with pytest.raises(ValueError):  # not onto the set
             check_conditions(zero_matrix(3), {1, 2, 3}, {1: 1, 2: 1, 3: 3})
+
+    @pytest.mark.parametrize("s, th, bad", [({0, 1}, {0: 1, 1: 0}, 0), ({4, 5}, {4: 5, 5: 4}, 4)])
+    def test_values_outside_1_to_n_refused(self, s, th, bad):
+        # unchecked, 0 would read the matrix's last row and 4 would run past its end
+        with pytest.raises(ValueError, match=rf"element {bad} out of range 1\.\.3"):
+            check_conditions(descents_matrix(3), s, th)
 
     def test_phi_with_a_repeated_value_fails(self):
         # on the zero matrix only the bijection checks can fail
@@ -385,6 +399,20 @@ class TestJointDistribution:
         assert dist.probability(Fraction(0), Fraction(0)) == 1
         assert dist.probability(Fraction(1), Fraction(0)) == 0
 
+    def test_scaled_matrix_shares_the_integer_tally(self):
+        m = descents_matrix(4)
+        half = AntisymmetricMatrix.from_rows([[e / 2 for e in row] for row in m.entries])
+        dist, halved = joint_distribution(m, 4), joint_distribution(half, 4)
+        assert halved.raw == dist.raw and (dist.scale, halved.scale) == (1, 2)
+        assert halved.counts == {(a / 2, b / 2): c for (a, b), c in dist.counts.items()}
+        assert all(halved.probability(a / 2, b / 2) == dist.probability(a, b) for a, b in dist.counts)
+        assert halved.probability(Fraction(1, 4), Fraction(0)) == 0
+        assert halved.total == dist.total == 96
+        # a float key counts only where it equals X exactly: 0.5 is 1/2, 1 / 3 is not 1/3
+        assert halved.probability(0.5, 0.5) == dist.probability(1, 1) > 0
+        third = joint_distribution(AntisymmetricMatrix(m.rows, 3), 4)
+        assert third.probability(Fraction(1, 3), Fraction(1, 3)) > 0 == third.probability(1 / 3, 1 / 3)
+
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             joint_distribution(zero_matrix(3), 4)
@@ -405,18 +433,22 @@ class TestIsExchangeable:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_integer_tally_agrees_with_scaled_law(self, n):
-        from steinperm._sn import sweep
-        from steinperm.exchangeability import PairTally
-
         base = random_matrices(n, count=1)[0]
         halved = AntisymmetricMatrix.from_rows([[e / 2 for e in row] for row in base.entries])
         verdicts = []
         for m in [descents_matrix(n), inversions_matrix(n), halved, *random_matrices(n, count=3)]:
-            _, scale, chunks = sweep(m)
-            tally = PairTally()
-            for _, inner in chunks:
-                tally.add(inner)
-            verdicts.append(tally.swap_symmetric())
-            assert verdicts[-1] == tally.distribution(scale).swap_symmetric()
+            dist = joint_distribution(m, n)
+            counts = dist.counts
+            verdicts.append(dist.swap_symmetric())
+            assert verdicts[-1] == all(counts.get((b, a), 0) == c for (a, b), c in counts.items())
         # from n = 4 on the seeded random matrices include pairs that are not exchangeable
         assert verdicts[:2] == [True, True] and (n < 4 or False in verdicts)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_d_descents_exchangeable_only_at_the_ends(self, n):
+        # swap-symmetric exactly for descents (d = 1) and for d >= n - 2
+        for d in range(1, n):
+            expected = d == 1 or d >= n - 2
+            m = d_descent_matrix(n, d)
+            assert is_exchangeable(m, n) is expected, d
+            assert joint_distribution(m, n).swap_symmetric() is expected, d

@@ -60,6 +60,16 @@ class TestPermutation:
         assert p == Permutation((1, 2, 3)) and hash(p) == hash(Permutation((1, 2, 3)))
         assert move_to_end(p, 1) == Permutation((2, 3, 1))
 
+    def test_float_image_refused(self):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+            Permutation((2.0, 1.0))
+
+    def test_numpy_int_image_stored_as_ints(self):
+        p = Permutation(tuple(np.array([2, 3, 1], dtype=np.int64)))
+        assert [type(v) for v in p.image] == [int, int, int]
+        assert p == Permutation((2, 3, 1)) and hash(p) == hash(Permutation((2, 3, 1)))
+        assert repr(p) == "Permutation(image=(2, 3, 1))"
+
     def test_call_out_of_range(self):
         with pytest.raises(ValueError):
             Permutation((1, 2))(3)
