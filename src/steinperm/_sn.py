@@ -41,14 +41,14 @@ Every kernel reads the matrix in its stored form, L * M in integers
 with L the lcm of all entry denominators, so every statistic computed
 from it is the exact value scaled by L.
 
-The same observation lets :func:`exact_sums`, behind exact ``bounds``,
-``dist --matrix`` and the enumerated moments, skip the n! rows: a sum
-over S_n of terms in inner_i factors through the 2^n prefix sets, taken
-in popcount layers, with the running statistic as a second coordinate
-(:func:`prefix_set_sums`).  Each layer is built from the one before in
-one array step per member slot: slot j removes the j-th smallest member
-of every set of the new layer at once, which names its predecessor, so
-the whole program is n(n + 1)/2 steps.  It falls back to the sweep when
+The same observation lets :func:`exact_sums`, behind exact
+``bounds --matrix``, ``dist --matrix`` and the enumerated moments, skip
+the n! rows: a sum over S_n of terms in inner_i factors through the 2^n
+prefix sets, taken in popcount layers, with the running statistic as a
+second coordinate (:func:`prefix_set_sums`).  Each layer is built from
+the one before in one array step per member slot: slot j removes the
+j-th smallest member of every set of the new layer at once, which names
+its predecessor, so the whole program is n(n + 1)/2 steps.  It falls back to the sweep when
 that state would be too wide or its sums could leave int64.
 
 Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
@@ -69,14 +69,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
 from itertools import chain, islice, permutations
 from typing import Iterator
 
-from . import lazy_module
-from .perm_core import AntisymmetricMatrix, check_enum_limit
+from . import lazy_module, perm_core
+from .perm_core import AntisymmetricMatrix, check_enum_limit, check_int64_entries
 
 np = lazy_module("numpy")
+_TOO_LARGE = perm_core.TOO_LARGE
 
 CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
@@ -88,8 +88,6 @@ KEY_BITS = 53  # a draw's keys are below 2^KEY_BITS, as rng.random's k of k 2^-5
 # leaves room for the diagonal kernel's per-row scatter and gather.
 DIAGONAL_CELL_COST = 4
 PREFIX_DP_CELLS = 1 << 22  # (prefix set, X value) slots of one prefix_set_sums layer
-
-_TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
 
 
 def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
@@ -120,16 +118,15 @@ def checked_chunk_size(n: int, rows) -> int:
     :func:`suffix_table` is a partial row sum, |inner_i| <= (n - 1) K <= nK.
     So per permutation q_pi = 4 sum_i inner_i^2 <= 4n^3 K^2 and, for
     integer K >= 1, |X| <= n^2 K and X^2 <= n^4 K^2 are at most
-    sum_i |inner_i|^3 <= n^4 K^3.  The entries refused are those with
-    n (2nK)^3 or (4n (nK)^2)^2 above 2^62, so that every per-permutation
+    sum_i |inner_i|^3 <= n^4 K^3.  The entries refused, on Python ints by
+    :func:`perm_core.check_int64_entries`, are those with n (2nK)^3 or
+    (4n (nK)^2)^2 above 2^62, so that every per-permutation
     q_pi^2 fits int64; :meth:`ExactSums.add` sums those in Python ints.
     A chunk then holds at most 2^62 / max(4n^3 K^2, n^4 K^3) rows, so that
     the sums it keeps in int64 (X, X^2, q, the level sums of q and
     |inner|^3) fit: at least 8 rows once the entries are accepted.
     """
-    k = max((abs(int(e)) for row in rows for e in row), default=0)
-    if max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2) > 1 << 62:
-        raise ValueError(_TOO_LARGE)
+    k = check_int64_entries(n, rows)
     return min(CHUNK, (1 << 62) // max(4 * n**3 * k**2, n**4 * k**3, 1))
 
 
@@ -148,20 +145,9 @@ def sweep(
     return mint, scale, inner_sum_chunks(n, mint, size)
 
 
-class ExactSums:
-    """Exact integer sums over S_n x {1..n}, as a full sweep gives them
-    when each chunk's ``inner`` goes to :meth:`add`.
-
-    Values are on the scaled integer matrix L * M: X = inner.sum(axis=1),
-    X' - X = -2 inner and q_pi = sum_i (X' - X)^2.  The W-conditioned
-    variance needs the level sets of X, kept sparse as counts and sums of
-    q_pi by value.
-    """
-
-    def __init__(self) -> None:
-        self.sum_x = self.sum_x2 = self.sum_q = self.sum_q2 = self.sum_abs_d3 = self.max_inner = 0
-        self.level_count: Counter[int] = Counter()
-        self.level_q: Counter[int] = Counter()
+class ExactSums(perm_core.ExactSums):
+    """The :class:`perm_core.ExactSums` a full sweep fills when each chunk's
+    ``inner`` goes to :meth:`add`."""
 
     def add(self, inner: np.ndarray) -> None:
         x = inner.sum(axis=1)

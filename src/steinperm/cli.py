@@ -35,6 +35,7 @@ from .perm_core import (
     StatisticKind,
     StatisticSpec,
     check_enum_limit,
+    check_int64_entries,
     custom_spec,
     load_matrix_file,
     spec_for,
@@ -79,9 +80,10 @@ def _warn(text: str) -> None:
 def _selected_spec(args, always_sweeps: bool | None = None) -> StatisticSpec:
     """Build the statistic from --stat/--n or from --matrix.  A command that
     enumerates S_n says whether it ``always_sweeps`` (``verify``) or sweeps only
-    where ``_sn.exact_sums`` cannot run its prefix-set program: a raised
-    ``--enum-limit`` is warned of with its cost, and --n of --stat is checked
-    against the limit before the n x n matrix is built."""
+    where ``_sn.exact_sums`` cannot run its prefix-set program, and never for
+    --stat (exact ``bounds``): a raised ``--enum-limit`` is warned of with its
+    cost, and --n of --stat is checked against the limit before the n x n
+    matrix is built."""
     if args.matrix is not None:
         matrix = load_matrix_file(args.matrix)
         if args.n is not None and args.n != matrix.n:
@@ -94,6 +96,8 @@ def _selected_spec(args, always_sweeps: bool | None = None) -> StatisticSpec:
     if limit is not None and limit > DEFAULT_ENUM_LIMIT:
         if always_sweeps:
             cost = f"a full sweep visits {limit}! permutations and may run very long"
+        elif args.matrix is None:
+            cost = "the exact sums of --stat come from a recurrence in Python ints, with no sweep"
         else:
             cost = f"a sweep of up to {limit}! permutations runs only where the prefix-set program does not fit"
         _warn(f"enumeration limit raised to {limit}; {cost}")
@@ -299,13 +303,19 @@ def _ingredients_json(ing: stein_bounds.BoundIngredients) -> dict:
         "mode": ing.mode,
     }
     if ing.mode == stein_bounds.MODE_EXACT:
-        out["exact"] = {
-            "e_diff_sq_x": str(ing.e_diff_sq_x),
-            "e_diff_sq_w": str(ing.e_diff_sq_w),
-            "e_abs_diff_cubed_x": str(ing.e_abs_diff_cubed_x),
-            "var_cond_pi_w": str(ing.var_cond_pi_w),
-            "var_cond_w_w": str(ing.var_cond_w_w),
-        }
+        try:
+            out["exact"] = {
+                "e_diff_sq_x": str(ing.e_diff_sq_x),
+                "e_diff_sq_w": str(ing.e_diff_sq_w),
+                "e_abs_diff_cubed_x": str(ing.e_abs_diff_cubed_x),
+                "var_cond_pi_w": str(ing.var_cond_pi_w),
+                "var_cond_w_w": str(ing.var_cond_w_w),
+            }
+        except ValueError:  # an int past Python's limit on int-string conversion
+            raise UsageError(
+                f"the exact ingredients at n={ing.n} have more than {sys.get_int_max_str_digits()} digits, "
+                "Python's limit for printing an int; use --mode mc"
+            ) from None
     else:
         out["trials"] = ing.trials
         out["seed"] = ing.seed
@@ -327,6 +337,12 @@ def cmd_bounds(args) -> int:
             raise UsageError(f"{flag} does nothing in --mode {args.mode}")
     if args.mode == "exact":
         spec = _selected_spec(args, always_sweeps=False)
+        if spec.kind is StatisticKind.CUSTOM:
+            # the refusals of _sn.exact_sums, in its order, on Python ints:
+            # a refused matrix runs neither stein_bounds nor _sn
+            spec.variance
+            check_enum_limit(spec.n, args.enum_limit)
+            check_int64_entries(spec.n, spec.matrix.rows)
         ing = stein_bounds.ingredients_exact(spec, args.enum_limit)
     else:
         if args.seed is None:

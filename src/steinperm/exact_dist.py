@@ -11,11 +11,13 @@ statistic (:func:`eulerian_rows`, :func:`mahonian_rows`) yields the half
 row of every n in turn, so a table over many n runs the recurrence once,
 to the largest; :func:`eulerian_distribution` and
 :func:`mahonian_distribution` run it to one n; :data:`BUILTINS` holds each
-built-in's generator, cap, law function and Var X.  :func:`_sn.exact_sums`
-counts integer matrices over S_n.  :func:`standardize` shifts
-each atom and forms each probability by one correctly rounded int/int
-division, one per mirrored pair of counts (and of atoms, for a law centred
-on its mean), with no Fraction per atom; :func:`sums_to_one` checks the sum.
+built-in's generator, cap, law function, Var X and the recurrence
+(:func:`descent_sums`, :func:`inversion_sums`) that gives the sums behind
+its exact bounds.  :func:`_sn.exact_sums` counts integer matrices over
+S_n.  :func:`standardize` shifts each atom and forms each probability by
+one correctly rounded int/int division, one per mirrored pair of counts
+(and of atoms, for a law centred on its mean), with no Fraction per atom;
+:func:`sums_to_one` checks the sum.
 
 Counts index the exact statistic value: counts[k] is the number of
 permutations with value min_value + k.
@@ -30,7 +32,7 @@ from operator import add, lt, mul, neg, sub, truediv
 from typing import Callable, Iterator, NamedTuple
 
 from . import _sn
-from .perm_core import AntisymmetricMatrix, Frozen, StatisticKind
+from .perm_core import AntisymmetricMatrix, ExactSums, Frozen, StatisticKind
 
 EULERIAN_CAP = 200
 MAHONIAN_CAP = 150
@@ -183,22 +185,123 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
     return next(laws(mahonian_rows(), {n}))
 
 
+def _level_moments(sums: ExactSums) -> ExactSums:
+    """``sums`` with sum_x, sum_x2 and sum_q taken from its level sets."""
+    sums.sum_x = sum(x * c for x, c in sums.level_count.items())
+    sums.sum_x2 = sum(x * x * c for x, c in sums.level_count.items())
+    sums.sum_q = sum(sums.level_q.values())
+    return sums
+
+
+def descent_sums(n: int) -> ExactSums:
+    """The :class:`ExactSums` of the descents matrix over S_n, by the
+    peak and descent insertion of Carlitz and Scoville (1974).
+
+    X and every inner_i are functions of the word w = p^-1 read with
+    w_0 = w_(n+1) = 0: X = 2 des(w) - (n - 1), and the value v has
+    inner = [w_(v-1) > w_v] - [w_(v+1) > w_v], zero exactly at the k peaks
+    and the k - 1 valleys of 0 w 0.  So q = 4 (n + 1 - 2k) and, as
+    |inner| <= 1, sum_abs_d3 = 2 sum_q and max_inner = 1 from n = 2.
+
+    Insert the maximum m into one of the m gaps of a word of length m - 1
+    with d descents and k peaks, where it is a peak.  Counting the first
+    gap as an ascent and the last as a descent, there are m - 1 - d ascent
+    gaps, k of them just before a peak, and d + 1 descent gaps, k of them
+    just after a peak.  An ascent gap before a peak gives (d + 1, k),
+    another ascent gap (d + 1, k + 1), a descent gap after a peak (d, k)
+    and another descent gap (d, k + 1).  So with f[d][k] the words of
+    length m - 1, the words of length m number
+
+        g[d][k] = k (f[d][k] + f[d-1][k]) + (d + 2 - k) f[d][k-1]
+                  + (m - d + 1 - k) f[d-1][k-1].
+    """
+    table = [[0, 1]]  # f[d][k] at m = 1: the word 1 has one peak
+    for m in range(2, n + 1):
+        width = len(table[0]) + 1
+        zero = [0] * width
+        rows = [zero] + [row + [0] for row in table] + [zero]  # f[d - 1] is rows[d]
+        table = [
+            [0] + [k * (a[k] + b[k]) + (d + 2 - k) * a[k - 1] + (m - d + 1 - k) * b[k - 1] for k in range(1, width)]
+            for d, (b, a) in enumerate(zip(rows, rows[1:]))
+        ]
+    sums = ExactSums()
+    for d, row in enumerate(table):
+        x = 2 * d - (n - 1)
+        for k, c in enumerate(row):
+            if c:
+                q = 4 * (n + 1 - 2 * k)
+                sums.level_count[x] += c
+                sums.level_q[x] += c * q
+                sums.sum_q2 += c * q * q
+    sums.sum_abs_d3 = 2 * sum(sums.level_q.values())
+    sums.max_inner = min(n - 1, 1)
+    return _level_moments(sums)
+
+
+def inversion_sums(n: int) -> ExactSums:
+    """The :class:`ExactSums` of the inversions matrix over S_n, from the
+    Lehmer code (Knuth, TAOCP vol. 3, 5.1.1).
+
+    The position with r later values has inner = Y_r = 2 c_r - r, c_r the
+    number of smaller values among them, and the digits c_0..c_(n-1) are
+    independent and uniform on {0..r}.  So X = 2 sum_r c_r - n(n - 1)/2 and
+    q = 4 sum_r Y_r^2.  A dynamic program over the digits, with state
+    k = sum c, carries N[k], the digit strings with that sum, and Q[k],
+    the sum of their partial q.  Digit r takes c = k' - y from state y,
+    adding 4 (A - 2y)^2 with A = 2k' - r, so over the window y = k' - r..k'
+
+        N'[k'] = sum N[y],  Q'[k'] = sum Q[y] + 4 (A^2 S0 - 4A S1 + 4 S2),
+
+    S_j = sum N[y] y^j, each window a difference of prefix sums.  The rest
+    follows from the digits' independence, with E Y_r^2 = r(r + 2)/3 and
+    E Y_r^4 = r(r + 2)(3r^2 + 6r - 4)/15: E q^2 = 16 (sum_r Var Y_r^2 +
+    (sum_r E Y_r^2)^2), sum_abs_d3 = 8 n! sum_r E|Y_r|^3 and max_inner
+    = n - 1.
+    """
+    counts, qs = [1], [0]  # the digit c_0 = 0
+    for r in range(1, n):
+        top = len(counts)
+        p0, pq = [0, *accumulate(counts)], [0, *accumulate(qs)]
+        first = list(map(mul, counts, range(top)))
+        p1, p2 = [0, *accumulate(first)], [0, *accumulate(map(mul, first, range(top)))]
+        counts, qs = [], []
+        for k in range(top + r):
+            lo, hi, a = max(k - r, 0), min(k + 1, top), 2 * k - r
+            s0, s1, s2 = p0[hi] - p0[lo], p1[hi] - p1[lo], p2[hi] - p2[lo]
+            counts.append(s0)
+            qs.append(pq[hi] - pq[lo] + 4 * (a * a * s0 - 4 * a * s1 + 4 * s2))
+    sums = ExactSums()
+    half = n * (n - 1) // 2
+    sums.level_count.update(dict(zip(range(-half, half + 1, 2), counts)))
+    sums.level_q.update(dict(zip(range(-half, half + 1, 2), qs)))
+    nfact = math.factorial(n)
+    second = [Fraction(r * (r + 2), 3) for r in range(n)]
+    var_sq = sum(Fraction(r * (r + 2) * (3 * r * r + 6 * r - 4), 15) - m * m for r, m in enumerate(second))
+    sums.sum_q2 = int(16 * nfact * (var_sq + sum(second) ** 2))
+    # r + 1 divides n!, so each E|Y_r|^3 n! is an integer
+    sums.sum_abs_d3 = 8 * sum(nfact // (r + 1) * sum(abs(2 * c - r) ** 3 for c in range(r + 1)) for r in range(n))
+    sums.max_inner = n - 1
+    return _level_moments(sums)
+
+
 class Builtin(NamedTuple):
     """A built-in X = 2 count - max: its laws' generator, its cap, the name of its law function
-    (looked up on this module when it runs, so that a wrapper put there sees it) and Var X."""
+    (looked up on this module when it runs, so that a wrapper put there sees it), Var X and
+    the :class:`ExactSums` of its matrix, on L = 1, for an n."""
 
     rows: Callable[[], Iterator[tuple[list[int], int]]]
     cap: int
     distribution: str
     variance: Callable[[int], Fraction]
+    sums: Callable[[int], ExactSums]
 
 
 # Var X = 4 Var count: Var des = (n + 1)/12 from n = 2 (0 at n = 1); inv is a sum of uniforms on {0..i-1}
 BUILTINS = {
     StatisticKind.DESCENTS: Builtin(eulerian_rows, EULERIAN_CAP, "eulerian_distribution",
-                                    lambda n: Fraction(n + 1, 3) if n > 1 else Fraction(0)),
+                                    lambda n: Fraction(n + 1, 3) if n > 1 else Fraction(0), descent_sums),
     StatisticKind.INVERSIONS: Builtin(mahonian_rows, MAHONIAN_CAP, "mahonian_distribution",
-                                      lambda n: Fraction(n * (n - 1) * (2 * n + 5), 18)),
+                                      lambda n: Fraction(n * (n - 1) * (2 * n + 5), 18), inversion_sums),
 }
 
 

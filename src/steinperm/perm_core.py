@@ -25,12 +25,14 @@ import math
 import operator
 import re
 import sys
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 DEFAULT_ENUM_LIMIT = 10
+TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
 
 _ENTRY_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -341,6 +343,37 @@ def brute_force_moments(
     mean = Fraction(sums.sum_x, nfact * scale)
     second = Fraction(sums.sum_x2, nfact * scale * scale)
     return mean, second - mean * mean
+
+
+class ExactSums:
+    """Exact integer sums over S_n x {1..n}, on the scaled integer matrix L * M.
+
+    With inner_i = sum_{j > i} L M[p(i)][p(j)], the suffix sum at position
+    i: X = sum_i inner_i, the step moving position i to the end has
+    X' - X = -2 inner_i, and q_pi = sum_i (X' - X)^2.  ``sum_x``, ``sum_x2``,
+    ``sum_q`` and ``sum_q2`` sum X, X^2, q_pi and q_pi^2 over S_n,
+    ``sum_abs_d3`` sums |X' - X|^3 over S_n x {1..n} and ``max_inner`` is
+    the largest |inner_i|.  The W-conditioned variance needs the level sets
+    of X, kept sparse as counts (``level_count``) and sums of q_pi
+    (``level_q``) by value.  ``_sn.ExactSums`` fills them from a sweep and
+    ``exact_dist.BUILTINS`` from the built-ins' recurrences.
+    """
+
+    def __init__(self) -> None:
+        self.sum_x = self.sum_x2 = self.sum_q = self.sum_q2 = self.sum_abs_d3 = self.max_inner = 0
+        self.level_count: Counter[int] = Counter()
+        self.level_q: Counter[int] = Counter()
+
+
+def check_int64_entries(n: int, rows) -> int:
+    """K = max |entry| of ``rows``, L * M of an n x n matrix as an array or
+    as rows of Python ints, refused where ``_sn.checked_chunk_size`` shows
+    that the exact sweep's int64 sums could overflow: n (2nK)^3 or
+    (4n (nK)^2)^2 above 2^62."""
+    k = max((abs(int(e)) for row in rows for e in row), default=0)
+    if max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2) > 1 << 62:
+        raise ValueError(TOO_LARGE)
+    return k
 
 
 def check_enum_limit(n: int, limit: int | None = None) -> int:

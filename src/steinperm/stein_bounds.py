@@ -4,9 +4,10 @@ For the exchangeable pair (W, W') built from one chain step we need:
 the regression rate lambda = 2/n, an almost-sure bound A on |W' - W|,
 the conditional second moment E[(W'-W)^2 | pi] and its variance over
 pi (or over W), and the third absolute moment E|W'-W|^3.  Small n gets
-all of them exactly from the integer sums over S_n that
-:func:`_sn.exact_sums` returns (:func:`exact_ingredients`); large n gets
-Monte Carlo estimates with standard errors.  Two bounds are then
+all of them exactly (:func:`exact_ingredients`) from the integer sums over
+S_n, which the built-ins' recurrences in ``exact_dist.BUILTINS`` give in
+Python ints and :func:`_sn.exact_sums` gives for any other matrix; large n
+gets Monte Carlo estimates with standard errors.  Two bounds are then
 evaluated:
 
 * the concentration-inequality bound
@@ -27,9 +28,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _sn
-from ._sn import np
-from .perm_core import StatisticKind, StatisticSpec, spec_for
+from . import _sn, exact_dist, lazy_module
+from .perm_core import ExactSums, StatisticKind, StatisticSpec, check_enum_limit, spec_for
+
+np = lazy_module("numpy")
 
 MODE_EXACT = "exact"
 MODE_MC = "mc"
@@ -99,9 +101,10 @@ def a_max(spec: StatisticSpec) -> float:
     return 2 * float(Fraction(worst, 2 * scale)) / sigma
 
 
-def exact_ingredients(sums: _sn.ExactSums, spec: StatisticSpec, scale: int) -> BoundIngredients:
+def exact_ingredients(sums: ExactSums, spec: StatisticSpec, scale: int) -> BoundIngredients:
     """The exact bound ingredients from ``sums`` over the whole of S_n,
-    on the matrix L * M with L = ``scale``, as :func:`_sn.exact_sums` gives them."""
+    on the matrix L * M with L = ``scale``, as :func:`_sn.exact_sums` or a
+    built-in's recurrence gives them."""
     n = spec.n
     var = spec.variance
     nfact = math.factorial(n)
@@ -142,14 +145,20 @@ def exact_ingredients(sums: _sn.ExactSums, spec: StatisticSpec, scale: int) -> B
 
 
 def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIngredients:
-    """All ingredients over the whole of S_n, exactly, from :func:`_sn.exact_sums`.
+    """All ingredients over the whole of S_n, exactly: a built-in's sums
+    from its recurrence (``exact_dist.BUILTINS``), in Python ints with no
+    array work, under the same enumeration limit; any other matrix's from
+    :func:`_sn.exact_sums`.
 
     The W-conditioned variance groups permutations into level sets of
     the exact rational statistic value and averages the pi-conditioned
     second moment within each group.
     """
     spec.variance  # refuse a zero-variance statistic before any work
-    scale, sums = _sn.exact_sums(spec.matrix, limit)
+    if spec.kind is StatisticKind.CUSTOM:
+        scale, sums = _sn.exact_sums(spec.matrix, limit)
+    else:
+        scale, sums = 1, exact_dist.BUILTINS[spec.kind].sums(check_enum_limit(spec.n, limit))
     return exact_ingredients(sums, spec, scale)
 
 
@@ -185,10 +194,20 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
             c[start:stop] = 4.0 / n * f.sum(axis=1)
         d_w *= -2.0
         d_w /= sigma_x
-        abs3 = np.abs(d_w) ** 3
-        u = c - c_center
-        powers = (abs3, abs3 * abs3, u, u * u, u * u * u, u * u * u * u)
-        block_sums.append([float(v.sum()) for v in powers])
+        # abs3, abs3^2, u, u^2, u^3 and u^4 summed in place, each power a
+        # left-to-right product in one scratch array
+        abs3 = np.abs(d_w, out=d_w)
+        abs3 **= 3
+        u = np.subtract(c, c_center, out=c)
+        power = np.multiply(abs3, abs3)
+        sums = [float(abs3.sum()), float(power.sum()), float(u.sum())]
+        np.multiply(u, u, out=power)
+        sums.append(float(power.sum()))
+        power *= u
+        sums.append(float(power.sum()))
+        power *= u
+        sums.append(float(power.sum()))
+        block_sums.append(sums)
 
     nt = float(trials)
     m_abs3, m_abs6, mu, mu2, mu3, mu4 = (math.fsum(col) / nt for col in zip(*block_sums))

@@ -219,3 +219,11 @@ def level_set_variance(sums, spec, scale: int) -> Fraction:
         mean_here = Fraction(sums.level_q[v], c) / denom
         level_sq += c * mean_here * mean_here
     return level_sq / nfact - mean_c * mean_c
+
+
+def exact_sums_fields(sums) -> tuple:
+    """Every field of an ``ExactSums``, for comparing two of them."""
+    return (
+        sums.sum_x, sums.sum_x2, sums.sum_q, sums.sum_q2, sums.sum_abs_d3, sums.max_inner,
+        dict(sums.level_count), dict(sums.level_q),
+    )

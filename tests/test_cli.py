@@ -147,6 +147,16 @@ class TestVerify:
         )
         assert out == run(capsys, *argv)[1]
 
+    def test_enum_limit_warning_for_a_recurrence(self, capsys):
+        argv = ("bounds", "--stat", "inversions", "--n", "11")
+        code, out, err = run(capsys, *argv, "--enum-limit", "11")
+        assert code == 0
+        assert err == (
+            "warning: enumeration limit raised to 11; the exact sums of --stat come from a recurrence "
+            "in Python ints, with no sweep\n"
+        )
+        assert json.loads(out)["ingredients"]["n"] == 11
+
 
 class TestExample:
     def test_matches_embedded_tables(self, capsys):
@@ -328,6 +338,29 @@ class TestBounds:
                            "--mode", "mc", "--trials", "10", "--seed", str(1 << 64))
         assert code == 2
         assert "64 bits" in err
+
+    def test_matrix_refusals_in_the_order_of_exact_sums(self, capsys, tmp_path):
+        # cmd_bounds refuses on Python ints, before stein_bounds runs: the
+        # enumeration limit comes before the entry guard, as in _sn.exact_sums
+        rows = [[0] * 11 for _ in range(11)]
+        rows[0][1], rows[1][0] = 9_000_000_000_000, -9_000_000_000_000
+        _write_rows(tmp_path, "big.json", rows)
+        code, out, err = run(capsys, "bounds", "--matrix", str(tmp_path / "big.json"))
+        assert (code, out) == (2, "")
+        assert err == "error: full enumeration of S_11 exceeds the limit 10; raise the limit explicitly to proceed\n"
+        code, out, err = run(capsys, "bounds", "--matrix", str(tmp_path / "big.json"), "--enum-limit", "11")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1:] == [f"error: {_sn._TOO_LARGE}"]
+
+    # the first n past it: Var(E^W (W' - W)^2) has about 4825 and 4336 digits
+    @pytest.mark.parametrize("stat, n", [("inversions", 30), ("descents", 86)])
+    def test_exact_past_the_int_string_limit_refused(self, capsys, stat, n):
+        code, out, err = run(capsys, "bounds", "--stat", stat, "--n", str(n), "--enum-limit", str(n))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1:] == [
+            f"error: the exact ingredients at n={n} have more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for printing an int; use --mode mc"
+        ]
 
     @pytest.mark.parametrize("stat", ["descents", "inversions"])
     def test_mc_within_4_stderr_of_exact(self, capsys, stat):
@@ -950,8 +983,6 @@ def run_fresh(code, *argv):
 _ARRAY_GOLDENS = [
     (("verify", "--stat", "descents", "--n", "7"),
      "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
-    (("bounds", "--stat", "inversions", "--n", "6"),
-     "2ea572c1dab22785b205be2f3fbc7e224b20a1f2493400c5bc4aaeb64221751a"),
     (("bounds", "--stat", "descents", "--n", "30", "--mode", "mc", "--trials", "2000", "--seed", "11"),
      "7bc5cbb47d44390a08b949ce893c79146600b051925709cf4522268d27a04384"),
     (("sample", "--stat", "inversions", "--n", "8", "--seed", "5", "--trials", "20"),
@@ -963,6 +994,12 @@ _ARRAY_GOLDENS = [
     (("sample", "--matrix", _RATIONAL, "--seed", "17", "--trials", "50", "--format", "csv"),
      "bd3eff84ead392d3ba7a8051d5b4da27bfccd1e124ca0dadd047be75fa77440c"),
 ]
+
+
+# exact bounds of a built-in, as the prefix-set program printed them, now
+# from the recurrence with no array work: pinned in both places too
+_RECURRENCE_GOLDEN = (("bounds", "--stat", "inversions", "--n", "6"),
+                      "2ea572c1dab22785b205be2f3fbc7e224b20a1f2493400c5bc4aaeb64221751a")
 
 
 # refused commands, then the one in argv, in one interpreter; the child
@@ -1009,7 +1046,8 @@ class TestGoldenStdout:
              "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
             (("verify", "--stat", "inversions", "--n", "7"),
              "151584cdfacaaf3b2173852ee082b77ca21d466481a0887e8a882ace7e725044"),
-            *_ARRAY_GOLDENS[1:4],
+            _RECURRENCE_GOLDEN,
+            *_ARRAY_GOLDENS[1:3],
             # odd rows (11 027 and 199 entries) and the even one in CSV, taken
             # before the recurrences carried half rows
             (("dist", "--stat", "inversions", "--n", "149"),
@@ -1031,7 +1069,7 @@ class TestGoldenStdout:
             (("sample", "--stat", "descents", "--n", "12", "--seed", "3", "--trials", "5", "--format", "csv"),
              "fed29ae675b1feb8c2ec124c63dc87d59d1a7768d6e2641b27ce576f0b69bfc1"),
             # last, so that the cases before keep their ids
-            *_ARRAY_GOLDENS[4:],
+            *_ARRAY_GOLDENS[3:],
         ],
     )
     def test_sha256(self, capsys, argv, digest):
@@ -1088,11 +1126,13 @@ class TestGoldenStdout:
             "error: Monte Carlo mode needs --seed",
         ]
 
-    @pytest.mark.parametrize("argv, digest", _ARRAY_GOLDENS)
+    @pytest.mark.parametrize("argv, digest", [_ARRAY_GOLDENS[0], _RECURRENCE_GOLDEN, *_ARRAY_GOLDENS[1:]])
     def test_sha256_fresh_interpreter(self, argv, digest):
-        # numpy is loaded lazily here, on the first array operation
+        # numpy is loaded lazily here, on the first array operation, and
+        # never by the recurrence
         proc = run_fresh(_MAIN, *argv)
-        assert (proc.returncode, proc.stderr) == (0, "numpy loaded: True\n")
+        loaded = (argv, digest) != _RECURRENCE_GOLDEN
+        assert (proc.returncode, proc.stderr) == (0, f"numpy loaded: {loaded}\n")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
@@ -1116,7 +1156,10 @@ class TestLazyNumpy:
         ("rate", "--stat", "inversions", "--n-list", "5,10,20"),
         ("example",),
         ("--help",),
-    ], ids=["dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help"])
+        ("bounds", "--stat", "descents", "--n", "9"),
+        ("bounds", "--stat", "inversions", "--n", "9"),
+    ], ids=["dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help",
+            "bounds-descents", "bounds-inversions"])
     def test_no_array_work(self, argv):
         proc = run_fresh(_MAIN, *argv)
         assert (proc.returncode, proc.stderr) == (0, "numpy loaded: False\n")
@@ -1195,7 +1238,8 @@ sys.exit(code)
 class TestColdStart:
     """What a new interpreter runs: importing the CLI runs perm_core and cli
     and no dataclasses or inspect, and each command runs only the modules
-    it uses: the recurrences and --help never run _sn."""
+    it uses: the recurrences, exact bounds of a built-in, --help and a
+    matrix refused on its entries never run _sn."""
 
     def test_import_loads_no_dataclasses(self):
         proc = run_fresh("import sys, steinperm.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
@@ -1218,14 +1262,17 @@ class TestColdStart:
             "[True, True, True, True, True, True] True\n"
 
     @pytest.mark.parametrize("argv, code, ran", [
-        (("bounds", "--matrix", "fault.json"), 2, "_sn cli perm_core stein_bounds"),
+        (("bounds", "--matrix", "fault.json"), 2, "cli perm_core"),
         (("dist", "--stat", "inversions", "--n", "20"), 0, "cli exact_dist perm_core"),
         (("dist", "--stat", "descents", "--n", "20", "--format", "csv"), 0, "cli exact_dist perm_core"),
         (("rate", "--stat", "descents", "--n-list", "5,10,20"), 0, "analysis cli exact_dist perm_core"),
         (("rate", "--stat", "inversions", "--n-list", "5,10,20"), 0, "analysis cli exact_dist perm_core"),
         (("example",), 0, "_sn chain cli exchangeability perm_core"),
         (("--help",), 0, "cli perm_core"),
-    ], ids=["bounds-fault", "dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help"])
+        (("bounds", "--stat", "descents", "--n", "9"), 0, "cli exact_dist perm_core stein_bounds"),
+        (("bounds", "--stat", "inversions", "--n", "9"), 0, "cli exact_dist perm_core stein_bounds"),
+    ], ids=["bounds-fault", "dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help",
+            "bounds-descents", "bounds-inversions"])
     def test_modules_run_by_command(self, tmp_path, argv, code, ran):
         _write_rows(tmp_path, "fault.json", _FAULT)
         proc = run_fresh(_RAN, *(str(tmp_path / a) if a.endswith(".json") else a for a in argv))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import eulerian_full_rows, mahonian_sliding_window, standardize_fraction
+from _oracles import eulerian_full_rows, exact_sums_fields, mahonian_sliding_window, standardize_fraction
 from steinperm import (
     IntegerDistribution,
     Permutation,
@@ -316,6 +316,45 @@ class TestRows:
         for n, (half, size) in zip(range(1, 41), rows()):
             counts = full_rows(n)
             assert (half, size) == (list(counts[: (size + 1) // 2]), len(counts))
+
+
+class TestBuiltinSums:
+    """The built-ins' recurrences give, in Python ints, every sum the
+    prefix-set program gives over S_n, and exact bounds read them."""
+
+    # n = 2..12 and the largest n the prefix-set program reaches
+    @pytest.mark.parametrize("kind, n", [
+        *((kind, n) for kind in (StatisticKind.DESCENTS, StatisticKind.INVERSIONS) for n in range(2, 13)),
+        (StatisticKind.DESCENTS, 18), (StatisticKind.INVERSIONS, 16)])
+    def test_equal_the_prefix_set_program(self, kind, n):
+        from steinperm import _sn
+
+        got = BUILTINS[kind].sums(n)
+        _, want = _sn.exact_sums(spec_for(kind, n).matrix, n)
+        assert exact_sums_fields(got) == exact_sums_fields(want)
+        assert 0 not in got.level_count.values()
+
+    def test_descents_var_cond_pi_closed_form(self):
+        # 128/(5 n^2 (n + 1)) from n = 4; not at n = 2 and 3
+        from steinperm import stein_bounds
+
+        for n in range(2, 61):
+            spec = spec_for(StatisticKind.DESCENTS, n)
+            ing = stein_bounds.exact_ingredients(BUILTINS[StatisticKind.DESCENTS].sums(n), spec, 1)
+            assert (ing.var_cond_pi_w == Fraction(128, 5 * n * n * (n + 1))) == (n >= 4), n
+
+    @pytest.mark.parametrize("kind", [StatisticKind.DESCENTS, StatisticKind.INVERSIONS])
+    def test_exact_bounds_run_no_array_work(self, kind, monkeypatch):
+        from steinperm import _sn, stein_bounds
+
+        def unused(*args):
+            raise AssertionError("the prefix-set program ran")
+
+        monkeypatch.setattr(_sn, "exact_sums", unused)
+        assert stein_bounds.ingredients_exact(spec_for(kind, 7)).n == 7
+        with pytest.raises(EnumerationLimitError):
+            stein_bounds.ingredients_exact(spec_for(kind, 11))
+        assert stein_bounds.ingredients_exact(spec_for(kind, 11), 11).n == 11
 
 
 class TestDistributionType:

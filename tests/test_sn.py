@@ -28,7 +28,9 @@ from steinperm.exact_dist import eulerian_distribution, mahonian_distribution
 from steinperm.perm_core import EnumerationLimitError
 
 from conftest import random_matrices
-from _oracles import draw_whole_tile, inner_sums_gather, keyed_gather, relabel, row_copy_x, value_order
+from _oracles import (
+    draw_whole_tile, exact_sums_fields, inner_sums_gather, keyed_gather, relabel, row_copy_x, value_order,
+)
 
 
 class TestSweep:
@@ -278,7 +280,7 @@ class TestChunkSize:
         )
         assert (q * q).sum() > 1 << 63  # one int64 sum over all of S_n would wrap
         _, got = _swept(m)
-        assert _fields(got) == want
+        assert exact_sums_fields(got) == want
 
 
 def _row_sum_limit_matrix(n):
@@ -741,13 +743,6 @@ def _swept(m):
     return scale, sums
 
 
-def _fields(sums):
-    return (
-        sums.sum_x, sums.sum_x2, sums.sum_q, sums.sum_q2, sums.sum_abs_d3, sums.max_inner,
-        dict(sums.level_count), dict(sums.level_q),
-    )
-
-
 _ENTRIES = {
     "integer": st.integers(-6, 6).map(Fraction),
     "rational": st.fractions(-8, 8, max_denominator=6),
@@ -801,10 +796,10 @@ class TestExactSums:
         mint, _ = _sn.integer_matrix(m)
         dp = _sn.ExactSums()
         _sn.prefix_set_sums(mint, dp)
-        assert _fields(dp) == _fields(want)
+        assert exact_sums_fields(dp) == exact_sums_fields(want)
         got_scale, got = _sn.exact_sums(m, None)
         assert got_scale == scale
-        assert _fields(got) == _fields(want)
+        assert exact_sums_fields(got) == exact_sums_fields(want)
 
     @pytest.mark.parametrize("kind", ["descents", "inversions", "rational", "near-limit"])
     def test_no_rows_swept(self, kind, monkeypatch):
