@@ -96,16 +96,20 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
     Refuses a matrix with a row whose absolute sum reaches 2^62, so that
     every partial row sum, and with it every suffix sum ``inner`` that
     the exact sweep and the Monte Carlo draws compute, fits in int64.
+    A built-in's array is one strided copy of its window.
     """
-    rows, scale = m.rows, m.scale
-    if any(sum(map(abs, row)) >= 1 << 62 for row in rows):
+    n = m.n
+    if max(m.row_sums[1], default=0) >= 1 << 62:
         raise ValueError(_TOO_LARGE)
-    return np.array(rows, dtype=np.int64).reshape(m.n, m.n), scale
+    if m.window is None:
+        return np.array(m.rows, dtype=np.int64).reshape(n, n), m.scale
+    window = np.array(m.window, dtype=np.int64)  # row i starts at slot n - i, 8 bytes before row i - 1
+    return np.ndarray((n, n), np.int64, buffer=window, offset=8 * n, strides=(-8, 8)).copy(), m.scale
 
 
 def checked_x_bound(m: AntisymmetricMatrix) -> AntisymmetricMatrix:
     """``m``, refused if sum_{i<j} |L M_ij|, the bound on |X| of ``chain.pair_samples``, reaches 2^63."""
-    if sum(sum(map(abs, row)) for row in m.rows) >= 1 << 64:  # twice the sum over i < j
+    if sum(m.row_sums[1]) >= 1 << 64:  # twice the sum over i < j
         raise ValueError(_TOO_LARGE)
     return m
 
@@ -180,7 +184,7 @@ def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> tuple[int, ExactSum
     sums = ExactSums()
     # |inner| at value v is at most v's absolute row sum, and |X| at most
     # the sum of |L M_ij| over i < j, half the sum of all absolute rows
-    row_abs = [sum(map(abs, row)) for row in m.rows]
+    row_abs = m.row_sums[1]
     bound = sum(row_abs) // 2
     q_max = 4 * sum(a * a for a in row_abs)
     if (
@@ -322,7 +326,7 @@ def draws(
     ``SeedSequence(seed)``.  The overflow guard runs before this returns,
     and the :class:`InnerKernel` set-up once for every block."""
     mint, scale = integer_matrix(m)
-    kernel = InnerKernel(mint)
+    kernel = InnerKernel(mint, m)
     root = np.random.SeedSequence(seed)  # spawn(1) k times gives the children of spawn(k)
     blocks = (
         draw(kernel, min(DRAW_BLOCK, trials - start), np.random.Generator(np.random.PCG64(*root.spawn(1))))
@@ -456,7 +460,9 @@ class InnerKernel:
     the kernel that :func:`banded_offsets` picks bound to the arrays it
     reads, and ``dtype``, the narrowest signed integer type that holds
     the largest absolute row sum (int8 for descents, int16 for
-    inversions at n = 200).
+    inversions at n = 200).  Given the matrix ``m`` of ``mint``, the
+    set-up reads that sum off ``m.row_sums`` and a built-in's diagonals
+    off its window.
 
     The arrays the kernel reads are cast to ``dtype`` here, once, so its
     cell updates run in that type.  They cannot overflow: every value
@@ -465,12 +471,14 @@ class InnerKernel:
     absolute value is at most that row's absolute sum, which ``dtype``
     holds."""
 
-    def __init__(self, mint: np.ndarray) -> None:
+    def __init__(self, mint: np.ndarray, m: AntisymmetricMatrix | None = None) -> None:
         self.mint = mint
         self.n = mint.shape[0]
-        bound = int(np.abs(mint).sum(axis=1).max())
+        if m is None:
+            bound, offsets = int(np.abs(mint).sum(axis=1).max()), banded_offsets(mint)
+        else:
+            bound, offsets = max(m.row_sums[1]), banded_offsets(mint, m.window)
         self.dtype = dtype = signed_type(bound)
-        offsets = banded_offsets(mint)
         if offsets is None:
             self.fill = functools.partial(
                 remainder_sums,
@@ -514,12 +522,16 @@ def inner_sums(keys: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = N
     return out
 
 
-def banded_offsets(mint: np.ndarray) -> list[int] | None:
+def banded_offsets(mint: np.ndarray, window: tuple[int, ...] | None = None) -> list[int] | None:
     """The offsets d > 0 of the diagonals M[u, u + d] with a nonzero entry,
     or None when the sum of their lengths n - d, times
-    ``DIAGONAL_CELL_COST``, exceeds n^2."""
+    ``DIAGONAL_CELL_COST``, exceeds n^2.  A built-in's are read off its
+    ``window``, where M[u, u + d] = window[n + d]."""
     n = mint.shape[0]
-    offsets = [d for d in range(1, n) if np.diagonal(mint, d).any()]
+    if window is None:
+        offsets = [d for d in range(1, n) if np.diagonal(mint, d).any()]
+    else:
+        offsets = [d for d in range(1, n) if window[n + d]]
     return offsets if DIAGONAL_CELL_COST * sum(n - d for d in offsets) <= n * n else None
 
 

@@ -94,7 +94,7 @@ def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
     ``_sn.draw``, fully determined by the generator state."""
     sigma = math.sqrt(spec.variance)
     mint, scale = _sn.integer_matrix(_sn.checked_x_bound(spec.matrix))
-    (a,), (b,), (i,) = next(pair_samples(*_sn.draw(_sn.InnerKernel(mint), 1, rng)))
+    (a,), (b,), (i,) = next(pair_samples(*_sn.draw(_sn.InnerKernel(mint, spec.matrix), 1, rng)))
     return PairSample(Fraction(a, scale), Fraction(b, scale), a / scale / sigma, b / scale / sigma, i)
 
 

@@ -154,16 +154,45 @@ class AntisymmetricMatrix(Frozen):
     through :meth:`from_rows` (validating, from Fractions, ints or
     strings) or one of the module-level builders, which produce valid
     integer rows with L = 1 by construction.
+
+    A built-in is kept as its Toeplitz ``window`` of 2n + 1 ints, with
+    M[i][i + d] = window[n + d], and builds ``rows`` only when they are
+    first read: by the scalar Fraction paths, :attr:`entries`, equality,
+    hash and repr.  ``window`` is None for every other matrix.
     """
 
     _fields = ("rows", "scale")
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], scale: int) -> None:
-        self._set(rows, scale)
+    def __init__(
+        self, rows: tuple[tuple[int, ...], ...] | None, scale: int, window: tuple[int, ...] | None = None
+    ) -> None:
+        vars(self).update(n=len(rows) if window is None else len(window) // 2, scale=scale, window=window)
+        if window is None:
+            vars(self)["rows"] = rows
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row i (0-indexed) of a built-in is the slice window[n - i : 2n - i]."""
+        n, window = self.n, self.window
+        return tuple(window[n - i : 2 * n - i] for i in range(n))
+
+    def _values(self) -> tuple:
+        return self.rows, self.scale
+
+    @cached_property
+    def row_sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(sum, absolute sum) of each row of L * M, summed over ``rows``,
+        or for a built-in the differences of prefix sums over its window."""
+        if self.window is None:
+            return tuple(map(sum, self.rows)), tuple(sum(map(abs, row)) for row in self.rows)
+        from itertools import accumulate
+
+        n, window = self.n, self.window
+        out = []
+        for w in (window, map(abs, window)):  # row i is window[n - i : 2n - i]
+            prefix = tuple(accumulate(w, initial=0))
+            out.append(tuple(map(operator.sub, prefix[2 * n : n : -1], prefix[n:0:-1])))
+        return tuple(out)
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.rows[i - 1][j - 1], self.scale)
@@ -197,20 +226,15 @@ def zero_matrix(n: int) -> AntisymmetricMatrix:
     return AntisymmetricMatrix(((0,) * n,) * n, 1)
 
 
-def _toeplitz(n: int, window: tuple[int, ...]) -> AntisymmetricMatrix:
-    """The n x n integer matrix with M[i][i + d] = window[n + d]: ``window``
-    has 2n + 1 entries, so row i (0-indexed) is the slice window[n - i : 2n - i]."""
-    return AntisymmetricMatrix(tuple(window[n - i : 2 * n - i] for i in range(n)), 1)
-
-
 def descents_matrix(n: int) -> AntisymmetricMatrix:
     """M[i][i+1] = -1 and M[i+1][i] = +1, zero elsewhere."""
-    return _toeplitz(n, (0,) * (n - 1) + (1, 0, -1) + (0,) * (n - 1))
+    # window[n - 1] = 1 and window[n + 1] = -1, all 2n + 1 slots from n = 0 on
+    return AntisymmetricMatrix(None, 1, ((0,) * n + (1, 0, -1) + (0,) * n)[1:-1])
 
 
 def inversions_matrix(n: int) -> AntisymmetricMatrix:
     """M[i][j] = -1 for i < j and +1 for i > j."""
-    return _toeplitz(n, (1,) * n + (0,) + (-1,) * n)
+    return AntisymmetricMatrix(None, 1, (1,) * n + (0,) + (-1,) * n)
 
 
 class StatisticKind(str, Enum):
@@ -222,8 +246,8 @@ class StatisticKind(str, Enum):
 class StatisticSpec(Frozen):
     """A statistic X(p) = sum_{i<j} M[p(i)][p(j)] given by its matrix.
 
-    The matrix is materialized for the built-in kinds too, so every code
-    path can fall back on the defining formula.
+    A built-in kind's matrix holds its window, from which it builds its
+    rows when a path that reads them, such as :func:`x_stat`, first asks.
     """
 
     _fields = ("kind", "matrix")
@@ -315,7 +339,7 @@ def variance_formula(m: AntisymmetricMatrix) -> VarianceBreakdown:
     """
     rows, scale = m.rows, m.scale
     # A_i - B_i is the row sum (antisymmetry); each pair i < j is squared twice
-    row_sums = [sum(row) for row in rows]
+    row_sums = m.row_sums[0]
     a = [sum(row[i + 1 :]) for i, row in enumerate(rows)]
     half_sq = sum(e * e for row in rows for e in row) // 2
     balance = sum(r * r for r in row_sums)

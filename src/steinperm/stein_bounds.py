@@ -95,10 +95,9 @@ def a_max(spec: StatisticSpec) -> float:
     True
     """
     sigma = math.sqrt(spec.variance)
-    rows, scale = spec.matrix.rows, spec.matrix.scale
     # the larger part of a row is half its absolute sum plus half |row sum|
-    worst = max(sum(map(abs, row)) + abs(sum(row)) for row in rows)
-    return 2 * float(Fraction(worst, 2 * scale)) / sigma
+    worst = max(a + abs(s) for s, a in zip(*spec.matrix.row_sums))
+    return 2 * float(Fraction(worst, 2 * spec.matrix.scale)) / sigma
 
 
 def exact_ingredients(sums: ExactSums, spec: StatisticSpec, scale: int) -> BoundIngredients:

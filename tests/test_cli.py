@@ -568,6 +568,54 @@ class TestWideX:
         assert max(abs(int(x)) for x, _ in printed) > 1 << 62
 
 
+class TestGuardBoundaries:
+    """The two int64 guards of the draws at their edges, on custom
+    matrices: an absolute row sum of 2^62 (2^62 - 1 passes, see
+    TestNarrowInner.test_row_sum_below_2_62), and for sample a sum of
+    |L M_ij| over i < j of 2^63, with every row sum below 2^62."""
+
+    @staticmethod
+    def _refused(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {_sn._TOO_LARGE}\n"
+
+    @pytest.mark.parametrize("command", [("bounds", "--mode", "mc"), ("sample",)])
+    def test_row_sum_at_2_62_refused(self, capsys, tmp_path, command):
+        path = _write_rows(tmp_path, "m.json", _antisymmetric([[str(1 << 61), str(1 << 61)], ["1"]]))
+        self._refused(capsys, *command, "--matrix", path, "--trials", "300", "--seed", "6")
+
+    @staticmethod
+    def _wide(total):
+        # 2^58 times the inversions matrix at n = 8 has 28 * 2^58 = 2^63 - 2^60
+        # above the diagonal; M[0][1] takes the rest, and rows 0 and 1 stay
+        # near 11 * 2^58 < 2^62
+        rows = _inversions_times(8, 1 << 58)
+        rows[0][1] = -((1 << 58) + total - (1 << 63) + (1 << 60))
+        rows[1][0] = -rows[0][1]
+        assert sum(abs(e) for i, row in enumerate(rows) for e in row[i + 1 :]) == total
+        assert max(sum(map(abs, row)) for row in rows) < 1 << 62
+        return rows
+
+    def test_x_bound_at_2_63_refused(self, capsys, tmp_path):
+        path = _write_rows(tmp_path, "m.json", self._wide(1 << 63))
+        self._refused(capsys, "sample", "--matrix", path, "--seed", "5", "--trials", "300")
+
+    def test_x_bound_below_2_63_printed_exactly(self, capsys, tmp_path):
+        rows, trials = self._wide((1 << 63) - 1), 300
+        path = _write_rows(tmp_path, "m.json", rows)
+        argv = ("sample", "--matrix", path, "--seed", "5", "--trials", str(trials), "--format", "csv")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5).spawn(1)[0]))
+        perms, _, pos, _ = draw_whole_tile(np.array(rows, dtype=np.int64), trials, rng)
+        printed = [line.split(",")[:2] for line in out.splitlines()[1:]]
+        assert len(printed) == trials
+        for (x, x_prime), perm, i in zip(printed, perms.tolist(), pos.tolist()):
+            assert int(x) == _x_of(rows, perm)
+            assert int(x_prime) == _x_of(rows, perm[:i] + perm[i + 1 :] + [perm[i]])
+
+
 # an entry of 9e12, and denominators whose lcm is about 1e18 (the scaled
 # entries fit int64) or 1e36 (they do not): each is refused before any sweep
 # allocates

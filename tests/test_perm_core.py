@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrices
+from conftest import BUILTIN_SIZES, builtin_rows, random_matrices
 from steinperm import (
     AntisymmetricMatrix,
     EnumerationLimitError,
@@ -175,6 +175,26 @@ class TestMatrices:
         rng = np.random.Generator(np.random.PCG64(3))
         for m in (descents_matrix(5), inversions_matrix(5), zero_matrix(5), random_antisymmetric_matrix(5, rng)):
             assert m.scale == 1 and all(type(e) is int for row in m.rows for e in row)
+
+    @pytest.mark.parametrize("kind", ["descents", "inversions"])
+    def test_builtin_window_against_its_rows(self, kind):
+        # a built-in keeps its window and builds no rows for its summary;
+        # the rows, built when read, equal the defining formula, and the
+        # matrix equals and hashes like from_rows of them
+        for n in BUILTIN_SIZES:
+            m = spec_for(kind, n).matrix
+            rows = builtin_rows(kind, n)
+            assert len(m.window) == 2 * n + 1 and m.n == n
+            assert m.row_sums == (tuple(map(sum, rows)), tuple(sum(map(abs, row)) for row in rows))
+            assert "rows" not in vars(m)
+            parsed = AntisymmetricMatrix.from_rows(rows)
+            assert m.rows == parsed.rows == tuple(map(tuple, rows))
+            assert m == parsed and parsed == m and hash(m) == hash(parsed)
+            assert parsed.window is None and parsed.row_sums == m.row_sums
+
+    def test_custom_row_sums_from_rows(self):
+        m = AntisymmetricMatrix.from_rows([["0", "1/2", "-2/3"], ["-1/2", "0", "5"], ["2/3", "-5", "0"]])
+        assert m.row_sums == ((-1, 27, -26), (7, 33, 34))
 
     def test_from_rows_rational_asymmetry_message(self):
         with pytest.raises(MatrixFormatError) as exc:

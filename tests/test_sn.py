@@ -20,6 +20,7 @@ from steinperm import (
     inversions_matrix,
     inversions_spec,
     random_antisymmetric_matrix,
+    spec_for,
     zero_matrix,
 )
 from steinperm import _sn, exchangeability, stein_bounds
@@ -27,7 +28,7 @@ from steinperm.chain import pair_samples
 from steinperm.exact_dist import eulerian_distribution, mahonian_distribution
 from steinperm.perm_core import EnumerationLimitError
 
-from conftest import random_matrices
+from conftest import BUILTIN_SIZES, builtin_rows, random_matrices
 from _oracles import (
     draw_whole_tile, exact_sums_fields, inner_sums_gather, keyed_gather, relabel, row_copy_x, value_order,
 )
@@ -510,6 +511,44 @@ class TestInnerSums:
                 assert np.array_equal(_sn.inner_sums(keys, kernel), want)
                 narrow = _sn.inner_sums(keys, kernel, np.empty(keys.shape, dtype=kernel.dtype))
                 assert np.array_equal(narrow, want)
+
+
+class TestBuiltinWindow:
+    """integer_matrix, banded_offsets, InnerKernel and checked_x_bound on a
+    built-in read its window and its row summary, never its rows, and give
+    what the defining rows give."""
+
+    @pytest.mark.parametrize("kind", ["descents", "inversions"])
+    def test_against_the_rows(self, kind):
+        for n in BUILTIN_SIZES:
+            m = spec_for(kind, n).matrix
+            mint, scale = _sn.integer_matrix(m)
+            assert _sn.checked_x_bound(m) is m
+            kernel = _sn.InnerKernel(mint, m)
+            assert "rows" not in vars(m)
+            want = np.array(builtin_rows(kind, n), dtype=np.int64).reshape(n, n)
+            assert scale == 1 and mint.dtype == np.int64 and mint.flags.c_contiguous and mint.flags.writeable
+            assert np.array_equal(mint, want)
+            # the per-diagonal loop over the array, the offsets of every nonzero entry
+            offsets = _sn.banded_offsets(want)
+            assert _sn.banded_offsets(mint, m.window) == offsets
+            assert offsets == (_nonzero_offsets(want) if kind == "descents" or n < 3 else None)
+            rows_kernel = _sn.InnerKernel(want)
+            assert kernel.dtype == rows_kernel.dtype
+            assert kernel.fill.func is rows_kernel.fill.func
+
+    @pytest.mark.parametrize("kind", ["descents", "inversions"])
+    def test_same_draws_as_the_rows(self, kind):
+        def drawn(matrix):  # one block of two sub-tiles at n = 200
+            _, _, ((pick, tiles),) = _sn.draws(matrix, 300, 7)
+            return pick, [(start, keys.copy(), inner.copy()) for start, keys, inner in tiles]
+
+        pick, tiles = drawn(spec_for(kind, 200).matrix)
+        want_pick, want_tiles = drawn(AntisymmetricMatrix.from_rows(builtin_rows(kind, 200)))
+        assert np.array_equal(pick, want_pick) and len(tiles) == len(want_tiles) == 2
+        for (start, keys, inner), (want_start, want_keys, want_inner) in zip(tiles, want_tiles):
+            assert start == want_start and np.array_equal(keys, want_keys)
+            assert np.array_equal(inner, want_inner) and inner.dtype == want_inner.dtype
 
 
 class TestRowSumGuard:

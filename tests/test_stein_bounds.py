@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import cond_exp_sq, level_set_variance
-from conftest import random_matrices
+from conftest import BUILTIN_SIZES, builtin_rows, random_matrices
 from steinperm import (
     BoundIngredients,
     Permutation,
@@ -21,6 +22,7 @@ from steinperm import (
     random_antisymmetric_matrix,
     rr_bound,
     scaling_table,
+    spec_for,
     stein_original_bound,
     variance_formula,
     zero_matrix,
@@ -69,6 +71,29 @@ class TestAMax:
                 continue
             spec = custom_spec(m)
             assert ingredients_exact(spec).a_max <= a_max(spec) + 1e-15
+
+    @pytest.mark.parametrize("kind", ["descents", "inversions"])
+    def test_builtins_equal_the_rows_formula(self, kind):
+        # 2 max(sum |row| + |sum row|) / 2 / sigma over the defining rows,
+        # while the spec builds none; n = 1 has zero variance
+        for n in BUILTIN_SIZES[1:]:
+            spec = spec_for(kind, n)
+            worst = max(sum(map(abs, row)) + abs(sum(row)) for row in builtin_rows(kind, n))
+            assert a_max(spec) == 2 * float(Fraction(worst, 2)) / math.sqrt(spec.variance)
+            assert "rows" not in vars(spec.matrix)
+
+    def test_builtin_at_3000_builds_no_rows(self):
+        a_max(spec_for("inversions", 5))  # the modules and tables it reads, loaded
+        tracemalloc.start()
+        try:
+            spec = spec_for("inversions", 3000)
+            value = a_max(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 3000 rows of 3000 ints would take 72 MB
+        assert peak < 1 << 20 and "rows" not in vars(spec.matrix)
+        assert value == 2 * 2999 / math.sqrt(spec.variance)
 
     def test_exact_requires_small_n(self):
         with pytest.raises(EnumerationLimitError):
