@@ -45,11 +45,15 @@ The same observation lets :func:`exact_sums`, behind exact
 ``bounds --matrix``, ``dist --matrix`` and the enumerated moments, skip
 the n! rows: a sum over S_n of terms in inner_i factors through the 2^n
 prefix sets, taken in popcount layers, with the running statistic as a
-second coordinate (:func:`prefix_set_sums`).  Each layer is built from
-the one before in one array step per member slot: slot j removes the
-j-th smallest member of every set of the new layer at once, which names
-its predecessor, so the whole program is n(n + 1)/2 steps.  It falls back to the sweep when
-that state would be too wide or its sums could leave int64.
+second coordinate (:func:`prefix_set_sums`).  Every ordering of a set
+gives the statistic within it the same residue mod 2g, g the gcd of the
+entries of L * M, so each set keeps only the values of its own class: a
+layer is 2g times narrower than the statistic's range.  Each layer is
+built from the one before in one array step per member slot: slot j
+removes the j-th smallest member of every set of the new layer at once,
+which names its predecessor, so the whole program is n(n + 1)/2 steps.
+It falls back to the sweep when that state would be too wide or its sums
+could leave int64.
 
 Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
 which refuse an oversized n or oversized entries before they return or
@@ -208,19 +212,28 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     functions of (S, v) alone.  Layer k holds, for each k-set S and each
     y, the number of orderings of S with that y and the sum of their
     partial q = 4 sum inner^2; on the one set of the last layer y is X,
-    and the layer holds the level sets.  The y range of layer k is +-b_k,
-    the largest sum of |M_wu| over pairs inside a k-set.  n! times the
-    largest q_pi must be below 2^62, so that every int64 count and sum of
-    q in the layers fits.
+    and the layer holds the level sets.  n! times the largest q_pi must be
+    below 2^62, so that every int64 count and sum of q in the layers fits.
+
+    A layer holds each set's y on its residue class only.  With g the gcd
+    of the entries (1 if all are 0), every ordering of S has
+    y = r(S) mod 2g, r(S) the sum of M[w][u] over the pairs w < u in S
+    reduced mod 2g, since -a = a mod 2g whenever g divides a.  With b_k the
+    largest sum of |M_wu| over the pairs inside a k-set and c_k the least
+    multiple of 2g at or above b_k, y is stored at j = (y - r(S) + c_k)/2g,
+    so a layer is (c_k + b_k)/2g + 1 slots wide, not 2 b_k + 1.
+    Appending v to S moves j by (r(S) - inside[v, S] - r(S | v))/2g
+    + (c_{k+1} - c_k)/2g, an integer.
 
     Layer k + 1 is built target by target, one array step per member
     slot: a (k + 1)-set T has the k + 1 predecessors T - {v}, one for each
     member v, so slot j takes the j-th smallest member of every target at
-    once, gathers each predecessor's row shifted by its step in y, adds
+    once, gathers each predecessor's row shifted by its step in j, adds
     t = 4 inner^2 times its counts into its q half, and adds it into the
     targets' rows, which are in layer order.  That is n(n + 1)/2 array
-    steps in all, each on vectors of the layer's length; the source
-    layer's padded copy is freed before the next layer.
+    steps in all, each on vectors of the layer's length; a slot's gather
+    is freed before the next, and the source layer's padded copy before
+    the next layer.
 
     The other sums need no y.  A step (S, v) is taken by |S|! (n - |S| - 1)!
     permutations, so sum |2 inner|^3 is a weighted sum over the steps, and
@@ -236,16 +249,17 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     S | {v}, and M[v][v] = 0.
     """
     n = mint.shape[0]
-    # every |inside| is at most the largest absolute row sum, and after the
-    # shift by pad below at most twice it: the tables are kept in the
-    # narrowest type that holds that, int8 for descents
-    dtype = signed_type(2 * int(np.abs(mint).sum(axis=1).max()))
+    # every |inside| is at most the largest absolute row sum: the tables
+    # are kept in the narrowest type that holds that, int8 for descents
+    dtype = signed_type(int(np.abs(mint).sum(axis=1).max()))
     inside = subset_sums(mint.astype(dtype))
     absolute = subset_sums(np.abs(mint).astype(dtype))
     rowsum = inside[:, -1].astype(np.int64)
+    stride = 2 * (int(np.gcd.reduce(mint, axis=None)) or 1)
     size = np.zeros(1 << n, dtype=np.int8)  # popcount
     lowest = np.zeros(1 << n, dtype=np.intp)  # the smallest member, 0 for the empty set
     within = np.zeros(1 << n, dtype=np.int64)  # the sum of |M_wu| over the pairs inside
+    residue = np.zeros(1 << n, dtype=np.int64)  # r(S), the residue mod 2g of every ordering's y
     for u in range(n):
         # the masks with top bit u are those below 2^u with u added
         top = slice(1 << u, 2 << u)
@@ -253,6 +267,7 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
         lowest[top] = lowest[: 1 << u]
         lowest[1 << u] = u
         within[top] = within[: 1 << u] + absolute[u, : 1 << u]
+        residue[top] = (residue[: 1 << u] - inside[u, : 1 << u]) % stride
     del absolute
     # per set S, over the values v outside S: sum t, sum t^2 and sum 4 |inner|^3
     per_set = np.zeros((3, 1 << n), dtype=np.int64)
@@ -265,52 +280,57 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     # the masks by popcount, each layer in increasing order
     layers = np.split(np.argsort(size, kind="stable"), np.cumsum([math.comb(n, k) for k in range(n)]))
     bounds = [int(within[layer].max()) for layer in layers]
+    base = [-(-b // stride) for b in bounds]  # c_k / 2g
     rank = np.empty(1 << n, dtype=np.int64)
     for layer in layers:
         rank[layer] = np.arange(len(layer))
     pad = max(int(inside.max()), -int(inside.min()))
-    inside += pad  # inside[v, S] + pad is the offset of the predecessor's window, below
-    # steps[v, inside[v, S]] = t = 4 inner^2 of the step (S, v)
-    steps = 4 * (rowsum[:, None] + pad - np.arange(2 * pad + 1)) ** 2
-    # f[0, row, b_k + y] counts orderings and f[1, row, b_k + y] sums their q
+    # e = (inside[v, S] + r(S | v) - r(S))/2g of a step (S, v) has |e| <= reach,
+    # as |inside[v, S] + r(S | v) - r(S)| < pad + 2g
+    reach = (pad + stride - 1) // stride
+    # f[0, row, j] counts orderings and f[1, row, j] sums their q
     f = np.zeros((2, 1, 1), dtype=np.int64)
     f[0, 0, 0] = 1
     for k in range(n):
-        source, target, width = layers[k], layers[k + 1], 2 * bounds[k + 1] + 1
+        source, target = layers[k], layers[k + 1]
+        width = base[k + 1] + bounds[k + 1] // stride + 1
         orderings, after = math.factorial(k), math.factorial(n - k - 1)
         q = f[1].sum(axis=1)
         sums.sum_q2 += after * (
             orderings * sum(t_sq[source].tolist()) + 2 * sum(map(operator.mul, t_sum[source].tolist(), q.tolist()))
         )
         sums.sum_abs_d3 += 2 * orderings * after * sum(cube[source].tolist())
-        # f padded so that windows[:, row, pad - shift][:, :, j] is the source
-        # slot of y = j - b_{k+1} - shift, zero where that is out of range;
-        # shift = sum_{w in S} M[w][v] = -inside[v, S]
-        offset = bounds[k + 1] - bounds[k] + pad
-        padded = np.zeros((2, len(source), width + 2 * pad), dtype=np.int64)
+        # f padded so that windows[:, row, reach + e][:, :, j] is the source
+        # slot of target slot j for a step of that e, which moves j by
+        # (c_{k+1} - c_k)/2g - e; zero where that is out of range
+        offset = base[k + 1] - base[k] + reach
+        padded = np.zeros((2, len(source), width + 2 * reach), dtype=np.int64)
         padded[:, :, offset : offset + f.shape[2]] = f
         del f
         windows = np.lib.stride_tricks.as_strided(
-            padded, (2, len(source), 2 * pad + 1, width), padded.strides + padded.strides[2:], writeable=False
+            padded, (2, len(source), 2 * reach + 1, width), padded.strides + padded.strides[2:], writeable=False
         )
         f = np.zeros((2, len(target), width), dtype=np.int64)
         left = target.copy()  # the members of each target not yet taken
+        shift = residue[target] + reach * stride
         for _ in range(k + 1):
             v = lowest[left]
             bit = 1 << v
             left ^= bit
             pred = target ^ bit
-            offsets = inside[v, pred]
-            moved = windows[:, rank[pred], offsets]
+            step = inside[v, pred].astype(np.int64)
+            moved = windows[:, rank[pred], (step + shift - residue[pred]) // stride]
             f += moved
             counts = moved[0]
-            counts *= steps[v, offsets][:, None]
+            counts *= (4 * (rowsum[v] - step) ** 2)[:, None]  # t of the step (S, v)
             f[1] += counts
-        del padded, windows, moved, counts
+            del moved, counts
+        del padded, windows
     sums.max_inner = max(sums.max_inner, pad)
     count, qsum = f[:, 0]
-    ys = np.flatnonzero(count)
-    xs, cs, qs = (ys - bounds[n]).tolist(), count[ys].tolist(), qsum[ys].tolist()
+    js = np.flatnonzero(count)
+    xs = (stride * js + int(residue[-1]) - stride * base[n]).tolist()
+    cs, qs = count[js].tolist(), qsum[js].tolist()
     sums.sum_x += sum(x * c for x, c in zip(xs, cs))
     sums.sum_x2 += sum(x * x * c for x, c in zip(xs, cs))
     sums.sum_q += sum(qs)

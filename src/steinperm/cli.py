@@ -407,7 +407,7 @@ def _parse_n_list(text: str) -> list[int]:
 
 def _check_seed(seed: int | None) -> None:
     if seed is not None and not 0 <= seed < 1 << 64:
-        raise UsageError("seed must fit in 64 bits")
+        raise UsageError("seed must be in 0..2^64 - 1, a non-negative integer that fits in 64 bits")
 
 
 def _int_at_least(lowest: int, rule: str):

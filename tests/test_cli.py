@@ -334,10 +334,11 @@ class TestBounds:
         assert report["report"]["surrogate_used"] is True
 
     def test_seed_range(self, capsys):
-        code, _, err = run(capsys, "bounds", "--stat", "descents", "--n", "12",
-                           "--mode", "mc", "--trials", "10", "--seed", str(1 << 64))
-        assert code == 2
-        assert "64 bits" in err
+        for seed in (str(1 << 64), "-1"):
+            code, out, err = run(capsys, "bounds", "--stat", "descents", "--n", "12",
+                                 "--mode", "mc", "--trials", "10", "--seed", seed)
+            assert code == 2 and out == ""
+            assert err == "error: seed must be in 0..2^64 - 1, a non-negative integer that fits in 64 bits\n"
 
     def test_matrix_refusals_in_the_order_of_exact_sums(self, capsys, tmp_path):
         # cmd_bounds refuses on Python ints, before stein_bounds runs: the

@@ -819,6 +819,26 @@ def _pair_matrix(n, entry):
     return AntisymmetricMatrix.from_rows(rows)
 
 
+def _drawn_matrix(n, values, seed, zero_row=None):
+    """Upper entries drawn from ``values``, row and column ``zero_row`` all zero."""
+    rng = np.random.default_rng(seed)
+    return _antisymmetric_matrix(n, {
+        (i, j): values[int(rng.integers(len(values)))]
+        for i in range(n) for j in range(i + 1, n) if zero_row not in (i, j)
+    })
+
+
+def _layer_bounds(mint):
+    """b_k, the largest sum of |L M_wu| over the pairs inside a k-set, by brute force."""
+    n = mint.shape[0]
+    a = np.abs(mint).tolist()
+    within = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        u = s.bit_length() - 1
+        within[s] = within[s ^ (1 << u)] + sum(a[u][w] for w in range(u) if s >> w & 1)
+    return [max(w for s, w in enumerate(within) if s.bit_count() == k) for k in range(n + 1)]
+
+
 class TestExactSums:
     """exact_sums, the prefix-set dynamic program behind exact bounds and
     dist --matrix, against ExactSums.add over the sweep."""
@@ -830,6 +850,15 @@ class TestExactSums:
     @example(m=descents_matrix(9))
     @example(m=inversions_matrix(9))
     @example(m=_rational_matrix(9))
+    # the layers hold y on its class mod 2g, g the gcd of L M: g = 2, g = 3,
+    # g = 1 from scaled entries 3, -2, 4, -6, 5, 1 (L = 6), a row of zeros,
+    # n = 1 (no pair) and n = 2 (g = 4, y = +-4, both 4 mod 8)
+    @example(m=_drawn_matrix(7, [-6, -4, -2, 2, 4, 6], 31))
+    @example(m=_drawn_matrix(7, [-9, -6, -3, 0, 3, 9], 37))
+    @example(m=_drawn_matrix(7, [Fraction(e) for e in ("1/2", "-1/3", "2/3", "-1", "5/6", "1/6")], 41))
+    @example(m=_drawn_matrix(7, [-3, -1, 2, 4], 43, zero_row=3))
+    @example(m=zero_matrix(1))
+    @example(m=_pair_matrix(2, 4))
     def test_equals_the_sweep(self, m):
         scale, want = _swept(m)
         mint, _ = _sn.integer_matrix(m)
@@ -849,6 +878,35 @@ class TestExactSums:
         # np.bitwise_count is numpy >= 2.0 only, and numpy 1.24 is supported
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         _sn.exact_sums(_kernel_matrix(kind, 6), None)
+
+    def test_memory_of_the_residue_layers(self):
+        # n = 12, entries in -12..12 (g = 1): the largest layer step holds the
+        # padded source layer, the target layer and one slot's gather, each
+        # (2, sets, width) int64, width c_k/2g + b_k // 2g + 1 with
+        # c_k = 2g ceil(b_k / 2g), plus 1 MiB for the 2^n-long tables.  At
+        # the full width 2 b_k + 1 the same three blocks alone take twice that.
+        m = _drawn_matrix(12, list(range(-12, 13)), 12)
+        mint, _ = _sn.integer_matrix(m)
+        n, b = 12, _layer_bounds(mint)
+        stride = 2 * math.gcd(*mint.ravel().tolist())
+        pad = int(np.abs(mint).sum(axis=1).max())
+
+        def step_bytes(width, spread):
+            return max(
+                16 * (math.comb(n, k) * (width(k + 1) + spread) + 2 * math.comb(n, k + 1) * width(k + 1))
+                for k in range(n)
+            )
+
+        bound = step_bytes(lambda k: -(-b[k] // stride) + b[k] // stride + 1, 2 * -(-pad // stride)) + (1 << 20)
+        assert step_bytes(lambda k: 2 * b[k] + 1, 2 * pad) > bound
+        _sn.prefix_set_sums(mint, _sn.ExactSums())  # numpy's own first-use allocations
+        tracemalloc.start()
+        try:
+            _sn.prefix_set_sums(mint, _sn.ExactSums())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_row_sum_limit_refused_like_the_sweep(self):
         m = _row_sum_limit_matrix(5)
