@@ -39,7 +39,8 @@ integer arithmetic.
 
 Every kernel reads the matrix in its stored form, L * M in integers
 with L the lcm of all entry denominators, so every statistic computed
-from it is the exact value scaled by L.
+from it is the exact value scaled by L.  L stays on the matrix, as
+``m.scale``: no function here returns it.
 
 The same observation lets :func:`exact_sums`, behind exact
 ``bounds --matrix``, ``dist --matrix`` and the enumerated moments, skip
@@ -94,8 +95,8 @@ DIAGONAL_CELL_COST = 4
 PREFIX_DP_CELLS = 1 << 22  # (prefix set, X value) slots of one prefix_set_sums layer
 
 
-def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
-    """(L * M) as an int64 array together with the denominator lcm L.
+def integer_matrix(m: AntisymmetricMatrix) -> np.ndarray:
+    """L * M as an int64 array, L the denominator lcm that ``m.scale`` holds.
 
     Refuses a matrix with a row whose absolute sum reaches 2^62, so that
     every partial row sum, and with it every suffix sum ``inner`` that
@@ -106,9 +107,9 @@ def integer_matrix(m: AntisymmetricMatrix) -> tuple[np.ndarray, int]:
     if max(m.row_sums[1], default=0) >= 1 << 62:
         raise ValueError(_TOO_LARGE)
     if m.window is None:
-        return np.array(m.rows, dtype=np.int64).reshape(n, n), m.scale
+        return np.array(m.rows, dtype=np.int64).reshape(n, n)
     window = np.array(m.window, dtype=np.int64)  # row i starts at slot n - i, 8 bytes before row i - 1
-    return np.ndarray((n, n), np.int64, buffer=window, offset=8 * n, strides=(-8, 8)).copy(), m.scale
+    return np.ndarray((n, n), np.int64, buffer=window, offset=8 * n, strides=(-8, 8)).copy()
 
 
 def checked_x_bound(m: AntisymmetricMatrix) -> AntisymmetricMatrix:
@@ -124,14 +125,13 @@ def checked_chunk_size(n: int, rows) -> int:
     ``rows`` is L * M, as an array or as rows of Python ints.  With
     K = max |entry|, every suffix sum and every entry of
     :func:`suffix_table` is a partial row sum, |inner_i| <= (n - 1) K <= nK.
-    So per permutation q_pi = 4 sum_i inner_i^2 <= 4n^3 K^2 and, for
-    integer K >= 1, |X| <= n^2 K and X^2 <= n^4 K^2 are at most
-    sum_i |inner_i|^3 <= n^4 K^3.  The entries refused, on Python ints by
-    :func:`perm_core.check_int64_entries`, are those with n (2nK)^3 or
-    (4n (nK)^2)^2 above 2^62, so that every per-permutation
+    So per permutation q_pi = 4 sum_i inner_i^2 <= 4n^3 K^2,
+    sum_i |inner_i|^3 <= n^4 K^3 and |X| <= n^2 K.  The entries refused, on
+    Python ints by :func:`perm_core.check_int64_entries`, are those with
+    n (2nK)^3 or (4n (nK)^2)^2 above 2^62, so that every per-permutation
     q_pi^2 fits int64; :meth:`ExactSums.add` sums those in Python ints.
     A chunk then holds at most 2^62 / max(4n^3 K^2, n^4 K^3) rows, so that
-    the sums it keeps in int64 (X, X^2, q, the level sums of q and
+    the sums it keeps in int64 (the level sums of q and the sum of
     |inner|^3) fit: at least 8 rows once the entries are accepted.
     """
     k = check_int64_entries(n, rows)
@@ -140,8 +140,9 @@ def checked_chunk_size(n: int, rows) -> int:
 
 def sweep(
     m: AntisymmetricMatrix, limit: int | None = None
-) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """(L * M, L, chunks of (perms, inner)) for one lexicographic sweep of S_n.
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """(L * M, chunks of (perms, inner)) for one lexicographic sweep of S_n;
+    L is ``m.scale``.
 
     The enumeration limit and the overflow guards all run before this
     returns, on Python ints, so a refused sweep allocates nothing and
@@ -149,8 +150,8 @@ def sweep(
     """
     n = check_enum_limit(m.n, limit)
     size = checked_chunk_size(n, m.rows)
-    mint, scale = integer_matrix(m)
-    return mint, scale, inner_sum_chunks(n, mint, size)
+    mint = integer_matrix(m)
+    return mint, inner_sum_chunks(n, mint, size)
 
 
 class ExactSums(perm_core.ExactSums):
@@ -161,9 +162,6 @@ class ExactSums(perm_core.ExactSums):
         x = inner.sum(axis=1)
         a = np.abs(inner)
         q = 4 * (inner * inner).sum(axis=1)
-        self.sum_x += int(x.sum())
-        self.sum_x2 += int((x * x).sum())
-        self.sum_q += int(q.sum())
         self.sum_q2 += sum((q * q).tolist())  # q^2 fits int64, a chunk's sum need not
         self.sum_abs_d3 += 8 * int((a * a * a).sum())
         self.max_inner = max(self.max_inner, int(a.max()))
@@ -174,17 +172,17 @@ class ExactSums(perm_core.ExactSums):
         self.level_q.update(dict(zip(vals.tolist(), qsum.tolist())))
 
 
-def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> tuple[int, ExactSums]:
-    """(L, sums): the :class:`ExactSums` a full sweep of S_n fills.
+def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> ExactSums:
+    """The :class:`ExactSums` a full sweep of S_n fills, on L * M, L = ``m.scale``.
 
     :func:`sweep` runs its guards first.  :func:`prefix_set_sums` then
-    does the work when max_k C(n, k) (2B + 1), B the sum of |L M_ij| over
-    i < j, is at most ``PREFIX_DP_CELLS``, so that no layer has more slots,
-    and n! q_max < 2^62, q_max a bound on q_pi, so that every int64 count
-    and sum of q it keeps fits.  Otherwise the sweep feeds them.
+    does the work when no layer has more than ``PREFIX_DP_CELLS`` slots,
+    C(n, n // 2) (2 ceil(B / 2g) + 1) with B the sum of |L M_ij| over i < j
+    and 2g the :func:`residue_stride`, and n! q_max < 2^62, q_max a bound
+    on q_pi, so that its int64 counts and sums of q fit; else the sweep.
     """
     n = m.n
-    mint, scale, swept = sweep(m, limit)
+    mint, swept = sweep(m, limit)
     sums = ExactSums()
     # |inner| at value v is at most v's absolute row sum, and |X| at most
     # the sum of |L M_ij| over i < j, half the sum of all absolute rows
@@ -192,14 +190,20 @@ def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> tuple[int, ExactSum
     bound = sum(row_abs) // 2
     q_max = 4 * sum(a * a for a in row_abs)
     if (
-        math.comb(n, n // 2) * (2 * bound + 1) <= PREFIX_DP_CELLS
+        math.comb(n, n // 2) * (2 * -(-bound // residue_stride(m.rows)) + 1) <= PREFIX_DP_CELLS
         and math.factorial(n) * max(q_max, 1) < 1 << 62
     ):
         prefix_set_sums(mint, sums)
     else:
         for _, inner in swept:
             sums.add(inner)
-    return scale, sums
+    return sums
+
+
+def residue_stride(rows) -> int:
+    """2g, g the gcd of the entries of ``rows`` of L * M (1 if all are 0): the
+    modulus of the statistic's one residue within a prefix set (:func:`prefix_set_sums`)."""
+    return 2 * (math.gcd(*chain.from_iterable(rows)) or 1)
 
 
 def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
@@ -216,7 +220,7 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     below 2^62, so that every int64 count and sum of q in the layers fits.
 
     A layer holds each set's y on its residue class only.  With g the gcd
-    of the entries (1 if all are 0), every ordering of S has
+    of the entries (1 if all are 0; see :func:`residue_stride`), every ordering of S has
     y = r(S) mod 2g, r(S) the sum of M[w][u] over the pairs w < u in S
     reduced mod 2g, since -a = a mod 2g whenever g divides a.  With b_k the
     largest sum of |M_wu| over the pairs inside a k-set and c_k the least
@@ -255,7 +259,7 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     inside = subset_sums(mint.astype(dtype))
     absolute = subset_sums(np.abs(mint).astype(dtype))
     rowsum = inside[:, -1].astype(np.int64)
-    stride = 2 * (int(np.gcd.reduce(mint, axis=None)) or 1)
+    stride = residue_stride(mint.tolist())
     size = np.zeros(1 << n, dtype=np.int8)  # popcount
     lowest = np.zeros(1 << n, dtype=np.intp)  # the smallest member, 0 for the empty set
     within = np.zeros(1 << n, dtype=np.int64)  # the sum of |M_wu| over the pairs inside
@@ -330,29 +334,23 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     count, qsum = f[:, 0]
     js = np.flatnonzero(count)
     xs = (stride * js + int(residue[-1]) - stride * base[n]).tolist()
-    cs, qs = count[js].tolist(), qsum[js].tolist()
-    sums.sum_x += sum(x * c for x, c in zip(xs, cs))
-    sums.sum_x2 += sum(x * x * c for x, c in zip(xs, cs))
-    sums.sum_q += sum(qs)
-    sums.level_count.update(dict(zip(xs, cs)))
-    sums.level_q.update(dict(zip(xs, qs)))
+    sums.level_count.update(dict(zip(xs, count[js].tolist())))
+    sums.level_q.update(dict(zip(xs, qsum[js].tolist())))
 
 
 def draws(
     m: AntisymmetricMatrix, trials: int, seed: int
-) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]]]:
-    """(L * M, L, blocks of :func:`draw`) for ``trials`` draws of (pi, V):
-    block b holds at most ``DRAW_BLOCK`` draws from the b-th child of
-    ``SeedSequence(seed)``.  The overflow guard runs before this returns,
-    and the :class:`InnerKernel` set-up once for every block."""
-    mint, scale = integer_matrix(m)
-    kernel = InnerKernel(mint, m)
+) -> Iterator[tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]]:
+    """The blocks of :func:`draw` for ``trials`` draws of (pi, V) on L * M,
+    L = ``m.scale``: block b holds at most ``DRAW_BLOCK`` draws from the
+    b-th child of ``SeedSequence(seed)``.  The overflow guard and the
+    :class:`InnerKernel` set-up run once, before this returns."""
+    kernel = InnerKernel(m)
     root = np.random.SeedSequence(seed)  # spawn(1) k times gives the children of spawn(k)
-    blocks = (
+    return (
         draw(kernel, min(DRAW_BLOCK, trials - start), np.random.Generator(np.random.PCG64(*root.spawn(1))))
         for start in range(0, trials, DRAW_BLOCK)
     )
-    return mint, scale, blocks
 
 
 def tile_height(n: int) -> int:
@@ -475,14 +473,14 @@ def table_inner(perms: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class InnerKernel:
-    """The per-matrix set-up of :func:`inner_sums` on ``mint`` = L * M,
-    made once and shared by every block of rows: ``fill(keys, out)``,
-    the kernel that :func:`banded_offsets` picks bound to the arrays it
-    reads, and ``dtype``, the narrowest signed integer type that holds
-    the largest absolute row sum (int8 for descents, int16 for
-    inversions at n = 200).  Given the matrix ``m`` of ``mint``, the
-    set-up reads that sum off ``m.row_sums`` and a built-in's diagonals
-    off its window.
+    """The per-matrix set-up of :func:`inner_sums` on the matrix ``m``,
+    made once and shared by every block of rows: ``mint``, L * M from
+    :func:`integer_matrix`, which refuses oversized entries;
+    ``fill(keys, out)``, the kernel that :func:`banded_offsets` picks bound
+    to the arrays it reads; and ``dtype``, the narrowest signed integer
+    type that holds the largest absolute row sum (int8 for descents, int16
+    for inversions at n = 200).  The set-up reads that sum off
+    ``m.row_sums`` and a built-in's diagonals off its window.
 
     The arrays the kernel reads are cast to ``dtype`` here, once, so its
     cell updates run in that type.  They cannot overflow: every value
@@ -491,14 +489,11 @@ class InnerKernel:
     absolute value is at most that row's absolute sum, which ``dtype``
     holds."""
 
-    def __init__(self, mint: np.ndarray, m: AntisymmetricMatrix | None = None) -> None:
-        self.mint = mint
-        self.n = mint.shape[0]
-        if m is None:
-            bound, offsets = int(np.abs(mint).sum(axis=1).max()), banded_offsets(mint)
-        else:
-            bound, offsets = max(m.row_sums[1]), banded_offsets(mint, m.window)
-        self.dtype = dtype = signed_type(bound)
+    def __init__(self, m: AntisymmetricMatrix) -> None:
+        self.mint = mint = integer_matrix(m)
+        self.n = m.n
+        offsets = banded_offsets(mint, m.window)
+        self.dtype = dtype = signed_type(max(m.row_sums[1]))
         if offsets is None:
             self.fill = functools.partial(
                 remainder_sums,
@@ -506,16 +501,16 @@ class InnerKernel:
                 totals=mint.sum(axis=1).astype(dtype),
             )
         else:
-            self.fill = functools.partial(
-                diagonal_sums,
-                below=np.tril(mint).sum(axis=1).astype(dtype),
-                diagonals=[(d, np.diagonal(mint, d).astype(dtype)) for d in offsets],
-            )
+            diagonals = [(d, np.diagonal(mint, d).astype(dtype)) for d in offsets]
+            below = np.zeros(m.n, dtype=dtype)  # sum_{u < w} M[w][u], as M[u + d][u] = -M[u][u + d]
+            for d, diagonal in diagonals:
+                below[d:] -= diagonal
+            self.fill = functools.partial(diagonal_sums, below=below, diagonals=diagonals)
 
 
 def inner_sums(keys: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = None) -> np.ndarray:
     """inner[t, v] = sum of M[v][u] over the values u after v in row t,
-    with ``kernel = InnerKernel(mint)``, written to ``out``, a C-contiguous
+    with ``kernel = InnerKernel(m)``, written to ``out``, a C-contiguous
     (rows, n) array (int64 if None).
 
     Row t orders the values by increasing key ``keys[t, v]``, an integer

@@ -92,9 +92,8 @@ def pair_samples(pick: np.ndarray, tiles: Iterator[tuple[int, np.ndarray, np.nda
 def sample_pair(spec: StatisticSpec, rng: np.random.Generator) -> PairSample:
     """Draw pi uniform on S_n and one chain step from it: one row of
     ``_sn.draw``, fully determined by the generator state."""
-    sigma = math.sqrt(spec.variance)
-    mint, scale = _sn.integer_matrix(_sn.checked_x_bound(spec.matrix))
-    (a,), (b,), (i,) = next(pair_samples(*_sn.draw(_sn.InnerKernel(mint, spec.matrix), 1, rng)))
+    sigma, scale = math.sqrt(spec.variance), spec.matrix.scale
+    (a,), (b,), (i,) = next(pair_samples(*_sn.draw(_sn.InnerKernel(_sn.checked_x_bound(spec.matrix)), 1, rng)))
     return PairSample(Fraction(a, scale), Fraction(b, scale), a / scale / sigma, b / scale / sigma, i)
 
 
@@ -108,4 +107,4 @@ def unit_step_check(n: int, limit: int | None = None) -> bool:
     >>> unit_step_check(5)
     True
     """
-    return _sn.exact_sums(descents_matrix(n), limit)[1].max_inner <= 1
+    return _sn.exact_sums(descents_matrix(n), limit).max_inner <= 1

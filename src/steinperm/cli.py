@@ -119,8 +119,8 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     also feeds the bound sums and the (X, X') tally; the built-ins' Theta/Phi
     conditions are checked on every value subset at once.
     """
-    n, var, np = spec.n, spec.variance, _sn.np
-    mint, scale, sweep = _sn.sweep(spec.matrix, limit)
+    n, var, scale, np = spec.n, spec.variance, spec.matrix.scale, _sn.np
+    mint, sweep = _sn.sweep(spec.matrix, limit)
     builtin = spec.kind.value in _BUILTINS
     table = exchangeability.relabel_table(spec) if builtin else None
     suffix = _sn.suffix_table(mint)
@@ -140,7 +140,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     nfact = math.factorial(n)
     mean = Fraction(sums.sum_x, nfact * scale)
     bf_var = Fraction(sums.sum_x2, nfact * scale**2) - mean * mean
-    ing = stein_bounds.exact_ingredients(sums, spec, scale)
+    ing = stein_bounds.exact_ingredients(sums, spec)
 
     checks = [
         ("statistic_delta_consistency", ok_delta),
@@ -367,7 +367,8 @@ def cmd_sample(args) -> int:
         raise UsageError("--trials must not be negative")
     spec = _selected_spec(args)
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
-    _, scale, blocks = _sn.draws(_sn.checked_x_bound(spec.matrix), args.trials, args.seed)
+    blocks = _sn.draws(_sn.checked_x_bound(spec.matrix), args.trials, args.seed)
+    scale = spec.matrix.scale
     text = str if scale == 1 else lambda a: str(Fraction(a, scale))
     # the rows of each sub-tile; int / int rounds correctly, so a / L / sigma
     # is float(Fraction(a, L)) / sigma past 2^53 too

@@ -13,7 +13,8 @@ to the largest; :func:`eulerian_distribution` and
 :func:`mahonian_distribution` run it to one n; :data:`BUILTINS` holds each
 built-in's generator, cap, law function, Var X and the recurrence
 (:func:`descent_sums`, :func:`inversion_sums`) that gives the sums behind
-its exact bounds.  :func:`_sn.exact_sums` counts integer matrices over
+its exact bounds, the level sets of X among them, off which ``ExactSums``
+reads X's moments.  :func:`_sn.exact_sums` counts integer matrices over
 S_n.  :func:`standardize` shifts each atom and forms each probability by
 one correctly rounded int/int division, one per mirrored pair of counts
 (and of atoms, for a law centred on its mean), with no Fraction per atom;
@@ -185,14 +186,6 @@ def mahonian_distribution(n: int, cap: int = MAHONIAN_CAP) -> IntegerDistributio
     return next(laws(mahonian_rows(), {n}))
 
 
-def _level_moments(sums: ExactSums) -> ExactSums:
-    """``sums`` with sum_x, sum_x2 and sum_q taken from its level sets."""
-    sums.sum_x = sum(x * c for x, c in sums.level_count.items())
-    sums.sum_x2 = sum(x * x * c for x, c in sums.level_count.items())
-    sums.sum_q = sum(sums.level_q.values())
-    return sums
-
-
 def descent_sums(n: int) -> ExactSums:
     """The :class:`ExactSums` of the descents matrix over S_n, by the
     peak and descent insertion of Carlitz and Scoville (1974).
@@ -233,9 +226,9 @@ def descent_sums(n: int) -> ExactSums:
                 sums.level_count[x] += c
                 sums.level_q[x] += c * q
                 sums.sum_q2 += c * q * q
-    sums.sum_abs_d3 = 2 * sum(sums.level_q.values())
+    sums.sum_abs_d3 = 2 * sums.sum_q
     sums.max_inner = min(n - 1, 1)
-    return _level_moments(sums)
+    return sums
 
 
 def inversion_sums(n: int) -> ExactSums:
@@ -281,7 +274,7 @@ def inversion_sums(n: int) -> ExactSums:
     # r + 1 divides n!, so each E|Y_r|^3 n! is an integer
     sums.sum_abs_d3 = 8 * sum(nfact // (r + 1) * sum(abs(2 * c - r) ** 3 for c in range(r + 1)) for r in range(n))
     sums.max_inner = n - 1
-    return _level_moments(sums)
+    return sums
 
 
 class Builtin(NamedTuple):
@@ -309,8 +302,7 @@ def generic_distribution(m: AntisymmetricMatrix, limit: int | None = None) -> In
     """Exact counts of the statistic over S_n for an integer matrix."""
     if m.scale != 1:
         raise ValueError("exact counting requires integer matrix entries")
-    _, sums = _sn.exact_sums(m, limit)
-    tally = sums.level_count
+    tally = _sn.exact_sums(m, limit).level_count
     lo, hi = min(tally), max(tally)
     counts = tuple(tally.get(v, 0) for v in range(lo, hi + 1))
     return IntegerDistribution(n=m.n, min_value=lo, counts=counts, total=math.factorial(m.n))

@@ -309,8 +309,8 @@ def joint_distribution(m: AntisymmetricMatrix, n: int, limit: int | None = None)
     """Enumerate S_n x {1..n} and tally the unnormalized pair values."""
     if m.n != n:
         raise ValueError(f"matrix is {m.n}x{m.n}, expected {n}x{n}")
-    _, scale, sweep = _sn.sweep(m, limit)
-    dist = PairDistribution({}, scale)
+    _, sweep = _sn.sweep(m, limit)
+    dist = PairDistribution({}, m.scale)
     for _, inner in sweep:
         dist.add(inner)
     return dist

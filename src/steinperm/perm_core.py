@@ -362,7 +362,7 @@ def brute_force_moments(
     """
     from . import _sn
 
-    scale, sums = _sn.exact_sums(m, limit)
+    sums, scale = _sn.exact_sums(m, limit), m.scale
     nfact = math.factorial(m.n)
     mean = Fraction(sums.sum_x, nfact * scale)
     second = Fraction(sums.sum_x2, nfact * scale * scale)
@@ -374,19 +374,32 @@ class ExactSums:
 
     With inner_i = sum_{j > i} L M[p(i)][p(j)], the suffix sum at position
     i: X = sum_i inner_i, the step moving position i to the end has
-    X' - X = -2 inner_i, and q_pi = sum_i (X' - X)^2.  ``sum_x``, ``sum_x2``,
-    ``sum_q`` and ``sum_q2`` sum X, X^2, q_pi and q_pi^2 over S_n,
-    ``sum_abs_d3`` sums |X' - X|^3 over S_n x {1..n} and ``max_inner`` is
-    the largest |inner_i|.  The W-conditioned variance needs the level sets
-    of X, kept sparse as counts (``level_count``) and sums of q_pi
-    (``level_q``) by value.  ``_sn.ExactSums`` fills them from a sweep and
-    ``exact_dist.BUILTINS`` from the built-ins' recurrences.
+    X' - X = -2 inner_i, and q_pi = sum_i (X' - X)^2.  The level sets of X
+    are kept sparse as counts (``level_count``) and sums of q_pi
+    (``level_q``) by value, and the read-only ``sum_x``, ``sum_x2`` and
+    ``sum_q``, the sums of X, X^2 and q_pi over S_n, are read off them.
+    ``sum_q2`` sums q_pi^2 over S_n, ``sum_abs_d3`` sums |X' - X|^3 over
+    S_n x {1..n} and ``max_inner`` is the largest |inner_i|.
+    ``_sn.ExactSums`` fills them from a sweep and ``exact_dist.BUILTINS``
+    from the built-ins' recurrences.
     """
 
     def __init__(self) -> None:
-        self.sum_x = self.sum_x2 = self.sum_q = self.sum_q2 = self.sum_abs_d3 = self.max_inner = 0
+        self.sum_q2 = self.sum_abs_d3 = self.max_inner = 0
         self.level_count: Counter[int] = Counter()
         self.level_q: Counter[int] = Counter()
+
+    @property
+    def sum_x(self) -> int:
+        return sum(x * c for x, c in self.level_count.items())
+
+    @property
+    def sum_x2(self) -> int:
+        return sum(x * x * c for x, c in self.level_count.items())
+
+    @property
+    def sum_q(self) -> int:
+        return sum(self.level_q.values())
 
 
 def check_int64_entries(n: int, rows) -> int:

@@ -100,11 +100,11 @@ def a_max(spec: StatisticSpec) -> float:
     return 2 * float(Fraction(worst, 2 * spec.matrix.scale)) / sigma
 
 
-def exact_ingredients(sums: ExactSums, spec: StatisticSpec, scale: int) -> BoundIngredients:
+def exact_ingredients(sums: ExactSums, spec: StatisticSpec) -> BoundIngredients:
     """The exact bound ingredients from ``sums`` over the whole of S_n,
-    on the matrix L * M with L = ``scale``, as :func:`_sn.exact_sums` or a
-    built-in's recurrence gives them."""
-    n = spec.n
+    on the matrix L * M with L = ``spec.matrix.scale``, as
+    :func:`_sn.exact_sums` or a built-in's recurrence (L = 1) gives them."""
+    n, scale = spec.n, spec.matrix.scale
     var = spec.variance
     nfact = math.factorial(n)
     e_diff_sq_x = Fraction(sums.sum_q, nfact * n * scale**2)
@@ -155,10 +155,10 @@ def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIng
     """
     spec.variance  # refuse a zero-variance statistic before any work
     if spec.kind is StatisticKind.CUSTOM:
-        scale, sums = _sn.exact_sums(spec.matrix, limit)
+        sums = _sn.exact_sums(spec.matrix, limit)
     else:
-        scale, sums = 1, exact_dist.BUILTINS[spec.kind].sums(check_enum_limit(spec.n, limit))
-    return exact_ingredients(sums, spec, scale)
+        sums = exact_dist.BUILTINS[spec.kind].sums(check_enum_limit(spec.n, limit))
+    return exact_ingredients(sums, spec)
 
 
 def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredients:
@@ -176,8 +176,8 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
         raise ValueError("need at least 2 trials")
     n = spec.n
     sigma = math.sqrt(spec.variance)  # refuses zero variance before any draw
-    _, scale, blocks = _sn.draws(spec.matrix, trials, seed)
-    sigma_x = sigma * scale
+    blocks = _sn.draws(spec.matrix, trials, seed)
+    sigma_x = sigma * spec.matrix.scale
     c_center = 4.0 / n  # exact mean of c_pi, used to stabilize moments
 
     block_sums: list[list[float]] = []

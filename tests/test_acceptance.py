@@ -202,11 +202,11 @@ def test_criterion_05_pair_second_moment():
     ok = True
     for n in range(3, 8):
         for spec in _all_specs(n):
-            mint, scale = _sn.integer_matrix(spec.matrix)
+            mint, scale = _sn.integer_matrix(spec.matrix), spec.matrix.scale
             size = _sn.checked_chunk_size(n, mint)
             total = 0
             for perms in _sn.chunks(n, size):
-                d = 2 * _sn.inner_sums(perms, _sn.InnerKernel(mint))
+                d = 2 * _sn.inner_sums(perms, _sn.InnerKernel(spec.matrix))
                 total += int((d * d).sum())
             var = variance_formula(spec.matrix).variance
             if Fraction(total, scale**2) != 4 * math.factorial(n) * var:

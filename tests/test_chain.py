@@ -226,7 +226,7 @@ class TestPairLaw:
         stats = pytest.importorskip("scipy.stats")
         n = self.N
         matrix = self._matrix(kind, n)
-        mint, scale = _sn.integer_matrix(matrix)
+        mint = _sn.integer_matrix(matrix)
         assert (_sn.banded_offsets(mint) is not None) == banded
         perms = np.concatenate(list(_sn.chunks(n)))
         inner = _sn.table_inner(perms, _sn.suffix_table(mint))
@@ -235,7 +235,7 @@ class TestPairLaw:
         for i in range(n):
             exact.update(zip([i + 1] * len(x), x.tolist(), (x - 2 * inner[:, i]).tolist()))
         assert sum(exact.values()) == math.factorial(n) * n
-        _, scale, blocks = _sn.draws(matrix, self.TRIALS, 2024)
+        blocks = _sn.draws(matrix, self.TRIALS, 2024)
         seen = Counter(
             (i, a, b) for block in blocks for xs, xps, pos in pair_samples(*block) for a, b, i in zip(xs, xps, pos)
         )

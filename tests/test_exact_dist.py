@@ -330,7 +330,7 @@ class TestBuiltinSums:
         from steinperm import _sn
 
         got = BUILTINS[kind].sums(n)
-        _, want = _sn.exact_sums(spec_for(kind, n).matrix, n)
+        want = _sn.exact_sums(spec_for(kind, n).matrix, n)
         assert exact_sums_fields(got) == exact_sums_fields(want)
         assert 0 not in got.level_count.values()
 
@@ -340,7 +340,7 @@ class TestBuiltinSums:
 
         for n in range(2, 61):
             spec = spec_for(StatisticKind.DESCENTS, n)
-            ing = stein_bounds.exact_ingredients(BUILTINS[StatisticKind.DESCENTS].sums(n), spec, 1)
+            ing = stein_bounds.exact_ingredients(BUILTINS[StatisticKind.DESCENTS].sums(n), spec)
             assert (ing.var_cond_pi_w == Fraction(128, 5 * n * n * (n + 1))) == (n >= 4), n
 
     @pytest.mark.parametrize("kind", [StatisticKind.DESCENTS, StatisticKind.INVERSIONS])
@@ -355,6 +355,54 @@ class TestBuiltinSums:
         with pytest.raises(EnumerationLimitError):
             stein_bounds.ingredients_exact(spec_for(kind, 11))
         assert stein_bounds.ingredients_exact(spec_for(kind, 11), 11).n == 11
+
+
+def _rational_matrix(n):
+    return AntisymmetricMatrix.from_rows([[str(Fraction(j - i, 2 + (i + j) % 3)) for j in range(n)] for i in range(n)])
+
+
+def _swept_sums(n):
+    from steinperm import _sn
+
+    sums = _sn.ExactSums()
+    for _, inner in _sn.sweep(_rational_matrix(n))[1]:
+        sums.add(inner)
+    return sums
+
+
+def _prefix_set_sums(n):
+    from steinperm import _sn
+
+    sums = _sn.ExactSums()
+    _sn.prefix_set_sums(_sn.integer_matrix(_rational_matrix(n)), sums)
+    return sums
+
+
+class TestLevelSetFillers:
+    """Every filler of ``ExactSums`` fills the level sets of X, off which
+    the moments of X are read: the sweep's ``add`` and the prefix-set
+    program on a rational matrix, and the built-ins' recurrences."""
+
+    FILLERS = {
+        "sweep": _swept_sums,
+        "prefix-sets": _prefix_set_sums,
+        "descents": BUILTINS[StatisticKind.DESCENTS].sums,
+        "inversions": BUILTINS[StatisticKind.INVERSIONS].sums,
+    }
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("filler", sorted(FILLERS))
+    def test_levels_cover_s_n(self, filler, n):
+        sums = self.FILLERS[filler](n)
+        assert sum(sums.level_count.values()) == math.factorial(n)
+        assert 0 not in sums.level_count.values()
+        assert sums.sum_x == 0  # reversing pi maps X to -X
+
+    @pytest.mark.parametrize("name", ["sum_x", "sum_x2", "sum_q"])
+    def test_moments_are_read_only(self, name):
+        sums = BUILTINS[StatisticKind.DESCENTS].sums(4)
+        with pytest.raises(AttributeError):
+            setattr(sums, name, 0)
 
 
 class TestDistributionType:

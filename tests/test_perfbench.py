@@ -1,7 +1,7 @@
 """The benchmark's own checks against this tree, each in a fresh
-interpreter: ``perfbench/selftest.py``, and one short ``mc-draws`` and
-one short ``exact-verify`` run, whose outputs must all pass
-``perfbench/checks.py``."""
+interpreter: ``perfbench/selftest.py``, and one short ``mc-draws``,
+``exact-verify`` and ``exact-bounds`` run each, whose outputs must all
+pass ``perfbench/checks.py``."""
 
 import json
 import subprocess
@@ -39,3 +39,8 @@ def test_mc_draws_outputs_pass_the_checks():
 def test_exact_verify_outputs_pass_the_checks():
     # several verify calls in one process, all through the one parser
     _smoke("exact-verify")
+
+
+def test_exact_bounds_outputs_pass_the_checks():
+    # the prefix-set program, the recurrences and the 9e12-entry fault
+    _smoke("exact-bounds")

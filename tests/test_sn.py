@@ -37,8 +37,8 @@ from _oracles import (
 class TestSweep:
     def test_rows_and_inner_sums(self):
         m = inversions_matrix(5)
-        mint, scale, sweep = _sn.sweep(m)
-        assert scale == 1
+        mint, sweep = _sn.sweep(m)
+        assert m.scale == 1
         rows = []
         for perms, inner in sweep:
             assert np.array_equal(inner, inner_sums_gather(perms, mint))
@@ -47,15 +47,15 @@ class TestSweep:
 
     def test_rational_scale(self):
         m = AntisymmetricMatrix.from_rows([["0", "1/2", "1/3"], ["-1/2", "0", "1"], ["-1/3", "-1", "0"]])
-        mint, scale, _ = _sn.sweep(m)
-        assert scale == 6
+        mint, _ = _sn.sweep(m)
+        assert m.scale == 6
         assert mint.tolist() == [[0, 3, 2], [-3, 0, 6], [-2, -6, 0]]
 
     # a lazy guard would raise only on the first next(); these raise on the call
     def test_limit_checked_before_return(self):
         with pytest.raises(EnumerationLimitError):
             _sn.sweep(descents_matrix(11))
-        _, _, sweep = _sn.sweep(descents_matrix(4), limit=4)
+        _, sweep = _sn.sweep(descents_matrix(4), limit=4)
         assert sum(len(perms) for perms, _ in sweep) == math.factorial(4)
 
     @pytest.mark.parametrize("entry", ["9000000000000", "1/9000000000000", str(1 << 70)])
@@ -118,7 +118,7 @@ class TestSuffixTable:
 
     def test_random_moved_and_relabeled_rows(self, matrix):
         n = self.N
-        mint, _, _ = _sn.sweep(matrix)
+        mint, _ = _sn.sweep(matrix)
         table = _sn.suffix_table(mint)
         assert table.shape == (n, 1 << n)
         rng = np.random.default_rng(5)
@@ -132,7 +132,7 @@ class TestSuffixTable:
             assert np.array_equal(_sn.table_inner(rows, table), inner_sums_gather(rows, mint))
 
     def test_sweep_inner_is_the_gather(self, matrix):
-        mint, _, sweep = _sn.sweep(matrix)
+        mint, sweep = _sn.sweep(matrix)
         total = 0
         for perms, inner in sweep:
             assert np.array_equal(inner, inner_sums_gather(perms, mint))
@@ -140,7 +140,7 @@ class TestSuffixTable:
         assert total == math.factorial(self.N)
 
     def test_near_limit_is_at_the_limit(self):
-        mint, _ = _sn.integer_matrix(_near_limit_matrix(self.N))
+        mint = _sn.integer_matrix(_near_limit_matrix(self.N))
         k = _largest_guarded_entry(self.N)
         assert mint[0, 1] == -k and np.abs(mint).max() == k
         with pytest.raises(ValueError, match="too large"):
@@ -201,7 +201,7 @@ class TestMovedAndRelabeledX:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("kind", ["descents", "inversions", "integer", "rational", "near-limit"])
     def test_equals_row_copies(self, kind, n):
-        mint, _ = _sn.integer_matrix(self.matrix(kind, n))
+        mint = _sn.integer_matrix(self.matrix(kind, n))
         suffix = _sn.suffix_table(mint)
         perms = self.rows(n)
         for spec in (descents_spec(n), inversions_spec(n)):
@@ -211,7 +211,7 @@ class TestMovedAndRelabeledX:
     @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
     def test_own_table_swaps_pair_values(self, make, n):
         spec = make(n)
-        mint, _ = _sn.integer_matrix(spec.matrix)
+        mint = _sn.integer_matrix(spec.matrix)
         suffix = _sn.suffix_table(mint)
         perms = self.rows(n)
         inner = _sn.table_inner(perms, suffix)
@@ -222,7 +222,7 @@ class TestMovedAndRelabeledX:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_altered_suffix_entry(self, n):
-        mint, _ = _sn.integer_matrix(inversions_matrix(n))
+        mint = _sn.integer_matrix(inversions_matrix(n))
         suffix = _sn.suffix_table(mint)
         perms = self.rows(n)
         table = exchangeability.relabel_table(inversions_spec(n))
@@ -248,7 +248,7 @@ class TestMovedAndRelabeledX:
         rng = np.random.default_rng(seed)
         m = random_antisymmetric_matrix(n, rng)
         m = AntisymmetricMatrix.from_rows([[e / scale for e in row] for row in m.entries])
-        mint, _ = _sn.integer_matrix(m)
+        mint = _sn.integer_matrix(m)
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (50, 1)), axis=1)
         table = exchangeability.relabel_table(descents_spec(n) if kind == "descents" else inversions_spec(n))
         self.assert_row_copies(perms, _sn.suffix_table(mint), table)
@@ -260,13 +260,13 @@ class TestChunkSize:
 
     def test_near_limit_sweeps_in_one_chunk(self):
         n = 8
-        _, _, sweep = _sn.sweep(_near_limit_matrix(n))
+        _, sweep = _sn.sweep(_near_limit_matrix(n))
         assert [len(perms) for perms, _ in sweep] == [math.factorial(n)]
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_near_limit_sums_in_python_ints(self, n):
         m = _near_limit_matrix(n)
-        mint, _ = _sn.integer_matrix(m)
+        mint = _sn.integer_matrix(m)
         inner = inner_sums_gather(np.array(list(permutations(range(n))), dtype=np.int64), mint)
         inner = inner.astype(object)
         x = inner.sum(axis=1)
@@ -280,7 +280,7 @@ class TestChunkSize:
             dict(level_count), dict(level_q),
         )
         assert (q * q).sum() > 1 << 63  # one int64 sum over all of S_n would wrap
-        _, got = _swept(m)
+        got = _swept(m)
         assert exact_sums_fields(got) == want
 
 
@@ -371,21 +371,21 @@ class TestInnerSums:
     KINDS = ["descents", "inversions", "banded", "corner", "zero", "rational", "row-sum-limit"]
 
     @staticmethod
-    def _kernels(mint):
+    def _kernels(matrix):
         """The InnerKernel that banded_offsets picks, then one forced to
         each kernel: the remainder, and the diagonals over every offset
         with a nonzero entry."""
-        kernels = [_sn.InnerKernel(mint)]
-        for offsets in (None, _nonzero_offsets(mint)):
+        kernels = [_sn.InnerKernel(matrix)]
+        for offsets in (None, _nonzero_offsets(kernels[0].mint)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_sn, "banded_offsets", lambda mint, offsets=offsets: offsets)
-                kernels.append(_sn.InnerKernel(mint))
+                mp.setattr(_sn, "banded_offsets", lambda mint, window, offsets=offsets: offsets)
+                kernels.append(_sn.InnerKernel(matrix))
         return kernels
 
     @classmethod
     def _check(cls, matrix, rows):
         # keys as the draw makes them, and a permutation's positions
-        mint, _ = _sn.integer_matrix(matrix)
+        mint = _sn.integer_matrix(matrix)
         n = matrix.n
         rng = np.random.default_rng(rows)
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (rows, 1)), axis=1)
@@ -395,7 +395,7 @@ class TestInnerSums:
             (np.argsort(perms, axis=1), value_order(perms, inner_sums_gather(perms, mint))),
         ]
         for keys, want in cases:
-            for kernel in cls._kernels(mint):
+            for kernel in cls._kernels(matrix):
                 inner = _sn.inner_sums(keys, kernel)
                 assert inner.dtype == np.int64 and inner.shape == (rows, n)
                 assert np.array_equal(inner, want)
@@ -423,7 +423,8 @@ class TestInnerSums:
         ("row-sum-limit", 7, None),
     ])
     def test_selection(self, kind, n, offsets, monkeypatch):
-        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, n))
+        matrix = _kernel_matrix(kind, n)
+        mint = _sn.integer_matrix(matrix)
         assert _sn.banded_offsets(mint) == offsets
         ran = []
         for name in ("remainder_sums", "diagonal_sums"):
@@ -431,11 +432,11 @@ class TestInnerSums:
             monkeypatch.setattr(
                 _sn, name, lambda *args, name=name, kernel=kernel, **kw: ran.append(name) or kernel(*args, **kw)
             )
-        _sn.inner_sums(np.tile(np.arange(n, dtype=np.int64), (3, 1)), _sn.InnerKernel(mint))
+        _sn.inner_sums(np.tile(np.arange(n, dtype=np.int64), (3, 1)), _sn.InnerKernel(matrix))
         assert ran == ["remainder_sums" if offsets is None else "diagonal_sums"]
 
     def test_row_sum_limit_is_at_the_limit(self):
-        mint, _ = _sn.integer_matrix(_row_sum_limit_matrix(7))
+        mint = _sn.integer_matrix(_row_sum_limit_matrix(7))
         assert int(np.abs(mint).sum(axis=1).max()) == (1 << 62) - 1
         assert int(mint[0].sum()) == -((1 << 62) - 1)
 
@@ -458,25 +459,23 @@ class TestInnerSums:
         # row 0 has absolute sum ``bound``, split over two entries of
         # opposite sign; the other rows stay below it
         a = bound // 2
-        mint, _ = _sn.integer_matrix(_antisymmetric_matrix(3, {(0, 1): a, (0, 2): a - bound}))
-        assert int(np.abs(mint).sum(axis=1).max()) == bound
-        assert _sn.InnerKernel(mint).dtype == dtype
+        matrix = _antisymmetric_matrix(3, {(0, 1): a, (0, 2): a - bound})
+        assert int(np.abs(_sn.integer_matrix(matrix)).sum(axis=1).max()) == bound
+        assert _sn.InnerKernel(matrix).dtype == dtype
 
     @pytest.mark.parametrize("kind, n, dtype", [
         ("descents", 200, np.int8), ("inversions", 200, np.int16), ("inversions", 128, np.int8),
         ("inversions", 129, np.int16), ("row-sum-limit", 7, np.int64),
     ])
     def test_builtin_dtypes(self, kind, n, dtype):
-        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, n))
-        assert _sn.InnerKernel(mint).dtype == dtype
+        assert _sn.InnerKernel(_kernel_matrix(kind, n)).dtype == dtype
 
     EDGES = [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)]
 
     @pytest.mark.parametrize("bound, dtype", EDGES)
     @pytest.mark.parametrize("form", ["dense", "banded"])
     def test_bound_arrays_in_the_kernel_dtype(self, bound, dtype, form):
-        mint, _ = _sn.integer_matrix(_dtype_edge_matrix(7, bound, form))
-        for kernel in self._kernels(mint):
+        for kernel in self._kernels(_dtype_edge_matrix(7, bound, form)):
             assert kernel.dtype == dtype
             kw = kernel.fill.keywords
             if "cols" in kw:
@@ -492,7 +491,8 @@ class TestInnerSums:
     @pytest.mark.parametrize("form", ["dense", "banded"])
     @pytest.mark.parametrize("n", [7, 40])
     def test_kernels_at_the_dtype_edges_equal_the_int64_oracle(self, bound, form, n):
-        mint, _ = _sn.integer_matrix(_dtype_edge_matrix(n, bound, form))
+        matrix = _dtype_edge_matrix(n, bound, form)
+        mint = _sn.integer_matrix(matrix)
         assert int(np.abs(mint).sum(axis=1).max()) == bound
         assert (_sn.banded_offsets(mint) is None) == (form == "dense")
         if n <= 10:
@@ -507,7 +507,7 @@ class TestInnerSums:
         want = value_order(perms, want)
         positions = np.argsort(perms, axis=1)
         for keys in (positions, (1 << _sn.KEY_BITS) - n + positions.astype(np.uint64)):
-            for kernel in self._kernels(mint):
+            for kernel in self._kernels(matrix):
                 assert np.array_equal(_sn.inner_sums(keys, kernel), want)
                 narrow = _sn.inner_sums(keys, kernel, np.empty(keys.shape, dtype=kernel.dtype))
                 assert np.array_equal(narrow, want)
@@ -522,25 +522,25 @@ class TestBuiltinWindow:
     def test_against_the_rows(self, kind):
         for n in BUILTIN_SIZES:
             m = spec_for(kind, n).matrix
-            mint, scale = _sn.integer_matrix(m)
+            mint = _sn.integer_matrix(m)
             assert _sn.checked_x_bound(m) is m
-            kernel = _sn.InnerKernel(mint, m)
+            kernel = _sn.InnerKernel(m)
             assert "rows" not in vars(m)
             want = np.array(builtin_rows(kind, n), dtype=np.int64).reshape(n, n)
-            assert scale == 1 and mint.dtype == np.int64 and mint.flags.c_contiguous and mint.flags.writeable
+            assert m.scale == 1 and mint.dtype == np.int64 and mint.flags.c_contiguous and mint.flags.writeable
             assert np.array_equal(mint, want)
             # the per-diagonal loop over the array, the offsets of every nonzero entry
             offsets = _sn.banded_offsets(want)
             assert _sn.banded_offsets(mint, m.window) == offsets
             assert offsets == (_nonzero_offsets(want) if kind == "descents" or n < 3 else None)
-            rows_kernel = _sn.InnerKernel(want)
+            rows_kernel = _sn.InnerKernel(AntisymmetricMatrix.from_rows(builtin_rows(kind, n)))
             assert kernel.dtype == rows_kernel.dtype
             assert kernel.fill.func is rows_kernel.fill.func
 
     @pytest.mark.parametrize("kind", ["descents", "inversions"])
     def test_same_draws_as_the_rows(self, kind):
         def drawn(matrix):  # one block of two sub-tiles at n = 200
-            _, _, ((pick, tiles),) = _sn.draws(matrix, 300, 7)
+            ((pick, tiles),) = _sn.draws(matrix, 300, 7)
             return pick, [(start, keys.copy(), inner.copy()) for start, keys, inner in tiles]
 
         pick, tiles = drawn(spec_for(kind, 200).matrix)
@@ -567,7 +567,7 @@ class TestRowSumGuard:
             ingredients_mc(custom_spec(m), 10, 1)
 
     def test_row_sum_below_2_62_accepted(self):
-        mint, _ = _sn.integer_matrix(self._matrix(1 << 61, (1 << 61) - 1))
+        mint = _sn.integer_matrix(self._matrix(1 << 61, (1 << 61) - 1))
         assert int(mint[0].sum()) == (1 << 62) - 1
 
 
@@ -577,9 +577,10 @@ class TestDraws:
 
     @staticmethod
     def _check(m, trials, seed):
-        mint, scale, blocks = _sn.draws(m, trials, seed)
+        blocks = _sn.draws(m, trials, seed)
+        mint, scale = _sn.integer_matrix(m), m.scale
         n = m.n
-        dtype = _sn.InnerKernel(mint).dtype
+        dtype = _sn.InnerKernel(m).dtype
         small = np.min_scalar_type(n - 1)
         height = _sn.tile_height(n)
         sizes = []
@@ -639,7 +640,7 @@ class TestDraws:
 
     def test_one_inner_buffer(self):
         # every sub-tile's inner is a view of one buffer of one sub-tile's rows
-        (_, tiles), = _sn.draws(inversions_matrix(30), 5000, 1)[2]
+        (_, tiles), = _sn.draws(inversions_matrix(30), 5000, 1)
         views = [inner for _, _, inner in tiles]
         assert len(views) == -(-5000 // _sn.tile_height(30))
         assert views[0].base is not None and views[0].base.shape == (_sn.tile_height(30), 30)
@@ -725,14 +726,15 @@ class TestTiedKeys:
     @pytest.mark.parametrize("n", [2, 7])
     def test_index_order(self, kind, n, monkeypatch):
         monkeypatch.setattr(_sn, "ROW_BLOCK_CELLS", 13 * n)  # sub-tiles of 13 rows
-        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, n))
+        matrix = _kernel_matrix(kind, n)
+        mint = _sn.integer_matrix(matrix)
         stub = _TiedKeys(n)
         perms, want_pick, want_pos, want = draw_whole_tile(mint, 400, stub)
         ranked = np.take_along_axis(stub.drawn[0], perms, axis=1)
         tie = ranked[:, 1:] == ranked[:, :-1]
         assert tie.any(axis=1).all() if n == 7 else 0 < tie.any(axis=1).sum() < 400
         assert (perms[:, 1:][tie] > perms[:, :-1][tie]).all()  # the lower index first
-        for kernel in TestInnerSums._kernels(mint):
+        for kernel in TestInnerSums._kernels(matrix):
             pick, tiles = _sn.draw(kernel, 400, _TiedKeys(n))
             kept = []
             xs, xps, positions = _pairs(pick, _copied(tiles, kept))
@@ -751,11 +753,12 @@ class TestTiedKeys:
     @pytest.mark.parametrize("kind", ["inversions", "banded"])
     def test_kernels_on_tied_keys(self, kind):
         # keys with one tie in some rows only, each broken by value index
-        mint, _ = _sn.integer_matrix(_kernel_matrix(kind, 6))
+        matrix = _kernel_matrix(kind, 6)
+        mint = _sn.integer_matrix(matrix)
         keys = np.random.default_rng(2).integers(0, 1 << _sn.KEY_BITS, (50, 6), dtype=np.uint64)
         keys[::7, 4] = keys[::7, 1]
         for tile in (keys[1:7], keys):
-            for kernel in TestInnerSums._kernels(mint):
+            for kernel in TestInnerSums._kernels(matrix):
                 assert np.array_equal(_sn.inner_sums(tile, kernel), keyed_gather(tile, mint))
 
     @pytest.mark.parametrize("n", [2, 3, 2047, 2048, 2049])
@@ -774,12 +777,12 @@ class TestTiedKeys:
 
 
 def _swept(m):
-    """The oracle: ``ExactSums.add`` over every chunk of the sweep; (L, sums)."""
-    _, scale, sweep = _sn.sweep(m)
+    """The oracle: ``ExactSums.add`` over every chunk of the sweep."""
+    _, sweep = _sn.sweep(m)
     sums = _sn.ExactSums()
     for _, inner in sweep:
         sums.add(inner)
-    return scale, sums
+    return sums
 
 
 _ENTRIES = {
@@ -860,14 +863,12 @@ class TestExactSums:
     @example(m=zero_matrix(1))
     @example(m=_pair_matrix(2, 4))
     def test_equals_the_sweep(self, m):
-        scale, want = _swept(m)
-        mint, _ = _sn.integer_matrix(m)
+        want = _swept(m)
+        mint = _sn.integer_matrix(m)
         dp = _sn.ExactSums()
         _sn.prefix_set_sums(mint, dp)
         assert exact_sums_fields(dp) == exact_sums_fields(want)
-        got_scale, got = _sn.exact_sums(m, None)
-        assert got_scale == scale
-        assert exact_sums_fields(got) == exact_sums_fields(want)
+        assert exact_sums_fields(_sn.exact_sums(m, None)) == exact_sums_fields(want)
 
     @pytest.mark.parametrize("kind", ["descents", "inversions", "rational", "near-limit"])
     def test_no_rows_swept(self, kind, monkeypatch):
@@ -886,7 +887,7 @@ class TestExactSums:
         # c_k = 2g ceil(b_k / 2g), plus 1 MiB for the 2^n-long tables.  At
         # the full width 2 b_k + 1 the same three blocks alone take twice that.
         m = _drawn_matrix(12, list(range(-12, 13)), 12)
-        mint, _ = _sn.integer_matrix(m)
+        mint = _sn.integer_matrix(m)
         n, b = 12, _layer_bounds(mint)
         stride = 2 * math.gcd(*mint.ravel().tolist())
         pad = int(np.abs(mint).sum(axis=1).max())
@@ -921,10 +922,11 @@ class TestExactSums:
         with pytest.raises(EnumerationLimitError):
             _sn.exact_sums(descents_matrix(5), 4)
 
-    def test_wide_matrix_takes_the_sweep(self, monkeypatch):
-        # entries +-600 at n = 9: C(9, 4) (2B + 1) = 126 * 43201 > PREFIX_DP_CELLS.
-        # At n = 7 and 8 no entries pass both that and the int64 guard
-        # (4n (nK)^2)^2 <= 2^62, which allows K <= 1251 and 1024 there.
+    @staticmethod
+    def _wide_matrix():
+        # entries +-600 at n = 9: B = 36 * 600 and g = 600, so no layer has
+        # more than C(9, 4) (2 ceil(B / 1200) + 1) = 126 * 37 slots, where
+        # the full width 2B + 1 would take 126 * 43201 > PREFIX_DP_CELLS
         rng = np.random.default_rng(8)
         n = 9
         rows = [["0"] * n for _ in range(n)]
@@ -932,8 +934,29 @@ class TestExactSums:
             for j in range(i + 1, n):
                 e = 600 * int(rng.choice([-1, 1]))
                 rows[i][j], rows[j][i] = str(e), str(-e)
-        m = AntisymmetricMatrix.from_rows(rows)
-        scale, want = _swept(m)
+        return AntisymmetricMatrix.from_rows(rows)
+
+    def test_wide_matrix_takes_the_program(self, monkeypatch):
+        m = self._wide_matrix()
+        want = _swept(m)
+
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(_sn, "chunks", no_chunks)
+        assert 126 * 37 <= _sn.PREFIX_DP_CELLS < 126 * 43201
+        assert exact_sums_fields(_sn.exact_sums(m, None)) == exact_sums_fields(want)
+        assert len(want.level_count) == 19
+        spec = custom_spec(m)
+        assert ingredients_exact(spec) == stein_bounds.exact_ingredients(want, spec)
+        # the count is exact: a cap of the layers' 126 * 37 slots still admits it
+        monkeypatch.setattr(_sn, "PREFIX_DP_CELLS", 126 * 37)
+        assert exact_sums_fields(_sn.exact_sums(m, None)) == exact_sums_fields(want)
+
+    def test_wide_matrix_takes_the_sweep(self, monkeypatch):
+        # a cap one below the layers' 126 * 37 slots sends the same matrix to the sweep
+        m = self._wide_matrix()
+        want = _swept(m)
         rows_swept = []
         original = _sn.chunks
 
@@ -943,11 +966,12 @@ class TestExactSums:
                 yield block
 
         monkeypatch.setattr(_sn, "chunks", counting_chunks)
+        monkeypatch.setattr(_sn, "PREFIX_DP_CELLS", 126 * 37 - 1)
         spec = custom_spec(m)
-        assert ingredients_exact(spec) == stein_bounds.exact_ingredients(want, spec, scale)
+        assert ingredients_exact(spec) == stein_bounds.exact_ingredients(want, spec)
         dist = generic_distribution(m)
         assert dict(dist.support()) == dict(want.level_count)
-        assert sum(rows_swept) == 2 * math.factorial(n)
+        assert sum(rows_swept) == 2 * math.factorial(m.n)
 
     @pytest.mark.parametrize(
         "matrix, law, n",
@@ -961,10 +985,10 @@ class TestExactSums:
 
         monkeypatch.setattr(_sn, "chunks", no_chunks)
         m = matrix(n)
-        scale, sums = _sn.exact_sums(m, n)
+        sums = _sn.exact_sums(m, n)
         counts = law(n).counts
         pairs = len(counts) - 1
-        assert scale == 1
+        assert m.scale == 1
         assert dict(sums.level_count) == {2 * k - pairs: c for k, c in enumerate(counts)}
         assert sums.sum_x == 0
         assert sums.sum_q == 4 * math.factorial(n) * custom_spec(m).variance
@@ -973,7 +997,7 @@ class TestExactSums:
         # C(18, 9) (2B + 1) fits PREFIX_DP_CELLS for B <= 42, but with
         # M[0][1] = 10 the per-level sums of q could reach 18! * 800 > 2^62
         n, f = 18, math.factorial(18)
-        _, sums = _sn.exact_sums(_pair_matrix(n, 9), n)
+        sums = _sn.exact_sums(_pair_matrix(n, 9), n)
         assert dict(sums.level_count) == {-9: f // 2, 9: f // 2}
         assert sums.sum_q == 324 * f and sums.sum_q2 == 324**2 * f
         assert sums.sum_abs_d3 == 8 * 9**3 * f and sums.max_inner == 9

@@ -158,9 +158,9 @@ class TestIngredientsExact:
     def test_var_cond_w_against_the_per_level_fractions(self):
         rng = np.random.default_rng(21)
         spec = custom_spec(random_antisymmetric_matrix(9, rng, max_abs=20))
-        scale, sums = _sn.exact_sums(spec.matrix, None)
+        sums, scale = _sn.exact_sums(spec.matrix, None), spec.matrix.scale
         assert len(sums.level_count) >= 200
-        ing = stein_bounds.exact_ingredients(sums, spec, scale)
+        ing = stein_bounds.exact_ingredients(sums, spec)
         assert ing.var_cond_w_w == level_set_variance(sums, spec, scale)
 
     def test_random_matrices_also_satisfy_identities(self):
