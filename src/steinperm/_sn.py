@@ -30,17 +30,17 @@ Inversions and other dense matrices sort the keys (:func:`ordered`) and
 run a remainder of row sums along the order (:func:`remainder_sums`),
 n^2 cell updates per row.  Every value either kernel holds is a sum of
 distinct entries of one row, so the largest absolute row sum bounds it.
-The row-sum guard of :func:`integer_matrix` keeps that bound in int64;
-both kernels run in the narrowest signed type that holds it
-(``InnerKernel.dtype``: int8 for descents, int16 for inversions at
-n = 200).  A draw keeps no block of ``inner``: each sub-tile goes
-straight to its consumer in that type, which callers widen before
-integer arithmetic.
+:func:`row_bound` refuses that bound from 2^62 on, and both kernels run
+in the narrowest signed type that holds it (``InnerKernel.dtype``: int8
+for descents, int16 for inversions at n = 200).  A draw keeps no block
+of ``inner``: each sub-tile goes straight to its consumer in that type,
+which callers widen before integer arithmetic.
 
-Every kernel reads the matrix in its stored form, L * M in integers
-with L the lcm of all entry denominators, so every statistic computed
-from it is the exact value scaled by L.  L stays on the matrix, as
-``m.scale``: no function here returns it.
+Every kernel reads L * M in integers, L the lcm of all entry
+denominators, in the form the matrix stores it: a custom matrix's rows
+or a built-in's window, whose diagonals are constants, so a banded
+built-in's draws build no n x n array.  Every statistic computed from it
+is the exact value scaled by L, which stays on the matrix, as ``m.scale``.
 
 The same observation lets :func:`exact_sums`, behind exact
 ``bounds --matrix``, ``dist --matrix`` and the enumerated moments, skip
@@ -95,21 +95,26 @@ DIAGONAL_CELL_COST = 4
 PREFIX_DP_CELLS = 1 << 22  # (prefix set, X value) slots of one prefix_set_sums layer
 
 
-def integer_matrix(m: AntisymmetricMatrix) -> np.ndarray:
-    """L * M as an int64 array, L the denominator lcm that ``m.scale`` holds.
-
-    Refuses a matrix with a row whose absolute sum reaches 2^62, so that
-    every partial row sum, and with it every suffix sum ``inner`` that
-    the exact sweep and the Monte Carlo draws compute, fits in int64.
-    A built-in's array is one strided copy of its window.
-    """
-    n = m.n
-    if max(m.row_sums[1], default=0) >= 1 << 62:
+def row_bound(m: AntisymmetricMatrix) -> int:
+    """The largest absolute row sum of L * M (L = ``m.scale``), refused from 2^62 on, so
+    that every partial row sum, every ``inner`` of the sweeps and the draws, fits in int64."""
+    bound = max(m.row_sums[1], default=0)
+    if bound >= 1 << 62:
         raise ValueError(_TOO_LARGE)
+    return bound
+
+
+def integer_matrix(m: AntisymmetricMatrix, dtype: np.dtype | str = "int64") -> np.ndarray:
+    """L * M as an array of ``dtype``, int64 for the sweeps and ``InnerKernel.dtype``
+    for the draws, after the :func:`row_bound` guard.  A built-in's array is
+    one strided copy of its window."""
+    n = m.n
+    row_bound(m)
     if m.window is None:
-        return np.array(m.rows, dtype=np.int64).reshape(n, n)
-    window = np.array(m.window, dtype=np.int64)  # row i starts at slot n - i, 8 bytes before row i - 1
-    return np.ndarray((n, n), np.int64, buffer=window, offset=8 * n, strides=(-8, 8)).copy()
+        return np.array(m.rows, dtype=dtype).reshape(n, n)
+    window = np.array(m.window, dtype=dtype)
+    step = window.itemsize  # row i starts at slot n - i, one slot before row i - 1
+    return np.ndarray((n, n), dtype, buffer=window, offset=step * n, strides=(-step, step)).copy()
 
 
 def checked_x_bound(m: AntisymmetricMatrix) -> AntisymmetricMatrix:
@@ -140,18 +145,18 @@ def checked_chunk_size(n: int, rows) -> int:
 
 def sweep(
     m: AntisymmetricMatrix, limit: int | None = None
-) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """(L * M, chunks of (perms, inner)) for one lexicographic sweep of S_n;
-    L is ``m.scale``.
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """(L * M, its :func:`suffix_table`, chunks of (perms, inner)) for one
+    lexicographic sweep of S_n; L is ``m.scale``.
 
-    The enumeration limit and the overflow guards all run before this
-    returns, on Python ints, so a refused sweep allocates nothing and
-    loads no numpy.
+    The enumeration limit and the overflow guards all run first, on
+    Python ints, so a refused sweep allocates nothing and loads no numpy.
     """
     n = check_enum_limit(m.n, limit)
     size = checked_chunk_size(n, m.rows)
     mint = integer_matrix(m)
-    return mint, inner_sum_chunks(n, mint, size)
+    table = suffix_table(mint)
+    return mint, table, inner_sum_chunks(n, table, size)
 
 
 class ExactSums(perm_core.ExactSums):
@@ -175,27 +180,28 @@ class ExactSums(perm_core.ExactSums):
 def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> ExactSums:
     """The :class:`ExactSums` a full sweep of S_n fills, on L * M, L = ``m.scale``.
 
-    :func:`sweep` runs its guards first.  :func:`prefix_set_sums` then
-    does the work when no layer has more than ``PREFIX_DP_CELLS`` slots,
+    The sweep's guards run first.  :func:`prefix_set_sums` then does the
+    work when no layer has more than ``PREFIX_DP_CELLS`` slots,
     C(n, n // 2) (2 ceil(B / 2g) + 1) with B the sum of |L M_ij| over i < j
     and 2g the :func:`residue_stride`, and n! q_max < 2^62, q_max a bound
     on q_pi, so that its int64 counts and sums of q fit; else the sweep.
     """
-    n = m.n
-    mint, swept = sweep(m, limit)
+    n = check_enum_limit(m.n, limit)
+    checked_chunk_size(n, m.rows)
     sums = ExactSums()
     # |inner| at value v is at most v's absolute row sum, and |X| at most
     # the sum of |L M_ij| over i < j, half the sum of all absolute rows
     row_abs = m.row_sums[1]
     bound = sum(row_abs) // 2
     q_max = 4 * sum(a * a for a in row_abs)
+    stride = residue_stride(m.rows)
     if (
-        math.comb(n, n // 2) * (2 * -(-bound // residue_stride(m.rows)) + 1) <= PREFIX_DP_CELLS
+        math.comb(n, n // 2) * (2 * -(-bound // stride) + 1) <= PREFIX_DP_CELLS
         and math.factorial(n) * max(q_max, 1) < 1 << 62
     ):
-        prefix_set_sums(mint, sums)
+        prefix_set_sums(m, stride, sums)
     else:
-        for _, inner in swept:
+        for _, inner in sweep(m, limit)[2]:
             sums.add(inner)
     return sums
 
@@ -206,8 +212,8 @@ def residue_stride(rows) -> int:
     return 2 * (math.gcd(*chain.from_iterable(rows)) or 1)
 
 
-def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
-    """Add to ``sums`` the sums over S_n, by a dynamic program over prefix sets.
+def prefix_set_sums(m: AntisymmetricMatrix, stride: int, sums: ExactSums) -> None:
+    """Add to ``sums`` the sums over S_n of L * M, by a dynamic program over prefix sets.
 
     A state is (S, y): S the set of values placed first and y the
     statistic within S, the sum of M[w][u] over w placed before u, both in
@@ -219,15 +225,15 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     and the layer holds the level sets.  n! times the largest q_pi must be
     below 2^62, so that every int64 count and sum of q in the layers fits.
 
-    A layer holds each set's y on its residue class only.  With g the gcd
-    of the entries (1 if all are 0; see :func:`residue_stride`), every ordering of S has
-    y = r(S) mod 2g, r(S) the sum of M[w][u] over the pairs w < u in S
-    reduced mod 2g, since -a = a mod 2g whenever g divides a.  With b_k the
-    largest sum of |M_wu| over the pairs inside a k-set and c_k the least
-    multiple of 2g at or above b_k, y is stored at j = (y - r(S) + c_k)/2g,
-    so a layer is (c_k + b_k)/2g + 1 slots wide, not 2 b_k + 1.
-    Appending v to S moves j by (r(S) - inside[v, S] - r(S | v))/2g
-    + (c_{k+1} - c_k)/2g, an integer.
+    A layer holds each set's y on its residue class only.  With ``stride``
+    2g the :func:`residue_stride`, g the gcd of the entries, every ordering
+    of S has y = r(S) mod 2g, r(S) the sum of M[w][u] over the pairs
+    w < u in S reduced mod 2g, since -a = a mod 2g whenever g divides a.
+    With b_k the largest sum of |M_wu| over the pairs inside a k-set and
+    c_k the least multiple of 2g at or above b_k, y is stored at
+    j = (y - r(S) + c_k)/2g, so a layer is (c_k + b_k)/2g + 1 slots wide,
+    not 2 b_k + 1.  Appending v to S moves j by
+    (r(S) - inside[v, S] - r(S | v))/2g + (c_{k+1} - c_k)/2g, an integer.
 
     Layer k + 1 is built target by target, one array step per member
     slot: a (k + 1)-set T has the k + 1 predecessors T - {v}, one for each
@@ -252,14 +258,13 @@ def prefix_set_sums(mint: np.ndarray, sums: ExactSums) -> None:
     |inside[v, U]|: each set U without v is the complement of some
     S | {v}, and M[v][v] = 0.
     """
-    n = mint.shape[0]
+    n = m.n
     # every |inside| is at most the largest absolute row sum: the tables
     # are kept in the narrowest type that holds that, int8 for descents
-    dtype = signed_type(int(np.abs(mint).sum(axis=1).max()))
-    inside = subset_sums(mint.astype(dtype))
-    absolute = subset_sums(np.abs(mint).astype(dtype))
-    rowsum = inside[:, -1].astype(np.int64)
-    stride = residue_stride(mint.tolist())
+    rows = integer_matrix(m, signed_type(row_bound(m)))
+    inside = subset_sums(rows)
+    absolute = subset_sums(np.abs(rows))
+    rowsum = np.array(m.row_sums[0], dtype=np.int64)
     size = np.zeros(1 << n, dtype=np.int8)  # popcount
     lowest = np.zeros(1 << n, dtype=np.intp)  # the smallest member, 0 for the empty set
     within = np.zeros(1 << n, dtype=np.int64)  # the sum of |M_wu| over the pairs inside
@@ -474,35 +479,32 @@ def table_inner(perms: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 class InnerKernel:
     """The per-matrix set-up of :func:`inner_sums` on the matrix ``m``,
-    made once and shared by every block of rows: ``mint``, L * M from
-    :func:`integer_matrix`, which refuses oversized entries;
-    ``fill(keys, out)``, the kernel that :func:`banded_offsets` picks bound
-    to the arrays it reads; and ``dtype``, the narrowest signed integer
-    type that holds the largest absolute row sum (int8 for descents, int16
-    for inversions at n = 200).  The set-up reads that sum off
-    ``m.row_sums`` and a built-in's diagonals off its window.
+    made once and shared by every block of rows: ``fill(keys, out)``, the
+    kernel that :func:`banded_offsets` picks bound to the arrays it reads,
+    and ``dtype``, the narrowest signed integer type that holds the
+    :func:`row_bound` (int8 for descents, int16 for inversions at n = 200).
 
-    The arrays the kernel reads are cast to ``dtype`` here, once, so its
-    cell updates run in that type.  They cannot overflow: every value
-    they hold, and every value the kernel computes from them, is a sum of
-    distinct entries of one row of L * M, each taken 0 or 1 times, so its
-    absolute value is at most that row's absolute sum, which ``dtype``
-    holds."""
+    Those arrays are built in ``dtype`` straight from ``m``: its rows, or a
+    built-in's window, whose diagonal d is the constant window[n + d], and
+    its ``row_sums``.  No value they hold, or that the kernel computes from
+    them, overflows: each is a sum of distinct entries of one row of L * M,
+    each taken 0 or 1 times, at most that row's absolute sum in absolute
+    value, which ``dtype`` holds."""
 
     def __init__(self, m: AntisymmetricMatrix) -> None:
-        self.mint = mint = integer_matrix(m)
-        self.n = m.n
-        offsets = banded_offsets(mint, m.window)
-        self.dtype = dtype = signed_type(max(m.row_sums[1]))
+        self.n = n = m.n
+        self.dtype = dtype = signed_type(row_bound(m))
+        rows = None if m.window is not None else integer_matrix(m, dtype)
+        offsets = banded_offsets(m, rows)
         if offsets is None:
-            self.fill = functools.partial(
-                remainder_sums,
-                cols=np.ascontiguousarray(mint.T, dtype=dtype),
-                totals=mint.sum(axis=1).astype(dtype),
-            )
+            rows = integer_matrix(m, dtype) if rows is None else rows
+            self.fill = functools.partial(remainder_sums, rows=rows, totals=np.array(m.row_sums[0], dtype))
         else:
-            diagonals = [(d, np.diagonal(mint, d).astype(dtype)) for d in offsets]
-            below = np.zeros(m.n, dtype=dtype)  # sum_{u < w} M[w][u], as M[u + d][u] = -M[u][u + d]
+            diagonals = [
+                (d, np.full(n - d, m.window[n + d], dtype) if rows is None else np.diagonal(rows, d).copy())
+                for d in offsets
+            ]
+            below = np.zeros(n, dtype=dtype)  # sum_{u < w} M[w][u], as M[u + d][u] = -M[u][u + d]
             for d, diagonal in diagonals:
                 below[d:] -= diagonal
             self.fill = functools.partial(diagonal_sums, below=below, diagonals=diagonals)
@@ -537,16 +539,17 @@ def inner_sums(keys: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = N
     return out
 
 
-def banded_offsets(mint: np.ndarray, window: tuple[int, ...] | None = None) -> list[int] | None:
+def banded_offsets(m: AntisymmetricMatrix, rows: np.ndarray | None) -> list[int] | None:
     """The offsets d > 0 of the diagonals M[u, u + d] with a nonzero entry,
     or None when the sum of their lengths n - d, times
     ``DIAGONAL_CELL_COST``, exceeds n^2.  A built-in's are read off its
-    ``window``, where M[u, u + d] = window[n + d]."""
-    n = mint.shape[0]
-    if window is None:
-        offsets = [d for d in range(1, n) if np.diagonal(mint, d).any()]
+    ``window``, where M[u, u + d] = window[n + d], and ``rows`` is None;
+    any other matrix's off ``rows``, its L * M as an array."""
+    n = m.n
+    if m.window is None:
+        offsets = [d for d in range(1, n) if np.diagonal(rows, d).any()]
     else:
-        offsets = [d for d in range(1, n) if window[n + d]]
+        offsets = [d for d, entry in enumerate(m.window[n + 1 : 2 * n], 1) if entry]
     return offsets if DIAGONAL_CELL_COST * sum(n - d for d in offsets) <= n * n else None
 
 
@@ -573,17 +576,17 @@ def ordered(keys: np.ndarray) -> np.ndarray:
     return codes.view(np.int64)
 
 
-def remainder_sums(keys: np.ndarray, out: np.ndarray, cols: np.ndarray, totals: np.ndarray) -> None:
+def remainder_sums(keys: np.ndarray, out: np.ndarray, rows: np.ndarray, totals: np.ndarray) -> None:
     """:func:`inner_sums` by a running remainder along the :func:`ordered`
-    rows, n^2 cell updates per row, with ``cols`` the columns of M as rows
-    and ``totals`` its row sums.
+    rows, n^2 cell updates per row, with ``rows`` the rows of M and
+    ``totals`` its row sums.
 
     The rows carry rest[t, u] = sum of M[u][w] over the values w not yet
-    passed: the full row sums less column p_t(i) at each position i,
-    where rest[t, p_t(i)] is inner[t, p_t(i)].  ``cols``, ``totals`` and
-    rest are in ``InnerKernel.dtype``: every entry of ``cols`` is one
-    entry of a row of M, and every value of ``totals`` and rest a sum of
-    distinct entries of row u, each at most u's absolute row sum in
+    passed: the full row sums less column p_t(i), which is -row p_t(i), at
+    each position i, where rest[t, p_t(i)] is inner[t, p_t(i)].  ``rows``,
+    ``totals`` and rest are in ``InnerKernel.dtype``: every entry of
+    ``rows`` is one entry of M, and every value of ``totals`` and rest a
+    sum of distinct entries of row u, each at most u's absolute row sum in
     absolute value, which that type holds.
     """
     m, n = keys.shape
@@ -591,7 +594,7 @@ def remainder_sums(keys: np.ndarray, out: np.ndarray, cols: np.ndarray, totals: 
     # cell (t, p_t(i)) of rest and of the C-contiguous out is flat[t] + p_t(i) of these views
     flat, rest_cells, out_cells = np.arange(0, m * n, n), rest.reshape(-1), out.reshape(-1)
     for p in ordered(keys).T:
-        rest -= cols.take(p, axis=0)
+        rest += rows.take(p, axis=0)
         where = flat + p
         out_cells[where] = rest_cells[where]
 
@@ -625,10 +628,8 @@ def diagonal_sums(
         out[:, d:] += term
 
 
-def inner_sum_chunks(
-    n: int, mint: np.ndarray, chunk_size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    table = suffix_table(mint)
+def inner_sum_chunks(n: int, table: np.ndarray, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(perms, inner) for each chunk of the sweep, read from ``table = suffix_table(mint)``."""
     for perms in chunks(n, chunk_size):
         yield perms, table_inner(perms, table)
 

@@ -120,10 +120,9 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     conditions are checked on every value subset at once.
     """
     n, var, scale, np = spec.n, spec.variance, spec.matrix.scale, _sn.np
-    mint, sweep = _sn.sweep(spec.matrix, limit)
+    mint, suffix, sweep = _sn.sweep(spec.matrix, limit)
     builtin = spec.kind.value in _BUILTINS
     table = exchangeability.relabel_table(spec) if builtin else None
-    suffix = _sn.suffix_table(mint)
 
     sums = _sn.ExactSums()
     pairs = exchangeability.PairDistribution({}, scale)
@@ -153,7 +152,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
         ("third_moment_jensen_floor", ing.e_abs_diff_cubed_x**2 * n**3 >= 64 * var**3),
     ]
     if builtin:
-        ok_theta = bool(exchangeability.flip_conditions(mint, table).all())
+        ok_theta = bool(exchangeability.flip_conditions(mint, suffix, table).all())
         checks.append(("flip_bijection_conditions", ok_theta))
         checks.append(("relabeling_swaps_pair_values", ok_lambda))
     if spec.kind is StatisticKind.DESCENTS:

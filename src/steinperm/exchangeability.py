@@ -234,15 +234,15 @@ def relabel_table(spec: StatisticSpec) -> np.ndarray:
     return np.where(inside, table, 0).astype(np.int64, copy=False)
 
 
-def flip_conditions(mint: np.ndarray, table: np.ndarray) -> np.ndarray:
+def flip_conditions(mint: np.ndarray, suffix: np.ndarray, table: np.ndarray) -> np.ndarray:
     """:func:`check_conditions` on every value subset at once, one verdict per mask.
 
-    ``mint`` is the integer matrix L * M (L > 0) and ``table`` a
-    :func:`relabel_table`: Theta_S(v) = ``table[S, v, v]`` and Phi_v the
-    rest of row ``table[S, v]``.  As M is antisymmetric, a_v - b_v is
-    the row sum of M over S, so condition 1 reads
-    inside[v, S] == -inside[Theta_S(v), S].  Condition 2 asks Phi_v to
-    map S - {v} onto S - {Theta_S(v)} and keep every entry of M between
+    ``mint`` is the integer matrix L * M (L > 0), ``suffix`` its
+    ``_sn.suffix_table`` and ``table`` a :func:`relabel_table`: Theta_S(v) =
+    ``table[S, v, v]`` and Phi_v the rest of row ``table[S, v]``.  As M is
+    antisymmetric, a_v - b_v is the row sum of M over S, so condition 1
+    reads inside[v, S] == -inside[Theta_S(v), S].  Condition 2 asks Phi_v
+    to map S - {v} onto S - {Theta_S(v)} and keep every entry of M between
     its points.  A Theta that is no bijection of S fails its mask.
     """
     n = mint.shape[0]
@@ -254,7 +254,7 @@ def flip_conditions(mint: np.ndarray, table: np.ndarray) -> np.ndarray:
     ok_v = np.all(in_range | ~bits[:, None, :], axis=2)
     f = np.where(in_range, table, 0)
     th = f[:, diag, diag]
-    inside = _sn.subset_sums(mint).T
+    inside = suffix[:, ::-1].T  # inside[S, v] = sum of M[v][u] over u in S
     ok_v &= inside == -inside[masks[:, None], th]
     # Phi_v on S - {v}: onto S - {Theta(v)}, keeping every entry of M
     dom = bits[:, None, :] & bits[:, :, None] & (diag[:, None] != diag)
@@ -309,7 +309,7 @@ def joint_distribution(m: AntisymmetricMatrix, n: int, limit: int | None = None)
     """Enumerate S_n x {1..n} and tally the unnormalized pair values."""
     if m.n != n:
         raise ValueError(f"matrix is {m.n}x{m.n}, expected {n}x{n}")
-    _, sweep = _sn.sweep(m, limit)
+    *_, sweep = _sn.sweep(m, limit)
     dist = PairDistribution({}, m.scale)
     for _, inner in sweep:
         dist.add(inner)

@@ -109,13 +109,18 @@ def draw_whole_tile(mint: np.ndarray, m: int, rng: np.random.Generator):
     return perms, pick, pos, keyed_gather(keys, mint)
 
 
-def whole_tile_draw(kernel, m: int, rng: np.random.Generator):
-    """:func:`draw_whole_tile` in the (pick, tiles) form of ``_sn.draw``:
-    one sub-tile of all m rows, whose keys are each value's position in
-    the oracle's permutation, so that a consumer ranking V by its keys
-    finds the oracle's ``pos``."""
-    perms, pick, _, inner = draw_whole_tile(kernel.mint, m, rng)
-    return pick, iter([(0, np.argsort(perms, axis=1), inner)])
+def whole_tile_draw(mint: np.ndarray):
+    """A stand-in for ``_sn.draw`` on the matrix whose L * M is ``mint``:
+    :func:`draw_whole_tile` in the (pick, tiles) form of ``_sn.draw``, one
+    sub-tile of all m rows, whose keys are each value's position in the
+    oracle's permutation, so that a consumer ranking V by its keys finds
+    the oracle's ``pos``."""
+
+    def draw(kernel, m: int, rng: np.random.Generator):
+        perms, pick, _, inner = draw_whole_tile(mint, m, rng)
+        return pick, iter([(0, np.argsort(perms, axis=1), inner)])
+
+    return draw
 
 
 def descent_counts(perms: np.ndarray) -> np.ndarray:

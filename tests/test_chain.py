@@ -227,7 +227,7 @@ class TestPairLaw:
         n = self.N
         matrix = self._matrix(kind, n)
         mint = _sn.integer_matrix(matrix)
-        assert (_sn.banded_offsets(mint) is not None) == banded
+        assert (_sn.banded_offsets(matrix, mint) is not None) == banded
         perms = np.concatenate(list(_sn.chunks(n)))
         inner = _sn.table_inner(perms, _sn.suffix_table(mint))
         x = inner.sum(axis=1)

@@ -643,10 +643,10 @@ class TestNarrowInner:
         return _antisymmetric([[str(bound - 27)] + ["0"] * 4, ["-27", "0", "0", "0"], ["1", "0", "0"], ["1", "0"], ["1"]])
 
     @staticmethod
-    def _against_oracle(capsys, monkeypatch, *argv):
+    def _against_oracle(capsys, monkeypatch, rows, *argv):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        monkeypatch.setattr(_sn, "draw", whole_tile_draw)
+        monkeypatch.setattr(_sn, "draw", whole_tile_draw(_sn.integer_matrix(AntisymmetricMatrix.from_rows(rows))))
         assert run(capsys, *argv) == (0, out, "")
         return out
 
@@ -658,7 +658,7 @@ class TestNarrowInner:
         assert max(sum(abs(int(e)) for e in row) for row in rows) == bound
         path = _write_rows(tmp_path, "m.json", rows)
         mode = ["--format", "csv", "--trials", "600"] if command == "sample" else ["--mode", "mc", "--trials", "3000"]
-        out = self._against_oracle(capsys, monkeypatch, command, "--matrix", path, "--seed", "4", *mode)
+        out = self._against_oracle(capsys, monkeypatch, rows, command, "--matrix", path, "--seed", "4", *mode)
         if command == "sample":
             # some draw moves the value whose suffix sum is +-bound
             steps = {abs(int(r.split(",")[1]) - int(r.split(",")[0])) for r in out.splitlines()[1:]}
@@ -669,7 +669,7 @@ class TestNarrowInner:
         rows = _antisymmetric([[str(1 << 61), str((1 << 61) - 1)], ["1"]])
         path = _write_rows(tmp_path, "m.json", rows)
         mode = ["--trials", "300"] if command == "sample" else ["--mode", "mc", "--trials", "3000"]
-        self._against_oracle(capsys, monkeypatch, command, "--matrix", path, "--seed", "6", *mode)
+        self._against_oracle(capsys, monkeypatch, rows, command, "--matrix", path, "--seed", "6", *mode)
 
 
 _S_1000000 = "full enumeration of S_1000000 exceeds the limit 10; raise the limit explicitly to proceed\n"

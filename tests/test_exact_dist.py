@@ -365,7 +365,7 @@ def _swept_sums(n):
     from steinperm import _sn
 
     sums = _sn.ExactSums()
-    for _, inner in _sn.sweep(_rational_matrix(n))[1]:
+    for _, inner in _sn.sweep(_rational_matrix(n))[2]:
         sums.add(inner)
     return sums
 
@@ -373,8 +373,8 @@ def _swept_sums(n):
 def _prefix_set_sums(n):
     from steinperm import _sn
 
-    sums = _sn.ExactSums()
-    _sn.prefix_set_sums(_sn.integer_matrix(_rational_matrix(n)), sums)
+    sums, m = _sn.ExactSums(), _rational_matrix(n)
+    _sn.prefix_set_sums(m, _sn.residue_stride(m.rows), sums)
     return sums
 
 

@@ -22,7 +22,7 @@ from steinperm import (
     x_stat,
     zero_matrix,
 )
-from steinperm._sn import integer_matrix
+from steinperm._sn import sweep
 from steinperm.exchangeability import flip_conditions, relabel_table
 from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError, custom_spec
 
@@ -299,7 +299,7 @@ class TestFlipConditions:
     @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
     def test_equals_check_conditions(self, make, n):
         spec = make(n)
-        verdict = flip_conditions(integer_matrix(spec.matrix), relabel_table(spec))
+        verdict = flip_conditions(*sweep(spec.matrix)[:2], relabel_table(spec))
         assert verdict.dtype == bool and verdict.shape == (1 << n,)
         assert verdict[0]
         assert [bool(verdict[mask]) for mask in range(1, 1 << n)] == [
@@ -311,7 +311,7 @@ class TestFlipConditions:
     def test_descents_table_on_inversions_matrix(self, n):
         m = inversions_matrix(n)
         spec = descents_spec(n)
-        verdict = flip_conditions(integer_matrix(m), relabel_table(spec))
+        verdict = flip_conditions(*sweep(m)[:2], relabel_table(spec))
         failing = [mask for mask in range(1, 1 << n) if not builtin_verdict(m, spec, mask)]
         assert np.flatnonzero(~verdict).tolist() == failing
         assert (len(failing) > 0) == (n >= 3)
@@ -325,7 +325,7 @@ class TestFlipConditions:
         table = relabel_table(spec)
         halves = [[Fraction(j - i, 2 * (i + j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
         for m in random_matrices(n) + [AntisymmetricMatrix.from_rows(halves)]:
-            verdict = flip_conditions(integer_matrix(m), table)
+            verdict = flip_conditions(*sweep(m)[:2], table)
             for mask in range(1, 1 << n):
                 assert verdict[mask] == builtin_verdict(m, spec, mask), mask
 
@@ -336,14 +336,14 @@ class TestFlipConditions:
     def test_corrupted_table_fails_its_mask(self, make, corrupt):
         n = 5
         spec = make(n)
-        mint = integer_matrix(spec.matrix)
+        swept = sweep(spec.matrix)[:2]
         table = relabel_table(spec)
         full = (1 << n) - 1
         corrupt(table[full])
         if corrupt is _corrupt_phi_not_invariant:
             # still a bijection onto S - {Theta(v)}, so only invariance can fail
             assert sorted(table[full, 0, 1:].tolist()) == sorted(set(range(n)) - {table[full, 0, 0]})
-        verdict = flip_conditions(mint, table)
+        verdict = flip_conditions(*swept, table)
         assert not verdict[full]
         assert not table_verdict(spec.matrix, table, full)
         assert verdict[:full].all()
@@ -365,12 +365,12 @@ class TestFlipConditions:
     def test_bijection_checks_on_the_zero_matrix(self, make, corrupt):
         n = 5
         table = relabel_table(make(n))
-        mint = integer_matrix(zero_matrix(n))
-        assert flip_conditions(mint, table).all()
+        swept = sweep(zero_matrix(n))[:2]
+        assert flip_conditions(*swept, table).all()
         full = (1 << n) - 1
         assert table[full, [0, 1, 4, 0, 0], [0, 1, 4, 1, 4]].tolist() == [4, 3, 0, 0, 3]
         corrupt(table[full])
-        verdict = flip_conditions(mint, table)
+        verdict = flip_conditions(*swept, table)
         assert not verdict[full]
         assert not table_verdict(zero_matrix(n), table, full)
         assert verdict[:full].all()

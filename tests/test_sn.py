@@ -37,7 +37,7 @@ from _oracles import (
 class TestSweep:
     def test_rows_and_inner_sums(self):
         m = inversions_matrix(5)
-        mint, sweep = _sn.sweep(m)
+        mint, _, sweep = _sn.sweep(m)
         assert m.scale == 1
         rows = []
         for perms, inner in sweep:
@@ -47,7 +47,7 @@ class TestSweep:
 
     def test_rational_scale(self):
         m = AntisymmetricMatrix.from_rows([["0", "1/2", "1/3"], ["-1/2", "0", "1"], ["-1/3", "-1", "0"]])
-        mint, _ = _sn.sweep(m)
+        mint, *_ = _sn.sweep(m)
         assert m.scale == 6
         assert mint.tolist() == [[0, 3, 2], [-3, 0, 6], [-2, -6, 0]]
 
@@ -55,7 +55,7 @@ class TestSweep:
     def test_limit_checked_before_return(self):
         with pytest.raises(EnumerationLimitError):
             _sn.sweep(descents_matrix(11))
-        _, sweep = _sn.sweep(descents_matrix(4), limit=4)
+        *_, sweep = _sn.sweep(descents_matrix(4), limit=4)
         assert sum(len(perms) for perms, _ in sweep) == math.factorial(4)
 
     @pytest.mark.parametrize("entry", ["9000000000000", "1/9000000000000", str(1 << 70)])
@@ -118,8 +118,7 @@ class TestSuffixTable:
 
     def test_random_moved_and_relabeled_rows(self, matrix):
         n = self.N
-        mint, _ = _sn.sweep(matrix)
-        table = _sn.suffix_table(mint)
+        mint, table, _ = _sn.sweep(matrix)
         assert table.shape == (n, 1 << n)
         rng = np.random.default_rng(5)
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (500, 1)), axis=1)
@@ -132,7 +131,7 @@ class TestSuffixTable:
             assert np.array_equal(_sn.table_inner(rows, table), inner_sums_gather(rows, mint))
 
     def test_sweep_inner_is_the_gather(self, matrix):
-        mint, sweep = _sn.sweep(matrix)
+        mint, _, sweep = _sn.sweep(matrix)
         total = 0
         for perms, inner in sweep:
             assert np.array_equal(inner, inner_sums_gather(perms, mint))
@@ -260,7 +259,7 @@ class TestChunkSize:
 
     def test_near_limit_sweeps_in_one_chunk(self):
         n = 8
-        _, sweep = _sn.sweep(_near_limit_matrix(n))
+        *_, sweep = _sn.sweep(_near_limit_matrix(n))
         assert [len(perms) for perms, _ in sweep] == [math.factorial(n)]
 
     @pytest.mark.parametrize("n", [6, 8])
@@ -376,9 +375,9 @@ class TestInnerSums:
         each kernel: the remainder, and the diagonals over every offset
         with a nonzero entry."""
         kernels = [_sn.InnerKernel(matrix)]
-        for offsets in (None, _nonzero_offsets(kernels[0].mint)):
+        for offsets in (None, _nonzero_offsets(_sn.integer_matrix(matrix))):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_sn, "banded_offsets", lambda mint, window, offsets=offsets: offsets)
+                mp.setattr(_sn, "banded_offsets", lambda m, rows, offsets=offsets: offsets)
                 kernels.append(_sn.InnerKernel(matrix))
         return kernels
 
@@ -424,8 +423,7 @@ class TestInnerSums:
     ])
     def test_selection(self, kind, n, offsets, monkeypatch):
         matrix = _kernel_matrix(kind, n)
-        mint = _sn.integer_matrix(matrix)
-        assert _sn.banded_offsets(mint) == offsets
+        assert _sn.banded_offsets(matrix, _sn.integer_matrix(matrix)) == offsets
         ran = []
         for name in ("remainder_sums", "diagonal_sums"):
             kernel = getattr(_sn, name)
@@ -445,8 +443,10 @@ class TestInnerSums:
         spec = custom_spec(_kernel_matrix(kind, 9))
         want = ingredients_mc(spec, 3000, 17)
 
+        mint = _sn.integer_matrix(spec.matrix)
+
         def gather(keys, kernel, out):
-            out[:] = keyed_gather(keys, kernel.mint)
+            out[:] = keyed_gather(keys, mint)
 
         monkeypatch.setattr(_sn, "inner_sums", gather)
         assert ingredients_mc(spec, 3000, 17) == want
@@ -478,8 +478,8 @@ class TestInnerSums:
         for kernel in self._kernels(_dtype_edge_matrix(7, bound, form)):
             assert kernel.dtype == dtype
             kw = kernel.fill.keywords
-            if "cols" in kw:
-                arrays = [kw["cols"], kw["totals"]]
+            if "rows" in kw:
+                arrays = [kw["rows"], kw["totals"]]
             else:
                 arrays = [kw["below"], *(diagonal for _, diagonal in kw["diagonals"])]
             assert all(a.dtype == dtype for a in arrays)
@@ -494,7 +494,7 @@ class TestInnerSums:
         matrix = _dtype_edge_matrix(n, bound, form)
         mint = _sn.integer_matrix(matrix)
         assert int(np.abs(mint).sum(axis=1).max()) == bound
-        assert (_sn.banded_offsets(mint) is None) == (form == "dense")
+        assert (_sn.banded_offsets(matrix, mint) is None) == (form == "dense")
         if n <= 10:
             perms = np.concatenate(list(_sn.chunks(n)))
             want = _sn.table_inner(perms, _sn.suffix_table(mint))
@@ -530,30 +530,51 @@ class TestBuiltinWindow:
             assert m.scale == 1 and mint.dtype == np.int64 and mint.flags.c_contiguous and mint.flags.writeable
             assert np.array_equal(mint, want)
             # the per-diagonal loop over the array, the offsets of every nonzero entry
-            offsets = _sn.banded_offsets(want)
-            assert _sn.banded_offsets(mint, m.window) == offsets
+            rows_matrix = AntisymmetricMatrix.from_rows(builtin_rows(kind, n))
+            offsets = _sn.banded_offsets(rows_matrix, want)
+            assert _sn.banded_offsets(m, None) == offsets
             assert offsets == (_nonzero_offsets(want) if kind == "descents" or n < 3 else None)
-            rows_kernel = _sn.InnerKernel(AntisymmetricMatrix.from_rows(builtin_rows(kind, n)))
+            rows_kernel = _sn.InnerKernel(rows_matrix)
             assert kernel.dtype == rows_kernel.dtype
             assert kernel.fill.func is rows_kernel.fill.func
 
+    # at each n, the kernel banded_offsets picks and each kernel forced
     @pytest.mark.parametrize("kind", ["descents", "inversions"])
     def test_same_draws_as_the_rows(self, kind):
-        def drawn(matrix):  # one block of two sub-tiles at n = 200
-            ((pick, tiles),) = _sn.draws(matrix, 300, 7)
+        def drawn(kernel):  # one block of 300 draws: two sub-tiles at n = 200
+            pick, tiles = _sn.draw(kernel, 300, np.random.default_rng(7))
             return pick, [(start, keys.copy(), inner.copy()) for start, keys, inner in tiles]
 
-        pick, tiles = drawn(spec_for(kind, 200).matrix)
-        want_pick, want_tiles = drawn(AntisymmetricMatrix.from_rows(builtin_rows(kind, 200)))
-        assert np.array_equal(pick, want_pick) and len(tiles) == len(want_tiles) == 2
-        for (start, keys, inner), (want_start, want_keys, want_inner) in zip(tiles, want_tiles):
-            assert start == want_start and np.array_equal(keys, want_keys)
-            assert np.array_equal(inner, want_inner) and inner.dtype == want_inner.dtype
+        for n in [*range(1, 61), 200]:
+            kernels = TestInnerSums._kernels(spec_for(kind, n).matrix)
+            rows_kernels = TestInnerSums._kernels(AntisymmetricMatrix.from_rows(builtin_rows(kind, n)))
+            for kernel, rows_kernel in zip(kernels, rows_kernels, strict=True):
+                assert kernel.fill.func is rows_kernel.fill.func
+                pick, tiles = drawn(kernel)
+                want_pick, want_tiles = drawn(rows_kernel)
+                assert np.array_equal(pick, want_pick) and len(tiles) == len(want_tiles) == (2 if n == 200 else 1)
+                for (start, keys, inner), (want_start, want_keys, want_inner) in zip(tiles, want_tiles):
+                    assert start == want_start and np.array_equal(keys, want_keys)
+                    assert np.array_equal(inner, want_inner) and inner.dtype == want_inner.dtype
+
+    # the kernel holds no n x n array for descents and only its int16 rows
+    # for inversions; an int64 array of L * M alone takes 72 MB at n = 3000
+    @pytest.mark.parametrize("kind, limit", [("descents", 1 << 20), ("inversions", 2 * 3000**2 + (1 << 20))])
+    def test_memory_of_the_kernel_set_up(self, kind, limit):
+        _sn.InnerKernel(spec_for(kind, 5).matrix)  # numpy's own first-use allocations
+        m = spec_for(kind, 3000).matrix
+        tracemalloc.start()
+        try:
+            _sn.InnerKernel(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestRowSumGuard:
-    """integer_matrix, shared by the exact sweep and the Monte Carlo draws,
-    refuses a matrix whose partial row sums could leave int64."""
+    """row_bound, the guard of integer_matrix and of the Monte Carlo kernel
+    set-up, refuses a matrix whose partial row sums could leave int64."""
 
     @staticmethod
     def _matrix(a, b):
@@ -565,6 +586,14 @@ class TestRowSumGuard:
             _sn.integer_matrix(m)
         with pytest.raises(ValueError, match="too large"):
             ingredients_mc(custom_spec(m), 10, 1)
+
+    # at 2^63 signed_type finds no type, so the guard must run before it
+    @pytest.mark.parametrize("half", [61, 62])
+    def test_kernel_set_up_refuses_before_the_dtype(self, half):
+        m = self._matrix(1 << half, 1 << half)
+        for set_up in (_sn.InnerKernel, lambda m: _sn.draws(m, 10, 1)):
+            with pytest.raises(ValueError, match="too large"):
+                set_up(m)
 
     def test_row_sum_below_2_62_accepted(self):
         mint = _sn.integer_matrix(self._matrix(1 << 61, (1 << 61) - 1))
@@ -778,7 +807,7 @@ class TestTiedKeys:
 
 def _swept(m):
     """The oracle: ``ExactSums.add`` over every chunk of the sweep."""
-    _, sweep = _sn.sweep(m)
+    *_, sweep = _sn.sweep(m)
     sums = _sn.ExactSums()
     for _, inner in sweep:
         sums.add(inner)
@@ -864,9 +893,8 @@ class TestExactSums:
     @example(m=_pair_matrix(2, 4))
     def test_equals_the_sweep(self, m):
         want = _swept(m)
-        mint = _sn.integer_matrix(m)
         dp = _sn.ExactSums()
-        _sn.prefix_set_sums(mint, dp)
+        _sn.prefix_set_sums(m, _sn.residue_stride(m.rows), dp)
         assert exact_sums_fields(dp) == exact_sums_fields(want)
         assert exact_sums_fields(_sn.exact_sums(m, None)) == exact_sums_fields(want)
 
@@ -900,10 +928,10 @@ class TestExactSums:
 
         bound = step_bytes(lambda k: -(-b[k] // stride) + b[k] // stride + 1, 2 * -(-pad // stride)) + (1 << 20)
         assert step_bytes(lambda k: 2 * b[k] + 1, 2 * pad) > bound
-        _sn.prefix_set_sums(mint, _sn.ExactSums())  # numpy's own first-use allocations
+        _sn.prefix_set_sums(m, stride, _sn.ExactSums())  # numpy's own first-use allocations
         tracemalloc.start()
         try:
-            _sn.prefix_set_sums(mint, _sn.ExactSums())
+            _sn.prefix_set_sums(m, stride, _sn.ExactSums())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
