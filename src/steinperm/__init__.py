@@ -46,8 +46,8 @@ _HOME = {
         ("chain", "PairSample move_to_end sample_pair unit_step_check x_delta"),
         (
             "exact_dist",
-            "IntegerDistribution StandardizedDistribution eulerian_distribution exact_moments "
-            "generic_distribution mahonian_distribution standardize",
+            "IntegerDistribution StandardizedDistribution brute_force_moments eulerian_distribution "
+            "exact_moments generic_distribution mahonian_distribution standardize",
         ),
         (
             "exchangeability",
@@ -57,7 +57,7 @@ _HOME = {
         (
             "perm_core",
             "AntisymmetricMatrix EnumerationLimitError MatrixFormatError Permutation StatisticKind "
-            "StatisticSpec VarianceBreakdown brute_force_moments custom_spec descent_count "
+            "StatisticSpec VarianceBreakdown custom_spec descent_count "
             "descents_matrix descents_spec identity inverse inversion_count inversions_matrix "
             "inversions_spec load_matrix_file matrix_from_json_dict matrix_to_json_dict "
             "random_antisymmetric_matrix spec_for variance_formula x_stat zero_matrix",

@@ -5,9 +5,10 @@ standard normal is attained at an atom, either just after the jump or
 just before it, because both CDFs are monotone between atoms.  That
 closed form drives the rate tables: standardize the exact n-point law
 with its analytic mean and standard deviation (the closed-form Var X of
-``exact_dist.BUILTINS``) and report d_k and d_k * sqrt(n).  A table
-checks its whole n-list first, then runs the statistic's recurrence once,
-to the largest n, and measures each listed n as the pass reaches it.
+``perm_core.BUILTINS``) and report d_k and d_k * sqrt(n).  A table
+checks its whole n-list first, then runs the statistic's recurrence
+(``exact_dist.RECURRENCES``) once, to the largest n, and measures each
+listed n as the pass reaches it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_dist import BUILTINS, StandardizedDistribution, check_size, laws, standardize, sums_to_one
-from .perm_core import StatisticKind
+from .exact_dist import RECURRENCES, StandardizedDistribution, check_size, laws, standardize, sums_to_one
+from .perm_core import BUILTINS, StatisticKind
 
 
 def normal_cdf(x: float) -> float:
@@ -77,21 +78,21 @@ def rate_table(statistic: StatisticKind | str, n_list) -> list[RateRow]:
     from one pass of the recurrence to the largest n.
     """
     statistic = StatisticKind(statistic)
-    builtin = BUILTINS.get(statistic)
-    if builtin is None:
+    recurrence = RECURRENCES.get(statistic)
+    if recurrence is None:
         raise ValueError("rate tables exist only for the built-in statistics")
     n_list = list(n_list)
     for n in n_list:
         if n == 1:
             # one permutation: Var X is 0 for both built-ins, so there is no spread to standardize
             raise ValueError(f"{statistic.value} is constant at n = 1; the rate table needs n >= 2")
-        check_size(n, builtin.cap)
+        check_size(n, recurrence.cap)
     if not n_list:
         return []
     table = {}
-    for dist in laws(builtin.rows(), set(n_list)):
+    for dist in laws(recurrence.rows(), set(n_list)):
         # X = 2 count - max has mean 0, so the count's mean is max / 2 and its sd sqrt(Var X / 4)
         n, mean = dist.n, Fraction(len(dist.counts) - 1, 2)
-        d_k = kolmogorov_distance(standardize(dist, mean, math.sqrt(float(builtin.variance(n) / 4))))
+        d_k = kolmogorov_distance(standardize(dist, mean, math.sqrt(float(BUILTINS[statistic].variance(n) / 4))))
         table[n] = RateRow(n=n, statistic=statistic, d_k=d_k, scaled=d_k * math.sqrt(n))
     return [table[n] for n in n_list]

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from . import _sn, analysis, chain, exact_dist, exchangeability, stein_bounds
 from .perm_core import (
+    BUILTINS,
     DEFAULT_ENUM_LIMIT,
     Permutation,
     StatisticKind,
@@ -42,9 +43,6 @@ from .perm_core import (
     variance_formula,
     x_stat,
 )
-
-# the keys of exact_dist.BUILTINS, named here so that building the parser does not run exact_dist
-_BUILTINS = [kind.value for kind in StatisticKind if kind is not StatisticKind.CUSTOM]
 
 
 class UsageError(Exception):
@@ -121,7 +119,7 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
     """
     n, var, scale, np = spec.n, spec.variance, spec.matrix.scale, _sn.np
     mint, suffix, sweep = _sn.sweep(spec.matrix, limit)
-    builtin = spec.kind.value in _BUILTINS
+    builtin = spec.kind in BUILTINS
     table = exchangeability.relabel_table(spec) if builtin else None
 
     sums = _sn.ExactSums()
@@ -205,8 +203,8 @@ def cmd_example(args) -> int:
         "pi_prime": list(p_prime.image),
     }
     ok = p_prime.image == _EXAMPLE_PI_PRIME
-    for name in _BUILTINS:
-        spec = spec_for(name, 7)
+    for kind in BUILTINS:
+        name, spec = kind.value, spec_for(kind, 7)
         expected = _EXAMPLE_EXPECTED[name]
         lam_p = exchangeability.lambda_map(spec, p, i)
         lam_then_move = chain.move_to_end(lam_p, i)
@@ -241,14 +239,17 @@ def cmd_dist(args) -> int:
             raise UsageError("dist needs --stat with --n, or --matrix")
         if args.enum_limit is not None:
             raise UsageError("--enum-limit does nothing with --stat: the recurrences never enumerate")
-        builtin = exact_dist.BUILTINS[StatisticKind(args.stat)]
-        cap = args.cap or builtin.cap
+        recurrence = exact_dist.RECURRENCES[StatisticKind(args.stat)]
+        cap = args.cap or recurrence.cap
         exact_dist.check_size(args.n, cap)  # a refused n is not warned of
-        if cap > builtin.cap:
+        if cap > recurrence.cap:
             _warn(f"cap raised to {cap}; large n may take minutes and much memory")
-        dist = getattr(exact_dist, builtin.distribution)(args.n, cap)
-    # each distinct count's decimal text once: a palindromic row holds each count twice
-    text = list(map({c: str(c) for c in set(dist.counts)}.__getitem__, dist.counts))
+        dist = getattr(exact_dist, recurrence.distribution)(args.n, cap)
+    # a palindromic law's decimal texts from its first half, mirrored, as standardize decides
+    counts, size = dist.counts, len(dist.counts)
+    k = size // 2 if counts == counts[::-1] else 0
+    text = list(map(str, counts[: size - k]))
+    text += text[:k][::-1]
     if args.format == "csv":
         lines = (f"{v},{t}" for v, (c, t) in enumerate(zip(dist.counts, text), dist.min_value) if c)
         _emit_csv("value,count", lines, args.out)
@@ -428,7 +429,7 @@ _positive_int = _int_at_least(1, "must be positive")
 
 def _add_selector(sub) -> None:
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--stat", choices=_BUILTINS)
+    group.add_argument("--stat", choices=[kind.value for kind in BUILTINS])
     group.add_argument("--matrix", metavar="PATH", help="JSON file with an antisymmetric matrix")
     sub.add_argument("--n", type=_positive_int)
 
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out")
 
     sub = subs.add_parser("rate", help="normal-approximation rate table")
-    sub.add_argument("--stat", choices=_BUILTINS)
+    sub.add_argument("--stat", choices=[kind.value for kind in BUILTINS])
     sub.add_argument("--n-list", required=True, help="comma-separated, e.g. 10,20,30")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out")

@@ -10,15 +10,16 @@ few mirrored entries it reads and computes the new half with C-level
 statistic (:func:`eulerian_rows`, :func:`mahonian_rows`) yields the half
 row of every n in turn, so a table over many n runs the recurrence once,
 to the largest; :func:`eulerian_distribution` and
-:func:`mahonian_distribution` run it to one n; :data:`BUILTINS` holds each
-built-in's generator, cap, law function, Var X and the recurrence
+:func:`mahonian_distribution` run it to one n; :data:`RECURRENCES` holds
+each built-in's generator, cap, law function and the recurrence
 (:func:`descent_sums`, :func:`inversion_sums`) that gives the sums behind
 its exact bounds, the level sets of X among them, off which ``ExactSums``
-reads X's moments.  :func:`_sn.exact_sums` counts integer matrices over
-S_n.  :func:`standardize` shifts each atom and forms each probability by
-one correctly rounded int/int division, one per mirrored pair of counts
-(and of atoms, for a law centred on its mean), with no Fraction per atom;
-:func:`sums_to_one` checks the sum.
+reads X's moments (Var X is ``perm_core.BUILTINS``'s closed form).
+:func:`brute_force_moments` reads them off :func:`_sn.exact_sums`, any
+matrix's sums over S_n.  :func:`standardize` shifts each atom and forms
+each probability by one correctly rounded int/int division, one per
+mirrored pair of counts (and of atoms, for a law centred on its mean),
+with no Fraction per atom; :func:`sums_to_one` checks the sum.
 
 Counts index the exact statistic value: counts[k] is the number of
 permutations with value min_value + k.
@@ -277,24 +278,20 @@ def inversion_sums(n: int) -> ExactSums:
     return sums
 
 
-class Builtin(NamedTuple):
+class Recurrence(NamedTuple):
     """A built-in X = 2 count - max: its laws' generator, its cap, the name of its law function
-    (looked up on this module when it runs, so that a wrapper put there sees it), Var X and
-    the :class:`ExactSums` of its matrix, on L = 1, for an n."""
+    (looked up on this module when it runs, so that a wrapper put there sees it) and the
+    :class:`ExactSums` of its matrix, on L = 1, for an n."""
 
     rows: Callable[[], Iterator[tuple[list[int], int]]]
     cap: int
     distribution: str
-    variance: Callable[[int], Fraction]
     sums: Callable[[int], ExactSums]
 
 
-# Var X = 4 Var count: Var des = (n + 1)/12 from n = 2 (0 at n = 1); inv is a sum of uniforms on {0..i-1}
-BUILTINS = {
-    StatisticKind.DESCENTS: Builtin(eulerian_rows, EULERIAN_CAP, "eulerian_distribution",
-                                    lambda n: Fraction(n + 1, 3) if n > 1 else Fraction(0), descent_sums),
-    StatisticKind.INVERSIONS: Builtin(mahonian_rows, MAHONIAN_CAP, "mahonian_distribution",
-                                      lambda n: Fraction(n * (n - 1) * (2 * n + 5), 18), inversion_sums),
+RECURRENCES = {
+    StatisticKind.DESCENTS: Recurrence(eulerian_rows, EULERIAN_CAP, "eulerian_distribution", descent_sums),
+    StatisticKind.INVERSIONS: Recurrence(mahonian_rows, MAHONIAN_CAP, "mahonian_distribution", inversion_sums),
 }
 
 
@@ -314,6 +311,18 @@ def exact_moments(d: IntegerDistribution) -> tuple[Fraction, Fraction]:
     s2 = sum(v * v * c for v, c in d.support())
     mean = Fraction(s1, d.total)
     return mean, Fraction(s2, d.total) - mean * mean
+
+
+def brute_force_moments(m: AntisymmetricMatrix, limit: int | None = None) -> tuple[Fraction, Fraction]:
+    """Exact (mean, variance) of X over all of S_n, from :func:`_sn.exact_sums`.
+
+    >>> brute_force_moments(AntisymmetricMatrix.from_rows([[0, 1], [-1, 0]]))
+    (Fraction(0, 1), Fraction(1, 1))
+    """
+    sums, scale = _sn.exact_sums(m, limit), m.scale
+    nfact = math.factorial(m.n)
+    mean = Fraction(sums.sum_x, nfact * scale)
+    return mean, Fraction(sums.sum_x2, nfact * scale * scale) - mean * mean
 
 
 def standardize(d: IntegerDistribution, mean: Fraction, stddev: float) -> StandardizedDistribution:

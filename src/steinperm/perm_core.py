@@ -13,9 +13,10 @@ statistic of the inverse permutation:
 * ``inversions_matrix(n)``: X(p) = 2 * inversion_count(inverse(p)) - n(n-1)/2
 
 A matrix is stored once, as L * M in Python ints together with L, the lcm
-of its reduced entry denominators.  Everything in this module is exact.
-Statistics, variances and moments are ``fractions.Fraction`` values; floats
-appear only in downstream modules.
+of its reduced entry denominators; :data:`BUILTINS` gives each built-in's
+matrix builder and closed-form Var X.  This module imports no other module
+of the package.  Everything in it is exact.  Statistics and variances are
+``fractions.Fraction`` values; floats appear only in downstream modules.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Sequence
 
 DEFAULT_ENUM_LIMIT = 10
 TOO_LARGE = "matrix entries too large for exact int64 arithmetic"
@@ -185,8 +187,6 @@ class AntisymmetricMatrix(Frozen):
         or for a built-in the differences of prefix sums over its window."""
         if self.window is None:
             return tuple(map(sum, self.rows)), tuple(sum(map(abs, row)) for row in self.rows)
-        from itertools import accumulate
-
         n, window = self.n, self.window
         out = []
         for w in (window, map(abs, window)):  # row i is window[n - i : 2n - i]
@@ -243,6 +243,20 @@ class StatisticKind(str, Enum):
     CUSTOM = "custom"
 
 
+class Builtin(NamedTuple):
+    """A built-in statistic: the builder of its matrix and its closed-form Var X, for an n."""
+
+    matrix: Callable[[int], AntisymmetricMatrix]
+    variance: Callable[[int], Fraction]
+
+
+# Var X = 4 Var count: Var des = (n + 1)/12 from n = 2 (0 at n = 1); inv is a sum of uniforms on {0..i-1}
+BUILTINS = {
+    StatisticKind.DESCENTS: Builtin(descents_matrix, lambda n: Fraction(n + 1, 3) if n > 1 else Fraction(0)),
+    StatisticKind.INVERSIONS: Builtin(inversions_matrix, lambda n: Fraction(n * (n - 1) * (2 * n + 5), 18)),
+}
+
+
 class StatisticSpec(Frozen):
     """A statistic X(p) = sum_{i<j} M[p(i)][p(j)] given by its matrix.
 
@@ -261,27 +275,25 @@ class StatisticSpec(Frozen):
 
     @cached_property
     def variance(self) -> Fraction:
-        """Exact Var(X), computed once; a zero variance leaves W undefined.
+        """Exact Var(X), computed once: a built-in's closed form from
+        :data:`BUILTINS`, else :func:`variance_formula`; zero leaves W undefined.
 
         >>> descents_spec(7).variance
         Fraction(8, 3)
         """
-        if self.kind is StatisticKind.CUSTOM:
-            var = variance_formula(self.matrix).variance
-        else:  # a built-in's closed form; exact_dist imports this module
-            from .exact_dist import BUILTINS
-            var = BUILTINS[self.kind].variance(self.n)
+        builtin = BUILTINS.get(self.kind)
+        var = variance_formula(self.matrix).variance if builtin is None else builtin.variance(self.n)
         if var <= 0:
             raise ValueError("statistic has zero variance; W is undefined")
         return var
 
 
 def descents_spec(n: int) -> StatisticSpec:
-    return StatisticSpec(StatisticKind.DESCENTS, descents_matrix(n))
+    return spec_for(StatisticKind.DESCENTS, n)
 
 
 def inversions_spec(n: int) -> StatisticSpec:
-    return StatisticSpec(StatisticKind.INVERSIONS, inversions_matrix(n))
+    return spec_for(StatisticKind.INVERSIONS, n)
 
 
 def custom_spec(matrix: AntisymmetricMatrix) -> StatisticSpec:
@@ -290,11 +302,9 @@ def custom_spec(matrix: AntisymmetricMatrix) -> StatisticSpec:
 
 def spec_for(kind: StatisticKind | str, n: int) -> StatisticSpec:
     kind = StatisticKind(kind)
-    if kind is StatisticKind.DESCENTS:
-        return descents_spec(n)
-    if kind is StatisticKind.INVERSIONS:
-        return inversions_spec(n)
-    raise ValueError("a custom statistic needs an explicit matrix")
+    if kind not in BUILTINS:
+        raise ValueError("a custom statistic needs an explicit matrix")
+    return StatisticSpec(kind, BUILTINS[kind].matrix(n))
 
 
 def x_stat(spec: StatisticSpec, p: Permutation) -> Fraction:
@@ -352,23 +362,6 @@ def variance_formula(m: AntisymmetricMatrix) -> VarianceBreakdown:
     )
 
 
-def brute_force_moments(
-    m: AntisymmetricMatrix, limit: int | None = None
-) -> tuple[Fraction, Fraction]:
-    """Exact (mean, variance) of X over all of S_n, from :func:`_sn.exact_sums`.
-
-    >>> brute_force_moments(descents_matrix(5))
-    (Fraction(0, 1), Fraction(2, 1))
-    """
-    from . import _sn
-
-    sums, scale = _sn.exact_sums(m, limit), m.scale
-    nfact = math.factorial(m.n)
-    mean = Fraction(sums.sum_x, nfact * scale)
-    second = Fraction(sums.sum_x2, nfact * scale * scale)
-    return mean, second - mean * mean
-
-
 class ExactSums:
     """Exact integer sums over S_n x {1..n}, on the scaled integer matrix L * M.
 
@@ -380,7 +373,7 @@ class ExactSums:
     ``sum_q``, the sums of X, X^2 and q_pi over S_n, are read off them.
     ``sum_q2`` sums q_pi^2 over S_n, ``sum_abs_d3`` sums |X' - X|^3 over
     S_n x {1..n} and ``max_inner`` is the largest |inner_i|.
-    ``_sn.ExactSums`` fills them from a sweep and ``exact_dist.BUILTINS``
+    ``_sn.ExactSums`` fills them from a sweep and ``exact_dist.RECURRENCES``
     from the built-ins' recurrences.
     """
 

@@ -5,7 +5,7 @@ the regression rate lambda = 2/n, an almost-sure bound A on |W' - W|,
 the conditional second moment E[(W'-W)^2 | pi] and its variance over
 pi (or over W), and the third absolute moment E|W'-W|^3.  Small n gets
 all of them exactly (:func:`exact_ingredients`) from the integer sums over
-S_n, which the built-ins' recurrences in ``exact_dist.BUILTINS`` give in
+S_n, which the built-ins' recurrences in ``exact_dist.RECURRENCES`` give in
 Python ints and :func:`_sn.exact_sums` gives for any other matrix; large n
 gets Monte Carlo estimates with standard errors.  Two bounds are then
 evaluated:
@@ -145,7 +145,7 @@ def exact_ingredients(sums: ExactSums, spec: StatisticSpec) -> BoundIngredients:
 
 def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIngredients:
     """All ingredients over the whole of S_n, exactly: a built-in's sums
-    from its recurrence (``exact_dist.BUILTINS``), in Python ints with no
+    from its recurrence (``exact_dist.RECURRENCES``), in Python ints with no
     array work, under the same enumeration limit; any other matrix's from
     :func:`_sn.exact_sums`.
 
@@ -157,7 +157,7 @@ def ingredients_exact(spec: StatisticSpec, limit: int | None = None) -> BoundIng
     if spec.kind is StatisticKind.CUSTOM:
         sums = _sn.exact_sums(spec.matrix, limit)
     else:
-        sums = exact_dist.BUILTINS[spec.kind].sums(check_enum_limit(spec.n, limit))
+        sums = exact_dist.RECURRENCES[spec.kind].sums(check_enum_limit(spec.n, limit))
     return exact_ingredients(sums, spec)
 
 

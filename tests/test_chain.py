@@ -157,15 +157,15 @@ class TestSamplePair:
         assert 2 in deltas
 
     def test_variance_computed_once_per_spec(self, monkeypatch):
-        from steinperm import exact_dist, perm_core
+        from steinperm import perm_core
         from steinperm.perm_core import StatisticKind
 
         # a built-in reads its closed form from the table, a custom matrix runs variance_formula
         calls = []
         original = perm_core.variance_formula
         monkeypatch.setattr(perm_core, "variance_formula", lambda m: calls.append(m) or original(m))
-        builtin = exact_dist.BUILTINS[StatisticKind.INVERSIONS]
-        monkeypatch.setitem(exact_dist.BUILTINS, StatisticKind.INVERSIONS,
+        builtin = perm_core.BUILTINS[StatisticKind.INVERSIONS]
+        monkeypatch.setitem(perm_core.BUILTINS, StatisticKind.INVERSIONS,
                             builtin._replace(variance=lambda n: calls.append(n) or builtin.variance(n)))
         rng = np.random.Generator(np.random.PCG64(8))
         for spec in (inversions_spec(6), custom_spec(inversions_matrix(6))):

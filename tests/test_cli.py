@@ -25,7 +25,7 @@ from steinperm import (
     sample_pair,
     zero_matrix,
 )
-from steinperm import analysis, cli, exact_dist
+from steinperm import analysis, cli, exact_dist, perm_core
 from steinperm.cli import main
 
 import numpy as np
@@ -1320,8 +1320,12 @@ class TestColdStart:
         (("--help",), 0, "cli perm_core"),
         (("bounds", "--stat", "descents", "--n", "9"), 0, "cli exact_dist perm_core stein_bounds"),
         (("bounds", "--stat", "inversions", "--n", "9"), 0, "cli exact_dist perm_core stein_bounds"),
+        (("sample", "--stat", "descents", "--n", "5", "--seed", "1", "--trials", "2"), 0, "_sn chain cli perm_core"),
+        (("bounds", "--stat", "inversions", "--n", "5", "--mode", "mc", "--trials", "4", "--seed", "1"), 0,
+         "_sn cli perm_core stein_bounds"),
+        (("verify", "--stat", "descents", "--n", "4"), 0, "_sn cli exchangeability perm_core stein_bounds"),
     ], ids=["bounds-fault", "dist-inversions", "dist-descents", "rate-descents", "rate-inversions", "example", "help",
-            "bounds-descents", "bounds-inversions"])
+            "bounds-descents", "bounds-inversions", "sample-descents", "bounds-mc-inversions", "verify-descents"])
     def test_modules_run_by_command(self, tmp_path, argv, code, ran):
         _write_rows(tmp_path, "fault.json", _FAULT)
         proc = run_fresh(_RAN, *(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
@@ -1333,7 +1337,8 @@ class TestUsage:
     def test_stat_choices_are_the_table_keys(self):
         subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
         stats = [a.choices for sub in subs.values() for a in sub._actions if a.dest == "stat"]
-        assert stats == [[kind.value for kind in exact_dist.BUILTINS]] * 5  # all but example
+        assert stats == [[kind.value for kind in perm_core.BUILTINS]] * 5  # all but example
+        assert list(perm_core.BUILTINS) == list(exact_dist.RECURRENCES)
 
     def test_stat_and_matrix_conflict(self, capsys, matrix_file):
         with pytest.raises(SystemExit) as exc:

@@ -26,15 +26,22 @@ from steinperm import (
 )
 from steinperm.cli import main
 from steinperm.exact_dist import (
-    BUILTINS,
     EULERIAN_CAP,
     MAHONIAN_CAP,
+    RECURRENCES,
     eulerian_rows,
     laws,
     mahonian_rows,
     sums_to_one,
 )
-from steinperm.perm_core import AntisymmetricMatrix, EnumerationLimitError, StatisticKind, spec_for, variance_formula
+from steinperm.perm_core import (
+    BUILTINS,
+    AntisymmetricMatrix,
+    EnumerationLimitError,
+    StatisticKind,
+    spec_for,
+    variance_formula,
+)
 
 
 class TestEulerian:
@@ -149,9 +156,9 @@ class TestMoments:
     @pytest.mark.parametrize("kind", [StatisticKind.DESCENTS, StatisticKind.INVERSIONS])
     def test_table_variance_is_the_matrix_formula_and_the_law(self, kind):
         # X = 2 count - max, so Var X is 4 Var count; at n = 1 both are constant
-        builtin = BUILTINS[kind]
-        ns = [*range(1, 61), builtin.cap]
-        dists = list(laws(builtin.rows(), set(ns)))
+        recurrence, builtin = RECURRENCES[kind], BUILTINS[kind]
+        ns = [*range(1, 61), recurrence.cap]
+        dists = list(laws(recurrence.rows(), set(ns)))
         assert [dist.n for dist in dists] == ns
         for dist in dists:
             var_x = builtin.variance(dist.n)
@@ -329,7 +336,7 @@ class TestBuiltinSums:
     def test_equal_the_prefix_set_program(self, kind, n):
         from steinperm import _sn
 
-        got = BUILTINS[kind].sums(n)
+        got = RECURRENCES[kind].sums(n)
         want = _sn.exact_sums(spec_for(kind, n).matrix, n)
         assert exact_sums_fields(got) == exact_sums_fields(want)
         assert 0 not in got.level_count.values()
@@ -340,7 +347,7 @@ class TestBuiltinSums:
 
         for n in range(2, 61):
             spec = spec_for(StatisticKind.DESCENTS, n)
-            ing = stein_bounds.exact_ingredients(BUILTINS[StatisticKind.DESCENTS].sums(n), spec)
+            ing = stein_bounds.exact_ingredients(RECURRENCES[StatisticKind.DESCENTS].sums(n), spec)
             assert (ing.var_cond_pi_w == Fraction(128, 5 * n * n * (n + 1))) == (n >= 4), n
 
     @pytest.mark.parametrize("kind", [StatisticKind.DESCENTS, StatisticKind.INVERSIONS])
@@ -386,8 +393,8 @@ class TestLevelSetFillers:
     FILLERS = {
         "sweep": _swept_sums,
         "prefix-sets": _prefix_set_sums,
-        "descents": BUILTINS[StatisticKind.DESCENTS].sums,
-        "inversions": BUILTINS[StatisticKind.INVERSIONS].sums,
+        "descents": RECURRENCES[StatisticKind.DESCENTS].sums,
+        "inversions": RECURRENCES[StatisticKind.INVERSIONS].sums,
     }
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -400,7 +407,7 @@ class TestLevelSetFillers:
 
     @pytest.mark.parametrize("name", ["sum_x", "sum_x2", "sum_q"])
     def test_moments_are_read_only(self, name):
-        sums = BUILTINS[StatisticKind.DESCENTS].sums(4)
+        sums = RECURRENCES[StatisticKind.DESCENTS].sums(4)
         with pytest.raises(AttributeError):
             setattr(sums, name, 0)
 

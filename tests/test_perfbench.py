@@ -1,7 +1,7 @@
 """The benchmark's own checks against this tree, each in a fresh
 interpreter: ``perfbench/selftest.py``, and one short ``mc-draws``,
-``exact-verify`` and ``exact-bounds`` run each, whose outputs must all
-pass ``perfbench/checks.py``."""
+``exact-verify``, ``exact-bounds`` and ``recurrences`` run each, whose
+outputs must all pass ``perfbench/checks.py``."""
 
 import json
 import subprocess
@@ -44,3 +44,8 @@ def test_exact_verify_outputs_pass_the_checks():
 def test_exact_bounds_outputs_pass_the_checks():
     # the prefix-set program, the recurrences and the 9e12-entry fault
     _smoke("exact-bounds")
+
+
+def test_recurrences_outputs_pass_the_checks():
+    # dist at the caps and rate tables: the recurrences, with no S_n sweep
+    _smoke("recurrences")

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from fractions import Fraction
@@ -34,6 +35,7 @@ from steinperm import (
     x_stat,
     zero_matrix,
 )
+from steinperm import perm_core
 from steinperm.perm_core import parse_rational
 
 WORKED = Permutation((6, 4, 1, 5, 3, 2, 7))
@@ -302,6 +304,21 @@ class TestSpecFor:
     def test_custom_needs_matrix(self):
         with pytest.raises(ValueError):
             spec_for("custom", 5)
+
+
+def test_perm_core_imports_no_package_module():
+    """perm_core is the leaf every command imports: no import anywhere in
+    it, function bodies included, names a module of the package."""
+    with open(perm_core.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "fractions" in imported and "itertools" in imported
+    assert [name for name in imported if name.startswith(".") or name.split(".")[0] == "steinperm"] == []
 
 
 class TestSerialization:
