@@ -7,9 +7,10 @@ all aggregates remain exact integers.
 
 A lexicographic block is a run of (n - k)-prefixes, each followed by
 the k values it leaves in every order of S_k, k the largest with k! no
-more than the chunk size: S_k is built once and every block is the
-prefixes times ``remaining[S_k]``, both taken in lexicographic order
-from ``itertools.permutations``.
+more than the chunk size: S_k is built once, in k array steps
+(:func:`lex_permutations`), and every block is the prefixes, from
+``itertools.permutations``, times ``remaining[S_k]``, both in
+lexicographic order.
 
 The suffix sums inner[t, i] = sum_{j > i} M[p_t(i)][p_t(j)] depend only
 on p_t(i) and the set of values at or before position i, so sweeps read
@@ -61,7 +62,14 @@ which refuse an oversized n or oversized entries before they return or
 allocate; every Monte Carlo draw goes through :func:`draws`, which
 refuses oversized entries and yields (pick, tiles) blocks: the moved
 values and their sub-tiles of keys and ``inner``.  The table also gives X
-of a swept row moved, relabeled and relabeled then moved (:func:`moved_x`).
+of a swept row moved, relabeled and relabeled then moved (:func:`moved_x`),
+each array in the narrowest signed type its bound allows
+(:func:`moved_x_types`): keys below n 2^n in int16 up to n = 11 and int32
+beyond, the table's entries in the type of the largest of them, and the
+sums in the type of B, the sum over the values of their largest absolute
+table entry, int8 for both built-ins up to n = 13.  A sweep's level sets
+and pair counts are tallied by distribution counting over the chunk's
+range of values (:func:`tally`).
 
 numpy is loaded on the first array operation, not on import (see
 ``steinperm.lazy_module``, which also defers this module and the others
@@ -107,14 +115,23 @@ def row_bound(m: AntisymmetricMatrix) -> int:
 def integer_matrix(m: AntisymmetricMatrix, dtype: np.dtype | str = "int64") -> np.ndarray:
     """L * M as an array of ``dtype``, int64 for the sweeps and ``InnerKernel.dtype``
     for the draws, after the :func:`row_bound` guard.  A built-in's array is
-    one strided copy of its window."""
+    one strided copy of its window.  An n x n array that cannot be allocated,
+    the dense Monte Carlo kernel's at n = 100000, is refused as input too
+    large, with its shape and size in bytes."""
     n = m.n
     row_bound(m)
+    try:
+        out = np.empty((n, n), dtype=dtype)
+    except MemoryError:
+        size = n * n * np.dtype(dtype).itemsize
+        raise ValueError(f"cannot allocate the {(n, n)} {np.dtype(dtype)} matrix of {size} bytes") from None
     if m.window is None:
-        return np.array(m.rows, dtype=dtype).reshape(n, n)
-    window = np.array(m.window, dtype=dtype)
-    step = window.itemsize  # row i starts at slot n - i, one slot before row i - 1
-    return np.ndarray((n, n), dtype, buffer=window, offset=step * n, strides=(-step, step)).copy()
+        out[:] = m.rows
+    else:
+        window = np.array(m.window, dtype=dtype)
+        step = window.itemsize  # row i starts at slot n - i, one slot before row i - 1
+        out[:] = np.ndarray((n, n), dtype, buffer=window, offset=step * n, strides=(-step, step))
+    return out
 
 
 def checked_x_bound(m: AntisymmetricMatrix) -> AntisymmetricMatrix:
@@ -134,7 +151,8 @@ def checked_chunk_size(n: int, rows) -> int:
     sum_i |inner_i|^3 <= n^4 K^3 and |X| <= n^2 K.  The entries refused, on
     Python ints by :func:`perm_core.check_int64_entries`, are those with
     n (2nK)^3 or (4n (nK)^2)^2 above 2^62, so that every per-permutation
-    q_pi^2 fits int64; :meth:`ExactSums.add` sums those in Python ints.
+    q_pi^2 fits int64; :meth:`ExactSums.add` sums those in int64 blocks
+    of rows, each block's sum added as a Python int.
     A chunk then holds at most 2^62 / max(4n^3 K^2, n^4 K^3) rows, so that
     the sums it keeps in int64 (the level sums of q and the sum of
     |inner|^3) fit: at least 8 rows once the entries are accepted.
@@ -164,17 +182,50 @@ class ExactSums(perm_core.ExactSums):
     ``inner`` goes to :meth:`add`."""
 
     def add(self, inner: np.ndarray) -> None:
+        """Add one chunk of a sweep, its int64 ``inner``, to the sums.
+
+        X, q and every partial sum are int64, as :func:`checked_chunk_size`
+        lets each q^2 and each level's sum of q fit.  The sum of q^2 is taken
+        in int64 blocks of at most (2^63 - 1) // max q^2 rows, each block sum
+        added as a Python int.  The level sets are tallied by :func:`tally`."""
         x = inner.sum(axis=1)
         a = np.abs(inner)
         q = 4 * (inner * inner).sum(axis=1)
-        self.sum_q2 += sum((q * q).tolist())  # q^2 fits int64, a chunk's sum need not
+        q2 = q * q
+        block = ((1 << 63) - 1) // max(int(q2.max()), 1)
+        self.sum_q2 += sum(int(q2[start : start + block].sum()) for start in range(0, len(q2), block))
         self.sum_abs_d3 += 8 * int((a * a * a).sum())
         self.max_inner = max(self.max_inner, int(a.max()))
-        vals, where, cnt = np.unique(x, return_inverse=True, return_counts=True)
-        qsum = np.zeros(len(vals), dtype=np.int64)
-        np.add.at(qsum, where, q)
-        self.level_count.update(dict(zip(vals.tolist(), cnt.tolist())))
-        self.level_q.update(dict(zip(vals.tolist(), qsum.tolist())))
+        vals, cnt, qsum = tally(x, q)
+        self.level_count.update(dict(zip(vals, cnt)))
+        self.level_q.update(dict(zip(vals, qsum)))
+
+
+def tally(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[list[int], ...]:
+    """(the distinct int64 ``values`` ascending, how often each occurs) and,
+    with int64 ``weights``, the sum of the weights at each, as lists of
+    Python ints; each sum must fit int64.
+
+    Distribution counting (``np.bincount`` and ``np.add.at``) over the
+    values less their least, where their range is no longer than
+    ``values``, so that the count array is no larger than the values;
+    ``np.unique`` otherwise."""
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    if span <= len(values):
+        where = values - lo
+        counts = np.bincount(where, minlength=span)
+        found = np.flatnonzero(counts)
+        out = [found + lo, counts[found]]
+    else:
+        distinct, where, counts = np.unique(values, return_inverse=True, return_counts=True)
+        found, span = slice(None), len(distinct)
+        out = [distinct, counts]
+    if weights is not None:
+        sums = np.zeros(span, dtype=np.int64)
+        np.add.at(sums, where, weights)
+        out.append(sums[found])
+    return tuple(a.tolist() for a in out)
 
 
 def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> ExactSums:
@@ -419,15 +470,19 @@ def draw(
 def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
     """Yield (m, n) int64 arrays of 0-indexed permutations, lex order.
 
-    No block holds more than ``chunk_size`` rows.  ``itertools.permutations``
-    gives both factors in lexicographic order: S_k once, and the
-    (n - k)-prefixes a block at a time.
+    No block holds more than ``chunk_size`` rows.  S_k comes from
+    :func:`lex_permutations` once, and the (n - k)-prefixes a block at a
+    time from ``itertools.permutations``, both in lexicographic order; with
+    k = n the one block is S_n itself.
     """
     k = n
     while math.factorial(k) > chunk_size:
         k -= 1
     kfact = math.factorial(k)
-    tail = np.fromiter(chain.from_iterable(permutations(range(k))), np.int64, kfact * k).reshape(kfact, k)
+    tail = lex_permutations(k)
+    if k == n:
+        yield tail
+        return
     prefixes = permutations(range(n), n - k)
     # fewer than k + 1 prefixes per block, since (k + 1)! > chunk_size
     while heads := list(islice(prefixes, chunk_size // kfact)):
@@ -440,6 +495,22 @@ def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
         # the values each prefix leaves, ascending, in every order of S_k
         block[:, :, n - k :] = np.nonzero(left)[1].reshape(g, k).take(tail, axis=1)
         yield block.reshape(g * kfact, n)
+
+
+def lex_permutations(k: int) -> np.ndarray:
+    """S_k as a (k!, k) int64 array in lexicographic order, built from S_0 by
+    k array steps: S_j lists each first value f = 0..j-1 in turn, followed by
+    S_{j-1} in order with every value at or above f raised by one."""
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for j in range(1, k + 1):
+        rows = len(perms)
+        out = np.empty((j, rows, j), dtype=np.int64)
+        out[:, :, 0] = np.arange(j)[:, None]
+        rest = out[:, :, 1:]
+        rest[:] = perms
+        rest += rest >= np.arange(j)[:, None, None]
+        perms = out.reshape(j * rows, j)
+    return perms
 
 
 def signed_type(bound: int) -> np.dtype:
@@ -639,11 +710,23 @@ def moved(perms: np.ndarray, i: int) -> np.ndarray:
     return np.concatenate([perms[:, :i], perms[:, i + 1 :], perms[:, i : i + 1]], axis=1)
 
 
+def moved_x_types(suffix: np.ndarray) -> tuple[np.dtype, np.dtype, np.dtype]:
+    """(keys, ``suffix`` entries, sums): the types :func:`moved_x` holds its
+    arrays in on the n x 2^n ``suffix`` table, each from the bound given there."""
+    n = suffix.shape[0]
+    top = np.abs(suffix).max(axis=1, initial=0)
+    return signed_type((n << n) - 1), signed_type(int(top.max(initial=0))), signed_type(int(top.sum()))
+
+
 @functools.cache
-def triangle(n: int) -> tuple[np.ndarray, ...]:
-    """Cells j >= i of an n x n square, i-major: (i, j) and each i's first cell, read-only."""
+def triangle(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Cells j >= i of an n x n square by diagonal, d = j - i = 0..n-1, each
+    diagonal in increasing i: (i, j), read-only, and where each diagonal starts."""
     i, j = np.triu_indices(n)
-    return tuple(np.broadcast_to(a, a.shape) for a in (i, j, np.flatnonzero(i == j)))
+    order = np.argsort(j - i, kind="stable")  # i-major, so each diagonal keeps increasing i
+    i, j = i[order], j[order]
+    starts = [d * n - d * (d - 1) // 2 for d in range(n + 1)]
+    return np.broadcast_to(i, i.shape), np.broadcast_to(j, j.shape), starts
 
 
 def moved_x(perms: np.ndarray, inner: np.ndarray, suffix: np.ndarray, table: np.ndarray | None = None):
@@ -660,31 +743,58 @@ def moved_x(perms: np.ndarray, inner: np.ndarray, suffix: np.ndarray, table: np.
     lambda(j) = table[S_i, p(i), p(j)], S_i the values at positions >= i, and has
     seen the values before i and lambda(i..j), a running sum as lambda is
     one-to-one.  Each such term is a fresh ``suffix`` lookup, none read off
-    X' = X - 2 inner[i] or X(lambda) = X'."""
+    X' = X - 2 inner[i] or X(lambda) = X'.  The cells run by diagonal, so that
+    the running sums and the sums over j take one array step per diagonal.
+
+    Every array is held in the narrowest signed type its bound allows, as
+    :func:`moved_x_types` picks them.  The keys, and the seen masks they
+    are built of, are below n 2^n: int16 up to n = 11, int32 beyond.
+    ``table`` holds values below n, read in the type of n - 1: int8.
+    ``suffix`` is read in the type of its largest absolute entry, at most
+    the :func:`row_bound`: int8 for the built-ins up to n = 128.  Each
+    prefix sum, partial sum over j and X is a sum of ``suffix`` entries at
+    distinct values v, as each row and each lambda is one-to-one, so its
+    absolute value is at most B, the sum over v of the largest
+    |suffix[v, seen]|, and it is held in the type of B: int8 for both
+    built-ins up to n = 13 (B = n for descents, 120 for inversions at
+    n = 13).  The three X arrays come out in that type, ``inner`` as given."""
     n = perms.shape[1]
     i, j, starts = triangle(n)
+    ktype, stype, xtype = moved_x_types(suffix)
+    look = suffix.astype(stype)
+    if table is not None:
+        table = table.astype(signed_type(n - 1))
+    full = (1 << n) - 1
 
-    def tail(keys, moved=False):  # the suffix terms of cells (i, i..n-1), summed
-        if moved:
-            keys = keys ^ (1 << (keys[starts] >> n))[i]
-            keys[starts] |= (1 << n) - 1
-        return np.add.reduceat(np.take(suffix, keys), starts, axis=0).T
+    def total(keys, before, moved=False):  # before + the suffix terms of cells (i, i..n-1)
+        if moved:  # the value of cell (i, i) drops out of every later seen set, and comes last
+            keys = keys ^ (1 << (keys[: n] >> n))[i]
+            keys[:n] |= full
+        terms = np.take(look, keys)
+        out = before + terms[:n]
+        for d in range(1, n):
+            out[: n - d] += terms[starts[d] : starts[d + 1]]
+        return out.T
 
     # a call per sub-tile frees its arrays before the next, and triangle is made once per n:
     # without either, verify at n = 10 fragmented the heap, 100-113 MB RSS, not 94-97 MB
     def tile(p, inn):
-        bits = 1 << p
-        seen = np.cumsum(bits, axis=0)
-        before = np.cumsum(inn, axis=1) - inn
+        p = p.astype(ktype)
+        bits = np.left_shift(1, p, dtype=ktype)
+        seen = np.cumsum(bits, axis=0, dtype=ktype)
+        before = np.zeros(p.shape, dtype=xtype)
+        np.cumsum(inn.T[:-1], axis=0, dtype=xtype, out=before[1:])
         relabeled = relabeled_moved = None
         if table is not None:
             prior = seen - bits
-            lam = table.take(((((1 << n) - 1 ^ prior) * n + p) * n)[i] + p[j])
-            lam_bits = 1 << lam
-            lam_seen = np.cumsum(lam_bits, axis=0)
-            keys = lam << n | (lam_seen - (lam_seen[starts] - lam_bits[starts] - prior)[i])
-            relabeled, relabeled_moved = before + tail(keys), before + tail(keys, moved=True)
-        return inn, before + tail((p << n | seen)[j], moved=True), relabeled, relabeled_moved
+            lam = table.take(((((full ^ prior).astype(np.intp) * n + p) * n)[i] + p[j])).astype(ktype)
+            lam_seen = np.left_shift(1, lam, dtype=ktype)
+            lam_seen[:n] += prior
+            for d in range(1, n):  # cell (i, i + d) adds the seen set of cell (i, i + d - 1)
+                lam_seen[starts[d] : starts[d + 1]] += lam_seen[starts[d - 1] : starts[d] - 1]
+            keys = lam << n | lam_seen
+            relabeled, relabeled_moved = total(keys, before), total(keys, before, moved=True)
+        return inn, total((p << n | seen)[j], before, moved=True), relabeled, relabeled_moved
 
     height = tile_height(len(i))
     for start in range(0, len(perms), height):

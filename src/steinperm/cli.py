@@ -113,9 +113,11 @@ def _run_checks(spec: StatisticSpec, limit: int | None) -> list[tuple[str, bool]
 
     ``_sn.moved_x`` gives, one row sub-tile of a chunk at a time, X of every
     row moved, and for the built-ins relabeled and relabeled then moved, at
-    every position, no row copied; the checks compare those arrays.  Each chunk
-    also feeds the bound sums and the (X, X') tally; the built-ins' Theta/Phi
-    conditions are checked on every value subset at once.
+    every position, no row copied, each in the narrowest type its bound
+    allows; the checks compare those arrays with the int64 X and ``inner``
+    of the sweep, so that no difference wraps.  Each chunk also feeds the
+    bound sums and the (X, X') tally; the built-ins' Theta/Phi conditions
+    are checked on every value subset at once.
     """
     n, var, scale, np = spec.n, spec.variance, spec.matrix.scale, _sn.np
     mint, suffix, sweep = _sn.sweep(spec.matrix, limit)

@@ -283,15 +283,18 @@ class PairDistribution(NamedTuple):
         return sum(self.raw.values())
 
     def add(self, inner: np.ndarray) -> None:
+        """Add the pairs of one chunk of a sweep, its int64 ``inner``: one
+        int64 key (X - lo) span + (X' - lo) per pair, lo and span the least
+        value and the range of X and X' in the chunk, tallied by
+        ``_sn.tally``.  The sweep's overflow guard keeps |X| below
+        sqrt(n) 2^13.5, so span^2 stays far below 2^63."""
         x = inner.sum(axis=1)
-        xa = np.repeat(x, inner.shape[1])
-        xb = (x[:, None] - 2 * inner).ravel()
-        # one int64 key per pair: the sweep's overflow guard keeps |X| below
-        # sqrt(n) * 2^13.5, so span^2 stays far below 2^63
-        lo = int(min(xa.min(), xb.min()))
-        span = int(max(xa.max(), xb.max())) - lo + 1
-        keys, cnt = np.unique((xa - lo) * span + (xb - lo), return_counts=True)
-        for k, c in zip(keys.tolist(), cnt.tolist()):
+        x_prime = x[:, None] - 2 * inner
+        lo = int(min(x.min(), x_prime.min()))
+        span = int(max(x.max(), x_prime.max())) - lo + 1
+        keys = ((x - lo) * span)[:, None] + (x_prime - lo)
+        found, cnt = _sn.tally(keys.ravel())
+        for k, c in zip(found, cnt):
             a, b = divmod(k, span)
             pair = (a + lo, b + lo)
             self.raw[pair] = self.raw.get(pair, 0) + c

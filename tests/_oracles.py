@@ -12,9 +12,10 @@ versions replaced, X of every moved and relabeled row is recomputed on a copy
 of the rows rather than read from the original rows' seen sets, and the
 conditional moments of one chain step average the scalar Fraction
 ``chain.x_delta`` over the n positions rather than read the integer
-suffix sums, and Var(E^W (W' - W)^2) adds the level sets up one
+suffix sums, Var(E^W (W' - W)^2) adds the level sets up one
 ``Fraction`` at a time rather than as one integer sum over the lcm of
-their counts.
+their counts, and a sweep chunk's level sets and (X, X') pairs are
+tallied by sorting (``np.unique``) rather than by counting.
 """
 
 import math
@@ -23,7 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from steinperm import _sn
+from steinperm import _sn, perm_core
 from steinperm.analysis import normal_cdf
 from steinperm.chain import x_delta
 
@@ -232,3 +233,32 @@ def exact_sums_fields(sums) -> tuple:
         sums.sum_x, sums.sum_x2, sums.sum_q, sums.sum_q2, sums.sum_abs_d3, sums.max_inner,
         dict(sums.level_count), dict(sums.level_q),
     )
+
+
+def exact_sums_by_sort(inner: np.ndarray) -> perm_core.ExactSums:
+    """The ``ExactSums`` of one sweep chunk's int64 ``inner``: the level sets
+    of X tallied by ``np.unique`` and the sum of q^2 taken over a list of
+    Python ints."""
+    sums = perm_core.ExactSums()
+    x = inner.sum(axis=1)
+    a = np.abs(inner)
+    q = 4 * (inner * inner).sum(axis=1)
+    sums.sum_q2 = sum((q * q).tolist())
+    sums.sum_abs_d3 = 8 * int((a * a * a).sum())
+    sums.max_inner = int(a.max())
+    vals, where, cnt = np.unique(x, return_inverse=True, return_counts=True)
+    qsum = np.zeros(len(vals), dtype=np.int64)
+    np.add.at(qsum, where, q)
+    sums.level_count.update(dict(zip(vals.tolist(), cnt.tolist())))
+    sums.level_q.update(dict(zip(vals.tolist(), qsum.tolist())))
+    return sums
+
+
+def pair_counts_by_sort(inner: np.ndarray) -> dict[tuple[int, int], int]:
+    """The counts of the integer pairs (X, X') of one sweep chunk's int64
+    ``inner``, one pair per row and position, tallied by ``np.unique`` on
+    the pairs as rows."""
+    x = inner.sum(axis=1)
+    pairs = np.stack([np.repeat(x, inner.shape[1]), (x[:, None] - 2 * inner).ravel()], axis=1)
+    found, cnt = np.unique(pairs, axis=0, return_counts=True)
+    return {(a, b): c for (a, b), c in zip(found.tolist(), cnt.tolist())}

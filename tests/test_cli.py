@@ -693,6 +693,32 @@ class TestRefusedInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "too large" in err
 
+    # the dense Monte Carlo kernel's 100000 x 100000 int32 rows, 40 GB, used
+    # to end in exit 3 with a MemoryError; here a patched numpy.empty refuses them
+    _HUGE_MC = ("bounds", "--stat", "inversions", "--n", "100000", "--mode", "mc", "--trials", "4", "--seed", "1")
+    _HUGE_MC_ERR = "error: cannot allocate the (100000, 100000) int32 matrix of 40000000000 bytes\n"
+
+    def test_unallocatable_kernel_refused(self, capsys, monkeypatch):
+        real = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if shape == (100000, 100000):
+                raise MemoryError(shape)
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        assert run(capsys, *self._HUGE_MC) == (2, "", self._HUGE_MC_ERR)
+
+    # the same in a new interpreter under a 1 GiB address-space limit, as the
+    # benchmark runs its fault operation, where the allocation really fails
+    def test_unallocatable_kernel_refused_under_a_memory_limit(self):
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from steinperm.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        proc = run_fresh(code, *self._HUGE_MC)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", self._HUGE_MC_ERR)
+
     # every partial row sum of such a matrix overflows int64, which the Monte
     # Carlo draws used to do silently
     def test_mc_row_sum_overflow_refused(self, capsys, tmp_path):
@@ -1396,11 +1422,17 @@ _RATIONAL_MATRIX = """{"n": 5, "entries": [
      "6d3d4a28d66b3728de774595cd8cbf3fd9d2b0d4a17473d57daa11f6845d0345"),
     (_RATIONAL_MATRIX, ("bounds", "--mode", "mc", "--trials", "2000", "--seed", "7"),
      "d3d778f7e772663dec592372a85574ae127d5a0d8ee75748308e4b9b458e8b6a"),
+    # verify's custom-matrix path, whose array types come from the matrix's
+    # bounds; neither pair is exchangeable, so verify exits 1
+    (_INTEGER_MATRIX, ("verify",),
+     "4cd0a13a8d1ef38563eb61c8ef272f959c2f0734ec5c0eacf5ae9fd92c5d5bed"),
+    (_RATIONAL_MATRIX, ("verify",),
+     "4387f35bfc9dddb0ef200fb1d80d3a173bb84348a8945a52a95e5b9177536b36"),
 ])
 def test_matrix_layout_sha256(capsys, tmp_path, text, argv, digest):
-    """The --matrix layouts of dist and bounds, byte for byte."""
+    """The --matrix layouts of dist, bounds and verify, byte for byte."""
     path = tmp_path / "m.json"
     path.write_text(text)
     code, out, err = run(capsys, argv[0], "--matrix", str(path), *argv[1:])
-    assert (code, err) == (0, "")
+    assert (code, err) == (1 if argv[0] == "verify" else 0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -30,7 +30,8 @@ from steinperm.perm_core import EnumerationLimitError
 
 from conftest import BUILTIN_SIZES, builtin_rows, random_matrices
 from _oracles import (
-    draw_whole_tile, exact_sums_fields, inner_sums_gather, keyed_gather, relabel, row_copy_x, value_order,
+    draw_whole_tile, exact_sums_by_sort, exact_sums_fields, inner_sums_gather, keyed_gather, pair_counts_by_sort,
+    relabel, row_copy_x, value_order,
 )
 
 
@@ -105,6 +106,12 @@ class TestChunks:
         assert all(b.dtype == np.int64 and 0 < len(b) <= size for b in blocks)
         rows = np.concatenate(blocks)
         assert rows.tolist() == [list(p) for p in permutations(range(n))]
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_array_built_s_k_in_lex_order(self, k):
+        perms = _sn.lex_permutations(k)
+        assert perms.dtype == np.int64 and perms.shape == (math.factorial(k), k)
+        assert perms.tolist() == [list(p) for p in permutations(range(k))]
 
 
 class TestSuffixTable:
@@ -235,6 +242,49 @@ class TestMovedAndRelabeledX:
             # every (value, seen set) pair is met by some moved and some relabeled row
             for got, want in zip(self.assert_row_copies(perms, altered, table), clean):
                 assert not np.array_equal(got, want)
+
+    # the suffix entries' type at its int8 and int16 edges: the largest
+    # absolute entry of the suffix table is the largest absolute row sum
+    @pytest.mark.parametrize("bound, dtype", [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)])
+    @pytest.mark.parametrize("form", ["dense", "banded"])
+    def test_suffix_type_edges(self, bound, dtype, form):
+        n = 7
+        suffix = _sn.suffix_table(_sn.integer_matrix(_dtype_edge_matrix(n, bound, form)))
+        assert int(np.abs(suffix).max()) == bound
+        assert _sn.moved_x_types(suffix)[1] == dtype
+        self.assert_row_copies(self.rows(n), suffix, exchangeability.relabel_table(inversions_spec(n)))
+
+    # the sums' type at its edges: with M[0][1] = a <= b = M[1][2] and no
+    # other entry, the largest |suffix[v, seen]| is a, b and b for v = 0, 1, 2
+    @pytest.mark.parametrize("a, b, dtype", [
+        (1, 63, np.int8), (2, 63, np.int16), (1, 16383, np.int16), (2, 16383, np.int32),
+    ])
+    def test_sum_type_edges(self, a, b, dtype):
+        n = 7
+        suffix = _sn.suffix_table(_sn.integer_matrix(_antisymmetric_matrix(n, {(0, 1): a, (1, 2): b})))
+        assert int(np.abs(suffix).max(axis=1).sum()) == a + 2 * b
+        assert _sn.moved_x_types(suffix)[2] == dtype
+        for table in (exchangeability.relabel_table(descents_spec(n)), exchangeability.relabel_table(inversions_spec(n))):
+            xs = self.assert_row_copies(self.rows(n), suffix, table)
+            assert all(x.dtype == dtype for x in xs)
+            assert max(int(np.abs(x).max()) for x in xs) == a + b
+
+    # the keys' type at its edge, n 2^n - 1 = 22527 at n = 11 and 49151 at n = 12
+    @pytest.mark.parametrize("n, dtype", [(11, np.int16), (12, np.int32)])
+    def test_key_type_edge(self, n, dtype):
+        suffix = _sn.suffix_table(_sn.integer_matrix(inversions_matrix(n)))
+        assert _sn.moved_x_types(suffix)[0] == dtype
+        perms = np.random.default_rng(n).permuted(np.tile(np.arange(n, dtype=np.int64), (300, 1)), axis=1)
+        for make in (descents_spec, inversions_spec):
+            self.assert_row_copies(perms, suffix, exchangeability.relabel_table(make(n)))
+
+    # the built-ins' sums in int8 up to n = 13: B = n for descents, and for
+    # inversions the sum over v of max(v, n - 1 - v), 120 at n = 13 and 140 at n = 14
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_builtin_sum_types(self, n):
+        for make, dtype in ((descents_matrix, np.int8), (inversions_matrix, np.int8 if n <= 13 else np.int16)):
+            suffix = _sn.suffix_table(_sn.integer_matrix(make(n)))
+            assert _sn.moved_x_types(suffix)[1:] == (np.int8, dtype)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -869,6 +919,57 @@ def _layer_bounds(mint):
         u = s.bit_length() - 1
         within[s] = within[s ^ (1 << u)] + sum(a[u][w] for w in range(u) if s >> w & 1)
     return [max(w for s, w in enumerate(within) if s.bit_count() == k) for k in range(n + 1)]
+
+
+class TestTallies:
+    """ExactSums.add and PairDistribution.add, which tally each sweep chunk
+    by counting over its offset range of values, against the sort-based
+    tallies, chunk by chunk; each gives the branches it took."""
+
+    @staticmethod
+    def _check(m, monkeypatch):
+        *_, sweep = _sn.sweep(m)
+        branches = set()
+        for _, inner in sweep:
+            want_sums, want_pairs = exact_sums_by_sort(inner), pair_counts_by_sort(inner)
+            calls = []
+            for name in ("bincount", "unique"):
+                real = getattr(np, name)
+                monkeypatch.setattr(np, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+            sums, pairs = _sn.ExactSums(), exchangeability.PairDistribution({}, m.scale)
+            sums.add(inner)
+            pairs.add(inner)
+            monkeypatch.undo()
+            branches.add(tuple(calls))
+            assert exact_sums_fields(sums) == exact_sums_fields(want_sums)
+            assert pairs.raw == want_pairs
+        return branches
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("make", [descents_matrix, inversions_matrix])
+    def test_builtins(self, make, n, monkeypatch):
+        # from n = 5 on, X spans fewer values than S_n has rows, and the pairs
+        # (X, X') fewer than S_n x {1..n} has: for inversions at n = 5, 21^2 < 600
+        branches = self._check(make(n), monkeypatch)
+        if n >= 5:
+            assert branches == {("bincount", "bincount")}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_integer_and_rational_matrices(self, n, monkeypatch):
+        for m in (*random_matrices(n, count=2), _random_rational_matrix(n, seed=n)):
+            self._check(m, monkeypatch)
+
+    def test_wide_rational_matrix_takes_unique(self, monkeypatch):
+        # denominators 7, 11 and 13 (L = 1001) at n = 5: X spans far more
+        # values than the 120 rows, and (X, X') more than their 600 pairs
+        n = 5
+        dens = [7, 11, 13]
+        upper = {
+            (i, j): Fraction((-1) ** (i + j) * (i + 2 * j), dens[(i + j) % 3]) for i in range(n) for j in range(i + 1, n)
+        }
+        m = _antisymmetric_matrix(n, upper)
+        assert m.scale == 1001
+        assert self._check(m, monkeypatch) == {("unique", "unique")}
 
 
 class TestExactSums:
