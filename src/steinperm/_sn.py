@@ -57,19 +57,21 @@ which names its predecessor, so the whole program is n(n + 1)/2 steps.
 It falls back to the sweep when that state would be too wide or its sums
 could leave int64.
 
-Every exact enumeration goes through :func:`sweep` or :func:`exact_sums`,
-which refuse an oversized n or oversized entries before they return or
-allocate; every Monte Carlo draw goes through :func:`draws`, which
-refuses oversized entries and yields (pick, tiles) blocks: the moved
-values and their sub-tiles of keys and ``inner``.  The table also gives X
-of a swept row moved, relabeled and relabeled then moved (:func:`moved_x`),
-each array in the narrowest signed type its bound allows
-(:func:`moved_x_types`): keys below n 2^n in int16 up to n = 11 and int32
-beyond, the table's entries in the type of the largest of them, and the
-sums in the type of B, the sum over the values of their largest absolute
-table entry, int8 for both built-ins up to n = 13.  A sweep's level sets
-and pair counts are tallied by distribution counting over the chunk's
-range of values (:func:`tally`).
+Every exact enumeration goes through :func:`sweep` or
+:func:`exact_sums`, which refuse an oversized n, and entries for which
+an int64 sum over a chunk of ``CHUNK`` rows could overflow
+(:func:`perm_core.check_int64_entries`), before they return or allocate;
+every Monte Carlo draw goes through :func:`draws`, which refuses
+oversized entries and yields (pick, tiles) blocks: the moved values and
+their sub-tiles of keys and ``inner``.  The table also gives X of a swept
+row moved, relabeled and relabeled then moved (:func:`moved_x`), each
+array in the narrowest signed type its bound allows
+(:func:`moved_x_types`): keys below n 2^n in int16 up to n = 11 and
+int32 beyond, the table's entries in the type of the largest of them,
+and the sums in the type of B, the sum over the values of their largest
+absolute table entry, int8 for both built-ins up to n = 13.  A sweep's
+level sets and pair counts are tallied by distribution counting over the
+chunk's range of values (:func:`tally`).
 
 numpy is loaded on the first array operation, not on import (see
 ``steinperm.lazy_module``, which also defers this module and the others
@@ -141,26 +143,6 @@ def checked_x_bound(m: AntisymmetricMatrix) -> AntisymmetricMatrix:
     return m
 
 
-def checked_chunk_size(n: int, rows) -> int:
-    """Chunk size small enough that int64 per-chunk aggregates cannot overflow.
-
-    ``rows`` is L * M, as an array or as rows of Python ints.  With
-    K = max |entry|, every suffix sum and every entry of
-    :func:`suffix_table` is a partial row sum, |inner_i| <= (n - 1) K <= nK.
-    So per permutation q_pi = 4 sum_i inner_i^2 <= 4n^3 K^2,
-    sum_i |inner_i|^3 <= n^4 K^3 and |X| <= n^2 K.  The entries refused, on
-    Python ints by :func:`perm_core.check_int64_entries`, are those with
-    n (2nK)^3 or (4n (nK)^2)^2 above 2^62, so that every per-permutation
-    q_pi^2 fits int64; :meth:`ExactSums.add` sums those in int64 blocks
-    of rows, each block's sum added as a Python int.
-    A chunk then holds at most 2^62 / max(4n^3 K^2, n^4 K^3) rows, so that
-    the sums it keeps in int64 (the level sums of q and the sum of
-    |inner|^3) fit: at least 8 rows once the entries are accepted.
-    """
-    k = check_int64_entries(n, rows)
-    return min(CHUNK, (1 << 62) // max(4 * n**3 * k**2, n**4 * k**3, 1))
-
-
 def sweep(
     m: AntisymmetricMatrix, limit: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
@@ -171,10 +153,10 @@ def sweep(
     Python ints, so a refused sweep allocates nothing and loads no numpy.
     """
     n = check_enum_limit(m.n, limit)
-    size = checked_chunk_size(n, m.rows)
+    check_int64_entries(n, m.rows)
     mint = integer_matrix(m)
     table = suffix_table(mint)
-    return mint, table, inner_sum_chunks(n, table, size)
+    return mint, table, inner_sum_chunks(n, table)
 
 
 class ExactSums(perm_core.ExactSums):
@@ -184,8 +166,8 @@ class ExactSums(perm_core.ExactSums):
     def add(self, inner: np.ndarray) -> None:
         """Add one chunk of a sweep, its int64 ``inner``, to the sums.
 
-        X, q and every partial sum are int64, as :func:`checked_chunk_size`
-        lets each q^2 and each level's sum of q fit.  The sum of q^2 is taken
+        X, q, each q^2 and every partial sum over the chunk are int64, by the
+        bounds of :func:`perm_core.check_int64_entries`.  The sum of q^2 is taken
         in int64 blocks of at most (2^63 - 1) // max q^2 rows, each block sum
         added as a Python int.  The level sets are tallied by :func:`tally`."""
         x = inner.sum(axis=1)
@@ -204,7 +186,8 @@ class ExactSums(perm_core.ExactSums):
 def tally(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[list[int], ...]:
     """(the distinct int64 ``values`` ascending, how often each occurs) and,
     with int64 ``weights``, the sum of the weights at each, as lists of
-    Python ints; each sum must fit int64.
+    Python ints; each sum must fit int64, as each level's sum of q over a
+    chunk of a sweep does (:func:`perm_core.check_int64_entries`).
 
     Distribution counting (``np.bincount`` and ``np.add.at``) over the
     values less their least, where their range is no longer than
@@ -238,7 +221,7 @@ def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> ExactSums:
     on q_pi, so that its int64 counts and sums of q fit; else the sweep.
     """
     n = check_enum_limit(m.n, limit)
-    checked_chunk_size(n, m.rows)
+    check_int64_entries(n, m.rows)
     sums = ExactSums()
     # |inner| at value v is at most v's absolute row sum, and |X| at most
     # the sum of |L M_ij| over i < j, half the sum of all absolute rows
@@ -303,8 +286,9 @@ def prefix_set_sums(m: AntisymmetricMatrix, stride: int, sums: ExactSums) -> Non
     times the sum over orderings of S of their partial q, which layer |S|
     holds, times the (n - |S| - 1)! orderings after v.  Per set S, the
     sums over v outside S of t, t^2 and 4 |inner|^3 fit int64 for entries
-    that :func:`checked_chunk_size` accepts (at most 4n^3 K^2, 16n^5 K^4
-    and 4n^4 K^3, K the largest |entry|); their products and layer sums are
+    that :func:`perm_core.check_int64_entries` accepts (at most
+    4n^3 K^2 <= 2^31, 16n^5 K^4 <= 2^62 and 4n^4 K^3 <= 2^45.5, K the largest
+    |entry|, as there n^3 K^2 <= 2^29); their products and layer sums are
     taken in Python ints.  The largest |inner| is the largest
     |inside[v, U]|: each set U without v is the complement of some
     S | {v}, and M[v][v] = 0.
@@ -699,9 +683,9 @@ def diagonal_sums(
         out[:, d:] += term
 
 
-def inner_sum_chunks(n: int, table: np.ndarray, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def inner_sum_chunks(n: int, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(perms, inner) for each chunk of the sweep, read from ``table = suffix_table(mint)``."""
-    for perms in chunks(n, chunk_size):
+    for perms in chunks(n):
         yield perms, table_inner(perms, table)
 
 

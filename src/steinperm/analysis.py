@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_dist import RECURRENCES, StandardizedDistribution, check_size, laws, standardize, sums_to_one
+from .exact_dist import RECURRENCES, StandardizedDistribution, check_size, laws, standardize
 from .perm_core import BUILTINS, StatisticKind
 
 
@@ -45,9 +45,9 @@ def kolmogorov_distance(d: StandardizedDistribution) -> float:
     Between consecutive atoms F is flat and Phi increases, so the
     supremum is attained at an atom: compare F(w) - Phi(w) at the top
     of each jump and Phi(w) - F(w-) at the bottom, Phi by normal_cdf's floats.
+    The law's atoms are finite and its probabilities sum to 1, as
+    ``StandardizedDistribution`` admits no other.
     """
-    if not (sums_to_one(d.probs) and all(map(math.isfinite, d.atoms))):
-        raise ValueError(f"need finite atoms and probabilities summing to 1 (sum {math.fsum(d.probs)!r})")
     erfc, root2 = math.erfc, math.sqrt(2.0)
     best = below = 0.0
     for w, p in zip(d.atoms, d.probs):

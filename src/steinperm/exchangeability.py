@@ -286,8 +286,9 @@ class PairDistribution(NamedTuple):
         """Add the pairs of one chunk of a sweep, its int64 ``inner``: one
         int64 key (X - lo) span + (X' - lo) per pair, lo and span the least
         value and the range of X and X' in the chunk, tallied by
-        ``_sn.tally``.  The sweep's overflow guard keeps |X| below
-        sqrt(n) 2^13.5, so span^2 stays far below 2^63."""
+        ``_sn.tally``.  Entries that ``perm_core.check_int64_entries``
+        accepts have n^3 K^2 <= 2^29, K the largest |entry|, so |X| and |X'|
+        are at most n^2 K / 2 <= sqrt(n) 2^13.5 and span^2 stays far below 2^63."""
         x = inner.sum(axis=1)
         x_prime = x[:, None] - 2 * inner
         lo = int(min(x.min(), x_prime.min()))

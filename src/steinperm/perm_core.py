@@ -397,11 +397,17 @@ class ExactSums:
 
 def check_int64_entries(n: int, rows) -> int:
     """K = max |entry| of ``rows``, L * M of an n x n matrix as an array or
-    as rows of Python ints, refused where ``_sn.checked_chunk_size`` shows
-    that the exact sweep's int64 sums could overflow: n (2nK)^3 or
-    (4n (nK)^2)^2 above 2^62."""
+    as rows of Python ints, refused where (4n (nK)^2)^2 exceeds 2^62, so
+    that the exact sweep's int64 sums cannot overflow.
+
+    Every suffix sum is a partial row sum, |inner_i| <= (n - 1) K < nK, so
+    per row q_pi = 4 sum_i inner_i^2 <= 4n^3 K^2 <= 2^31 and q_pi^2 <= 2^62.
+    Accepted entries have n^3 K^2 <= 2^29, so nK <= 2^14.5 and
+    sum_i |inner_i|^3 <= n^4 K^3 <= 2^43.5.  A chunk of ``_sn.CHUNK`` =
+    150 000 < 2^17.2 rows then keeps each level's sum of q below 2^48.2 and
+    its sum of |inner|^3 at most CHUNK n^4 K^3 < 2^60.7, both in int64."""
     k = max((abs(int(e)) for row in rows for e in row), default=0)
-    if max(n * (2 * n * k) ** 3, (4 * n * (n * k) ** 2) ** 2) > 1 << 62:
+    if (4 * n * (n * k) ** 2) ** 2 > 1 << 62:
         raise ValueError(TOO_LARGE)
     return k
 

@@ -202,10 +202,9 @@ def test_criterion_05_pair_second_moment():
     ok = True
     for n in range(3, 8):
         for spec in _all_specs(n):
-            mint, scale = _sn.integer_matrix(spec.matrix), spec.matrix.scale
-            size = _sn.checked_chunk_size(n, mint)
+            scale = spec.matrix.scale
             total = 0
-            for perms in _sn.chunks(n, size):
+            for perms in _sn.chunks(n):
                 d = 2 * _sn.inner_sums(perms, _sn.InnerKernel(spec.matrix))
                 total += int((d * d).sum())
             var = variance_formula(spec.matrix).variance

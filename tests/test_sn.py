@@ -23,7 +23,7 @@ from steinperm import (
     spec_for,
     zero_matrix,
 )
-from steinperm import _sn, exchangeability, stein_bounds
+from steinperm import _sn, exchangeability, perm_core, stein_bounds
 from steinperm.chain import pair_samples
 from steinperm.exact_dist import eulerian_distribution, mahonian_distribution
 from steinperm.perm_core import EnumerationLimitError
@@ -71,7 +71,7 @@ def _largest_guarded_entry(n):
     """The largest K for which the sweep's overflow guard accepts entries of size K."""
     def accepted(k):
         try:
-            _sn.checked_chunk_size(n, np.array([[k]], dtype=np.int64))
+            perm_core.check_int64_entries(n, np.array([[k]], dtype=np.int64))
         except ValueError:
             return False
         return True
@@ -150,7 +150,7 @@ class TestSuffixTable:
         k = _largest_guarded_entry(self.N)
         assert mint[0, 1] == -k and np.abs(mint).max() == k
         with pytest.raises(ValueError, match="too large"):
-            _sn.checked_chunk_size(self.N, np.array([[k + 1]], dtype=np.int64))
+            perm_core.check_int64_entries(self.N, np.array([[k + 1]], dtype=np.int64))
 
 
 def _random_rational_matrix(n, seed):
@@ -304,15 +304,20 @@ class TestMovedAndRelabeledX:
 
 
 class TestChunkSize:
-    """checked_chunk_size refuses entries whose q_pi^2 could leave int64 and
-    sizes chunks by the sums a chunk keeps in int64."""
+    """check_int64_entries refuses entries whose q_pi^2, or a sum a chunk of
+    CHUNK rows keeps in int64, could leave int64; every chunk is a CHUNK-bounded block."""
 
     def test_near_limit_sweeps_in_one_chunk(self):
         n = 8
         *_, sweep = _sn.sweep(_near_limit_matrix(n))
         assert [len(perms) for perms, _ in sweep] == [math.factorial(n)]
 
-    @pytest.mark.parametrize("n", [6, 8])
+    def test_near_limit_sweeps_in_full_chunks(self):
+        # three prefixes of 8! rows each, as 4 * 8! > CHUNK
+        *_, sweep = _sn.sweep(_near_limit_matrix(9))
+        assert [len(perms) for perms, _ in sweep] == [3 * math.factorial(8)] * 3
+
+    @pytest.mark.parametrize("n", [6, 8, 9])
     def test_near_limit_sums_in_python_ints(self, n):
         m = _near_limit_matrix(n)
         mint = _sn.integer_matrix(m)
@@ -331,6 +336,15 @@ class TestChunkSize:
         assert (q * q).sum() > 1 << 63  # one int64 sum over all of S_n would wrap
         got = _swept(m)
         assert exact_sums_fields(got) == want
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_one_term_decides(self, n):
+        # at the largest accepted K, n (2nK)^3 <= (4n (nK)^2)^2, so that term
+        # never refuses alone, and a CHUNK-row chunk keeps its level sums of q
+        # and its sum of |inner|^3 in int64
+        k = _largest_guarded_entry(n)
+        assert n * (2 * n * k) ** 3 <= (4 * n * (n * k) ** 2) ** 2 <= 1 << 62
+        assert _sn.CHUNK * max(4 * n**3 * k**2, n**4 * k**3) <= 1 << 62
 
 
 def _row_sum_limit_matrix(n):
