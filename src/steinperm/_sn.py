@@ -163,31 +163,32 @@ class ExactSums(perm_core.ExactSums):
     """The :class:`perm_core.ExactSums` a full sweep fills when each chunk's
     ``inner`` goes to :meth:`add`."""
 
-    def add(self, inner: np.ndarray) -> None:
-        """Add one chunk of a sweep, its int64 ``inner``, to the sums.
-
-        X, q, each q^2 and every partial sum over the chunk are int64, by the
-        bounds of :func:`perm_core.check_int64_entries`.  The sum of q^2 is taken
-        in int64 blocks of at most (2^63 - 1) // max q^2 rows, each block sum
-        added as a Python int.  The level sets are tallied by :func:`tally`."""
-        x = inner.sum(axis=1)
-        a = np.abs(inner)
-        q = 4 * (inner * inner).sum(axis=1)
+    def add(self, inner: np.ndarray, x: np.ndarray | None = None) -> None:
+        """Add one chunk of a sweep, its int64 ``inner`` and its X (the row
+        sums of ``inner`` if None), to the sums.  X, q, each q^2 and every
+        partial sum over the chunk are int64, by the bounds of
+        :func:`perm_core.check_int64_entries`, and taken by einsum, which holds
+        no squares or cubes.  The sum of q^2 is taken in int64 blocks of at
+        most (2^63 - 1) // max q^2 rows, each block sum added as a Python int.
+        The level sets are tallied by :func:`tally`."""
+        x = np.einsum("ij->i", inner) if x is None else x
+        q = 4 * np.einsum("ij,ij->i", inner, inner)
         q2 = q * q
         block = ((1 << 63) - 1) // max(int(q2.max()), 1)
         self.sum_q2 += sum(int(q2[start : start + block].sum()) for start in range(0, len(q2), block))
-        self.sum_abs_d3 += 8 * int((a * a * a).sum())
+        a = np.abs(inner)
+        self.sum_abs_d3 += 8 * int(np.einsum("ij,ij,ij->", a, a, a))
         self.max_inner = max(self.max_inner, int(a.max()))
-        vals, cnt, qsum = tally(x, q)
+        vals, cnt, qsum = (t.tolist() for t in tally(x, q))
         self.level_count.update(dict(zip(vals, cnt)))
         self.level_q.update(dict(zip(vals, qsum)))
 
 
-def tally(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[list[int], ...]:
-    """(the distinct int64 ``values`` ascending, how often each occurs) and,
-    with int64 ``weights``, the sum of the weights at each, as lists of
-    Python ints; each sum must fit int64, as each level's sum of q over a
-    chunk of a sweep does (:func:`perm_core.check_int64_entries`).
+def tally(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(the distinct integer ``values`` ascending, how often each occurs) and,
+    with int64 ``weights``, the sum of the weights at each, as arrays; each sum
+    must fit int64, as each level's sum of q over a chunk of a sweep does
+    (:func:`perm_core.check_int64_entries`).
 
     Distribution counting (``np.bincount`` and ``np.add.at``) over the
     values less their least, where their range is no longer than
@@ -208,7 +209,7 @@ def tally(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[list[i
         sums = np.zeros(span, dtype=np.int64)
         np.add.at(sums, where, weights)
         out.append(sums[found])
-    return tuple(a.tolist() for a in out)
+    return tuple(out)
 
 
 def exact_sums(m: AntisymmetricMatrix, limit: int | None) -> ExactSums:
@@ -479,6 +480,7 @@ def chunks(n: int, chunk_size: int = CHUNK) -> Iterator[np.ndarray]:
         # the values each prefix leaves, ascending, in every order of S_k
         block[:, :, n - k :] = np.nonzero(left)[1].reshape(g, k).take(tail, axis=1)
         yield block.reshape(g * kfact, n)
+        del block  # freed, once its consumer lets go, before the next block is made
 
 
 def lex_permutations(k: int) -> np.ndarray:
@@ -684,9 +686,8 @@ def diagonal_sums(
 
 
 def inner_sum_chunks(n: int, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(perms, inner) for each chunk of the sweep, read from ``table = suffix_table(mint)``."""
-    for perms in chunks(n):
-        yield perms, table_inner(perms, table)
+    """(perms, inner) for each chunk of the sweep, from ``table = suffix_table(mint)``, held by none once yielded."""
+    yield from map(lambda perms: (perms, table_inner(perms, table)), chunks(n))
 
 
 def moved(perms: np.ndarray, i: int) -> np.ndarray:

@@ -202,34 +202,29 @@ def relabel_table(spec: StatisticSpec) -> np.ndarray:
     """
     n = spec.n
     bits = _member_bits(n)
-    values = np.arange(n)
-    v = values[None, :, None]
-    u = values[None, None, :]
+    u = np.arange(n)
     if spec.kind == StatisticKind.INVERSIONS:
         # rank[mask, u]: members below u; select[mask, r]: the member of rank r
         rank = np.cumsum(bits, axis=1) - bits
         select = np.zeros_like(rank)
         rows, members = np.nonzero(bits)
         select[rows, rank[rows, members]] = members
-        # Theta reverses the ranks; Phi pairs S - {v} with S - {Theta(v)} in order
-        flipped = (bits.sum(axis=1, keepdims=True) - 1 - rank)[:, :, None]
-        r = rank[:, None, :] - (u > v)
-        r = np.where(u == v, flipped, r + (r >= flipped))
-        # out of [0, n) only where u or v is no member
-        table = np.take_along_axis(select[:, None, :], r.clip(0, n - 1), axis=2)
+        # Theta reverses the ranks; Phi sends u of rank r in S - {v} to the member of rank r in S - {Theta(v)}
+        th = np.take_along_axis(select, bits.sum(axis=1, keepdims=True) - 1 - rank, axis=1)
+        other = (np.arange(1 << n)[:, None] ^ 1 << th) * n  # the row of S - {Theta(v)}; -1 off the members wraps
+        table = select.take(other[:, :, None] + rank[:, None, :] - (u > u[:, None]))
     elif spec.kind == StatisticKind.DESCENTS:
         # lo and hi bound the run of consecutive members through each value
-        starts = bits & ~np.pad(bits, ((0, 0), (1, 0)))[:, :-1]
-        ends = bits & ~np.pad(bits, ((0, 0), (0, 1)))[:, 1:]
-        lo = np.maximum.accumulate(np.where(starts, values, 0), axis=1)
-        hi = np.minimum.accumulate(np.where(ends, values, n)[:, ::-1], axis=1)[:, ::-1]
-        lo_v, hi_v = lo[:, :, None], hi[:, :, None]
-        same_run = lo[:, None, :] == lo_v
-        table = np.where(same_run & (u < v), u + hi_v - v + 1, u)
-        table = np.where(same_run & (u > v), u - (v - lo_v + 1), table)
-        table = np.where(u == v, lo_v + hi_v - v, table)
+        masks = np.arange(1 << n)[:, None]
+        lo = np.maximum.accumulate(np.where((masks & ~(masks << 1)) >> u & 1, u, 0), axis=1)
+        hi = np.minimum.accumulate(np.where((masks & ~(masks >> 1)) >> u & 1, u, n)[:, ::-1], axis=1)[:, ::-1]
+        # Theta reverses v's run; Phi swaps its pieces below and above v
+        turned = lo[:, :, None] + (u - u[:, None] - (u > u[:, None])) % (hi - lo + 1)[:, :, None]
+        table = np.where(lo[:, None, :] == lo[:, :, None], turned, u)
+        th = lo + hi - u
     else:
         raise ValueError("no general value-flip recipe for a custom matrix; supply your own")
+    table[:, u, u] = th
     inside = bits[:, :, None] & bits[:, None, :]
     return np.where(inside, table, 0).astype(np.int64, copy=False)
 
@@ -244,26 +239,28 @@ def flip_conditions(mint: np.ndarray, suffix: np.ndarray, table: np.ndarray) -> 
     reads inside[v, S] == -inside[Theta_S(v), S].  Condition 2 asks Phi_v
     to map S - {v} onto S - {Theta_S(v)} and keep every entry of M between
     its points.  A Theta that is no bijection of S fails its mask.
+    The checks run on f[u, S, v] = table[S, v, u], reducing along u first.
     """
     n = mint.shape[0]
     bits = _member_bits(n)
     masks = np.arange(1 << n)
-    diag = np.arange(n)
-    # an entry outside [0, n) fails its row, and is read as 0 after that
-    in_range = (table >= 0) & (table < n)
-    ok_v = np.all(in_range | ~bits[:, None, :], axis=2)
-    f = np.where(in_range, table, 0)
-    th = f[:, diag, diag]
+    values = np.arange(n)
+    # an entry outside [0, n) reads as n, a bit no mask holds, so a bijection
+    # check fails it; a Theta of n reads inside at n - 1 for condition 1
+    f = np.where((table >= 0) & (table < n), table, n).transpose(2, 0, 1).copy()
+    th = f[values, :, values].T
     inside = suffix[:, ::-1].T  # inside[S, v] = sum of M[v][u] over u in S
-    ok_v &= inside == -inside[masks[:, None], th]
+    ok_v = inside == -inside[masks[:, None], np.minimum(th, n - 1)]
     # Phi_v on S - {v}: onto S - {Theta(v)}, keeping every entry of M
-    dom = bits[:, None, :] & bits[:, :, None] & (diag[:, None] != diag)
-    image = np.bitwise_or.reduce(np.where(dom, 1 << f, 0), axis=2)
-    ok_v &= image == (masks[:, None] & ~(1 << th))
-    pairs = dom[:, :, :, None] & dom[:, :, None, :]
-    ok_v &= np.all((mint[f[:, :, :, None], f[:, :, None, :]] == mint) | ~pairs, axis=(2, 3))
-    th_image = np.bitwise_or.reduce(np.where(bits, 1 << th, 0), axis=1)
-    return np.all(ok_v | ~bits, axis=1) & (th_image == masks)
+    dom = bits.T[:, :, None] & bits & (values[:, None, None] != values)
+    ok_v &= np.bitwise_or.reduce(np.where(dom, 1 << f, 0)) == (masks[:, None] & ~(1 << th))
+    # same[a, j, b, k]: whether M[a][b] == M[j][k], true where a or b is n;
+    # g = a n + j reads a = n off S - {v}, so only pairs inside it can fail
+    same = np.ones((n + 1, n, n + 1, n), dtype=bool)
+    same[:n, :, :n] = mint[:, None, :, None] == mint[:, None, :]
+    g = np.where(dom, f * n, n * n) + values[:, None, None]
+    ok_v &= same.take(g[:, None] * ((n + 1) * n) + g).all(axis=(0, 1))
+    return np.all(ok_v | ~bits, axis=1) & (np.bitwise_or.reduce(np.where(bits, 1 << th, 0), axis=1) == masks)
 
 
 class PairDistribution(NamedTuple):
@@ -282,22 +279,22 @@ class PairDistribution(NamedTuple):
     def total(self) -> int:
         return sum(self.raw.values())
 
-    def add(self, inner: np.ndarray) -> None:
-        """Add the pairs of one chunk of a sweep, its int64 ``inner``: one
-        int64 key (X - lo) span + (X' - lo) per pair, lo and span the least
-        value and the range of X and X' in the chunk, tallied by
-        ``_sn.tally``.  Entries that ``perm_core.check_int64_entries``
-        accepts have n^3 K^2 <= 2^29, K the largest |entry|, so |X| and |X'|
-        are at most n^2 K / 2 <= sqrt(n) 2^13.5 and span^2 stays far below 2^63."""
-        x = inner.sum(axis=1)
-        x_prime = x[:, None] - 2 * inner
-        lo = int(min(x.min(), x_prime.min()))
-        span = int(max(x.max(), x_prime.max())) - lo + 1
-        keys = ((x - lo) * span)[:, None] + (x_prime - lo)
+    def add(self, inner: np.ndarray, x: np.ndarray | None = None) -> None:
+        """Add the pairs of one chunk of a sweep, its int64 ``inner`` and its X
+        (the row sums of ``inner`` if None), X' = X - 2 inner: one key (X - lo)
+        span + inner - low per pair, lo and low the least X and inner and span
+        the range of inner, tallied by ``_sn.tally``.  Keys are below 2 n^3 K^2
+        <= 2^30 (K the largest |entry|, ``perm_core.check_int64_entries``), and
+        made in the narrowest type that holds the largest, as are their terms."""
+        x = np.einsum("ij->i", inner) if x is None else x
+        lo, low = int(x.min()), int(inner.min())
+        span = int(inner.max()) - low + 1
+        start = (x - lo) * span - low
+        keys = np.add(inner, start[:, None], dtype=_sn.signed_type(int(start.max()) + span), casting="unsafe")
         found, cnt = _sn.tally(keys.ravel())
-        for k, c in zip(found, cnt):
-            a, b = divmod(k, span)
-            pair = (a + lo, b + lo)
+        xs, at = np.divmod(found, span, dtype=np.int64)
+        xs += lo
+        for pair, c in zip(zip(xs.tolist(), (xs - 2 * (at + low)).tolist()), cnt.tolist()):
             self.raw[pair] = self.raw.get(pair, 0) + c
 
     def probability(self, x: Fraction, x_prime: Fraction) -> Fraction:

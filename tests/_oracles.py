@@ -15,7 +15,9 @@ conditional moments of one chain step average the scalar Fraction
 suffix sums, Var(E^W (W' - W)^2) adds the level sets up one
 ``Fraction`` at a time rather than as one integer sum over the lcm of
 their counts, and a sweep chunk's level sets and (X, X') pairs are
-tallied by sorting (``np.unique``) rather than by counting.
+tallied by sorting (``np.unique``) rather than by counting, or in two
+separate passes that each sum X and key the pairs by (X, X') in int64
+rather than in one pass that shares X and keys them by (X, inner).
 """
 
 import math
@@ -262,3 +264,31 @@ def pair_counts_by_sort(inner: np.ndarray) -> dict[tuple[int, int], int]:
     pairs = np.stack([np.repeat(x, inner.shape[1]), (x[:, None] - 2 * inner).ravel()], axis=1)
     found, cnt = np.unique(pairs, axis=0, return_counts=True)
     return {(a, b): c for (a, b), c in zip(found.tolist(), cnt.tolist())}
+
+
+def add_separately(inner: np.ndarray, sums: perm_core.ExactSums, raw: dict) -> None:
+    """Add one sweep chunk's int64 ``inner`` to ``sums`` and to the integer
+    pair counts ``raw`` in two separate tallies, each summing X itself: the
+    bound sums with the squares and cubes held as int64 arrays, and the pairs
+    keyed by (X - lo) span + (X' - lo) in int64, lo and span the least value
+    and the range of X and X' in the chunk."""
+    x = inner.sum(axis=1)
+    a = np.abs(inner)
+    q = 4 * (inner * inner).sum(axis=1)
+    q2 = q * q
+    block = ((1 << 63) - 1) // max(int(q2.max()), 1)
+    sums.sum_q2 += sum(int(q2[start : start + block].sum()) for start in range(0, len(q2), block))
+    sums.sum_abs_d3 += 8 * int((a * a * a).sum())
+    sums.max_inner = max(sums.max_inner, int(a.max()))
+    vals, cnt, qsum = (t.tolist() for t in _sn.tally(x, q))
+    sums.level_count.update(dict(zip(vals, cnt)))
+    sums.level_q.update(dict(zip(vals, qsum)))
+    x = inner.sum(axis=1)
+    x_prime = x[:, None] - 2 * inner
+    lo = int(min(x.min(), x_prime.min()))
+    span = int(max(x.max(), x_prime.max())) - lo + 1
+    keys = ((x - lo) * span)[:, None] + (x_prime - lo)
+    found, cnt = (t.tolist() for t in _sn.tally(keys.ravel()))
+    for k, c in zip(found, cnt):
+        a, b = divmod(k, span)
+        raw[(a + lo, b + lo)] = raw.get((a + lo, b + lo), 0) + c

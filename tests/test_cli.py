@@ -109,6 +109,8 @@ class TestVerify:
         report = json.loads(out)
         assert code == 1 and report["n"] == 8
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["pair_exchangeable"]
+        # pinned before verify tallied each chunk in one pass
+        assert hashlib.sha256(out.encode()).hexdigest() == "34e4a977cb1cd86e15090016e3dc8b9b8b13bfe14a6501f368c471b18251cc5e"
 
     def test_bad_matrix_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -1071,6 +1073,11 @@ _ARRAY_GOLDENS = [
 ]
 
 
+# the other built-in's verify report, pinned in both places too
+_VERIFY_INVERSIONS_GOLDEN = (("verify", "--stat", "inversions", "--n", "7"),
+                             "151584cdfacaaf3b2173852ee082b77ca21d466481a0887e8a882ace7e725044")
+
+
 # exact bounds of a built-in, as the prefix-set program printed them, now
 # from the recurrence with no array work: pinned in both places too
 _RECURRENCE_GOLDEN = (("bounds", "--stat", "inversions", "--n", "6"),
@@ -1119,8 +1126,7 @@ class TestGoldenStdout:
              "360401d6eda822a243e80ae4d4dfc434c9f88ad97255fef9ad691ee66a830090"),
             (("verify", "--stat", "descents", "--n", "7"),
              "5c0bed8ceddb2e1e043fd37a67ad732d515dcb99dde5d49454944ef69d00cab8"),
-            (("verify", "--stat", "inversions", "--n", "7"),
-             "151584cdfacaaf3b2173852ee082b77ca21d466481a0887e8a882ace7e725044"),
+            _VERIFY_INVERSIONS_GOLDEN,
             _RECURRENCE_GOLDEN,
             *_ARRAY_GOLDENS[1:3],
             # odd rows (11 027 and 199 entries) and the even one in CSV, taken
@@ -1201,7 +1207,9 @@ class TestGoldenStdout:
             "error: Monte Carlo mode needs --seed",
         ]
 
-    @pytest.mark.parametrize("argv, digest", [_ARRAY_GOLDENS[0], _RECURRENCE_GOLDEN, *_ARRAY_GOLDENS[1:]])
+    @pytest.mark.parametrize("argv, digest", [
+        _ARRAY_GOLDENS[0], _RECURRENCE_GOLDEN, *_ARRAY_GOLDENS[1:], _VERIFY_INVERSIONS_GOLDEN,
+    ])
     def test_sha256_fresh_interpreter(self, argv, digest):
         # numpy is loaded lazily here, on the first array operation, and
         # never by the recurrence

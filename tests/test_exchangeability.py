@@ -295,7 +295,7 @@ def _corrupt_phi_not_invariant(row):
 class TestFlipConditions:
     """The array check over all masks against the per-subset Fraction one."""
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
     def test_equals_check_conditions(self, make, n):
         spec = make(n)
@@ -348,6 +348,24 @@ class TestFlipConditions:
         assert not table_verdict(spec.matrix, table, full)
         assert verdict[:full].all()
 
+
+    @pytest.mark.parametrize("make", [descents_spec, inversions_spec])
+    def test_invariance_mutant_on_an_inner_mask(self, make):
+        # S = {1, 2, 3} of n = 5, one run: Theta(1) = 3 and Phi_1 = {2: 1, 3: 2}
+        # for both statistics.  Swapped to {2: 2, 3: 1}, Phi_1 still maps
+        # S - {1} onto S - {3}, but M[2][3] = -1 becomes M[2][1] = 1
+        n, mask = 5, 0b01110
+        spec = make(n)
+        swept = sweep(spec.matrix)[:2]
+        table = relabel_table(spec)
+        row = table[mask, 1]
+        assert row[[1, 2, 3]].tolist() == [3, 1, 2]
+        row[[2, 3]] = row[[3, 2]]
+        verdict = flip_conditions(*swept, table)
+        assert np.flatnonzero(~verdict).tolist() == [mask]
+        assert not table_verdict(spec.matrix, table, mask)
+        # every other mask, the full set among them, keeps its verdict
+        assert all(table_verdict(spec.matrix, table, other) for other in (0b00111, 0b11100, 0b11111))
 
     # On the zero matrix both conditions reduce to the bijection checks.  In
     # the built-in tables on the full set of 5, Theta(0) = 4, Theta(1) = 3,

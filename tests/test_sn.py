@@ -1,8 +1,9 @@
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from steinperm.perm_core import EnumerationLimitError
 
 from conftest import BUILTIN_SIZES, builtin_rows, random_matrices
 from _oracles import (
-    draw_whole_tile, exact_sums_by_sort, exact_sums_fields, inner_sums_gather, keyed_gather, pair_counts_by_sort,
+    add_separately, draw_whole_tile, exact_sums_by_sort, exact_sums_fields, inner_sums_gather, keyed_gather, pair_counts_by_sort,
     relabel, row_copy_x, value_order,
 )
 
@@ -106,6 +107,23 @@ class TestChunks:
         assert all(b.dtype == np.int64 and 0 < len(b) <= size for b in blocks)
         rows = np.concatenate(blocks)
         assert rows.tolist() == [list(p) for p in permutations(range(n))]
+
+    def test_sweep_frees_a_chunk_before_making_the_next(self, monkeypatch):
+        # verify at n = 10 peaks with one chunk's arrays, not two: a chunk
+        # that its consumer has let go of is freed before the next is made
+        refs, alive = [], []
+
+        def prefixes(*args):  # the next block's prefixes are taken first
+            alive.append([ref() is not None for ref in refs])
+            return islice(*args)
+
+        monkeypatch.setattr(_sn, "islice", prefixes)
+        *_, sweep = _sn.sweep(inversions_matrix(9))
+        perms, inner = next(sweep)
+        refs += [weakref.ref(perms.base), weakref.ref(inner)]
+        del perms, inner
+        next(sweep)
+        assert alive == [[], [False, False]]
 
     @pytest.mark.parametrize("k", range(9))
     def test_array_built_s_k_in_lex_order(self, k):
@@ -984,6 +1002,52 @@ class TestTallies:
         m = _antisymmetric_matrix(n, upper)
         assert m.scale == 1001
         assert self._check(m, monkeypatch) == {("unique", "unique")}
+
+
+class TestOnePassTally:
+    """verify's one tally pass per sweep chunk, X summed once and shared by
+    ExactSums.add and PairDistribution.add, against the two separate tallies
+    that each summed X and keyed the pairs by (X, X') in int64."""
+
+    @staticmethod
+    def _check(m):
+        *_, sweep = _sn.sweep(m)
+        sums, pairs = _sn.ExactSums(), exchangeability.PairDistribution({}, m.scale)
+        alone, want_sums, want_raw = _sn.ExactSums(), perm_core.ExactSums(), {}
+        chunks = 0
+        for _, inner in sweep:
+            x = np.einsum("ij->i", inner)
+            sums.add(inner, x)
+            pairs.add(inner, x)
+            alone.add(inner)  # X summed by the tally itself
+            add_separately(inner, want_sums, want_raw)
+            chunks += 1
+        assert exact_sums_fields(sums) == exact_sums_fields(want_sums) == exact_sums_fields(alone)
+        assert pairs.raw == want_raw
+        assert pairs.total == m.n * math.factorial(m.n)
+        return chunks
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("make", [descents_matrix, inversions_matrix])
+    def test_builtins(self, make, n):
+        assert self._check(make(n)) == 1
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_random_integer_and_rational_matrices(self, n):
+        for m in (*random_matrices(n, count=2), _random_rational_matrix(n, seed=n), _rational_matrix(n)):
+            self._check(m)
+
+    @pytest.mark.parametrize("n", [2, 6, 8])
+    def test_near_limit_matrix(self, n):
+        # the int64 guard's largest entries: the widest keys the pairs can take
+        self._check(_near_limit_matrix(n))
+
+    @pytest.mark.parametrize("m", [descents_matrix(9), inversions_matrix(9), _rational_matrix(9)],
+                             ids=["descents", "inversions", "rational"])
+    def test_three_chunks_at_n_9(self, m):
+        # 9! rows in three chunks of 120 960, each tallied on its own range
+        assert _sn.CHUNK // math.factorial(8) * math.factorial(8) == 120_960
+        assert self._check(m) == 3
 
 
 class TestExactSums:
