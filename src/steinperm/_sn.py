@@ -25,17 +25,22 @@ gives inner in value order, by one of two kernels, set up once per
 matrix (:class:`InnerKernel`).  A value-space kernel
 (:func:`diagonal_sums`) reads "u + d after u" off the keys directly,
 n - d cell updates per nonzero diagonal d of M and no permutation at
-all, and :func:`banded_offsets` picks it when ``DIAGONAL_CELL_COST``
+all, a constant diagonal in one step over the sub-tile's cells as one
+flat run, and :func:`banded_offsets` picks it when ``DIAGONAL_CELL_COST``
 sum(n - d) <= n^2: descents and other banded matrices take it.
-Inversions and other dense matrices sort the keys (:func:`ordered`) and
-run a remainder of row sums along the order (:func:`remainder_sums`),
-n^2 cell updates per row.  Every value either kernel holds is a sum of
-distinct entries of one row, so the largest absolute row sum bounds it.
-:func:`row_bound` refuses that bound from 2^62 on, and both kernels run
-in the narrowest signed type that holds it (``InnerKernel.dtype``: int8
-for descents, int16 for inversions at n = 200).  A draw keeps no block
-of ``inner``: each sub-tile goes straight to its consumer in that type,
-which callers widen before integer arithmetic.
+Inversions and other dense matrices sort the keys (:func:`ordered`, in
+a buffer the sub-tiles share) and run a remainder of row sums along the
+order (:func:`remainder_sums`), n^2 cell updates per row.  Every value
+``inner`` holds is a sum of distinct entries of one row, so the largest
+absolute row sum bounds it.  :func:`row_bound` refuses that bound from
+2^62 on, and ``inner`` comes out in the narrowest signed type that
+holds it (``InnerKernel.dtype``: int8 for descents, int16 for inversions
+at n = 200), the banded kernel's type throughout.  The dense kernel runs
+in the narrowest unsigned type that holds the widest row, where that is
+narrower (:func:`residue_type`: uint8 for inversions at n = 200), on
+residues from which each value is recovered exactly.  A draw keeps no
+block of ``inner``: each sub-tile goes straight to its consumer in that
+type, which callers widen before integer arithmetic.
 
 Every kernel reads L * M in integers, L the lcm of all entry
 denominators, in the form the matrix stores it: a custom matrix's rows
@@ -97,10 +102,13 @@ CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
 ROW_BLOCK_CELLS = 1 << 15  # uint64 keys (256 KiB) of one draw sub-tile
 KEY_BITS = 53  # a draw's keys are below 2^KEY_BITS, as rng.random's k of k 2^-53
-# One diagonal_sums cell costs 2-3 remainder_sums cells: both kernels on
-# the dense inversions matrix took 2.5 against 1.2 ns per cell at n = 50
-# and 2.2 against 0.8 ns at n = 200 (numpy 2.4, 2-core x86-64 VM).  4
-# leaves room for the diagonal kernel's per-row scatter and gather.
+# One diagonal_sums cell on a constant diagonal, stepped flat, costs 2.3-3.6
+# int8 remainder_sums cells: on the ten constant diagonals d = 1..10, 0.70
+# against 0.28 ns per cell at n = 50 and 0.58 against 0.16 ns at n = 200,
+# and at the threshold (d = 1..14 at n = 50, 1..58 at n = 200) the two
+# kernels took 0.42 against 0.48 ms and 1.30 against 1.29 ms per sub-tile
+# (numpy 2.4, 2-core x86-64 VM).  A diagonal that varies, stepped row by
+# row, costs 6-8 cells: at the threshold, 1.6-2.7 times the remainder.
 DIAGONAL_CELL_COST = 4
 PREFIX_DP_CELLS = 1 << 22  # (prefix set, X value) slots of one prefix_set_sums layer
 
@@ -419,7 +427,9 @@ def draw(
     are, in order, those of one whole-block ``rng.random((m, n))`` times
     2^53.  Every sub-tile's ``inner`` is a view of one buffer in
     ``kernel.dtype``, which the next sub-tile overwrites: a consumer reads
-    it, and its keys, before it asks for the next.
+    it, and its keys, before it asks for the next.  The keys are a new
+    C-contiguous uint64 array each sub-tile, which the consumer may
+    overwrite once it has read them.
 
     A uniform position I and a uniform value V independent of pi give the
     same law of (pi, I): I = pi^-1(V) is uniform and independent of pi.
@@ -538,33 +548,54 @@ class InnerKernel:
     """The per-matrix set-up of :func:`inner_sums` on the matrix ``m``,
     made once and shared by every block of rows: ``fill(keys, out)``, the
     kernel that :func:`banded_offsets` picks bound to the arrays it reads,
-    and ``dtype``, the narrowest signed integer type that holds the
-    :func:`row_bound` (int8 for descents, int16 for inversions at n = 200).
+    for sub-tiles of at most ``height`` = :func:`tile_height` rows, and
+    ``dtype``, the narrowest signed integer type that holds the
+    :func:`row_bound` (int8 for descents, int16 for inversions at n = 200),
+    the type of ``inner``.
 
-    Those arrays are built in ``dtype`` straight from ``m``: its rows, or a
-    built-in's window, whose diagonal d is the constant window[n + d], and
-    its ``row_sums``.  No value they hold, or that the kernel computes from
-    them, overflows: each is a sum of distinct entries of one row of L * M,
+    Those arrays are built straight from ``m``: its rows, or a built-in's
+    window, whose diagonal d is the constant window[n + d], and its
+    ``row_sums``.  The banded kernel's are in ``dtype``, a constant
+    diagonal as one scalar and ``below`` tiled over ``height`` rows.  The
+    dense kernel's rows and running remainder are in :func:`residue_type`
+    where that is narrower than ``dtype`` (uint8 for inversions at
+    n = 200), else in ``dtype``; it keeps one (``height``, n) uint64 buffer
+    for the codes of :func:`ordered`.  No value the kernels compute
+    overflows: each is a sum of distinct entries of one row of L * M,
     each taken 0 or 1 times, at most that row's absolute sum in absolute
-    value, which ``dtype`` holds."""
+    value, which ``dtype`` holds (see :func:`remainder_sums` for the
+    residues)."""
 
     def __init__(self, m: AntisymmetricMatrix) -> None:
         self.n = n = m.n
-        self.dtype = dtype = signed_type(row_bound(m))
+        self.height = height = tile_height(n)
+        bound = row_bound(m)
+        self.dtype = dtype = signed_type(bound)
         rows = None if m.window is not None else integer_matrix(m, dtype)
         offsets = banded_offsets(m, rows)
         if offsets is None:
             rows = integer_matrix(m, dtype) if rows is None else rows
-            self.fill = functools.partial(remainder_sums, rows=rows, totals=np.array(m.row_sums[0], dtype))
+            sums, absolute = m.row_sums
+            start, low = sums, None
+            residue = residue_type(bound)
+            if residue.itemsize < dtype.itemsize:
+                # row v's entries sum to pos_v - neg_v, their absolute values to pos_v + neg_v
+                start = [(a + s) // 2 for s, a in zip(sums, absolute)]
+                low = np.array([(a - s) // 2 for s, a in zip(sums, absolute)], dtype)
+                rows = rows.astype(residue)
+            codes = np.empty((height, n), dtype=np.uint64)
+            self.fill = functools.partial(
+                remainder_sums, rows=rows, start=np.array(start, rows.dtype), low=low, codes=codes
+            )
         else:
-            diagonals = [
-                (d, np.full(n - d, m.window[n + d], dtype) if rows is None else np.diagonal(rows, d).copy())
-                for d in offsets
-            ]
+            diagonals = []
             below = np.zeros(n, dtype=dtype)  # sum_{u < w} M[w][u], as M[u + d][u] = -M[u][u + d]
-            for d, diagonal in diagonals:
+            for d in offsets:
+                diagonal = np.full(n - d, m.window[n + d], dtype) if rows is None else np.diagonal(rows, d).copy()
                 below[d:] -= diagonal
-            self.fill = functools.partial(diagonal_sums, below=below, diagonals=diagonals)
+                constant = (diagonal == diagonal[0]).all()
+                diagonals.append((d, diagonal[0] if constant else diagonal))
+            self.fill = functools.partial(diagonal_sums, below=np.tile(below, height), diagonals=diagonals)
 
 
 def inner_sums(keys: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = None) -> np.ndarray:
@@ -587,12 +618,16 @@ def inner_sums(keys: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = N
     first, inversions and other dense matrices the second.  Both give the
     same integers, and every value either holds is a sum of distinct
     entries of one row, each taken 0 or 1 times, which ``kernel.dtype``
-    holds (see :class:`InnerKernel`).  Their work arrays are (rows, n):
-    :func:`draw` passes sub-tiles small enough to stay in cache.
+    holds (see :class:`InnerKernel`).  A kernel call takes at most
+    ``kernel.height`` rows, so that its (rows, n) work arrays stay in
+    cache: :func:`draw` passes sub-tiles of that height, and longer
+    ``keys`` are taken that many rows at a time.
     """
     if out is None:
         out = np.empty(keys.shape, dtype=np.int64)
-    kernel.fill(keys, out)
+    for start in range(0, len(keys), kernel.height):
+        stop = start + kernel.height
+        kernel.fill(keys[start:stop], out[start:stop])
     return out
 
 
@@ -610,10 +645,11 @@ def banded_offsets(m: AntisymmetricMatrix, rows: np.ndarray | None) -> list[int]
     return offsets if DIAGONAL_CELL_COST * sum(n - d for d in offsets) <= n * n else None
 
 
-def ordered(keys: np.ndarray) -> np.ndarray:
+def ordered(keys: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
     """The permutations that ``keys``, integers below 2^``KEY_BITS``,
     define: row t lists the values by increasing key, ties broken by value
-    index.
+    index; made in ``codes``, a uint64 buffer of at least as many rows, if
+    given.
 
     Such a key leaves the low 64 - ``KEY_BITS`` bits of a uint64 free; with
     the value's index put there, a row's codes are distinct and ascending
@@ -621,39 +657,65 @@ def ordered(keys: np.ndarray) -> np.ndarray:
     stable, gives the order, ties included.  Rows too wide for the index
     to fit take a stable argsort, about 4.5 times the time of the code
     sort on the (163, 200) sub-tiles of inversions at n = 200."""
-    n = keys.shape[1]
+    m, n = keys.shape
     bits = (n - 1).bit_length()
     if bits > 64 - KEY_BITS:
         return keys.argsort(axis=1, kind="stable")
-    codes = keys.astype(np.uint64)
-    codes <<= bits
+    codes = np.left_shift(keys, bits, out=None if codes is None else codes[:m], dtype=np.uint64, casting="unsafe")
     codes |= np.arange(n, dtype=np.uint64)
     codes.sort(axis=1)
     codes &= (1 << bits) - 1
     return codes.view(np.int64)
 
 
-def remainder_sums(keys: np.ndarray, out: np.ndarray, rows: np.ndarray, totals: np.ndarray) -> None:
-    """:func:`inner_sums` by a running remainder along the :func:`ordered`
-    rows, n^2 cell updates per row, with ``rows`` the rows of M and
-    ``totals`` its row sums.
+def residue_type(bound: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds 0..bound: the type of
+    the dense kernel's residues for a widest absolute row sum ``bound``."""
+    return next(np.dtype(f"uint{bits}") for bits in (8, 16, 32, 64) if bound < 1 << bits)
 
-    The rows carry rest[t, u] = sum of M[u][w] over the values w not yet
-    passed: the full row sums less column p_t(i), which is -row p_t(i), at
-    each position i, where rest[t, p_t(i)] is inner[t, p_t(i)].  ``rows``,
-    ``totals`` and rest are in ``InnerKernel.dtype``: every entry of
-    ``rows`` is one entry of M, and every value of ``totals`` and rest a
-    sum of distinct entries of row u, each at most u's absolute row sum in
-    absolute value, which that type holds.
+
+def remainder_sums(
+    keys: np.ndarray, out: np.ndarray, rows: np.ndarray, start: np.ndarray, low: np.ndarray | None, codes: np.ndarray
+) -> None:
+    """:func:`inner_sums` by a running remainder along the :func:`ordered`
+    rows, made in the buffer ``codes``: n^2 cell updates per row, with
+    ``rows`` the rows of M.
+
+    The rows carry rest[t, u]: ``start[u]`` less the sum of M[u][w] over
+    the values w passed so far, by adding row p_t(i), which is -column
+    p_t(i), at each position i.  Read at v = p_t(i), after that step,
+    rest[t, v] has passed the values before v and v itself, whose
+    M[v][v] is 0, so it is ``start[v]`` less v's row sum plus
+    inner[t, v]: inner[t, v] itself when ``start`` holds the row sums.
+    Every inner[t, v] is a sum of distinct entries of row v, each taken
+    0 or 1 times, so it lies in [-neg_v, pos_v], neg_v and pos_v the sums
+    of the absolute values of row v's negative and of its positive
+    entries; pos_v - neg_v is v's row sum and pos_v + neg_v its absolute
+    row sum.
+
+    With ``low`` None, ``start`` holds the row sums, and ``rows``,
+    ``start`` and rest are in ``InnerKernel.dtype``, which holds every
+    absolute row sum, so no value leaves it.  Otherwise they are in the
+    narrowest unsigned type of b bits that holds the widest absolute row
+    sum (:func:`residue_type`), narrower than ``InnerKernel.dtype``:
+    ``rows`` holds M mod 2^b, ``start`` the pos_v and ``low`` the neg_v.
+    Unsigned addition is exact mod 2^b, so rest[t, v] read at v is
+    pos_v - (pos_v - neg_v) + inner[t, v] = inner[t, v] + neg_v mod 2^b.
+    As inner[t, v] + neg_v lies in [0, pos_v + neg_v] and
+    pos_v + neg_v < 2^b, it is that residue itself, and subtracting
+    ``low`` in ``out``'s type gives inner.
     """
     m, n = keys.shape
-    rest = np.tile(totals, (m, 1))
-    # cell (t, p_t(i)) of rest and of the C-contiguous out is flat[t] + p_t(i) of these views
-    flat, rest_cells, out_cells = np.arange(0, m * n, n), rest.reshape(-1), out.reshape(-1)
-    for p in ordered(keys).T:
+    rest = np.tile(start, (m, 1))
+    found = out if low is None else np.empty_like(rest)
+    # cell (t, p_t(i)) of rest and of the C-contiguous found is flat[t] + p_t(i) of these views
+    flat, rest_cells, found_cells = np.arange(0, m * n, n), rest.reshape(-1), found.reshape(-1)
+    for p in ordered(keys, codes).T:
         rest += rows.take(p, axis=0)
         where = flat + p
-        out_cells[where] = rest_cells[where]
+        found_cells[where] = rest_cells[where]
+    if low is not None:
+        np.subtract(found, low, out=out)
 
 
 def diagonal_sums(
@@ -665,24 +727,42 @@ def diagonal_sums(
     """:func:`inner_sums` in value space, read from the keys, sum(n - d)
     cell updates per row over the pairs (d, M[u][u + d] for u = 0..n-d-1)
     in ``diagonals``, whose offsets d hold every nonzero entry of M above
-    the main diagonal; ``below[w]`` is sum_{u < w} M[w][u].
+    the main diagonal, a diagonal whose entries are all equal given as one
+    scalar; ``below``, tiled over at least as many rows as ``keys``, is
+    sum_{u < w} M[w][u] at each value w.
 
     inner at value w is sum_u M[w][u] [u after w].  Each row of ``out``
     starts at ``below``; each diagonal d then takes
     term = [u + d after u] M[u][u + d], where u + d comes after u when
     k_{u+d} >= k_u (a tie puts the lower index u first), and adds it to
     inner at u and at u + d, where it turns M[u + d][u] = -M[u][u + d]
-    into [u after u + d] M[u + d][u].  ``below``, the diagonals and term
+    into [u after u + d] M[u + d][u].  A constant diagonal takes that step
+    once over all rows as one flat run of cells, cell u of row t being
+    cell tn + u: it compares the keys of cells i + d and i, zeroes the
+    comparison at the d cells of each row whose i + d is in the next row,
+    and adds it times the scalar at i and at i + d.  A diagonal that
+    varies takes the step row by row.  ``below``, the diagonals and term
     are in ``InnerKernel.dtype``: term holds single entries, and at every
     step inner at w is a sum of distinct entries of row w, each taken 0
     or 1 times, so each is bounded by an absolute row sum, which that
     type holds.
     """
-    out[:] = below
+    m, n = keys.shape
+    size = m * n
+    cells, key_cells = out.reshape(-1), keys.reshape(-1)
+    cells[:] = below[:size]
+    after = np.empty(size, dtype=bool)
     for d, diagonal in diagonals:
-        term = (keys[:, d:] >= keys[:, :-d]) * diagonal
-        out[:, :-d] += term
-        out[:, d:] += term
+        if diagonal.ndim:
+            term = (keys[:, d:] >= keys[:, :-d]) * diagonal
+            out[:, :-d] += term
+            out[:, d:] += term
+        else:
+            np.greater_equal(key_cells[d:], key_cells[:-d], out=after[: size - d])
+            after.reshape(m, n)[:, n - d :] = False
+            term = np.multiply(after[: size - d].view(np.int8), diagonal)  # 0 or 1, read without a cast
+            cells[:-d] += term
+            cells[d:] += term
 
 
 def inner_sum_chunks(n: int, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -185,10 +185,11 @@ def ingredients_mc(spec: StatisticSpec, trials: int, seed: int) -> BoundIngredie
         # inner at V and c from each sub-tile while it is in cache: a row
         # sum is the same float however the rows are sliced
         d_w, c = np.empty(len(pick)), np.empty(len(pick))
-        for start, _, rows in tiles:
+        for start, keys, rows in tiles:
             stop = start + len(rows)
             d_w[start:stop] = rows[np.arange(len(rows)), pick[start:stop]]
-            f = rows / sigma_x**2
+            # the sub-tile's uint64 keys, which nothing reads again, hold its floats
+            f = np.divide(rows, sigma_x**2, out=keys.view(np.float64))
             f *= rows
             c[start:stop] = 4.0 / n * f.sum(axis=1)
         d_w *= -2.0

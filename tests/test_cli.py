@@ -1444,3 +1444,70 @@ def test_matrix_layout_sha256(capsys, tmp_path, text, argv, digest):
     code, out, err = run(capsys, argv[0], "--matrix", str(path), *argv[1:])
     assert (code, err) == (1 if argv[0] == "verify" else 0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _residue_rows(n, bound):
+    """Strictly upper entries of a dense n x n integer matrix whose widest
+    absolute row sum is ``bound``: row 0 sums to +bound and row n - 1 to
+    -bound, each over entries of one sign, and every other entry above the
+    diagonal is -1, 0 or 1, but M[0][n - 1] = 0."""
+    upper = [[str((7 * i + 11 * j) % 3 - 1) for j in range(i + 1, n)] for i in range(n - 1)]
+    share, extra = divmod(bound, n - 2)
+    for k in range(n - 2):
+        upper[0][k] = upper[k + 1][-1] = str(share + (k < extra))  # M[0][k + 1] and M[k + 1][n - 1]
+    upper[0][-1] = "0"
+    return upper
+
+
+def _varied_band_rows(n):
+    """Strictly upper entries of a banded n x n integer matrix: the constant
+    diagonal d = 1 of 2s, and d = 3 of entries that vary along it."""
+    return [[{1: "2", 3: str((7 * i) % 11 - 5)}.get(j - i, "0") for j in range(i + 1, n)] for i in range(n - 1)]
+
+
+class TestDrawKernelGoldens:
+    """Monte Carlo bounds and samples, byte for byte, on the paths of both
+    draw kernels, recorded before the kernels ran on flat rows and on 8-bit
+    residues: inversions at n = 200 (a dense kernel whose widest row, 199,
+    fits 8 bits), descents across a draw block, a banded custom matrix with
+    a diagonal that is not constant, and dense custom matrices whose widest
+    absolute row sum is 255 and 256."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("bounds", "--stat", "inversions", "--n", "200", "--mode", "mc", "--trials", "2048", "--seed", "11"),
+         "9204b2b206d2fd62ee9e522509f06a414594b387425bf818335cc6474fa31711"),
+        (("sample", "--stat", "inversions", "--n", "200", "--seed", "3", "--trials", "300"),
+         "ecd9a677d1daca1fa7ab4b6fe0535dc62a4a880553dfb46a17178f8e1664750b"),
+        (("bounds", "--stat", "descents", "--n", "50", "--mode", "mc", "--trials", "65537", "--seed", "11"),
+         "e9ebcd652c00e76d40cd03ce8379afcf75401fd087c0f356a96625a4304ce4be"),
+    ], ids=["inversions-200-bounds", "inversions-200-sample", "descents-50-two-blocks"])
+    def test_builtin(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # 3000 draws at n = 40 are four sub-tiles, 1000 are two
+    @pytest.mark.parametrize("matrix, argv, digest", [
+        ("band", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "7b9badfaf4c85e2b924350e0ab2c99704801cf211b5012d121417af6d2ad32eb"),
+        ("band", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "0e49a3ce81b0eeb506372ce86e373650ea568001f154c18a94f7689ac0fcd8e1"),
+        ("dense-255", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "479cf7864b0523b19f7b2386341371770e2727088526f7bd65606eb63aa2bf99"),
+        ("dense-255", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "14b7aa2dc9d6a5b35ffaf08957151425763ff543b99a6bc6b0a2b6fec8f24bc5"),
+        ("dense-256", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "8e62935917ca04ca35f389e426568ebce581ecc0b8e4600e9c9a326cd395f173"),
+        ("dense-256", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "a14ebb1aeafb9104977b295df46c8afd85ea0c1682811400ee056fde3f92bd05"),
+    ])
+    def test_custom(self, capsys, tmp_path, matrix, argv, digest):
+        upper = {"band": lambda: _varied_band_rows(40), "dense-255": lambda: _residue_rows(40, 255),
+                 "dense-256": lambda: _residue_rows(40, 256)}[matrix]()
+        rows = _antisymmetric(upper)
+        widest = max(sum(abs(int(e)) for e in row) for row in rows)
+        assert widest == {"band": 14, "dense-255": 255, "dense-256": 256}[matrix]
+        path = _write_rows(tmp_path, "m.json", rows)
+        code, out, err = run(capsys, argv[0], "--matrix", path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

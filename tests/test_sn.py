@@ -553,6 +553,9 @@ class TestInnerSums:
         assert _sn.InnerKernel(_kernel_matrix(kind, n)).dtype == dtype
 
     EDGES = [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)]
+    # the type of the dense kernel's rows and running remainder at each
+    # edge: the residue type where it is narrower than the kernel's dtype
+    RESIDUES = {127: np.int8, 128: np.uint8, 32767: np.int16, 32768: np.uint16}
 
     @pytest.mark.parametrize("bound, dtype", EDGES)
     @pytest.mark.parametrize("form", ["dense", "banded"])
@@ -561,10 +564,67 @@ class TestInnerSums:
             assert kernel.dtype == dtype
             kw = kernel.fill.keywords
             if "rows" in kw:
-                arrays = [kw["rows"], kw["totals"]]
+                residue = self.RESIDUES[bound]
+                assert kw["rows"].dtype == kw["start"].dtype == residue
+                assert kw["codes"].dtype == np.uint64 and kw["codes"].shape == (kernel.height, 7)
+                arrays = [] if residue == dtype else [kw["low"]]
+                assert (kw["low"] is None) == (residue == dtype)
             else:
                 arrays = [kw["below"], *(diagonal for _, diagonal in kw["diagonals"])]
+                assert kw["below"].shape == (kernel.height * 7,)
             assert all(a.dtype == dtype for a in arrays)
+
+    @pytest.mark.parametrize("bound, residue", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32),
+        ((1 << 32) - 1, np.uint32), (1 << 32, np.uint64), ((1 << 62) - 1, np.uint64),
+    ])
+    def test_residue_type(self, bound, residue):
+        assert _sn.residue_type(bound) == residue
+
+    @pytest.mark.parametrize("n, dtype, rows", [
+        (128, np.int8, np.int8), (129, np.int16, np.uint8), (200, np.int16, np.uint8), (256, np.int16, np.uint8),
+        (257, np.int16, np.int16),
+    ])
+    def test_inversions_on_residues(self, n, dtype, rows):
+        # the widest absolute row sum of inversions is n - 1
+        kernel = _sn.InnerKernel(inversions_matrix(n))
+        assert kernel.dtype == dtype and kernel.fill.keywords["rows"].dtype == rows
+
+    def test_constant_diagonals_are_scalars(self):
+        for matrix in (descents_matrix(50), AntisymmetricMatrix.from_rows(builtin_rows("descents", 50))):
+            (d, diagonal), = _sn.InnerKernel(matrix).fill.keywords["diagonals"]
+            assert d == 1 and diagonal.shape == () and diagonal.dtype == np.int8
+        diagonals = _sn.InnerKernel(_banded_matrix(9)).fill.keywords["diagonals"]
+        assert [(d, diagonal.shape) for d, diagonal in diagonals] == [(1, (8,)), (2, (7,))]
+
+    # the widest rows that 8-, 16- and 32-bit residues hold and the first
+    # that 8 and 32 bits do not, against the int64 gather, in sub-tiles of
+    # 1 row, of 7 and of all 62
+    @pytest.mark.parametrize("bound, dtype, rows", [
+        (255, np.int16, np.uint8), (256, np.int16, np.int16), (65535, np.int32, np.uint16),
+        ((1 << 32) - 1, np.int64, np.uint32), (1 << 32, np.int64, np.int64),
+    ])
+    @pytest.mark.parametrize("form", ["dense", "banded"])
+    @pytest.mark.parametrize("height", [1, 7, 62])
+    def test_residue_widths_equal_the_int64_oracle(self, bound, dtype, rows, form, height, monkeypatch):
+        n = 40
+        monkeypatch.setattr(_sn, "ROW_BLOCK_CELLS", height * n)
+        matrix = _dtype_edge_matrix(n, bound, form)
+        mint = _sn.integer_matrix(matrix)
+        shuffled = np.random.default_rng(bound).permuted(np.tile(np.arange(n), (60, 1)), axis=1)
+        perms = np.concatenate([[np.arange(n), np.arange(n)[::-1]], shuffled])
+        want = inner_sums_gather(perms, mint)
+        assert want.max() == bound and want.min() == -bound
+        want = value_order(perms, want)
+        positions = np.argsort(perms, axis=1)
+        for kernel in self._kernels(matrix):
+            assert kernel.dtype == dtype and kernel.height == height
+            if "rows" in kernel.fill.keywords:
+                assert kernel.fill.keywords["rows"].dtype == rows
+            for keys in (positions, (1 << _sn.KEY_BITS) - n + positions.astype(np.uint64)):
+                assert np.array_equal(_sn.inner_sums(keys, kernel), want)
+                narrow = _sn.inner_sums(keys, kernel, np.empty(keys.shape, dtype=dtype))
+                assert np.array_equal(narrow, want)
 
     # all of S_7 against the sweep's table, and wider rows against the
     # per-position gather; each set holds a row that puts value 0 first,
@@ -750,12 +810,15 @@ class TestDraws:
             _sn.draws(m, 10, 1)
 
     def test_one_inner_buffer(self):
-        # every sub-tile's inner is a view of one buffer of one sub-tile's rows
+        # every sub-tile's inner is a view of one buffer of one sub-tile's
+        # rows, and its keys are its own, which ingredients_mc overwrites
         (_, tiles), = _sn.draws(inversions_matrix(30), 5000, 1)
-        views = [inner for _, _, inner in tiles]
+        views, keys = zip(*((inner, k) for _, k, inner in tiles))
         assert len(views) == -(-5000 // _sn.tile_height(30))
         assert views[0].base is not None and views[0].base.shape == (_sn.tile_height(30), 30)
         assert all(v.base is views[0].base for v in views)
+        assert all(k.dtype == np.uint64 and k.flags.c_contiguous for k in keys)
+        assert not any(np.shares_memory(a, b) for a, b in zip(keys, keys[1:]))
 
     def test_memory_of_one_full_block(self):
         # ingredients_mc on one full block of n = 50 rows keeps the narrow
