@@ -21,24 +21,24 @@ draws, are keyed instead: one key per value, a uniform integer below
 broken by value index, drawn in sub-tiles of rows small enough to stay
 in cache (:func:`draw`).
 Each sub-tile goes through :func:`inner_sums`, which takes the keys and
-gives inner in value order, by one of two kernels, set up once per
-matrix (:class:`InnerKernel`).  A value-space kernel
-(:func:`diagonal_sums`) reads "u + d after u" off the keys directly,
-n - d cell updates per nonzero diagonal d of M and no permutation at
-all, a constant diagonal in one step over the sub-tile's cells as one
-flat run, and :func:`banded_offsets` picks it when ``DIAGONAL_CELL_COST``
-sum(n - d) <= n^2: descents and other banded matrices take it.
-Inversions and other dense matrices sort the keys (:func:`ordered`, in
-a buffer the sub-tiles share) and run a remainder of row sums along the
-order (:func:`remainder_sums`), n^2 cell updates per row.  Every value
-``inner`` holds is a sum of distinct entries of one row, so the largest
-absolute row sum bounds it.  :func:`row_bound` refuses that bound from
-2^62 on, and ``inner`` comes out in the narrowest signed type that
-holds it (``InnerKernel.dtype``: int8 for descents, int16 for inversions
-at n = 200), the banded kernel's type throughout.  The dense kernel runs
-in the narrowest unsigned type that holds the widest row, where that is
-narrower (:func:`residue_type`: uint8 for inversions at n = 200), on
-residues from which each value is recovered exactly.  A draw keeps no
+gives inner in value order, by one of two kernels, each with one mode,
+set up once per matrix (:class:`InnerKernel`).  A value-space kernel
+(:func:`diagonal_sums`) reads "u + d after u" off the keys directly, one
+flat step over the sub-tile's cells per nonzero diagonal d of M and no
+permutation at all, and :func:`banded_offsets` picks it when
+``DIAGONAL_CELL_COST`` sum(n - d) <= n^2: descents and other banded
+matrices take it.  Inversions and other dense matrices sort the keys
+(:func:`ordered`, in a buffer the sub-tiles share) and run a remainder
+of row sums along the order (:func:`remainder_sums`), n^2 cell updates
+per row.  Every value ``inner`` holds is a sum of distinct entries of
+one row, so the largest absolute row sum bounds it.  :func:`row_bound`
+refuses that bound from 2^62 on, and ``inner`` comes out in the
+narrowest signed type that holds it (``InnerKernel.dtype``: int8 for
+descents, int16 for inversions at n = 200), the banded kernel's type
+throughout.  The dense kernel runs on residues in the narrowest unsigned
+type that holds the widest row (:func:`residue_type`: uint8 for
+inversions at n = 200), from which each value is recovered exactly by
+one subtraction.  A draw keeps no
 block of ``inner``: each sub-tile goes straight to its consumer in that
 type, which callers widen before integer arithmetic.
 
@@ -102,13 +102,11 @@ CHUNK = 150_000
 DRAW_BLOCK = 1 << 16
 ROW_BLOCK_CELLS = 1 << 15  # uint64 keys (256 KiB) of one draw sub-tile
 KEY_BITS = 53  # a draw's keys are below 2^KEY_BITS, as rng.random's k of k 2^-53
-# One diagonal_sums cell on a constant diagonal, stepped flat, costs 2.3-3.6
-# int8 remainder_sums cells: on the ten constant diagonals d = 1..10, 0.70
-# against 0.28 ns per cell at n = 50 and 0.58 against 0.16 ns at n = 200,
-# and at the threshold (d = 1..14 at n = 50, 1..58 at n = 200) the two
-# kernels took 0.42 against 0.48 ms and 1.30 against 1.29 ms per sub-tile
-# (numpy 2.4, 2-core x86-64 VM).  A diagonal that varies, stepped row by
-# row, costs 6-8 cells: at the threshold, 1.6-2.7 times the remainder.
+# One diagonal_sums cell, counted as n - d per row of diagonal d, costs 2.3-4.4
+# remainder_sums cells, so that at the threshold the banded kernel takes 0.55-1.09
+# times the dense kernel's time: on diagonals whose entries vary, d = 1..14 at
+# n = 50 (int8), d = 1..29 at n = 100 and d = 1..58 at n = 200, on 8- and 16-bit
+# residues, sub-tiles interleaved (numpy 2.4, 2-core x86-64 VM).
 DIAGONAL_CELL_COST = 4
 PREFIX_DP_CELLS = 1 << 22  # (prefix set, X value) slots of one prefix_set_sums layer
 
@@ -555,12 +553,14 @@ class InnerKernel:
 
     Those arrays are built straight from ``m``: its rows, or a built-in's
     window, whose diagonal d is the constant window[n + d], and its
-    ``row_sums``.  The banded kernel's are in ``dtype``, a constant
-    diagonal as one scalar and ``below`` tiled over ``height`` rows.  The
-    dense kernel's rows and running remainder are in :func:`residue_type`
-    where that is narrower than ``dtype`` (uint8 for inversions at
-    n = 200), else in ``dtype``; it keeps one (``height``, n) uint64 buffer
-    for the codes of :func:`ordered`.  No value the kernels compute
+    ``row_sums``.  The banded kernel's are in ``dtype``: each diagonal as
+    a length-n weight row, zero past the diagonal's n - d entries, and
+    ``below`` tiled over ``height`` rows.  The dense kernel's rows, its
+    running remainder and the pos_v and neg_v it starts from and
+    subtracts are in :func:`residue_type` (uint8 for inversions at
+    n = 200), the rows a view of the ``dtype`` array where the two types
+    are as wide; it keeps one (``height``, n) uint64 buffer for the codes
+    of :func:`ordered`.  No value the kernels compute
     overflows: each is a sum of distinct entries of one row of L * M,
     each taken 0 or 1 times, at most that row's absolute sum in absolute
     value, which ``dtype`` holds (see :func:`remainder_sums` for the
@@ -575,27 +575,24 @@ class InnerKernel:
         offsets = banded_offsets(m, rows)
         if offsets is None:
             rows = integer_matrix(m, dtype) if rows is None else rows
-            sums, absolute = m.row_sums
-            start, low = sums, None
             residue = residue_type(bound)
-            if residue.itemsize < dtype.itemsize:
-                # row v's entries sum to pos_v - neg_v, their absolute values to pos_v + neg_v
-                start = [(a + s) // 2 for s, a in zip(sums, absolute)]
-                low = np.array([(a - s) // 2 for s, a in zip(sums, absolute)], dtype)
-                rows = rows.astype(residue)
+            # a view where the residue type is as wide as dtype: a copy would double the n x n set-up
+            rows = rows.view(residue) if residue.itemsize == dtype.itemsize else rows.astype(residue)
+            # row v's entries sum to pos_v - neg_v, their absolute values to pos_v + neg_v
+            sums, absolute = m.row_sums
+            start = np.array([(a + s) // 2 for s, a in zip(sums, absolute)], residue)
+            low = np.array([(a - s) // 2 for s, a in zip(sums, absolute)], residue)
             codes = np.empty((height, n), dtype=np.uint64)
-            self.fill = functools.partial(
-                remainder_sums, rows=rows, start=np.array(start, rows.dtype), low=low, codes=codes
-            )
+            self.fill = functools.partial(remainder_sums, rows=rows, start=start, low=low, codes=codes)
         else:
-            diagonals = []
+            weights = np.zeros((len(offsets), n), dtype=dtype)
             below = np.zeros(n, dtype=dtype)  # sum_{u < w} M[w][u], as M[u + d][u] = -M[u][u + d]
-            for d in offsets:
-                diagonal = np.full(n - d, m.window[n + d], dtype) if rows is None else np.diagonal(rows, d).copy()
-                below[d:] -= diagonal
-                constant = (diagonal == diagonal[0]).all()
-                diagonals.append((d, diagonal[0] if constant else diagonal))
-            self.fill = functools.partial(diagonal_sums, below=np.tile(below, height), diagonals=diagonals)
+            for d, weight in zip(offsets, weights):
+                weight[: n - d] = m.window[n + d] if rows is None else np.diagonal(rows, d)
+                below[d:] -= weight[: n - d]
+            self.fill = functools.partial(
+                diagonal_sums, below=np.tile(below, height), offsets=offsets, weights=weights
+            )
 
 
 def inner_sums(keys: np.ndarray, kernel: InnerKernel, out: np.ndarray | None = None) -> np.ndarray:
@@ -675,74 +672,69 @@ def residue_type(bound: int) -> np.dtype:
 
 
 def remainder_sums(
-    keys: np.ndarray, out: np.ndarray, rows: np.ndarray, start: np.ndarray, low: np.ndarray | None, codes: np.ndarray
+    keys: np.ndarray, out: np.ndarray, rows: np.ndarray, start: np.ndarray, low: np.ndarray, codes: np.ndarray
 ) -> None:
     """:func:`inner_sums` by a running remainder along the :func:`ordered`
     rows, made in the buffer ``codes``: n^2 cell updates per row, with
-    ``rows`` the rows of M.
+    ``rows`` the rows of M mod 2^b, in the narrowest unsigned type of b
+    bits that holds the widest absolute row sum (:func:`residue_type`),
+    ``start`` the pos_v and ``low`` the neg_v in that type.
 
-    The rows carry rest[t, u]: ``start[u]`` less the sum of M[u][w] over
-    the values w passed so far, by adding row p_t(i), which is -column
-    p_t(i), at each position i.  Read at v = p_t(i), after that step,
-    rest[t, v] has passed the values before v and v itself, whose
-    M[v][v] is 0, so it is ``start[v]`` less v's row sum plus
-    inner[t, v]: inner[t, v] itself when ``start`` holds the row sums.
     Every inner[t, v] is a sum of distinct entries of row v, each taken
     0 or 1 times, so it lies in [-neg_v, pos_v], neg_v and pos_v the sums
     of the absolute values of row v's negative and of its positive
     entries; pos_v - neg_v is v's row sum and pos_v + neg_v its absolute
-    row sum.
-
-    With ``low`` None, ``start`` holds the row sums, and ``rows``,
-    ``start`` and rest are in ``InnerKernel.dtype``, which holds every
-    absolute row sum, so no value leaves it.  Otherwise they are in the
-    narrowest unsigned type of b bits that holds the widest absolute row
-    sum (:func:`residue_type`), narrower than ``InnerKernel.dtype``:
-    ``rows`` holds M mod 2^b, ``start`` the pos_v and ``low`` the neg_v.
-    Unsigned addition is exact mod 2^b, so rest[t, v] read at v is
+    row sum.  The rows carry rest[t, u]: pos_u less the sum of M[u][w]
+    over the values w passed so far, by adding row p_t(i), which is
+    -column p_t(i), at each position i.  Read at v = p_t(i), after that
+    step, rest[t, v] has passed the values before v and v itself, whose
+    M[v][v] is 0, so, unsigned addition being exact mod 2^b, it is
     pos_v - (pos_v - neg_v) + inner[t, v] = inner[t, v] + neg_v mod 2^b.
     As inner[t, v] + neg_v lies in [0, pos_v + neg_v] and
-    pos_v + neg_v < 2^b, it is that residue itself, and subtracting
-    ``low`` in ``out``'s type gives inner.
+    pos_v + neg_v < 2^b, it is that residue itself.
+
+    One subtraction in ``out``'s type then gives inner: the residue and
+    neg_v are cast to that type, of B >= b bits, exactly where B > b and
+    mod 2^B where B = b, and two's-complement subtraction is exact mod
+    2^B, so the difference is inner mod 2^B, which is inner itself since
+    ``out``'s type holds it.  Without ``dtype`` the subtraction would run
+    in the residue type, where a negative inner wraps to inner + 2^b
+    before it reaches a wider ``out``.
     """
     m, n = keys.shape
     rest = np.tile(start, (m, 1))
-    found = out if low is None else np.empty_like(rest)
-    # cell (t, p_t(i)) of rest and of the C-contiguous found is flat[t] + p_t(i) of these views
+    found = np.empty_like(rest)
+    # cell (t, p_t(i)) of rest and of found is flat[t] + p_t(i) of these views
     flat, rest_cells, found_cells = np.arange(0, m * n, n), rest.reshape(-1), found.reshape(-1)
     for p in ordered(keys, codes).T:
         rest += rows.take(p, axis=0)
         where = flat + p
         found_cells[where] = rest_cells[where]
-    if low is not None:
-        np.subtract(found, low, out=out)
+    np.subtract(found, low, out=out, dtype=out.dtype, casting="unsafe")
 
 
 def diagonal_sums(
-    keys: np.ndarray,
-    out: np.ndarray,
-    below: np.ndarray,
-    diagonals: list[tuple[int, np.ndarray]],
+    keys: np.ndarray, out: np.ndarray, below: np.ndarray, offsets: list[int], weights: np.ndarray
 ) -> None:
-    """:func:`inner_sums` in value space, read from the keys, sum(n - d)
-    cell updates per row over the pairs (d, M[u][u + d] for u = 0..n-d-1)
-    in ``diagonals``, whose offsets d hold every nonzero entry of M above
-    the main diagonal, a diagonal whose entries are all equal given as one
-    scalar; ``below``, tiled over at least as many rows as ``keys``, is
-    sum_{u < w} M[w][u] at each value w.
+    """:func:`inner_sums` in value space, read from the keys, n cell
+    updates per row for each offset d in ``offsets``, which hold every
+    nonzero entry of M above the main diagonal; row k of ``weights`` is
+    the length-n weight row of the k-th offset d: M[u][u + d] at
+    u < n - d, 0 from n - d on.  ``below``, tiled over at least as many
+    rows as ``keys``, is sum_{u < w} M[w][u] at each value w.
 
     inner at value w is sum_u M[w][u] [u after w].  Each row of ``out``
     starts at ``below``; each diagonal d then takes
     term = [u + d after u] M[u][u + d], where u + d comes after u when
     k_{u+d} >= k_u (a tie puts the lower index u first), and adds it to
     inner at u and at u + d, where it turns M[u + d][u] = -M[u][u + d]
-    into [u after u + d] M[u + d][u].  A constant diagonal takes that step
+    into [u after u + d] M[u + d][u].  Every diagonal takes that step
     once over all rows as one flat run of cells, cell u of row t being
-    cell tn + u: it compares the keys of cells i + d and i, zeroes the
-    comparison at the d cells of each row whose i + d is in the next row,
-    and adds it times the scalar at i and at i + d.  A diagonal that
-    varies takes the step row by row.  ``below``, the diagonals and term
-    are in ``InnerKernel.dtype``: term holds single entries, and at every
+    cell tn + u: it compares the keys of cells i + d and i, multiplies
+    the comparisons, viewed as rows of n, by the weight row, and adds the
+    product at i and at i + d.  The d cells of each row whose i + d is
+    in the next row have weight 0.  ``below``, the weights and term are
+    in ``InnerKernel.dtype``: term holds single entries, and at every
     step inner at w is a sum of distinct entries of row w, each taken 0
     or 1 times, so each is bounded by an absolute row sum, which that
     type holds.
@@ -751,18 +743,15 @@ def diagonal_sums(
     size = m * n
     cells, key_cells = out.reshape(-1), keys.reshape(-1)
     cells[:] = below[:size]
-    after = np.empty(size, dtype=bool)
-    for d, diagonal in diagonals:
-        if diagonal.ndim:
-            term = (keys[:, d:] >= keys[:, :-d]) * diagonal
-            out[:, :-d] += term
-            out[:, d:] += term
-        else:
-            np.greater_equal(key_cells[d:], key_cells[:-d], out=after[: size - d])
-            after.reshape(m, n)[:, n - d :] = False
-            term = np.multiply(after[: size - d].view(np.int8), diagonal)  # 0 or 1, read without a cast
-            cells[:-d] += term
-            cells[d:] += term
+    after = np.zeros(size, dtype=bool)  # its last d cells, never compared, have weight 0
+    flags = after.view(np.int8).reshape(m, n)  # 0 or 1, multiplied without a cast
+    term = np.empty((m, n), dtype=weights.dtype)
+    term_cells = term.reshape(-1)
+    for d, weight in zip(offsets, weights):
+        np.greater_equal(key_cells[d:], key_cells[:-d], out=after[: size - d])
+        np.multiply(flags, weight, out=term)
+        cells[:-d] += term_cells[:-d]
+        cells[d:] += term_cells[:-d]
 
 
 def inner_sum_chunks(n: int, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -1465,13 +1465,39 @@ def _varied_band_rows(n):
     return [[{1: "2", 3: str((7 * i) % 11 - 5)}.get(j - i, "0") for j in range(i + 1, n)] for i in range(n - 1)]
 
 
+def _band_rows(n, offsets):
+    """Strictly upper entries of a banded n x n integer matrix whose
+    diagonals d in ``offsets`` hold entries from -4 to 4 that vary along
+    them, every other entry zero."""
+    return [[str((7 * i + 3 * (j - i)) % 9 - 4) if j - i in offsets else "0" for j in range(i + 1, n)]
+            for i in range(n - 1)]
+
+
+def _limit_rows(n):
+    """Strictly upper entries of a dense n x n integer matrix whose row 0
+    has absolute sum 2^62 - 1, the widest row the draws accept, spread over
+    its n - 1 positive entries; every other entry above the diagonal is
+    -1, 0 or 1, so the sum of all absolute rows stays below 2^64."""
+    limit = (1 << 62) - 1
+    share, extra = divmod(limit, n - 1)
+    upper = [[str((7 * i + 11 * j) % 3 - 1) for j in range(i + 1, n)] for i in range(n - 1)]
+    upper[0] = [str(share + (k < extra)) for k in range(n - 1)]
+    return upper
+
+
 class TestDrawKernelGoldens:
     """Monte Carlo bounds and samples, byte for byte, on the paths of both
     draw kernels, recorded before the kernels ran on flat rows and on 8-bit
     residues: inversions at n = 200 (a dense kernel whose widest row, 199,
     fits 8 bits), descents across a draw block, a banded custom matrix with
     a diagonal that is not constant, and dense custom matrices whose widest
-    absolute row sum is 255 and 256."""
+    absolute row sum is 255 and 256.  Recorded later, before the dense
+    kernel ran on residues for every matrix and the banded kernel stepped
+    every diagonal flat: inversions at n = 50 and 100 (the ``*-wide`` ids),
+    dense customs whose widest row, 127, 32767 or 2^62 - 1, fills a residue
+    type as wide as ``InnerKernel.dtype``, and banded customs whose
+    diagonals vary, d = 1..14 (``band-near``) and d = 35..49 (``band-far``)
+    at n = 50."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("bounds", "--stat", "inversions", "--n", "200", "--mode", "mc", "--trials", "2048", "--seed", "11"),
@@ -1480,7 +1506,12 @@ class TestDrawKernelGoldens:
          "ecd9a677d1daca1fa7ab4b6fe0535dc62a4a880553dfb46a17178f8e1664750b"),
         (("bounds", "--stat", "descents", "--n", "50", "--mode", "mc", "--trials", "65537", "--seed", "11"),
          "e9ebcd652c00e76d40cd03ce8379afcf75401fd087c0f356a96625a4304ce4be"),
-    ], ids=["inversions-200-bounds", "inversions-200-sample", "descents-50-two-blocks"])
+        (("sample", "--stat", "inversions", "--n", "50", "--seed", "3", "--trials", "300"),
+         "3a800423ef80d24c437fd24df3d4264f4fe3400ca443b1aacb81f7d9436efb8a"),
+        (("bounds", "--stat", "inversions", "--n", "100", "--mode", "mc", "--trials", "2048", "--seed", "11"),
+         "fce2a4bfda134733108baaee429e54142c409c0f8f0668b9c3d230580d6e22b9"),
+    ], ids=["inversions-200-bounds", "inversions-200-sample", "descents-50-two-blocks", "inversions-50-sample-wide",
+            "inversions-100-bounds-wide"])
     def test_builtin(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
@@ -1500,13 +1531,37 @@ class TestDrawKernelGoldens:
          "8e62935917ca04ca35f389e426568ebce581ecc0b8e4600e9c9a326cd395f173"),
         ("dense-256", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
          "a14ebb1aeafb9104977b295df46c8afd85ea0c1682811400ee056fde3f92bd05"),
+        ("dense-127", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "5ee79b2edbbf115d1dda269ad09b0638e7c2a09cd4fbb0ae73789403cab578ce"),
+        ("dense-127", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "2308a8a9bce28b83f42e6c9b5f2a0b26c372000e919fc55b75022ff942517d60"),
+        ("dense-32767", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "afebb237ebece98203480f65e882181bf458f437107cdadb2679ab0b64f614e2"),
+        ("dense-32767", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "6a18f169af3eed63c574aeab2f39907b5501815b4ebc824ac73a21fd28a74f1f"),
+        ("dense-2^62-1", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "a3d36807009026474622c66cec3fbefb268000d34dd6a0876fbea3dfad235cb8"),
+        ("dense-2^62-1", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "b6415402aa57743e5a3edc8fc4b6f194e282ec29088e27d33f081b500c96c285"),
+        ("band-near", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "4f3c28364bdd45578d4e0e3266f75162811e4b5fe992875a7f1c5033ce9c5728"),
+        ("band-near", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "14d7ba9e74e1195b485fae63fe5c2a63e96ddf7781f0dcf148e0daa108648916"),
+        ("band-far", ("bounds", "--mode", "mc", "--trials", "3000", "--seed", "5"),
+         "8219e64ff5d47dd16da30c97eb34757f9db3254ef4e83c5328348b40c4faaa24"),
+        ("band-far", ("sample", "--seed", "5", "--trials", "1000", "--format", "csv"),
+         "b5c14f4f4f4d212e7ff7adb7dbe1888457bb9e45ca45bc59b3db09900f55eee6"),
     ])
     def test_custom(self, capsys, tmp_path, matrix, argv, digest):
         upper = {"band": lambda: _varied_band_rows(40), "dense-255": lambda: _residue_rows(40, 255),
-                 "dense-256": lambda: _residue_rows(40, 256)}[matrix]()
+                 "dense-256": lambda: _residue_rows(40, 256), "dense-127": lambda: _residue_rows(40, 127),
+                 "dense-32767": lambda: _residue_rows(40, 32767), "dense-2^62-1": lambda: _limit_rows(40),
+                 "band-near": lambda: _band_rows(50, range(1, 15)),
+                 "band-far": lambda: _band_rows(50, range(35, 50))}[matrix]()
         rows = _antisymmetric(upper)
         widest = max(sum(abs(int(e)) for e in row) for row in rows)
-        assert widest == {"band": 14, "dense-255": 255, "dense-256": 256}[matrix]
+        assert widest == {"band": 14, "dense-255": 255, "dense-256": 256, "dense-127": 127, "dense-32767": 32767,
+                          "dense-2^62-1": (1 << 62) - 1, "band-near": 66, "band-far": 35}[matrix]
         path = _write_rows(tmp_path, "m.json", rows)
         code, out, err = run(capsys, argv[0], "--matrix", path, *argv[1:])
         assert (code, err) == (0, "")

@@ -378,6 +378,16 @@ def _row_sum_limit_matrix(n):
     return AntisymmetricMatrix.from_rows(rows)
 
 
+def _far_band_matrix(n):
+    """An n x n integer matrix whose nonzero entries are the diagonals
+    d = n // 2..n - 1, each entry 1 to 4 in absolute value and varying
+    along its diagonal, positive on odd d and negative on even d."""
+    u = np.arange(n, dtype=np.int16)[:, None]
+    d = np.arange(n, dtype=np.int16) - u
+    upper = np.where(d >= n // 2, ((7 * u + 3 * d) % 4 + 1) * (d % 2 * 2 - 1), 0).astype(np.int8)
+    return AntisymmetricMatrix(tuple(map(tuple, (upper - upper.T).tolist())), 1)
+
+
 def _banded_matrix(n):
     # random integer entries, some zero, on the two diagonals above the main one
     rng = np.random.default_rng(19)
@@ -553,9 +563,10 @@ class TestInnerSums:
         assert _sn.InnerKernel(_kernel_matrix(kind, n)).dtype == dtype
 
     EDGES = [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)]
-    # the type of the dense kernel's rows and running remainder at each
-    # edge: the residue type where it is narrower than the kernel's dtype
-    RESIDUES = {127: np.int8, 128: np.uint8, 32767: np.int16, 32768: np.uint16}
+    # the type of the dense kernel's rows, running remainder and start and
+    # low at each edge: the residue type, as wide as the kernel's dtype at
+    # 127 and 32767 and narrower at 128 and 32768
+    RESIDUES = {127: np.uint8, 128: np.uint8, 32767: np.uint16, 32768: np.uint16}
 
     @pytest.mark.parametrize("bound, dtype", EDGES)
     @pytest.mark.parametrize("form", ["dense", "banded"])
@@ -565,14 +576,12 @@ class TestInnerSums:
             kw = kernel.fill.keywords
             if "rows" in kw:
                 residue = self.RESIDUES[bound]
-                assert kw["rows"].dtype == kw["start"].dtype == residue
+                assert kw["rows"].dtype == kw["start"].dtype == kw["low"].dtype == residue
                 assert kw["codes"].dtype == np.uint64 and kw["codes"].shape == (kernel.height, 7)
-                arrays = [] if residue == dtype else [kw["low"]]
-                assert (kw["low"] is None) == (residue == dtype)
             else:
-                arrays = [kw["below"], *(diagonal for _, diagonal in kw["diagonals"])]
+                assert kw["below"].dtype == kw["weights"].dtype == dtype
                 assert kw["below"].shape == (kernel.height * 7,)
-            assert all(a.dtype == dtype for a in arrays)
+                assert kw["weights"].shape == (len(kw["offsets"]), 7)
 
     @pytest.mark.parametrize("bound, residue", [
         (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32),
@@ -581,6 +590,15 @@ class TestInnerSums:
     def test_residue_type(self, bound, residue):
         assert _sn.residue_type(bound) == residue
 
+    @staticmethod
+    def _stored(rows):
+        """The type of the array that holds the dense kernel's ``rows``: the
+        kernel's dtype where the residue type is as wide, the rows read
+        through a view of it, else the residue type, into which they were
+        copied."""
+        return (rows if rows.base is None else rows.base).dtype
+
+    # rows: the type that stores the residues, the kernel's own where as wide
     @pytest.mark.parametrize("n, dtype, rows", [
         (128, np.int8, np.int8), (129, np.int16, np.uint8), (200, np.int16, np.uint8), (256, np.int16, np.uint8),
         (257, np.int16, np.int16),
@@ -588,21 +606,29 @@ class TestInnerSums:
     def test_inversions_on_residues(self, n, dtype, rows):
         # the widest absolute row sum of inversions is n - 1
         kernel = _sn.InnerKernel(inversions_matrix(n))
-        assert kernel.dtype == dtype and kernel.fill.keywords["rows"].dtype == rows
+        residues = kernel.fill.keywords["rows"]
+        assert kernel.dtype == dtype and residues.dtype == _sn.residue_type(n - 1)
+        assert self._stored(residues) == rows
 
-    def test_constant_diagonals_are_scalars(self):
-        for matrix in (descents_matrix(50), AntisymmetricMatrix.from_rows(builtin_rows("descents", 50))):
-            (d, diagonal), = _sn.InnerKernel(matrix).fill.keywords["diagonals"]
-            assert d == 1 and diagonal.shape == () and diagonal.dtype == np.int8
-        diagonals = _sn.InnerKernel(_banded_matrix(9)).fill.keywords["diagonals"]
-        assert [(d, diagonal.shape) for d, diagonal in diagonals] == [(1, (8,)), (2, (7,))]
+    def test_weight_layout(self):
+        # diagonal d as a length-n row: M[u][u + d] up to n - d, then zeros
+        for matrix in (descents_matrix(50), AntisymmetricMatrix.from_rows(builtin_rows("descents", 50)),
+                       _banded_matrix(9), _corner_matrix(7)):
+            n, mint = matrix.n, _sn.integer_matrix(matrix)
+            kw = _sn.InnerKernel(matrix).fill.keywords
+            assert kw["offsets"] == _nonzero_offsets(mint)
+            assert kw["weights"].shape == (len(kw["offsets"]), n)
+            for d, weight in zip(kw["offsets"], kw["weights"]):
+                assert np.array_equal(weight[: n - d], np.diagonal(mint, d)) and not weight[n - d :].any()
 
-    # the widest rows that 8-, 16- and 32-bit residues hold and the first
-    # that 8 and 32 bits do not, against the int64 gather, in sub-tiles of
-    # 1 row, of 7 and of all 62
+    # the widest rows that 8-, 16- and 32-bit residues hold, the first that
+    # 8 and 32 bits do not, and the widest the draws accept, 2^62 - 1, whose
+    # uint64 residues leave integers unless subtracted in out's type, against
+    # the int64 gather, in sub-tiles of 1 row, of 7 and of all 62; rows is
+    # the type that stores the residues
     @pytest.mark.parametrize("bound, dtype, rows", [
         (255, np.int16, np.uint8), (256, np.int16, np.int16), (65535, np.int32, np.uint16),
-        ((1 << 32) - 1, np.int64, np.uint32), (1 << 32, np.int64, np.int64),
+        ((1 << 32) - 1, np.int64, np.uint32), (1 << 32, np.int64, np.int64), ((1 << 62) - 1, np.int64, np.int64),
     ])
     @pytest.mark.parametrize("form", ["dense", "banded"])
     @pytest.mark.parametrize("height", [1, 7, 62])
@@ -620,7 +646,8 @@ class TestInnerSums:
         for kernel in self._kernels(matrix):
             assert kernel.dtype == dtype and kernel.height == height
             if "rows" in kernel.fill.keywords:
-                assert kernel.fill.keywords["rows"].dtype == rows
+                residues = kernel.fill.keywords["rows"]
+                assert residues.dtype == _sn.residue_type(bound) and self._stored(residues) == rows
             for keys in (positions, (1 << _sn.KEY_BITS) - n + positions.astype(np.uint64)):
                 assert np.array_equal(_sn.inner_sums(keys, kernel), want)
                 narrow = _sn.inner_sums(keys, kernel, np.empty(keys.shape, dtype=dtype))
@@ -700,17 +727,25 @@ class TestBuiltinWindow:
                     assert np.array_equal(inner, want_inner) and inner.dtype == want_inner.dtype
 
     # the kernel holds no n x n array for descents and only its int16 rows
-    # for inversions; an int64 array of L * M alone takes 72 MB at n = 3000
-    @pytest.mark.parametrize("kind, limit", [("descents", 1 << 20), ("inversions", 2 * 3000**2 + (1 << 20))])
+    # for inversions; an int64 array of L * M alone takes 72 MB at n = 3000.
+    # A custom banded matrix on its far diagonals d = 1500..2999 holds its
+    # int16 rows and D n = 1500 * 3000 int16 weights, where the diagonals
+    # have only sum(n - d) = 1500 * 1501 / 2 cells.
+    @pytest.mark.parametrize("kind, limit", [
+        ("descents", 1 << 20), ("inversions", 2 * 3000**2 + (1 << 20)),
+        ("far-band", 2 * 3000**2 + 2 * 1500 * 3000 + (1 << 20)),
+    ])
     def test_memory_of_the_kernel_set_up(self, kind, limit):
-        _sn.InnerKernel(spec_for(kind, 5).matrix)  # numpy's own first-use allocations
-        m = spec_for(kind, 3000).matrix
+        _sn.InnerKernel(spec_for("descents" if kind == "far-band" else kind, 5).matrix)  # numpy's first-use allocations
+        m = _far_band_matrix(3000) if kind == "far-band" else spec_for(kind, 3000).matrix
         tracemalloc.start()
         try:
-            _sn.InnerKernel(m)
+            kernel = _sn.InnerKernel(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        if kind == "far-band":
+            assert kernel.dtype == np.int16 and kernel.fill.keywords["weights"].shape == (1500, 3000)
         assert peak < limit
 
 
